@@ -18,7 +18,6 @@ the numerical stack loads.
 _EXPORTS = {
     "BaseGrid": "invariant_forms",
     "InvariantForm": "invariant_forms",
-    "spectral_derivative": "invariant_forms",
     "wedge": "invariant_forms",
     "exterior_d": "invariant_forms",
     "apply_J": "invariant_forms",

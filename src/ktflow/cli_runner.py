@@ -103,43 +103,21 @@ class ExperimentConfig:
                 raise ConfigError(
                     f"custom preset violates u0*lam0 - p0^2 - q0^2 > 0 (margin {margin})"
                 )
-        if not self.dt > 0:
-            raise ConfigError(f"dt must be positive, got {self.dt}")
-        if not self.t_end > 0:
-            raise ConfigError(f"t_end must be positive, got {self.t_end}")
-        if self.record_every < 1:
-            raise ConfigError(f"record_every must be >= 1, got {self.record_every}")
-        if not (0.0 < self.cfl_safety <= 0.5):
-            raise ConfigError(f"cfl_safety must lie in (0, 0.5], got {self.cfl_safety}")
+        self.flow_config()
         for name in ("tol", "vaisman_tol", "variance_tol", "exit_threshold"):
             if not getattr(self, name) > 0:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
         if self.samples < 1:
             raise ConfigError(f"samples must be >= 1, got {self.samples}")
 
+    def flow_config(self):
+        """The FlowConfig carried by this experiment; it validates its fields."""
+        from .flow_engine import FlowConfig
+        return FlowConfig(**{f.name: getattr(self, f.name) for f in fields(FlowConfig)})
 
-_CASTERS = {
-    "preset": str,
-    "n": int,
-    "epsilon": float,
-    "mode": _parse_mode,
-    "scale": float,
-    "u0": float,
-    "lam0": float,
-    "p0": float,
-    "q0": float,
-    "dt": float,
-    "t_end": float,
-    "record_every": int,
-    "cfl_safety": float,
-    "tol": float,
-    "vaisman_tol": float,
-    "variance_tol": float,
-    "exit_threshold": float,
-    "samples": int,
-    "seed": int,
-    "out_dir": str,
-}
+
+_CASTERS = {f.name: {"str": str, "int": int, "float": float, "tuple": _parse_mode}[f.type]
+            for f in fields(ExperimentConfig)}
 
 
 def parse_config(text, strict=True):
@@ -242,13 +220,11 @@ def identity_battery(n=32, tol=1e-7, samples=50, seed=2024):
     """All structural identities at resolution n; returns BatteryItem list.
 
     Randomized states exercise the splitting calculus; the two seed
-    families exercise the curvature identities, which are resolution
-    limited on rough states (their fields are rational in the metric
-    coefficients, so the spectral tail sets the floor).
+    families exercise the curvature identities.
     """
     import numpy as np
-    from .hermitian_geometry import (bismut_ricci, bismut_torsion, lee_form,
-                                     metric_split, norm_squared_1form)
+    from .hermitian_geometry import (bismut_ricci, bismut_torsion, metric_split,
+                                     norm_squared_1form)
     from .invariant_forms import (BaseGrid, apply_J, base_integral, basis_form,
                                   coframe, exterior_d, random_band_limited,
                                   random_form, wedge)
@@ -500,15 +476,12 @@ def run_experiment(cfg, stream=None):
         stream.write(f"wrote {path}\n")
         return 0 if verdict["ok"] else 1
 
-    from .flow_engine import FlowConfig, conservation_monitors, run
+    from .flow_engine import conservation_monitors, run
     from .invariant_forms import BaseGrid
 
     grid = BaseGrid(cfg.n)
     seed_state = _seed_state(cfg, grid)
-    flow_cfg = FlowConfig(dt=cfg.dt, t_end=cfg.t_end, record_every=cfg.record_every,
-                          cfl_safety=cfg.cfl_safety, vaisman_tol=cfg.vaisman_tol,
-                          variance_tol=cfg.variance_tol,
-                          exit_threshold=cfg.exit_threshold)
+    flow_cfg = cfg.flow_config()
     base = os.path.join(cfg.out_dir, cfg.preset)
     try:
         trace = run(seed_state, flow_cfg)

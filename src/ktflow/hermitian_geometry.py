@@ -11,8 +11,7 @@ derive the vertical/transverse splitting
 
 the connection 1-forms mu_i (dual pair of the vertical generators), the
 curvature multipliers sigma_i with d(mu_i) = sigma_i omega_check, the Lee
-form theta, and the Bismut curvature package computed by moving-frame
-calculus in an orthonormal J-adapted frame.
+form theta, and the Bismut curvature package.
 
 Sign conventions, fixed once and verified by the test oracles:
 
@@ -24,6 +23,17 @@ Sign conventions, fixed once and verified by the test oracles:
     orthonormal frame, and scalar s = (1/2) sum_a rho(F_a, J F_a), so that
     rho = s * omega_check on states with constant lam, sigma_1, sigma_2.
 
+These traces define the conventions and are what the moving-frame oracle in
+the tests computes.  The library evaluates the same Ricci form in closed form,
+
+    rho = -(1/2) d J d log(u lam - p^2 - q^2) + d(J theta) ,
+
+the Bismut/Chern relation rho^B = rho^C - d(J theta) (Alexandrov-Ivanov
+2001), whose Chern term is -(1/2) d J d log of the Pfaffian u lam - p^2 - q^2
+of omega in these sign conventions; the scalar is s = 2 (rho ^ omega) /
+(omega ^ omega).  The Chern term vanishes on constant states, and the oracle
+converges to the closed form spectrally in the grid resolution.
+
 With these choices the standard state (u = lam = 1, p = q = 0) has
 rho = -e1^e2 and s = -1; it is a constant-curvature state but not a
 Bismut-Ricci-flat one, and the flow in flow_engine expands its base.
@@ -31,17 +41,11 @@ Bismut-Ricci-flat one, and the flow in flow_engine expands its base.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateTransverseError,
-    GridError,
-    LinearSolveError,
-    PositivityError,
-)
+from .errors import DegenerateTransverseError, LinearSolveError, PositivityError
 from .invariant_forms import (
     InvariantForm,
     J_FRAME,
@@ -53,6 +57,7 @@ from .invariant_forms import (
     coframe,
     contract,
     exterior_d,
+    function_form,
     p11_projection,
     wedge,
 )
@@ -121,15 +126,19 @@ class MetricState:
     def copy(self):
         return MetricState(self.grid, self.u, self.lam, self.p, self.q)
 
-    def metric_tensor(self):
-        """g_ij = -omega(J E_i, E_j) as an (n, n, 4, 4) array."""
+    def omega_matrix(self):
+        """Antisymmetric coefficients W_ij = omega(E_i, E_j), (n, n, 4, 4)."""
         n = self.grid.n
         coeffs = self.omega().coeffs
         om = np.zeros((n, n, 4, 4))
         for pos, (i, j) in enumerate(_PAIRS):
             om[..., i, j] = coeffs[pos]
             om[..., j, i] = -coeffs[pos]
-        return -np.einsum("ki,...kj->...ij", J_FRAME, om)
+        return om
+
+    def metric_tensor(self):
+        """g_ij = -omega(J E_i, E_j) as an (n, n, 4, 4) array."""
+        return -np.einsum("ki,...kj->...ij", J_FRAME, self.omega_matrix())
 
     def metric_inverse(self):
         g = self.metric_tensor()
@@ -189,34 +198,23 @@ def metric_split(m):
                        sigma1, sigma2, theta, w_check)
 
 
-def lee_from_form(omega):
-    """Unique 1-form theta with theta ^ omega = d(omega), omega nondegenerate.
-
-    Wedging against omega is an isomorphism from 1-forms to 3-forms in four
-    dimensions, so theta comes from a pointwise 4x4 solve.
-    """
-    if omega.degree != 2:
-        raise GridError("Lee solve needs a 2-form")
-    grid = omega.grid
-    n = grid.n
-    mat = np.zeros((n, n, 4, 4))
-    for i in range(4):
-        mat[..., :, i] = np.transpose(wedge(coframe(grid, i), omega).coeffs, (1, 2, 0))
-    rhs = np.transpose(exterior_d(omega).coeffs, (1, 2, 0))
-    try:
-        theta = np.linalg.solve(mat, rhs[..., None])[..., 0]
-    except np.linalg.LinAlgError as exc:
-        cond = float(np.max(np.linalg.cond(mat.reshape(-1, 4, 4))))
-        raise LinearSolveError(
-            f"pointwise Lee system singular (max condition number {cond:.3e})"
-        ) from exc
-    return InvariantForm(grid, 1, np.transpose(theta, (2, 0, 1)))
-
-
 def lee_form(m):
-    """Lee form of a metric state: solves theta ^ omega = d(omega) pointwise."""
+    """Lee form of a metric state, the unique theta with theta ^ omega = d(omega).
+
+    Wedging with e^j turns the defining equation into sum_i theta_i M_ij = r_j
+    with M_ij = (e^i ^ omega ^ e^j)_top and r_j = (d omega ^ e^j)_top.  M is
+    the dual of the antisymmetric coefficient matrix W of omega, W M = -Pf(W)
+    with Pf(W) = u lam - p^2 - q^2, so
+
+        theta_i = sum_j W_ij r_j / (u lam - p^2 - q^2) .
+    """
     m.require_positive()
-    return lee_from_form(m.omega())
+    grid = m.grid
+    d_omega = exterior_d(m.omega())
+    r = np.stack([_top_coefficient(wedge(d_omega, coframe(grid, j)))
+                  for j in range(4)], axis=-1)
+    theta = np.einsum("...ij,...j->i...", m.omega_matrix(), r)
+    return InvariantForm(grid, 1, theta / m.determinant_margin())
 
 
 def bismut_torsion(m):
@@ -230,130 +228,30 @@ def bismut_torsion(m):
 
 @dataclass(frozen=True, eq=False)
 class CurvaturePackage:
-    """Frame data and curvature outputs of one metric state."""
+    """Torsion and Bismut Ricci data of one metric state."""
 
     H: InvariantForm
     rho: InvariantForm
     rho11: InvariantForm
     s: np.ndarray
-    frame: np.ndarray            # rows F_a over the coordinate frame, (4, 4, n, n)
-    gamma_lc: np.ndarray         # Levi-Civita coefficients Gamma_{abc}, (4, 4, 4, n, n)
-    gamma_b: np.ndarray          # Bismut coefficients, same layout
-
-
-def orthonormal_frame(m, split=None):
-    """J-adapted orthonormal frame rows over the coordinate frame (E1..E4).
-
-    F1 = V1/sqrt(lam), F2 = V2/sqrt(lam); F3, F4 are the normalized
-    horizontal lifts of the base directions, which for this model are
-    already orthogonal to each other (the transverse metric is conformal
-    to the flat one), so no extra orthogonalization step is needed.
-    """
-    if split is None:
-        split = metric_split(m)
-    n = m.grid.n
-    a = split.mu1.coeffs[0]          # e1-component of mu1  (= q/lam)
-    b = split.mu1.coeffs[1]          # e2-component of mu1  (= p/lam)
-    inv_sqrt_lam = 1.0 / np.sqrt(m.lam)
-    inv_sqrt_w = 1.0 / np.sqrt(split.w_check)
-    frame = np.zeros((4, 4, n, n))
-    frame[0, 2] = inv_sqrt_lam
-    frame[1, 3] = inv_sqrt_lam
-    frame[2, 0] = inv_sqrt_w
-    frame[2, 2] = -a * inv_sqrt_w
-    frame[2, 3] = b * inv_sqrt_w
-    frame[3, 1] = inv_sqrt_w
-    frame[3, 2] = -b * inv_sqrt_w
-    frame[3, 3] = -a * inv_sqrt_w
-    return frame, split
-
-
-def _antisymmetric_filling(form):
-    """Full antisymmetric component array of a degree-3 form, (4,4,4,n,n)."""
-    n = form.grid.n
-    out = np.zeros((4, 4, 4, n, n))
-    for pos, idx in enumerate(MULTI_INDEX[3]):
-        values = form.coeffs[pos]
-        for perm in itertools.permutations(range(3)):
-            sign = 1.0
-            perm_list = list(perm)
-            for i in range(3):
-                for j in range(i + 1, 3):
-                    if perm_list[i] > perm_list[j]:
-                        sign = -sign
-            target = tuple(idx[k] for k in perm)
-            out[target] = sign * values
-    return out
 
 
 def bismut_ricci(m, split=None):
-    """Bismut curvature package by first-principles moving-frame calculus.
+    """Bismut curvature package from the closed form of the Ricci form.
 
-    Pipeline: orthonormal J-adapted frame -> bracket structure functions
-    (vertical part from the nilmanifold bracket, base part by spectral
-    derivatives of the frame rows) -> Koszul formula for Levi-Civita ->
-    torsion shift -> frame curvature -> Ricci trace against J -> scalar.
+    rho = -(1/2) d J d log(u lam - p^2 - q^2) + d(J theta), the Bismut/Chern
+    relation rho^B = rho^C - d(J theta) written in these conventions; the
+    scalar is s = 2 (rho ^ omega) / (omega ^ omega) as top-form coefficients.
     """
-    frame, split = orthonormal_frame(m, split)
-    grid = m.grid
-    g = m.metric_tensor()               # (n, n, 4, 4)
-    g_back = np.moveaxis(g, (2, 3), (0, 1))   # (4, 4, n, n)
-
-    dx_frame = grid.derivative(frame, "x")
-    dy_frame = grid.derivative(frame, "y")
-    # D_a f = (F_a)^x dx f + (F_a)^y dy f: directional derivative along F_a
-    def directional(dx_arr, dy_arr):
-        return (np.einsum("axy,...xy->a...xy", frame[:, 0], dx_arr)
-                + np.einsum("axy,...xy->a...xy", frame[:, 1], dy_arr))
-
-    # brackets [F_a, F_b] over the coordinate frame: nilpotent part plus
-    # derivative part (only the base components of F act as derivations)
-    w = np.zeros((4, 4, 4, grid.n, grid.n))
-    w[..., 2, :, :] += (np.einsum("axy,bxy->abxy", frame[:, 0], frame[:, 1])
-                        - np.einsum("axy,bxy->abxy", frame[:, 1], frame[:, 0]))
-    d_frame = directional(dx_frame, dy_frame)        # (a, b, j, x, y)
-    w += d_frame - np.swapaxes(d_frame, 0, 1)
-
-    # lowered structure functions c_{abc} = g([F_a, F_b], F_c)
-    c_low = np.einsum("abjxy,jkxy,ckxy->abcxy", w, g_back, frame, optimize=True)
-
-    # Koszul in an orthonormal frame: Gamma_{abc} = (c_abc - c_bca + c_cab)/2
-    gamma_lc = 0.5 * (c_low
-                      - np.transpose(c_low, (2, 0, 1, 3, 4))
-                      + np.transpose(c_low, (1, 2, 0, 3, 4)))
-
-    H = bismut_torsion(m)
-    h_full = _antisymmetric_filling(H)
-    h_frame = np.einsum("aixy,bjxy,ckxy,ijkxy->abcxy", frame, frame, frame, h_full,
-                        optimize=True)
-    gamma_b = gamma_lc + 0.5 * h_frame
-
-    dx_gamma = grid.derivative(gamma_b, "x")
-    dy_gamma = grid.derivative(gamma_b, "y")
-    d_gamma = directional(dx_gamma, dy_gamma)        # (a, b, c, d, x, y)
-
-    riemann = (d_gamma - np.swapaxes(d_gamma, 0, 1)
-               + np.einsum("bcexy,adexy->abcdxy", gamma_b, gamma_b, optimize=True)
-               - np.einsum("acexy,bdexy->abcdxy", gamma_b, gamma_b, optimize=True)
-               - np.einsum("abexy,ecdxy->abcdxy", c_low, gamma_b, optimize=True))
-
-    # J in the orthonormal frame; J-adaptation makes this the constant block
-    # map, but we compute it from the frame to keep the trace convention-free
-    frame_inv = np.moveaxis(np.linalg.inv(np.moveaxis(frame, (0, 1), (2, 3))),
-                            (2, 3), (0, 1))          # (i, b, x, y): E_i = sum_b inv[i,b] F_b
-    j_frame = np.einsum("aixy,ki,kbxy->baxy", frame, J_FRAME, frame_inv, optimize=True)
-
-    rho_frame = 0.5 * np.einsum("abdcxy,dcxy->abxy", riemann, j_frame, optimize=True)
-    s = 0.5 * np.einsum("abxy,baxy->xy", rho_frame, j_frame, optimize=True)
-
-    rho_coords = np.einsum("iaxy,jbxy,abxy->ijxy", frame_inv, frame_inv, rho_frame,
-                           optimize=True)
-    rho = InvariantForm(grid, 2)
-    for pos, (i, j) in enumerate(_PAIRS):
-        rho.coeffs[pos] = rho_coords[i, j]
-    rho11 = p11_projection(rho)
-    return CurvaturePackage(H=H, rho=rho, rho11=rho11, s=s,
-                            frame=frame, gamma_lc=gamma_lc, gamma_b=gamma_b)
+    theta = lee_form(m) if split is None else split.theta
+    log_det = function_form(m.grid, np.log(m.determinant_margin()))
+    rho = (exterior_d(apply_J(exterior_d(log_det))) * -0.5
+           + exterior_d(apply_J(theta)))
+    omega = m.omega()
+    s = (2.0 * _top_coefficient(wedge(rho, omega))
+         / _top_coefficient(wedge(omega, omega)))
+    return CurvaturePackage(H=bismut_torsion(m), rho=rho,
+                            rho11=p11_projection(rho), s=s)
 
 
 def characteristic_numbers(split):

@@ -173,11 +173,6 @@ class BaseGrid:
         return float(np.mean(values))
 
 
-def spectral_derivative(grid, f, axis):
-    """Partial derivative of a scalar field by trigonometric differentiation."""
-    return grid.derivative(f, axis)
-
-
 class InvariantForm:
     """Degree-k invariant form: coefficient fields over increasing multi-indices.
 

@@ -23,7 +23,6 @@ from .errors import PositivityError
 from .hermitian_geometry import (
     MetricState,
     bismut_ricci,
-    lee_form,
     metric_split,
     norm_squared_1form,
 )

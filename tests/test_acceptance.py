@@ -199,9 +199,9 @@ def test_criterion_4_lee_norm_identity(grid, criterion):
 
 @pytest.mark.xfail(strict=True, reason=(
     "the standard seed is not Bismut-Ricci-flat: rho = -e1^e2 with max "
-    "coefficient 1.0, agreed to 2e-15 by the moving-frame grid pipeline, "
-    "the left-invariant algebraic oracle and a finite-difference Koszul "
-    "recomputation, and consistent with the closed form s = -lam/w^2 < 0; "
+    "coefficient 1.0, agreed to 2e-15 by the closed-form library path, the "
+    "moving-frame grid oracle, the left-invariant algebraic oracle and a "
+    "finite-difference Koszul recomputation, and consistent with the closed form s = -lam/w^2 < 0; "
     "a zero Ricci form is not attainable for this metric"))
 def test_criterion_5_standard_state_ricci_flat(grid, criterion):
     value = bismut_ricci(make_standard_vaisman(grid, 1.0)).rho.max_abs()

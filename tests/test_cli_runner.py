@@ -90,8 +90,6 @@ def test_config_named_constraints():
 
 
 def test_identity_battery_all_green():
-    # n = 32 is the calibrated resolution: the curvature identities carry
-    # an aliasing tail from rough states that only clears 1e-6 from there up
     items = identity_battery(n=32, samples=6, seed=5)
     names = [item.name for item in items]
     assert len(names) == len(set(names))

@@ -6,12 +6,14 @@ from ktflow.errors import (DegenerateTransverseError, NonFiniteFieldError,
 from ktflow.hermitian_geometry import (MetricState, bismut_ricci,
                                        bismut_torsion, characteristic_numbers,
                                        inner_1forms, lee_form, metric_split,
-                                       norm_squared_1form, orthonormal_frame)
-from ktflow.invariant_forms import (BaseGrid, apply_J, basis_form, coframe,
-                                    exterior_d, random_band_limited, wedge)
+                                       norm_squared_1form)
+from ktflow.invariant_forms import (J_FRAME, BaseGrid, apply_J, basis_form,
+                                    coframe, exterior_d, random_band_limited,
+                                    wedge)
 
 from oracles import (homogeneous_scalar, koszul_fd_lowered,
-                     left_invariant_curvature, metric_matrix)
+                     left_invariant_curvature, metric_matrix,
+                     moving_frame_curvature)
 
 RHO_COMPONENT_ORDER = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
 
@@ -168,12 +170,11 @@ def test_torsion_standard_and_closure(grid32, rng):
 def test_orthonormal_frame_properties(grid32, rng):
     for _ in range(6):
         m = random_state(grid32, rng)
-        frame, _ = orthonormal_frame(m)
+        frame = moving_frame_curvature(m)["frame"]
         g = m.metric_tensor()
         gram = np.einsum("aixy,xyij,bjxy->abxy", frame, g, frame)
         assert np.max(np.abs(gram - np.eye(4)[:, :, None, None])) < 1e-12
         # J-adapted: J F0 = F1 and J F2 = F3
-        from ktflow.invariant_forms import J_FRAME
         jf0 = np.einsum("ki,ixy->kxy", J_FRAME, frame[0])
         jf2 = np.einsum("ki,ixy->kxy", J_FRAME, frame[2])
         assert np.max(np.abs(jf0 - frame[1])) < 1e-12
@@ -212,14 +213,25 @@ def test_bismut_scalar_closed_form(grid16, rng):
         assert np.max(np.abs(pkg.s + lam0 / w ** 2)) < 1e-11
 
 
-def test_levi_civita_against_fd_oracle():
-    grid = BaseGrid(64)
+def _lc_state(grid):
     c1 = np.cos(2 * np.pi * grid.xx) * np.sin(2 * np.pi * grid.yy)
     c2 = np.sin(2 * np.pi * (grid.xx + grid.yy))
-    m = MetricState(grid, 1.0 + 0.25 * c1, 1.0 + 0.25 * c2, 0.1 * c2, 0.1 * c1)
-    pkg = bismut_ricci(m)
+    return MetricState(grid, 1.0 + 0.25 * c1, 1.0 + 0.25 * c2, 0.1 * c2, 0.1 * c1)
+
+
+def _rough_state(grid):
+    c1 = np.cos(2 * np.pi * grid.xx) * np.sin(2 * np.pi * grid.yy)
+    c2 = np.sin(2 * np.pi * (grid.xx + grid.yy))
+    return MetricState(grid, 1.0 + 0.25 * c1, 1.0 + 0.25 * c2, 0.125 * c2,
+                       0.125 * c1 * c2)
+
+
+def test_levi_civita_against_fd_oracle():
+    grid = BaseGrid(64)
+    m = _lc_state(grid)
+    pkg = moving_frame_curvature(m)
     K_fd = koszul_fd_lowered(m)
-    frame = pkg.frame
+    frame = pkg["frame"]
     arr = np.moveaxis(frame, (0, 1), (-2, -1))
     B = np.moveaxis(np.linalg.inv(arr), (-2, -1), (0, 1))
     dB = np.zeros((4,) + B.shape)
@@ -227,7 +239,7 @@ def test_levi_civita_against_fd_oracle():
     dB[1] = grid.derivative(B, "y")
     FaB = np.einsum("amxy,mjbxy->ajbxy", frame, dB)
     K_grid = (np.einsum("iaxy,ajbxy,kbxy->ijkxy", B, FaB, B)
-              + np.einsum("iaxy,jbxy,abcxy,kcxy->ijkxy", B, B, pkg.gamma_lc, B))
+              + np.einsum("iaxy,jbxy,abcxy,kcxy->ijkxy", B, B, pkg["gamma_lc"], B))
     assert np.max(np.abs(K_fd - K_grid)) < 1e-6
 
 
@@ -237,7 +249,7 @@ def _j_commutation_defect(pkg):
     jf[0, 1] = -1.0
     jf[3, 2] = 1.0
     jf[2, 3] = -1.0
-    gb = pkg.gamma_b
+    gb = pkg["gamma_b"]
     left = np.einsum("kb,akcxy->abcxy", jf, gb)
     right = np.einsum("abkxy,ck->abcxy", gb, jf)
     return float(np.max(np.abs(left - right)))
@@ -248,19 +260,33 @@ def test_connection_j_commutation_and_closed_ricci_converge_spectrally():
     # states the residual is set by the spectral tail and must collapse with n
     defects = []
     for n in (16, 32, 64):
-        grid = BaseGrid(n)
-        c1 = np.cos(2 * np.pi * grid.xx) * np.sin(2 * np.pi * grid.yy)
-        c2 = np.sin(2 * np.pi * (grid.xx + grid.yy))
-        m = MetricState(grid, 1.0 + 0.25 * c1, 1.0 + 0.25 * c2, 0.125 * c2,
-                        0.125 * c1 * c2)
-        pkg = bismut_ricci(m)
+        pkg = moving_frame_curvature(_rough_state(BaseGrid(n)))
         defects.append((_j_commutation_defect(pkg),
-                        exterior_d(pkg.rho).max_abs()))
+                        exterior_d(pkg["rho"]).max_abs()))
     for i in (0, 1):
         assert defects[0][i] / defects[1][i] > 100.0
         assert defects[1][i] / defects[2][i] > 100.0
     assert defects[2][0] < 1e-9
     assert defects[2][1] < 1e-8
+
+
+def test_closed_form_matches_moving_frame_oracle_spectrally():
+    # the closed form and the frame pipeline agree in the continuum; on the
+    # two non-constant states above the gap is the spectral tail of the
+    # pipeline's rank-4 stacks and must collapse with n
+    for make in (_lc_state, _rough_state):
+        gaps = []
+        for n in (16, 32, 64):
+            m = make(BaseGrid(n))
+            pkg = bismut_ricci(m)
+            o = moving_frame_curvature(m)
+            gaps.append(((pkg.rho - o["rho"]).max_abs(),
+                         (pkg.rho11 - o["rho11"]).max_abs(),
+                         float(np.max(np.abs(pkg.s - o["s"])))))
+        for i in range(3):
+            assert gaps[0][i] / gaps[1][i] > 100.0
+            assert gaps[1][i] / gaps[2][i] > 100.0
+            assert gaps[2][i] < 1e-9
 
 
 def test_ricci_closed_on_transverse_states(grid32):

@@ -7,8 +7,8 @@ from ktflow.invariant_forms import (BaseGrid, InvariantForm, V1, V2, apply_J,
                                     base_integral, basis_form, coframe,
                                     contract, exterior_d, form_from,
                                     function_form, p11_projection,
-                                    random_band_limited, random_form,
-                                    spectral_derivative, wedge, zero_form)
+                                    random_band_limited, random_form, wedge,
+                                    zero_form)
 
 
 def test_grid_rejects_bad_sizes():
@@ -33,14 +33,14 @@ def test_spectral_derivative_exact_on_band_limited(grid32):
           - 4 * np.pi * np.sin(4 * np.pi * (x + y)))
     fy = (-6 * np.pi * np.sin(2 * np.pi * x) * np.sin(6 * np.pi * y)
           - 4 * np.pi * np.sin(4 * np.pi * (x + y)))
-    assert np.max(np.abs(spectral_derivative(grid32, f, "x") - fx)) < 1e-12
-    assert np.max(np.abs(spectral_derivative(grid32, f, "y") - fy)) < 1e-12
+    assert np.max(np.abs(grid32.derivative(f, "x") - fx)) < 1e-12
+    assert np.max(np.abs(grid32.derivative(f, "y") - fy)) < 1e-12
 
 
 def test_spectral_derivative_kills_nyquist(grid8):
     # the unpaired n/2 mode has no consistent odd derivative; it must map to 0
     f = np.cos(np.pi * 8 * grid8.xx)
-    assert np.max(np.abs(spectral_derivative(grid8, f, "x"))) < 1e-12
+    assert np.max(np.abs(grid8.derivative(f, "x"))) < 1e-12
 
 
 def test_derivative_rejects_nonfinite(grid8):
@@ -53,8 +53,8 @@ def test_derivative_rejects_nonfinite(grid8):
 def test_poisson_inverts_laplacian(grid32, rng):
     rhs = random_band_limited(grid32, rng, kmax=3, zero_mean=True)
     sol = grid32.poisson(rhs)
-    lap = (spectral_derivative(grid32, spectral_derivative(grid32, sol, "x"), "x")
-           + spectral_derivative(grid32, spectral_derivative(grid32, sol, "y"), "y"))
+    lap = (grid32.derivative(grid32.derivative(sol, "x"), "x")
+           + grid32.derivative(grid32.derivative(sol, "y"), "y"))
     assert np.max(np.abs(lap - rhs)) < 1e-11
     assert abs(np.mean(sol)) < 1e-13
 
