@@ -11,7 +11,8 @@ arbitrary states live in tests/oracles.py.
 
 import numpy as np
 
-from ktflow.hermitian_geometry import MetricState, bismut_ricci, metric_split
+from ktflow.hermitian_geometry import (MetricState, bismut_ricci, bismut_torsion,
+                                       metric_split)
 from ktflow.invariant_forms import BaseGrid, basis_form
 from ktflow.vaisman_toolkit import make_noncsc_vaisman
 
@@ -23,7 +24,8 @@ def main():
     pkg = bismut_ricci(m)
     print("standard seed:")
     print(f"  |rho + e1^e2| = {(pkg.rho + basis_form(grid, (0, 1))).max_abs():.3e}")
-    print(f"  |H + e1^e2^e3| = {(pkg.H + basis_form(grid, (0, 1, 2))).max_abs():.3e}")
+    H = bismut_torsion(m)
+    print(f"  |H + e1^e2^e3| = {(H + basis_form(grid, (0, 1, 2))).max_abs():.3e}")
     print(f"  s = {float(pkg.s[0, 0]):+.15f}   (closed form: -lam/w^2 = -1)")
 
     print("constant states, library vs closed form s = -lam/w^2:")
@@ -43,7 +45,7 @@ def main():
     for eps, mode in ((0.0, (1, 1)), (0.1, (1, 1)), (0.2, (2, 1))):
         seed = make_noncsc_vaisman(grid, eps, mode)
         split = metric_split(seed)
-        pkg = bismut_ricci(seed, split)
+        pkg = bismut_ricci(seed)
         resid = (pkg.rho - split.omega_check * pkg.s).max_abs()
         print(f"  eps = {eps:.1f}, mode = {mode}: |rho - s omega_check| = {resid:.3e}"
               f"   Var(s) = {float(np.var(pkg.s)):.3e}")

@@ -21,7 +21,7 @@ def main():
     grid = BaseGrid(32)
     seed = make_noncsc_vaisman(grid, 0.1)
     split = metric_split(seed)
-    pkg = bismut_ricci(seed, split)
+    pkg = bismut_ricci(seed)
     var0 = float(np.var(split.sigma1 * pkg.s))
     print(f"seed: eps = 0.1, Var(sigma1(0) s(0)) = {var0:.4f}")
     print(f"sigma1 ODE residual at the seed: "

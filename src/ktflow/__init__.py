@@ -12,8 +12,11 @@ cli_runner          config-driven experiment runner (console script `ktflow`)
 
 Attribute access is lazy so that `import ktflow` stays cheap and the
 command-line entry point can configure thread environment variables before
-the numerical stack loads.
+the numerical stack loads.  Only `errors`, which imports nothing, is loaded
+eagerly.
 """
+
+from . import errors
 
 _EXPORTS = {
     "BaseGrid": "invariant_forms",

@@ -193,27 +193,36 @@ class BatteryItem:
 
 
 def _battery_states(grid, samples, seed):
+    """(family, state) pairs: random states in RNG draw order, then the seeds.
+
+    Families: "general" (every field varies), "lam_const" (constant lam),
+    "constant" (constant coefficients), "csc_seed" (standard Vaisman seeds)
+    and "noncsc_seed" (the non-constant-curvature seeds).
+    """
     import numpy as np
     from .hermitian_geometry import MetricState
     from .invariant_forms import random_band_limited
+    from .vaisman_toolkit import make_noncsc_vaisman, make_standard_vaisman
 
     rng = np.random.default_rng(seed)
-    general, lam_const, constant = [], [], []
     for _ in range(samples):
         u = 1.0 + 0.3 * random_band_limited(grid, rng)
         lam = 1.0 + 0.3 * random_band_limited(grid, rng)
         p = 0.2 * random_band_limited(grid, rng)
         q = 0.2 * random_band_limited(grid, rng)
-        general.append(MetricState(grid, u, lam, p, q))
-        lam_const.append(MetricState(grid, u, 1.0 + 0.5 * rng.random(), p, q))
+        yield "general", MetricState(grid, u, lam, p, q)
+        yield "lam_const", MetricState(grid, u, 1.0 + 0.5 * rng.random(), p, q)
     for _ in range(max(4, samples // 8)):
         u0 = float(np.exp(0.5 * rng.normal()))
         lam0 = float(np.exp(0.5 * rng.normal()))
         r = 0.8 * np.sqrt(u0 * lam0) * rng.random()
         ang = 2.0 * np.pi * rng.random()
-        constant.append(MetricState.constant(grid, u0, lam0,
-                                             r * np.cos(ang), r * np.sin(ang)))
-    return general, lam_const, constant
+        yield "constant", MetricState.constant(grid, u0, lam0,
+                                               r * np.cos(ang), r * np.sin(ang))
+    for scale in (1.0, 2.0):
+        yield "csc_seed", make_standard_vaisman(grid, scale)
+    for mode in ((1, 1), (2, 1)):
+        yield "noncsc_seed", make_noncsc_vaisman(grid, 0.1, mode)
 
 
 def identity_battery(n=32, tol=1e-7, samples=50, seed=2024):
@@ -223,12 +232,9 @@ def identity_battery(n=32, tol=1e-7, samples=50, seed=2024):
     families exercise the curvature identities.
     """
     import numpy as np
-    from .hermitian_geometry import (bismut_ricci, bismut_torsion, metric_split,
-                                     norm_squared_1form)
+    from .hermitian_geometry import bismut_torsion, inner_1forms
     from .invariant_forms import (BaseGrid, apply_J, base_integral, basis_form,
-                                  coframe, exterior_d, random_band_limited,
-                                  random_form, wedge)
-    from .vaisman_toolkit import make_noncsc_vaisman, make_standard_vaisman
+                                  coframe, exterior_d, random_form, wedge)
 
     grid = BaseGrid(n)
     rng = np.random.default_rng(seed + 1)
@@ -267,14 +273,11 @@ def identity_battery(n=32, tol=1e-7, samples=50, seed=2024):
     items.append(BatteryItem("complex structure squares", jj, 1e-14))
     items.append(BatteryItem("wedge graded symmetry", comm, 1e-14))
 
-    general, lam_const, constant = _battery_states(grid, samples, seed)
-    seeds = [make_standard_vaisman(grid, 1.0), make_standard_vaisman(grid, 2.0),
-             make_noncsc_vaisman(grid, 0.1, (1, 1)),
-             make_noncsc_vaisman(grid, 0.1, (2, 1))]
-
+    # one pass over the states; each family feeds the identities that hold on it
     closed = ratio1 = ratio2 = jinv = reass = chars = 0.0
-    for m in general + lam_const + constant + seeds:
-        sp = metric_split(m)
+    lee = norm = torsion = potential = ricci = closed_rho = 0.0
+    for family, m in _battery_states(grid, samples, seed):
+        sp = m.split
         closed = max(closed, exterior_d(sp.omega_check).max_abs())
         ratio1 = max(ratio1, (exterior_d(sp.mu1) - sp.omega_check * sp.sigma1).max_abs())
         ratio2 = max(ratio2, (exterior_d(sp.mu2) - sp.omega_check * sp.sigma2).max_abs())
@@ -285,43 +288,35 @@ def identity_battery(n=32, tol=1e-7, samples=50, seed=2024):
         reass = max(reass, (m.omega() - rebuilt).max_abs())
         chars = max(chars, abs(base_integral(exterior_d(sp.mu1)) + 1.0),
                     abs(base_integral(exterior_d(sp.mu2))))
+        if family == "general":
+            continue
+        # lam constant from here on
+        theta = sp.theta
+        formula = sp.mu2 * (sp.lam * sp.sigma1) + sp.mu1 * (-sp.lam * sp.sigma2)
+        lee = max(lee, (theta - formula).max_abs())
+        nsq = inner_1forms(m, theta, theta)
+        norm = max(norm, float(np.max(np.abs(
+            nsq - sp.lam * (sp.sigma1 ** 2 + sp.sigma2 ** 2)))))
+        torsion = max(torsion, exterior_d(bismut_torsion(m)).max_abs())
+        if family in ("constant", "csc_seed"):
+            jtheta = apply_J(theta)
+            residual = (m.omega() * nsq - wedge(theta, jtheta) + exterior_d(jtheta))
+            potential = max(potential, residual.max_abs())
+        if family in ("csc_seed", "noncsc_seed"):
+            pkg = m.curvature
+            ricci = max(ricci, (pkg.rho - sp.omega_check * pkg.s).max_abs())
+            closed_rho = max(closed_rho, exterior_d(pkg.rho).max_abs())
     items.append(BatteryItem("transverse form closed", closed, tol))
     items.append(BatteryItem("first curvature ratio", ratio1, tol))
     items.append(BatteryItem("second curvature ratio", ratio2, tol))
     items.append(BatteryItem("curvature forms j-invariant", jinv, tol))
     items.append(BatteryItem("state reassembly", reass, tol))
     items.append(BatteryItem("characteristic numbers", chars, 1e-10))
-
-    lee = norm = torsion = 0.0
-    for m in lam_const + constant + seeds:
-        sp = metric_split(m)
-        formula = sp.mu2 * (sp.lam * sp.sigma1) + sp.mu1 * (-sp.lam * sp.sigma2)
-        lee = max(lee, (sp.theta - formula).max_abs())
-        nsq = norm_squared_1form(m, sp.theta)
-        norm = max(norm, float(np.max(np.abs(
-            nsq - sp.lam * (sp.sigma1 ** 2 + sp.sigma2 ** 2)))))
-        torsion = max(torsion, exterior_d(bismut_torsion(m)).max_abs())
     items.append(BatteryItem("lee form formula", lee, 1e-8))
     items.append(BatteryItem("lee norm identity", norm, 1e-10))
     items.append(BatteryItem("torsion closure", torsion, tol))
-
-    potential = 0.0
-    for m in constant + seeds[:2]:
-        sp = metric_split(m)
-        theta = sp.theta
-        jtheta = apply_J(theta)
-        nsq = norm_squared_1form(m, theta)
-        residual = (m.omega() * nsq - wedge(theta, jtheta) + exterior_d(jtheta))
-        potential = max(potential, residual.max_abs())
     items.append(BatteryItem("potential identity", potential, tol))
-
-    ricci = closed_rho = 0.0
-    for m in seeds:
-        sp = metric_split(m)
-        pkg = bismut_ricci(m, sp)
-        ricci = max(ricci, (pkg.rho - sp.omega_check * pkg.s).max_abs())
-        closed_rho = max(closed_rho, exterior_d(pkg.rho).max_abs())
-    items.append(BatteryItem("transverse ricci", ricci, 1e-6))
+    items.append(BatteryItem("transverse ricci", ricci, 1e-8))
     items.append(BatteryItem("ricci closedness", closed_rho, 1e-12))
 
     return items
@@ -387,6 +382,16 @@ def emit_snapshot(m, path):
             fh.write("\n")
     except OSError as exc:
         raise ConfigError(f"cannot write snapshot {path!r}: {exc}") from exc
+
+
+def _write_verdict(verdict, path):
+    """Verdict dictionary as indented JSON."""
+    try:
+        with open(path, "w") as fh:
+            json.dump(verdict, fh, indent=1)
+            fh.write("\n")
+    except OSError as exc:
+        raise ConfigError(f"cannot write verdict {path!r}: {exc}") from exc
 
 
 def load_snapshot(path, grid=None):
@@ -470,9 +475,7 @@ def run_experiment(cfg, stream=None):
             "wall_time": time.perf_counter() - started,
         }
         path = os.path.join(cfg.out_dir, "identity_battery.json")
-        with open(path, "w") as fh:
-            json.dump(verdict, fh, indent=1)
-            fh.write("\n")
+        _write_verdict(verdict, path)
         stream.write(f"wrote {path}\n")
         return 0 if verdict["ok"] else 1
 
@@ -490,9 +493,7 @@ def run_experiment(cfg, stream=None):
         verdict = {"preset": cfg.preset, "config": serialize_config(cfg),
                    "ok": False, "aborted": True, "reason": str(exc),
                    "t": exc.t, "wall_time": time.perf_counter() - started}
-        with open(base + "_verdict.json", "w") as fh:
-            json.dump(verdict, fh, indent=1)
-            fh.write("\n")
+        _write_verdict(verdict, base + "_verdict.json")
         return 3
 
     monitors = conservation_monitors(trace)
@@ -511,9 +512,7 @@ def run_experiment(cfg, stream=None):
         "trace_rows": len(trace),
         "wall_time": time.perf_counter() - started,
     }
-    with open(base + "_verdict.json", "w") as fh:
-        json.dump(verdict, fh, indent=1)
-        fh.write("\n")
+    _write_verdict(verdict, base + "_verdict.json")
     stream.write(f"stays_vaisman: {monitors['stays_vaisman']}"
                  f"   exit_time: {monitors['exit_time']}\n")
     stream.write(f"wrote {base}_trace.csv, {base}_verdict.json, "

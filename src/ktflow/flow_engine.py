@@ -30,15 +30,9 @@ from .errors import (
     PositivityError,
     StepRejected,
 )
-from .hermitian_geometry import (
-    MetricState,
-    bismut_ricci,
-    characteristic_numbers,
-    inner_1forms,
-    metric_split,
-)
+from .hermitian_geometry import MetricState, characteristic_numbers, inner_1forms
 from .invariant_forms import form_from, wedge
-from .vaisman_toolkit import report_from_parts
+from .vaisman_toolkit import assess
 
 TRACE_COLUMNS = (
     "t",
@@ -105,11 +99,9 @@ class FlowTrace:
             yield tuple(float(col[i]) for col in data)
 
 
-def flow_rhs(m, pkg=None):
+def flow_rhs(m):
     """The 2-form -rho^(1,1) driving the flow."""
-    if pkg is None:
-        pkg = bismut_ricci(m)
-    return -1.0 * pkg.rho11
+    return -1.0 * m.curvature.rho11
 
 
 DECOMPOSITION_TOL = 1e-12
@@ -219,12 +211,10 @@ def sigma1_ode_residual_instant(m, h=1e-5):
     truncation against roundoff at desk scale.
     """
     vel = _velocity(m)
-    split = metric_split(m)
-    pkg = bismut_ricci(m, split)
-    plus = metric_split(_shifted(m, vel, h))
-    minus = metric_split(_shifted(m, vel, -h))
+    plus = _shifted(m, vel, h).split
+    minus = _shifted(m, vel, -h).split
     rate = (plus.sigma1 - minus.sigma1) / (2.0 * h)
-    return float(np.max(np.abs(rate - split.sigma1 * pkg.s)))
+    return float(np.max(np.abs(rate - m.split.sigma1 * m.curvature.s)))
 
 
 def run(m0, cfg):
@@ -248,15 +238,15 @@ def run(m0, cfg):
     columns = {name: [] for name in TRACE_COLUMNS}
     state = m0
     t = 0.0
-    initial_split = metric_split(m0)
+    initial_split = m0.split
     prev_fiber = None
     prev_t = None
 
     def record(m, t_now):
         nonlocal prev_fiber, prev_t
-        split = metric_split(m)
-        pkg = bismut_ricci(m, split)
-        report = report_from_parts(m, split, pkg, cfg.vaisman_tol)
+        split = m.split
+        pkg = m.curvature
+        report = assess(m, cfg.vaisman_tol)
         vel, _ = coefficient_velocity(-1.0 * pkg.rho11)
         fiber_vel = _fiber_velocity(m, split, vel)
         fiber = _fiber_form(split)

@@ -11,7 +11,14 @@ derive the vertical/transverse splitting
 
 the connection 1-forms mu_i (dual pair of the vertical generators), the
 curvature multipliers sigma_i with d(mu_i) = sigma_i omega_check, the Lee
-form theta, and the Bismut curvature package.
+form theta, and the Bismut curvature package (rho, rho^(1,1), s).
+
+A state's derived data is a property of the state, computed once on first
+access: m.theta = lee_form(m), m.split = metric_split(m) and
+m.curvature = bismut_ricci(m).  The functions stay the definitions; the
+split and the curvature both read m.theta.  The torsion 3-form is not part
+of the curvature package, since the flow never reads it; bismut_torsion(m)
+computes it where a defect needs it.
 
 Sign conventions, fixed once and verified by the test oracles:
 
@@ -42,6 +49,7 @@ Bismut-Ricci-flat one, and the flow in flow_engine expands its base.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -70,7 +78,11 @@ _PAIRS = MULTI_INDEX[2]
 
 @dataclass(frozen=True, eq=False)
 class MetricState:
-    """Coefficient fields (u, lam, p, q) of an invariant Hermitian 2-form."""
+    """Coefficient fields (u, lam, p, q) of an invariant Hermitian 2-form.
+
+    The fields are read-only copies, so the cached theta, split and
+    curvature always describe the fields they were computed from.
+    """
 
     grid: object
     u: np.ndarray
@@ -83,7 +95,9 @@ class MetricState:
             values = np.broadcast_to(np.asarray(getattr(self, name), dtype=float),
                                      (self.grid.n, self.grid.n))
             values = self.grid.check_field(values, f"metric coefficient {name}")
-            object.__setattr__(self, name, values.copy())
+            values = values.copy()
+            values.setflags(write=False)
+            object.__setattr__(self, name, values)
 
     @staticmethod
     def constant(grid, u, lam, p=0.0, q=0.0):
@@ -125,6 +139,18 @@ class MetricState:
 
     def copy(self):
         return MetricState(self.grid, self.u, self.lam, self.p, self.q)
+
+    @cached_property
+    def theta(self):
+        return lee_form(self)
+
+    @cached_property
+    def split(self):
+        return metric_split(self)
+
+    @cached_property
+    def curvature(self):
+        return bismut_ricci(self)
 
     def omega_matrix(self):
         """Antisymmetric coefficients W_ij = omega(E_i, E_j), (n, n, 4, 4)."""
@@ -193,9 +219,8 @@ def metric_split(m):
         )
     sigma1 = _top_coefficient(wedge(exterior_d(mu1), mu_pair)) / denom
     sigma2 = _top_coefficient(wedge(exterior_d(mu2), mu_pair)) / denom
-    theta = lee_form(m)
     return MetricSplit(m.grid, m.lam.copy(), mu1, mu2, omega_check,
-                       sigma1, sigma2, theta, w_check)
+                       sigma1, sigma2, m.theta, w_check)
 
 
 def lee_form(m):
@@ -228,30 +253,28 @@ def bismut_torsion(m):
 
 @dataclass(frozen=True, eq=False)
 class CurvaturePackage:
-    """Torsion and Bismut Ricci data of one metric state."""
+    """Bismut Ricci data of one metric state."""
 
-    H: InvariantForm
     rho: InvariantForm
     rho11: InvariantForm
     s: np.ndarray
 
 
-def bismut_ricci(m, split=None):
+def bismut_ricci(m):
     """Bismut curvature package from the closed form of the Ricci form.
 
     rho = -(1/2) d J d log(u lam - p^2 - q^2) + d(J theta), the Bismut/Chern
     relation rho^B = rho^C - d(J theta) written in these conventions; the
     scalar is s = 2 (rho ^ omega) / (omega ^ omega) as top-form coefficients.
     """
-    theta = lee_form(m) if split is None else split.theta
+    theta = m.theta  # first: lee_form checks positivity before the log
     log_det = function_form(m.grid, np.log(m.determinant_margin()))
     rho = (exterior_d(apply_J(exterior_d(log_det))) * -0.5
            + exterior_d(apply_J(theta)))
     omega = m.omega()
     s = (2.0 * _top_coefficient(wedge(rho, omega))
          / _top_coefficient(wedge(omega, omega)))
-    return CurvaturePackage(H=bismut_torsion(m), rho=rho,
-                            rho11=p11_projection(rho), s=s)
+    return CurvaturePackage(rho=rho, rho11=p11_projection(rho), s=s)
 
 
 def characteristic_numbers(split):
@@ -260,14 +283,8 @@ def characteristic_numbers(split):
             base_integral(exterior_d(split.mu2)))
 
 
-def norm_squared_1form(m, alpha):
-    """Pointwise squared norm of a 1-form in the metric of the state."""
-    g_inv = m.metric_inverse()
-    comps = np.moveaxis(alpha.coeffs, 0, -1)
-    return np.einsum("...i,...ij,...j->...", comps, g_inv, comps)
-
-
 def inner_1forms(m, alpha, beta):
+    """Pointwise inner product of two 1-forms in the metric of the state."""
     g_inv = m.metric_inverse()
     return np.einsum("...i,...ij,...j->...",
                      np.moveaxis(alpha.coeffs, 0, -1), g_inv,

@@ -20,12 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PositivityError
-from .hermitian_geometry import (
-    MetricState,
-    bismut_ricci,
-    metric_split,
-    norm_squared_1form,
-)
+from .hermitian_geometry import MetricState, bismut_torsion, inner_1forms
 from .invariant_forms import apply_J, base_integral, exterior_d, wedge
 
 
@@ -45,13 +40,14 @@ def _variance(field):
     return float(np.var(field))
 
 
-def report_from_parts(m, split, pkg, tol=1e-8):
-    """Assemble a DefectReport from precomputed split and curvature data."""
-    pluriclosed = exterior_d(pkg.H).max_abs()
+def assess(m, tol=1e-8):
+    """Full defect report of a metric state, from its cached split and curvature."""
+    split = m.split
+    pluriclosed = exterior_d(bismut_torsion(m)).max_abs()
     lck = exterior_d(split.theta).max_abs()
     vaisman = _variance(split.lam) + _variance(split.sigma1) + _variance(split.sigma2)
     theta = split.theta
-    potential = (m.omega() * norm_squared_1form(m, theta)
+    potential = (m.omega() * inner_1forms(m, theta, theta)
                  - wedge(theta, apply_J(theta))
                  + exterior_d(apply_J(theta))).max_abs()
     return DefectReport(
@@ -59,16 +55,9 @@ def report_from_parts(m, split, pkg, tol=1e-8):
         lck_defect=float(lck),
         vaisman_defect=float(vaisman),
         potential_residual=float(potential),
-        s_variance=_variance(pkg.s),
+        s_variance=_variance(m.curvature.s),
         is_vaisman=bool(vaisman < tol),
     )
-
-
-def assess(m, tol=1e-8):
-    """Full defect report of a metric state."""
-    split = metric_split(m)
-    pkg = bismut_ricci(m, split)
-    return report_from_parts(m, split, pkg, tol)
 
 
 def make_standard_vaisman(grid, scale=1.0):

@@ -15,8 +15,8 @@ from ktflow.cli_runner import (emit_csv, emit_snapshot, identity_battery,
                                load_snapshot, load_trace_csv)
 from ktflow.flow_engine import (FlowConfig, conservation_monitors, run,
                                 sigma1_ode_residual_instant, step)
-from ktflow.hermitian_geometry import (MetricState, bismut_ricci, lee_form,
-                                       metric_split, norm_squared_1form)
+from ktflow.hermitian_geometry import (MetricState, bismut_ricci, inner_1forms,
+                                       lee_form, metric_split)
 from ktflow.invariant_forms import BaseGrid, exterior_d
 from ktflow.vaisman_toolkit import (assess, make_noncsc_vaisman,
                                     make_standard_vaisman)
@@ -186,7 +186,8 @@ def test_criterion_4_lee_norm_identity(grid, criterion):
     worst = 0.0
     for m in states:
         split = metric_split(m)
-        lhs = norm_squared_1form(m, lee_form(m))
+        theta = lee_form(m)
+        lhs = inner_1forms(m, theta, theta)
         rhs = split.lam * (split.sigma1 ** 2 + split.sigma2 ** 2)
         worst = max(worst, float(np.max(np.abs(lhs - rhs))))
     criterion("criterion 4 (lee norm identity)", worst < 1e-10,
@@ -235,7 +236,7 @@ def test_criterion_5_transverse_proportionality(grid, criterion):
     worst = 0.0
     for m in seeds:
         split = metric_split(m)
-        pkg = bismut_ricci(m, split)
+        pkg = bismut_ricci(m)
         worst = max(worst, (pkg.rho - split.omega_check * pkg.s).max_abs())
     criterion("criterion 5 (rho = s omega_check)", worst < 1e-6,
               f"max |rho - s omega_check| = {worst:.3e} on {len(seeds)} "
@@ -274,7 +275,7 @@ def test_criterion_6_vaisman_defect_stays(csc_trace, csc2_trace, all_monitors,
 def _variance_ratio(trace):
     m0 = trace.initial_state
     split = metric_split(m0)
-    pkg = bismut_ricci(m0, split)
+    pkg = bismut_ricci(m0)
     var0 = float(np.var(split.sigma1 * pkg.s))
     t = trace.column("t")
     var = trace.column("sigma1_var")

@@ -194,6 +194,25 @@ def test_main_exit_codes(tmp_path):
     assert "leaves vaisman" in failed
 
 
+def test_main_unwritable_verdict_is_a_config_error(tmp_path, capsys):
+    # a directory where a verdict file should go: exit 2, not a traceback
+    configs = {
+        "identity_battery.json": "preset = identity_suite\nsamples = 4\n",
+        "stationary_csc_verdict.json": "preset = stationary_csc\nn = 16\n"
+                                       "dt = 1e-4\nt_end = 3e-4\nrecord_every = 1\n",
+        "custom_verdict.json": "preset = custom\nn = 16\ndt = 0.01\n"
+                               "t_end = 0.04\nrecord_every = 1\n",   # aborts
+    }
+    for name, text in configs.items():
+        outdir = tmp_path / name.split(".")[0]
+        (outdir / name).mkdir(parents=True)
+        cfgfile = tmp_path / f"{name}.cfg"
+        cfgfile.write_text(text + f"out_dir = {outdir}\n")
+        assert main(["run", str(cfgfile)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: cannot write verdict") and name in err
+
+
 def test_main_run_healthy_flow_and_overrides(tmp_path):
     cfgfile = tmp_path / "flow.cfg"
     cfgfile.write_text("preset = noncsc_vaisman\nn = 16\ndt = 1e-4\nt_end = 1e-3\n"

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 import ktflow.flow_engine as flow_engine
+import ktflow.hermitian_geometry as hermitian_geometry
 from ktflow.errors import (ConfigError, KTError, NumericalAbort,
                            StepRejected)
 from ktflow.flow_engine import (FlowConfig, FlowTrace, TRACE_COLUMNS,
                                 coefficient_velocity, conservation_monitors,
                                 flow_rhs, run, sigma1_ode_residual_instant,
                                 step)
-from ktflow.hermitian_geometry import MetricState, bismut_ricci
+from ktflow.hermitian_geometry import MetricState
 from ktflow.invariant_forms import basis_form, form_from
 from ktflow.vaisman_toolkit import make_noncsc_vaisman, make_standard_vaisman
 
@@ -21,12 +22,6 @@ def test_flow_rhs_standard(grid16):
     # scale 2: rho = s omega_check = -(1/4)(2 e1^e2)
     m2 = make_standard_vaisman(grid16, 2.0)
     assert (flow_rhs(m2) - 0.5 * basis_form(grid16, (0, 1))).max_abs() < 1e-14
-
-
-def test_flow_rhs_accepts_precomputed_package(grid16):
-    m = make_standard_vaisman(grid16, 1.0)
-    pkg = bismut_ricci(m)
-    assert (flow_rhs(m, pkg) - flow_rhs(m)).max_abs() == 0.0
 
 
 def test_coefficient_velocity_reconstruction(grid32, rng):
@@ -121,6 +116,26 @@ def test_run_abort_carries_failure_time(grid16, monkeypatch):
     with pytest.raises(NumericalAbort) as info:
         run(m, FlowConfig(dt=1e-4, t_end=1e-3, record_every=1))
     assert info.value.t == pytest.approx(2e-4)
+
+
+def test_run_computes_each_state_geometry_once(grid16, monkeypatch):
+    # 5 steps, records at steps 0, 2, 4, 5: 20 stage curvatures plus 4 record
+    # curvatures, less the 3 steps whose k1 starts from a recorded state; the
+    # initial split is the first record's split
+    calls = {"curvature": 0, "split": 0}
+
+    def counted(name, fn):
+        def wrapper(m):
+            calls[name] += 1
+            return fn(m)
+        return wrapper
+
+    monkeypatch.setattr(hermitian_geometry, "bismut_ricci",
+                        counted("curvature", hermitian_geometry.bismut_ricci))
+    monkeypatch.setattr(hermitian_geometry, "metric_split",
+                        counted("split", hermitian_geometry.metric_split))
+    run(make_noncsc_vaisman(grid16, 0.1), FlowConfig(dt=1e-4, t_end=5e-4, record_every=2))
+    assert calls == {"curvature": 21, "split": 4}
 
 
 def test_run_trace_structure(grid32):

@@ -5,8 +5,7 @@ from ktflow.errors import (DegenerateTransverseError, NonFiniteFieldError,
                            PositivityError)
 from ktflow.hermitian_geometry import (MetricState, bismut_ricci,
                                        bismut_torsion, characteristic_numbers,
-                                       inner_1forms, lee_form, metric_split,
-                                       norm_squared_1form)
+                                       inner_1forms, lee_form, metric_split)
 from ktflow.invariant_forms import (J_FRAME, BaseGrid, apply_J, basis_form,
                                     coframe, exterior_d, random_band_limited,
                                     wedge)
@@ -55,6 +54,8 @@ def test_state_positivity_enforcement(grid8):
 def test_state_broadcast_and_nan_rejection(grid8):
     m = MetricState.constant(grid8, 2.0, 3.0, 0.5, -0.25)
     assert m.u.shape == (8, 8) and np.all(m.lam == 3.0)
+    with pytest.raises(ValueError):   # read-only: the cached geometry stays valid
+        m.u[0, 0] = 1.0
     bad = np.ones((8, 8))
     bad[1, 1] = np.nan
     with pytest.raises(NonFiniteFieldError):
@@ -187,7 +188,8 @@ def test_bismut_ricci_standard_values(grid16):
     assert (pkg.rho + basis_form(grid16, (0, 1))).max_abs() < 1e-13
     assert np.max(np.abs(pkg.s + 1.0)) < 1e-13
     assert (pkg.rho11 - pkg.rho).max_abs() < 1e-13
-    assert (pkg.H + basis_form(grid16, (0, 1, 2))).max_abs() < 1e-14
+    H = bismut_torsion(MetricState.constant(grid16, 1.0, 1.0))
+    assert (H + basis_form(grid16, (0, 1, 2))).max_abs() < 1e-14
 
 
 def test_bismut_ricci_against_left_invariant_oracle(grid16, rng):
@@ -311,6 +313,6 @@ def test_connection_form_norms(grid32, rng):
         m = random_state(grid32, rng)
         sp = metric_split(m)
         inv_lam = 1.0 / sp.lam
-        assert np.max(np.abs(norm_squared_1form(m, sp.mu1) - inv_lam)) < 1e-12
-        assert np.max(np.abs(norm_squared_1form(m, sp.mu2) - inv_lam)) < 1e-12
+        assert np.max(np.abs(inner_1forms(m, sp.mu1, sp.mu1) - inv_lam)) < 1e-12
+        assert np.max(np.abs(inner_1forms(m, sp.mu2, sp.mu2) - inv_lam)) < 1e-12
         assert np.max(np.abs(inner_1forms(m, sp.mu1, sp.mu2))) < 1e-12

@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from ktflow.errors import PositivityError
-from ktflow.hermitian_geometry import MetricState, bismut_ricci, metric_split
+from ktflow.hermitian_geometry import MetricState, metric_split
 from ktflow.invariant_forms import base_integral
 from ktflow.vaisman_toolkit import (assess, basic_class_nontriviality,
-                                    make_noncsc_vaisman, make_standard_vaisman,
-                                    report_from_parts)
+                                    make_noncsc_vaisman, make_standard_vaisman)
 
 
 def test_standard_seed_fields(grid32):
@@ -101,15 +100,6 @@ def test_defects_respond_to_each_breakage(grid32):
     assert rep.lck_defect > 1e-4
     assert rep.vaisman_defect > 1e-4
     assert not rep.is_vaisman
-
-
-def test_report_from_parts_matches_assess(grid32, rng):
-    m = make_noncsc_vaisman(grid32, 0.2, mode=(2, 1))
-    split = metric_split(m)
-    pkg = bismut_ricci(m, split)
-    a = report_from_parts(m, split, pkg)
-    b = assess(m)
-    assert a == b
 
 
 def test_basic_class_nontriviality(grid32):
