@@ -244,8 +244,7 @@ def identity_battery(n=32, tol=1e-7, samples=50, seed=2024):
     f = np.sin(2.0 * np.pi * grid.xx) * np.cos(4.0 * np.pi * grid.yy)
     fx = 2.0 * np.pi * np.cos(2.0 * np.pi * grid.xx) * np.cos(4.0 * np.pi * grid.yy)
     fy = -4.0 * np.pi * np.sin(2.0 * np.pi * grid.xx) * np.sin(4.0 * np.pi * grid.yy)
-    value = max(float(np.max(np.abs(grid.derivative(f, "x") - fx))),
-                float(np.max(np.abs(grid.derivative(f, "y") - fy))))
+    value = float(np.max(np.abs(grid.derivative(f) - np.stack((fx, fy)))))
     items.append(BatteryItem("spectral derivative exactness", value, 1e-12))
 
     e12 = basis_form(grid, (0, 1))
@@ -278,16 +277,15 @@ def identity_battery(n=32, tol=1e-7, samples=50, seed=2024):
     lee = norm = torsion = potential = ricci = closed_rho = 0.0
     for family, m in _battery_states(grid, samples, seed):
         sp = m.split
+        dmu1, dmu2 = exterior_d(sp.mu1), exterior_d(sp.mu2)
         closed = max(closed, exterior_d(sp.omega_check).max_abs())
-        ratio1 = max(ratio1, (exterior_d(sp.mu1) - sp.omega_check * sp.sigma1).max_abs())
-        ratio2 = max(ratio2, (exterior_d(sp.mu2) - sp.omega_check * sp.sigma2).max_abs())
-        for mu in (sp.mu1, sp.mu2):
-            dmu = exterior_d(mu)
+        ratio1 = max(ratio1, (dmu1 - sp.omega_check * sp.sigma1).max_abs())
+        ratio2 = max(ratio2, (dmu2 - sp.omega_check * sp.sigma2).max_abs())
+        for dmu in (dmu1, dmu2):
             jinv = max(jinv, (apply_J(dmu) - dmu).max_abs())
         rebuilt = sp.omega_check + wedge(sp.mu1, sp.mu2) * sp.lam
         reass = max(reass, (m.omega() - rebuilt).max_abs())
-        chars = max(chars, abs(base_integral(exterior_d(sp.mu1)) + 1.0),
-                    abs(base_integral(exterior_d(sp.mu2))))
+        chars = max(chars, abs(base_integral(dmu1) + 1.0), abs(base_integral(dmu2)))
         if family == "general":
             continue
         # lam constant from here on
@@ -352,14 +350,29 @@ def emit_csv(trace, path):
 def load_trace_csv(path):
     import numpy as np
     from .flow_engine import TRACE_COLUMNS
+    rows = []
     try:
         with open(path) as fh:
             header = fh.readline().strip().split(",")
             if tuple(header) != TRACE_COLUMNS:
                 raise ConfigError(f"unexpected trace columns in {path!r}: {header}")
-            rows = [[float(x) for x in line.split(",")] for line in fh if line.strip()]
+            for lineno, line in enumerate(fh, start=2):
+                if not line.strip():
+                    continue
+                try:
+                    row = [float(x) for x in line.split(",")]
+                except ValueError as exc:
+                    raise ConfigError(f"trace CSV {path!r} line {lineno}: {exc}") from exc
+                if len(row) != len(TRACE_COLUMNS):
+                    raise ConfigError(
+                        f"trace CSV {path!r} line {lineno}: {len(row)} values, "
+                        f"expected {len(TRACE_COLUMNS)}"
+                    )
+                rows.append(row)
     except OSError as exc:
         raise ConfigError(f"cannot read trace CSV {path!r}: {exc}") from exc
+    if not rows:
+        raise ConfigError(f"trace CSV {path!r} line 2: no data rows after the header")
     data = np.asarray(rows)
     return {name: data[:, i] for i, name in enumerate(TRACE_COLUMNS)}
 
@@ -396,6 +409,7 @@ def _write_verdict(verdict, path):
 
 def load_snapshot(path, grid=None):
     import numpy as np
+    from .errors import GridError
     from .hermitian_geometry import MetricState
     from .invariant_forms import CONVENTIONS_VERSION, BaseGrid
     try:
@@ -403,19 +417,36 @@ def load_snapshot(path, grid=None):
             payload = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read snapshot {path!r}: {exc}") from exc
-    if payload.get("format") != SNAPSHOT_FORMAT:
+    except ValueError as exc:
+        raise ConfigError(f"snapshot {path!r} is not valid JSON: {exc}") from exc
+    if not isinstance(payload, dict) or payload.get("format") != SNAPSHOT_FORMAT:
         raise ConfigError(f"{path!r} is not a state snapshot")
     if payload.get("conventions") != CONVENTIONS_VERSION:
         raise ConfigError(
             f"snapshot {path!r} uses conventions {payload.get('conventions')!r}, "
             f"this build has {CONVENTIONS_VERSION!r}"
         )
-    n = int(payload["n"])
+    n = payload.get("n")
+    if not isinstance(n, int):
+        raise ConfigError(f"snapshot {path!r} has no integer resolution n, got {n!r}")
     if grid is None:
-        grid = BaseGrid(n)
+        try:
+            grid = BaseGrid(n)
+        except GridError as exc:
+            raise ConfigError(f"snapshot {path!r}: {exc}") from exc
     elif grid.n != n:
         raise ConfigError(f"snapshot resolution {n} does not match grid n={grid.n}")
-    arrays = [np.asarray(payload[key], dtype=float) for key in ("u", "lam", "p", "q")]
+    arrays = []
+    for key in ("u", "lam", "p", "q"):
+        try:
+            values = np.asarray(payload[key], dtype=float)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"snapshot {path!r} field {key!r} is missing or "
+                              f"not a numeric array: {exc!r}") from exc
+        if values.shape != (n, n):
+            raise ConfigError(f"snapshot {path!r} field {key!r} has shape "
+                              f"{values.shape}, expected ({n}, {n})")
+        arrays.append(values)
     return MetricState(grid, *arrays)
 
 

@@ -38,7 +38,9 @@ the tests computes.  The library evaluates the same Ricci form in closed form,
 the Bismut/Chern relation rho^B = rho^C - d(J theta) (Alexandrov-Ivanov
 2001), whose Chern term is -(1/2) d J d log of the Pfaffian u lam - p^2 - q^2
 of omega in these sign conventions; the scalar is s = 2 (rho ^ omega) /
-(omega ^ omega).  The Chern term vanishes on constant states, and the oracle
+(omega ^ omega).  Since d and J are linear, both terms come from one
+exterior derivative of a 1-form, rho = d J (theta - (1/2) d log(u lam - p^2
+- q^2)).  The Chern term vanishes on constant states, and the oracle
 converges to the closed form spectrally in the grid resolution.
 
 With these choices the standard state (u = lam = 1, p = q = 0) has
@@ -264,13 +266,13 @@ def bismut_ricci(m):
     """Bismut curvature package from the closed form of the Ricci form.
 
     rho = -(1/2) d J d log(u lam - p^2 - q^2) + d(J theta), the Bismut/Chern
-    relation rho^B = rho^C - d(J theta) written in these conventions; the
-    scalar is s = 2 (rho ^ omega) / (omega ^ omega) as top-form coefficients.
+    relation rho^B = rho^C - d(J theta) written in these conventions,
+    evaluated as d J (theta - (1/2) d log(u lam - p^2 - q^2)); the scalar is
+    s = 2 (rho ^ omega) / (omega ^ omega) as top-form coefficients.
     """
     theta = m.theta  # first: lee_form checks positivity before the log
     log_det = function_form(m.grid, np.log(m.determinant_margin()))
-    rho = (exterior_d(apply_J(exterior_d(log_det))) * -0.5
-           + exterior_d(apply_J(theta)))
+    rho = exterior_d(apply_J(theta - 0.5 * exterior_d(log_det)))
     omega = m.omega()
     s = (2.0 * _top_coefficient(wedge(rho, omega))
          / _top_coefficient(wedge(omega, omega)))

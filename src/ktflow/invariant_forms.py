@@ -14,7 +14,9 @@ symmetry directions.  Invariant forms have one real coefficient field per
 increasing multi-index, each field living on a periodic grid over the unit
 square that discretizes the orbit space.  Base derivatives are spectral
 (trigonometric interpolation), so the structural identities below hold to
-machine precision on band-limited data.
+machine precision on band-limited data.  One real transform of a stack of
+fields yields both base partials, so an exterior derivative costs one
+forward and one inverse rfft2 whatever its degree.
 
 Index conventions: coframe indices are 0-based internally (e1 -> 0, ...,
 e4 -> 3); docstrings use the 1-based names.  Orientation is fixed by taking
@@ -96,6 +98,9 @@ class BaseGrid:
 
     Resolution must be a power of two and at least 8 so that spectral
     derivatives have a clean Nyquist convention and transforms stay fast.
+    Every spectral operation uses one real transform (rfft2 over the two
+    trailing axes), so all symbols share one half-width wavenumber layout:
+    kx over the full first axis, ky >= 0 over the n/2 + 1 columns.
     """
 
     def __init__(self, n):
@@ -107,12 +112,14 @@ class BaseGrid:
         self.x = np.arange(n) * self.h
         self.y = np.arange(n) * self.h
         self.xx, self.yy = np.meshgrid(self.x, self.y, indexing="ij")
-        k = 2.0 * np.pi * np.fft.fftfreq(n, d=self.h)
-        kd = k.copy()
-        kd[n // 2] = 0.0  # Nyquist mode carries no usable odd-derivative information
-        self._ik = (1j * kd[:, None], 1j * kd[None, :])
-        k2 = k * k
-        self._lap_symbol = -(k2[:, None] + k2[None, :])
+        kx = 2.0 * np.pi * np.fft.fftfreq(n, d=self.h)[:, None]
+        ky = 2.0 * np.pi * np.fft.rfftfreq(n, d=self.h)[None, :]
+        self._lap_symbol = -(kx * kx + ky * ky)
+        # the Nyquist mode carries no usable odd-derivative information; on y
+        # it is the last rfft column
+        kx[n // 2] = 0.0
+        ky[0, -1] = 0.0
+        self._ik = (1j * kx, 1j * ky)
 
     def __repr__(self):
         return f"BaseGrid(n={self.n})"
@@ -140,19 +147,17 @@ class BaseGrid:
             raise NonFiniteFieldError(f"{what} is non-finite at grid index {tuple(bad)}")
         return values
 
-    def derivative(self, values, axis):
-        """Spectral partial derivative along the named base axis.
+    def derivative(self, values):
+        """Both spectral base partials (d/dx, d/dy) from one real transform.
 
-        Accepts stacked fields with trailing shape (n, n); differentiation is
-        exact for modes strictly below n/2 per axis.
+        Accepts stacked fields with trailing shape (n, n) and returns an
+        array of shape (2,) + values.shape; differentiation is exact for
+        modes strictly below n/2 per axis.
         """
         values = self.check_field(values, "derivative input")
-        ax = {"x": 0, "y": 1, 0: 0, 1: 1}.get(axis)
-        if ax is None:
-            raise GridError(f"axis must be 'x' or 'y', got {axis!r}")
-        spec = np.fft.fft2(values, axes=(-2, -1))
-        spec *= self._ik[ax]
-        return np.real(np.fft.ifft2(spec, axes=(-2, -1)))
+        spec = np.fft.rfft2(values)
+        ikx, iky = self._ik
+        return np.fft.irfft2(np.stack((spec * ikx, spec * iky)), s=(self.n, self.n))
 
     def poisson(self, rhs):
         """Solve lap(psi) = rhs for the zero-mean psi; rhs must have zero mean."""
@@ -160,12 +165,12 @@ class BaseGrid:
         mean = float(np.mean(rhs))
         if abs(mean) > 1e-12:
             raise GridError(f"Poisson right-hand side has nonzero mean {mean:.3e}")
-        spec = np.fft.fft2(rhs)
+        spec = np.fft.rfft2(rhs)
         sym = self._lap_symbol.copy()
         sym[0, 0] = 1.0  # zero mode: quotient is irrelevant, coefficient zeroed below
         spec = spec / sym
         spec[0, 0] = 0.0
-        return np.real(np.fft.ifft2(spec))
+        return np.fft.irfft2(spec, s=(self.n, self.n))
 
     def integral(self, values):
         """Integral over the unit square; trapezoid on a periodic grid = mean."""
@@ -386,9 +391,7 @@ def exterior_d(alpha):
         raise DegreeError("exterior derivative of a 4-form is not represented")
     deriv, struct = _d_tables(k)
     out = InvariantForm(alpha.grid, k + 1)
-    dx = alpha.grid.derivative(alpha.coeffs, "x")
-    dy = alpha.grid.derivative(alpha.coeffs, "y")
-    partials = (dx, dy)
+    partials = alpha.grid.derivative(alpha.coeffs)
     for i_in, axis, sign, i_out in deriv:
         out.coeffs[i_out] += sign * partials[axis][i_in]
     for i_in, factor, i_out in struct:

@@ -106,8 +106,8 @@ def make_noncsc_vaisman(grid, eps, mode=(1, 1)):
     if mean > 1e-13:
         raise ValueError(f"shift system incompatible: mean {mean:.3e} != 0")
     psi = grid.poisson(rhs)
-    a = -grid.derivative(psi, "y")
-    b = grid.derivative(psi, "x")
+    dx, dy = grid.derivative(psi)
+    a, b = -dy, dx
     lam = grid.constant(1.0)
     # mu_1 components (a, b) against e1, e2 translate to q = lam a, p = lam b
     q = a

@@ -202,8 +202,7 @@ def moving_frame_curvature(m):
     g = m.metric_tensor()               # (n, n, 4, 4)
     g_back = np.moveaxis(g, (2, 3), (0, 1))   # (4, 4, n, n)
 
-    dx_frame = grid.derivative(frame, "x")
-    dy_frame = grid.derivative(frame, "y")
+    dx_frame, dy_frame = grid.derivative(frame)
     # D_a f = (F_a)^x dx f + (F_a)^y dy f: directional derivative along F_a
     def directional(dx_arr, dy_arr):
         return (np.einsum("axy,...xy->a...xy", frame[:, 0], dx_arr)
@@ -231,8 +230,7 @@ def moving_frame_curvature(m):
                         optimize=True)
     gamma_b = gamma_lc + 0.5 * h_frame
 
-    dx_gamma = grid.derivative(gamma_b, "x")
-    dy_gamma = grid.derivative(gamma_b, "y")
+    dx_gamma, dy_gamma = grid.derivative(gamma_b)
     d_gamma = directional(dx_gamma, dy_gamma)        # (a, b, c, d, x, y)
 
     riemann = (d_gamma - np.swapaxes(d_gamma, 0, 1)

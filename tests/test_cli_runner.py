@@ -124,6 +124,23 @@ def test_csv_header_check(tmp_path):
         load_trace_csv(str(tmp_path / "absent.csv"))
 
 
+def test_csv_short_file_is_a_config_error(tmp_path):
+    tr = _short_trace()
+    path = tmp_path / "trace.csv"
+    emit_csv(tr, str(path))
+    header, first = path.read_text().splitlines()[:2]
+
+    path.write_text(header + "\n")
+    with pytest.raises(ConfigError, match=r"line 2: no data rows") as exc:
+        load_trace_csv(str(path))
+    assert str(path) in str(exc.value)
+
+    path.write_text(header + "\n" + first + "\n" + first.rsplit(",", 1)[0] + "\n")
+    with pytest.raises(ConfigError, match=r"line 3: \d+ values, expected") as exc:
+        load_trace_csv(str(path))
+    assert str(path) in str(exc.value)
+
+
 def test_snapshot_round_trip_bit_exact(tmp_path):
     grid = BaseGrid(16)
     m = make_noncsc_vaisman(grid, 0.3, mode=(2, 2))
@@ -153,6 +170,31 @@ def test_snapshot_guards(tmp_path):
 
     with pytest.raises(ConfigError, match="resolution"):
         load_snapshot(str(path), BaseGrid(32))
+
+
+def _snapshot_payload(tmp_path):
+    path = tmp_path / "state.json"
+    emit_snapshot(make_standard_vaisman(BaseGrid(8)), str(path))
+    return json.loads(path.read_text())
+
+
+@pytest.mark.parametrize("corrupt, match", [
+    (lambda p: json.dumps({**p, "u": p["u"][0]}), "field 'u' has shape"),
+    (lambda p: json.dumps({**p, "lam": p["lam"][:3]}), "field 'lam' has shape"),
+    (lambda p: json.dumps({**p, "p": [[1.0, 2.0], [3.0]]}), "field 'p' is missing"),
+    (lambda p: json.dumps({k: v for k, v in p.items() if k != "q"}), "field 'q' is missing"),
+    (lambda p: json.dumps(p)[:-5], "not valid JSON"),
+    (lambda p: json.dumps({k: v for k, v in p.items() if k != "n"}), "integer resolution"),
+    (lambda p: json.dumps({**p, "n": 12}), "power of two"),
+    (lambda p: json.dumps([p]), "not a state snapshot"),
+], ids=["1d-u", "short-lam", "ragged-p", "missing-q", "bad-json", "missing-n",
+        "bad-n", "top-level-list"])
+def test_snapshot_rejects_malformed_file(tmp_path, corrupt, match):
+    path = tmp_path / "bad.json"
+    path.write_text(corrupt(_snapshot_payload(tmp_path)))
+    with pytest.raises(ConfigError, match=match) as exc:
+        load_snapshot(str(path))
+    assert str(path) in str(exc.value)
 
 
 def test_run_experiment_identity_suite(tmp_path, capsys):

@@ -237,8 +237,7 @@ def test_levi_civita_against_fd_oracle():
     arr = np.moveaxis(frame, (0, 1), (-2, -1))
     B = np.moveaxis(np.linalg.inv(arr), (-2, -1), (0, 1))
     dB = np.zeros((4,) + B.shape)
-    dB[0] = grid.derivative(B, "x")
-    dB[1] = grid.derivative(B, "y")
+    dB[:2] = grid.derivative(B)
     FaB = np.einsum("amxy,mjbxy->ajbxy", frame, dB)
     K_grid = (np.einsum("iaxy,ajbxy,kbxy->ijkxy", B, FaB, B)
               + np.einsum("iaxy,jbxy,abcxy,kcxy->ijkxy", B, B, pkg["gamma_lc"], B))

@@ -33,28 +33,35 @@ def test_spectral_derivative_exact_on_band_limited(grid32):
           - 4 * np.pi * np.sin(4 * np.pi * (x + y)))
     fy = (-6 * np.pi * np.sin(2 * np.pi * x) * np.sin(6 * np.pi * y)
           - 4 * np.pi * np.sin(4 * np.pi * (x + y)))
-    assert np.max(np.abs(grid32.derivative(f, "x") - fx)) < 1e-12
-    assert np.max(np.abs(grid32.derivative(f, "y") - fy)) < 1e-12
+    g = np.sin(30 * np.pi * y)          # highest resolved y mode, n/2 - 1
+    gy = 30 * np.pi * np.cos(30 * np.pi * y)
+    stack = np.stack((f, -2.0 * f, g))
+    out = grid32.derivative(stack)
+    assert out.shape == (2, 3, 32, 32)
+    expected = np.stack((np.stack((fx, -2.0 * fx, np.zeros_like(g))),
+                         np.stack((fy, -2.0 * fy, gy))))
+    assert np.max(np.abs(out - expected)) < 1e-12
 
 
 def test_spectral_derivative_kills_nyquist(grid8):
     # the unpaired n/2 mode has no consistent odd derivative; it must map to 0
-    f = np.cos(np.pi * 8 * grid8.xx)
-    assert np.max(np.abs(grid8.derivative(f, "x"))) < 1e-12
+    # on x (a full-transform row) and on y (the last real-transform column)
+    for f in (np.cos(np.pi * 8 * grid8.xx), np.cos(np.pi * 8 * grid8.yy)):
+        assert np.max(np.abs(grid8.derivative(f))) < 1e-12
 
 
 def test_derivative_rejects_nonfinite(grid8):
     f = np.ones((8, 8))
     f[2, 5] = np.inf
     with pytest.raises(NonFiniteFieldError):
-        grid8.derivative(f, "x")
+        grid8.derivative(f)
 
 
 def test_poisson_inverts_laplacian(grid32, rng):
     rhs = random_band_limited(grid32, rng, kmax=3, zero_mean=True)
     sol = grid32.poisson(rhs)
-    lap = (grid32.derivative(grid32.derivative(sol, "x"), "x")
-           + grid32.derivative(grid32.derivative(sol, "y"), "y"))
+    dx, dy = grid32.derivative(sol)
+    lap = grid32.derivative(dx)[0] + grid32.derivative(dy)[1]
     assert np.max(np.abs(lap - rhs)) < 1e-11
     assert abs(np.mean(sol)) < 1e-13
 
