@@ -13,7 +13,7 @@ Recognized keys and defaults:
     t_end         0.1         final time (integer number of steps)
     record_every  2           steps between trace records
     cfl_safety    0.2         parabolic step-bound factor, in (0, 0.5]
-    tol           1e-7        identity/assertion tolerance
+    tol           1e-7        flow's pluriclosed-preserved bound
     vaisman_tol   1e-8        constancy threshold for Vaisman instants
     variance_tol  1e-14       scalar-curvature constancy threshold
     exit_threshold 1e-9       defect level defining the exit time
@@ -225,7 +225,7 @@ def _battery_states(grid, samples, seed):
         yield "noncsc_seed", make_noncsc_vaisman(grid, 0.1, mode)
 
 
-def identity_battery(n=32, tol=1e-7, samples=50, seed=2024):
+def identity_battery(n=32, samples=50, seed=2024):
     """All structural identities at resolution n; returns BatteryItem list.
 
     Randomized states exercise the splitting calculus; the two seed
@@ -273,47 +273,50 @@ def identity_battery(n=32, tol=1e-7, samples=50, seed=2024):
     items.append(BatteryItem("wedge graded symmetry", comm, 1e-14))
 
     # one pass over the states; each family feeds the identities that hold on it
-    closed = ratio1 = ratio2 = jinv = reass = chars = 0.0
+    closed = ratio1 = ratio2 = jinv = reass = chars = lee_def = 0.0
     lee = norm = torsion = potential = ricci = closed_rho = 0.0
     for family, m in _battery_states(grid, samples, seed):
         sp = m.split
+        theta = m.theta
+        omega = m.omega()
         dmu1, dmu2 = exterior_d(sp.mu1), exterior_d(sp.mu2)
         closed = max(closed, exterior_d(sp.omega_check).max_abs())
         ratio1 = max(ratio1, (dmu1 - sp.omega_check * sp.sigma1).max_abs())
         ratio2 = max(ratio2, (dmu2 - sp.omega_check * sp.sigma2).max_abs())
         for dmu in (dmu1, dmu2):
             jinv = max(jinv, (apply_J(dmu) - dmu).max_abs())
-        rebuilt = sp.omega_check + wedge(sp.mu1, sp.mu2) * sp.lam
-        reass = max(reass, (m.omega() - rebuilt).max_abs())
+        rebuilt = sp.omega_check + wedge(sp.mu1, sp.mu2) * m.lam
+        reass = max(reass, (omega - rebuilt).max_abs())
         chars = max(chars, abs(base_integral(dmu1) + 1.0), abs(base_integral(dmu2)))
+        lee_def = max(lee_def, (wedge(theta, omega) - exterior_d(omega)).max_abs())
         if family == "general":
             continue
         # lam constant from here on
-        theta = sp.theta
-        formula = sp.mu2 * (sp.lam * sp.sigma1) + sp.mu1 * (-sp.lam * sp.sigma2)
+        formula = sp.mu2 * (m.lam * sp.sigma1) + sp.mu1 * (-m.lam * sp.sigma2)
         lee = max(lee, (theta - formula).max_abs())
         nsq = inner_1forms(m, theta, theta)
         norm = max(norm, float(np.max(np.abs(
-            nsq - sp.lam * (sp.sigma1 ** 2 + sp.sigma2 ** 2)))))
+            nsq - m.lam * (sp.sigma1 ** 2 + sp.sigma2 ** 2)))))
         torsion = max(torsion, exterior_d(bismut_torsion(m)).max_abs())
         if family in ("constant", "csc_seed"):
             jtheta = apply_J(theta)
-            residual = (m.omega() * nsq - wedge(theta, jtheta) + exterior_d(jtheta))
+            residual = (omega * nsq - wedge(theta, jtheta) + exterior_d(jtheta))
             potential = max(potential, residual.max_abs())
         if family in ("csc_seed", "noncsc_seed"):
             pkg = m.curvature
             ricci = max(ricci, (pkg.rho - sp.omega_check * pkg.s).max_abs())
             closed_rho = max(closed_rho, exterior_d(pkg.rho).max_abs())
-    items.append(BatteryItem("transverse form closed", closed, tol))
-    items.append(BatteryItem("first curvature ratio", ratio1, tol))
-    items.append(BatteryItem("second curvature ratio", ratio2, tol))
-    items.append(BatteryItem("curvature forms j-invariant", jinv, tol))
-    items.append(BatteryItem("state reassembly", reass, tol))
+    items.append(BatteryItem("transverse form closed", closed, 1e-12))
+    items.append(BatteryItem("first curvature ratio", ratio1, 1e-12))
+    items.append(BatteryItem("second curvature ratio", ratio2, 1e-12))
+    items.append(BatteryItem("curvature forms j-invariant", jinv, 1e-12))
+    items.append(BatteryItem("state reassembly", reass, 1e-12))
     items.append(BatteryItem("characteristic numbers", chars, 1e-10))
+    items.append(BatteryItem("lee form defining property", lee_def, 1e-12))
     items.append(BatteryItem("lee form formula", lee, 1e-8))
     items.append(BatteryItem("lee norm identity", norm, 1e-10))
-    items.append(BatteryItem("torsion closure", torsion, tol))
-    items.append(BatteryItem("potential identity", potential, tol))
+    items.append(BatteryItem("torsion closure", torsion, 1e-12))
+    items.append(BatteryItem("potential identity", potential, 1e-12))
     items.append(BatteryItem("transverse ricci", ricci, 1e-8))
     items.append(BatteryItem("ricci closedness", closed_rho, 1e-12))
 
@@ -496,7 +499,7 @@ def run_experiment(cfg, stream=None):
         raise ConfigError(f"cannot create out_dir {cfg.out_dir!r}: {exc}") from exc
 
     if cfg.preset == "identity_suite":
-        items = identity_battery(cfg.n, cfg.tol, cfg.samples, cfg.seed)
+        items = identity_battery(cfg.n, cfg.samples, cfg.seed)
         _print_battery(items, stream)
         verdict = {
             "preset": cfg.preset,
@@ -579,7 +582,7 @@ def _build_parser():
     def common(p):
         p.add_argument("--out-dir", default=None, help="output directory override")
         p.add_argument("--tol", type=float, default=None,
-                       help="identity/assertion tolerance override")
+                       help="pluriclosed-preserved assertion bound override")
         p.add_argument("--strict", action=argparse.BooleanOptionalAction,
                        default=True,
                        help="reject unknown config keys (default on)")

@@ -33,10 +33,6 @@ class DegenerateTransverseError(KTError):
     """The transverse area coefficient fell below the degeneracy threshold."""
 
 
-class LinearSolveError(KTError):
-    """A pointwise linear system could not be solved reliably."""
-
-
 class ConfigError(KTError):
     """Malformed or out-of-range experiment configuration."""
 

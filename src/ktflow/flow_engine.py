@@ -175,10 +175,6 @@ def _cfl_bound(m, cfg):
     return cfg.cfl_safety * h2 * min(float(m.u.min()), float(m.lam.min()))
 
 
-def _fiber_form(split):
-    return wedge(split.mu1, split.mu2) * split.lam
-
-
 def _mu_velocities(m, vel):
     """Time derivatives of the connection forms induced by a state velocity.
 
@@ -199,7 +195,7 @@ def _fiber_velocity(m, split, vel):
     """d/dt (lam mu1^mu2) evaluated from the instantaneous state velocity."""
     mu1_dot, mu2_dot = _mu_velocities(m, vel)
     return (wedge(split.mu1, split.mu2) * vel[1]
-            + (wedge(mu1_dot, split.mu2) + wedge(split.mu1, mu2_dot)) * split.lam)
+            + (wedge(mu1_dot, split.mu2) + wedge(split.mu1, mu2_dot)) * m.lam)
 
 
 def sigma1_ode_residual_instant(m, h=1e-5):
@@ -249,7 +245,7 @@ def run(m0, cfg):
         report = assess(m, cfg.vaisman_tol)
         vel, _ = coefficient_velocity(-1.0 * pkg.rho11)
         fiber_vel = _fiber_velocity(m, split, vel)
-        fiber = _fiber_form(split)
+        fiber = wedge(split.mu1, split.mu2) * m.lam
         if prev_fiber is None:
             fd = 0.0  # first record has no predecessor
         else:
@@ -263,8 +259,8 @@ def run(m0, cfg):
         lam_rel = float(np.max(np.abs(pairing + 0.5 * vel[1] / (m.lam * m.lam))))
         row = {
             "t": t_now,
-            "lambda_mean": float(np.mean(split.lam)),
-            "lambda_var": float(np.var(split.lam)),
+            "lambda_mean": float(np.mean(m.lam)),
+            "lambda_var": float(np.var(m.lam)),
             "sigma1_mean": float(np.mean(split.sigma1)),
             "sigma1_var": float(np.var(split.sigma1)),
             "sigma2_mean": float(np.mean(split.sigma2)),

@@ -4,8 +4,8 @@ A metric state stores the four coefficient fields of the J-invariant 2-form
 
     omega = u e1^e2 + lam e3^e4 + p (e1^e3 + e2^e4) + q (e1^e4 - e2^e3) ,
 
-positive exactly when u > 0, lam > 0 and u*lam - p^2 - q^2 > 0.  From it we
-derive the vertical/transverse splitting
+positive exactly when u > 0, lam > 0 and D = u*lam - p^2 - q^2 > 0.  From it
+we derive the vertical/transverse splitting
 
     omega = lam mu1^mu2 + omega_check ,
 
@@ -13,12 +13,23 @@ the connection 1-forms mu_i (dual pair of the vertical generators), the
 curvature multipliers sigma_i with d(mu_i) = sigma_i omega_check, the Lee
 form theta, and the Bismut curvature package (rho, rho^(1,1), s).
 
+Each is a closed form in (u, lam, p, q) and their base partials.  With the
+shift (a, b) = (q/lam, p/lam) and the transverse area w = D/lam:
+
+  * mu1 = a e1 + b e2 + e3, mu2 = J mu1, omega_check = w e1^e2,
+    sigma1 = (b_x - a_y - 1)/w and sigma2 = (a_x + b_y)/w;
+  * theta = (u lam_x - p B + q A, u lam_y + q B + p A, q lam_x + p lam_y
+    + lam A, q lam_y - p lam_x + lam B)/D with A = -(p_y + q_x) and
+    B = p_x - q_y - lam;
+  * <x, y> = [x(F1) y(F1) + x(F2) y(F2)]/w + (x3 y3 + x4 y4)/lam for 1-forms,
+    with x(F1) = x1 - a x3 + b x4 and x(F2) = x2 - b x3 - a x4.
+
 A state's derived data is a property of the state, computed once on first
 access: m.theta = lee_form(m), m.split = metric_split(m) and
 m.curvature = bismut_ricci(m).  The functions stay the definitions; the
-split and the curvature both read m.theta.  The torsion 3-form is not part
-of the curvature package, since the flow never reads it; bismut_torsion(m)
-computes it where a defect needs it.
+split and theta do not read each other, and the curvature reads m.theta.
+The torsion 3-form is not part of the curvature package, since the flow
+never reads it; bismut_torsion(m) computes it where a defect needs it.
 
 Sign conventions, fixed once and verified by the test oracles:
 
@@ -55,27 +66,19 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DegenerateTransverseError, LinearSolveError, PositivityError
+from .errors import DegenerateTransverseError, PositivityError
 from .invariant_forms import (
     InvariantForm,
-    J_FRAME,
-    MULTI_INDEX,
-    V1,
-    V2,
     apply_J,
     base_integral,
-    coframe,
-    contract,
     exterior_d,
+    form_from,
     function_form,
     p11_projection,
     wedge,
 )
 
 DEGENERACY_TOL = 1e-12
-
-# Increasing pairs indexing 2-form components, shared with invariant_forms.
-_PAIRS = MULTI_INDEX[2]
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,40 +157,19 @@ class MetricState:
     def curvature(self):
         return bismut_ricci(self)
 
-    def omega_matrix(self):
-        """Antisymmetric coefficients W_ij = omega(E_i, E_j), (n, n, 4, 4)."""
-        n = self.grid.n
-        coeffs = self.omega().coeffs
-        om = np.zeros((n, n, 4, 4))
-        for pos, (i, j) in enumerate(_PAIRS):
-            om[..., i, j] = coeffs[pos]
-            om[..., j, i] = -coeffs[pos]
-        return om
-
-    def metric_tensor(self):
-        """g_ij = -omega(J E_i, E_j) as an (n, n, 4, 4) array."""
-        return -np.einsum("ki,...kj->...ij", J_FRAME, self.omega_matrix())
-
-    def metric_inverse(self):
-        g = self.metric_tensor()
-        try:
-            return np.linalg.inv(g)
-        except np.linalg.LinAlgError as exc:  # positivity should prevent this
-            raise LinearSolveError(f"metric tensor not invertible: {exc}") from exc
-
 
 @dataclass(frozen=True, eq=False)
 class MetricSplit:
-    """Derived splitting data of a metric state."""
+    """Splitting of a state, omega = lam mu1^mu2 + omega_check.
 
-    grid: object
-    lam: np.ndarray
+    omega_check = w_check e1^e2; lam and theta are the state's m.lam, m.theta.
+    """
+
     mu1: InvariantForm
     mu2: InvariantForm
     omega_check: InvariantForm
     sigma1: np.ndarray
     sigma2: np.ndarray
-    theta: InvariantForm
     w_check: np.ndarray
 
 
@@ -195,53 +177,51 @@ def _top_coefficient(four_form):
     return four_form.coeffs[0]
 
 
-def metric_split(m):
-    """Vertical/transverse splitting of a positive metric state.
+def _shift_and_area(m):
+    """Shift (a, b) = (q/lam, p/lam) of mu1 and transverse area w = D/lam."""
+    inv_lam = 1.0 / m.lam
+    return m.q * inv_lam, m.p * inv_lam, m.determinant_margin() * inv_lam
 
-    mu1 = -(1/lam) V2 . omega and mu2 = +(1/lam) V1 . omega satisfy
-    mu_i(V_j) = delta_ij; omega_check = omega - lam mu1^mu2 is basic; the
-    multipliers sigma_i are extracted as top-form coefficient ratios
-    d(mu_i)^mu1^mu2 / omega_check^mu1^mu2, which is exact because the
-    transverse slot is one complex dimension.
+
+def metric_split(m):
+    """Vertical/transverse splitting of a positive metric state, in closed form.
+
+    mu1 = -(1/lam) V2 . omega and mu2 = (1/lam) V1 . omega satisfy
+    mu_i(V_j) = delta_ij, and omega - lam mu1^mu2 leaves w e1^e2.  As
+    d(e3) = -e1^e2, each d(mu_i) is sigma_i w e1^e2.
     """
     m.require_positive()
-    omega = m.omega()
-    inv_lam = 1.0 / m.lam
-    mu1 = contract(V2, omega) * (-inv_lam)
-    mu2 = contract(V1, omega) * inv_lam
-    mu_pair = wedge(mu1, mu2)
-    omega_check = omega - mu_pair * m.lam
-    w_check = omega_check.coefficient(0, 1).copy()
-
-    denom = _top_coefficient(wedge(omega_check, mu_pair))
-    worst = float(np.min(np.abs(denom)))
+    a, b, w = _shift_and_area(m)
+    worst = float(np.min(w))
     if worst < DEGENERACY_TOL:
         raise DegenerateTransverseError(
             f"transverse area coefficient {worst:.3e} below {DEGENERACY_TOL:.0e}"
         )
-    sigma1 = _top_coefficient(wedge(exterior_d(mu1), mu_pair)) / denom
-    sigma2 = _top_coefficient(wedge(exterior_d(mu2), mu_pair)) / denom
-    return MetricSplit(m.grid, m.lam.copy(), mu1, mu2, omega_check,
-                       sigma1, sigma2, m.theta, w_check)
+    (a_x, b_x), (a_y, b_y) = m.grid.derivative(np.stack((a, b)))
+    mu1 = form_from(m.grid, 1, {(0,): a, (1,): b, (2,): 1.0})
+    return MetricSplit(mu1=mu1, mu2=apply_J(mu1),
+                       omega_check=form_from(m.grid, 2, {(0, 1): w}),
+                       sigma1=(b_x - a_y - 1.0) / w, sigma2=(a_x + b_y) / w,
+                       w_check=w)
 
 
 def lee_form(m):
-    """Lee form of a metric state, the unique theta with theta ^ omega = d(omega).
+    """Lee form of a state, the unique theta with theta ^ omega = d(omega).
 
-    Wedging with e^j turns the defining equation into sum_i theta_i M_ij = r_j
-    with M_ij = (e^i ^ omega ^ e^j)_top and r_j = (d omega ^ e^j)_top.  M is
-    the dual of the antisymmetric coefficient matrix W of omega, W M = -Pf(W)
-    with Pf(W) = u lam - p^2 - q^2, so
-
-        theta_i = sum_j W_ij r_j / (u lam - p^2 - q^2) .
+    d omega = A e1^e2^e3 + B e1^e2^e4 + lam_x e1^e3^e4 + lam_y e2^e3^e4.
+    Wedging with each e^j makes the defining equation a 4x4 linear system
+    whose inverse is omega's own coefficient matrix over its Pfaffian D.
     """
     m.require_positive()
-    grid = m.grid
-    d_omega = exterior_d(m.omega())
-    r = np.stack([_top_coefficient(wedge(d_omega, coframe(grid, j)))
-                  for j in range(4)], axis=-1)
-    theta = np.einsum("...ij,...j->i...", m.omega_matrix(), r)
-    return InvariantForm(grid, 1, theta / m.determinant_margin())
+    u, lam, p, q = m.u, m.lam, m.p, m.q
+    (lam_x, p_x, q_x), (lam_y, p_y, q_y) = m.grid.derivative(np.stack((lam, p, q)))
+    A = -(p_y + q_x)
+    B = p_x - q_y - lam
+    theta = np.stack((u * lam_x - p * B + q * A,
+                      u * lam_y + q * B + p * A,
+                      q * lam_x + p * lam_y + lam * A,
+                      q * lam_y - p * lam_x + lam * B))
+    return InvariantForm(m.grid, 1, theta / m.determinant_margin())
 
 
 def bismut_torsion(m):
@@ -286,8 +266,14 @@ def characteristic_numbers(split):
 
 
 def inner_1forms(m, alpha, beta):
-    """Pointwise inner product of two 1-forms in the metric of the state."""
-    g_inv = m.metric_inverse()
-    return np.einsum("...i,...ij,...j->...",
-                     np.moveaxis(alpha.coeffs, 0, -1), g_inv,
-                     np.moveaxis(beta.coeffs, 0, -1))
+    """Pointwise inner product of two 1-forms in the metric of the state.
+
+    F1 = (E1 - a E3 + b E4)/sqrt(w), F2 = (E2 - b E3 - a E4)/sqrt(w),
+    E3/sqrt(lam) and E4/sqrt(lam) are an orthonormal frame.
+    """
+    a, b, w = _shift_and_area(m)
+    x1, x2, x3, x4 = alpha.coeffs
+    y1, y2, y3, y4 = beta.coeffs
+    horizontal = ((x1 - a * x3 + b * x4) * (y1 - a * y3 + b * y4)
+                  + (x2 - b * x3 - a * x4) * (y2 - b * y3 - a * y4))
+    return horizontal / w + (x3 * y3 + x4 * y4) / m.lam

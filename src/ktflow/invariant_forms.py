@@ -51,13 +51,6 @@ STRUCTURE_SIGN = -1.0
 J_MAP = (1, 0, 3, 2)
 J_SIGN = (1.0, -1.0, 1.0, -1.0)
 
-# J on the dual frame: J E_j = sum_i J_FRAME[i, j] E_i.
-J_FRAME = np.zeros((4, 4))
-J_FRAME[1, 0] = 1.0
-J_FRAME[0, 1] = -1.0
-J_FRAME[3, 2] = 1.0
-J_FRAME[2, 3] = -1.0
-
 # Vertical generators: V1 pairs with e3, V2 with e4.
 V1, V2 = 0, 1
 VERTICAL_COFRAME_INDEX = (2, 3)

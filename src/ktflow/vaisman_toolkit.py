@@ -44,9 +44,9 @@ def assess(m, tol=1e-8):
     """Full defect report of a metric state, from its cached split and curvature."""
     split = m.split
     pluriclosed = exterior_d(bismut_torsion(m)).max_abs()
-    lck = exterior_d(split.theta).max_abs()
-    vaisman = _variance(split.lam) + _variance(split.sigma1) + _variance(split.sigma2)
-    theta = split.theta
+    theta = m.theta
+    lck = exterior_d(theta).max_abs()
+    vaisman = _variance(m.lam) + _variance(split.sigma1) + _variance(split.sigma2)
     potential = (m.omega() * inner_1forms(m, theta, theta)
                  - wedge(theta, apply_J(theta))
                  + exterior_d(apply_J(theta))).max_abs()

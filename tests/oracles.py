@@ -1,8 +1,22 @@
 """Independent reference computations used to pin expected values.
 
-Three oracles, each deliberately built along a different code path than the
-package, which computes the Bismut Ricci form from its closed form
-rho = -(1/2) d J d log(u lam - p^2 - q^2) + d(J theta):
+Each oracle is deliberately built along a different code path than the
+package, which computes the split, the Lee form, the inner product of
+1-forms and the Bismut Ricci form
+rho = -(1/2) d J d log(u lam - p^2 - q^2) + d(J theta) in closed form from
+(u, lam, p, q):
+
+* metric_tensor: the hand-written metric matrix g(E_i, E_j) on the grid;
+  its pointwise inverse is the reference for inner_1forms.
+
+* contraction_split: the splitting from the exterior calculus alone.
+  mu_i by contracting omega with the vertical generators, omega_check by
+  subtraction, and sigma_i as top-form ratios
+  d(mu_i)^mu1^mu2 / omega_check^mu1^mu2.
+
+* wedge_lee_form: the Lee form by wedging d omega = theta ^ omega with
+  each coframe vector and solving the 4x4 system through its explicit
+  inverse.
 
 * left_invariant_curvature: for spatially constant states the whole
   geometry reduces to linear algebra on the 4-dimensional symmetry algebra
@@ -29,8 +43,9 @@ import itertools
 import numpy as np
 
 from ktflow.hermitian_geometry import bismut_torsion
-from ktflow.invariant_forms import (J_FRAME, MULTI_INDEX, InvariantForm,
-                                    p11_projection)
+from ktflow.invariant_forms import (MULTI_INDEX, V1, V2, InvariantForm,
+                                    contract, coframe, exterior_d,
+                                    p11_projection, wedge)
 
 # bracket [E_a, E_b] = C[a, b, c] E_c
 STRUCTURE = np.zeros((4, 4, 4))
@@ -46,13 +61,68 @@ JMAT[2, 3] = -1.0
 
 
 def metric_matrix(u, lam, p, q):
-    """g(E_i, E_j) for the four-coefficient invariant metric."""
+    """g(E_i, E_j) for the four-coefficient invariant metric.
+
+    Takes numbers or fields; fields give a (4, 4, n, n) array.
+    """
+    zero = 0.0 * u
     return np.array([
-        [u, 0.0, q, -p],
-        [0.0, u, p, q],
-        [q, p, lam, 0.0],
-        [-p, q, 0.0, lam],
+        [u, zero, q, -p],
+        [zero, u, p, q],
+        [q, p, lam, zero],
+        [-p, q, zero, lam],
     ])
+
+
+def metric_tensor(m):
+    """g(E_i, E_j) of a state as an (n, n, 4, 4) array."""
+    return np.moveaxis(metric_matrix(m.u, m.lam, m.p, m.q), (0, 1), (2, 3))
+
+
+def _top_coefficient(four_form):
+    return four_form.coeffs[0]
+
+
+def contraction_split(m):
+    """Splitting data of a state by contraction, wedges and top-form ratios.
+
+    mu1 = -(1/lam) V2 . omega and mu2 = +(1/lam) V1 . omega satisfy
+    mu_i(V_j) = delta_ij; omega_check = omega - lam mu1^mu2 is basic; the
+    multipliers sigma_i are the top-form coefficient ratios
+    d(mu_i)^mu1^mu2 / omega_check^mu1^mu2, exact because the transverse
+    slot is one complex dimension.  Returns a dict keyed like MetricSplit.
+    """
+    m.require_positive()
+    omega = m.omega()
+    inv_lam = 1.0 / m.lam
+    mu1 = contract(V2, omega) * (-inv_lam)
+    mu2 = contract(V1, omega) * inv_lam
+    mu_pair = wedge(mu1, mu2)
+    omega_check = omega - mu_pair * m.lam
+    denom = _top_coefficient(wedge(omega_check, mu_pair))
+    return {"mu1": mu1, "mu2": mu2, "omega_check": omega_check,
+            "sigma1": _top_coefficient(wedge(exterior_d(mu1), mu_pair)) / denom,
+            "sigma2": _top_coefficient(wedge(exterior_d(mu2), mu_pair)) / denom,
+            "w_check": omega_check.coefficient(0, 1).copy()}
+
+
+def wedge_lee_form(m):
+    """Lee form by solving theta ^ omega = d(omega) through the wedge map.
+
+    Wedging with e^j turns the defining equation into sum_i theta_i M_ij = r_j
+    with M_ij = (e^i ^ omega ^ e^j)_top and r_j = (d omega ^ e^j)_top.  M is
+    the dual of the antisymmetric coefficient matrix W_ij = omega(E_i, E_j)
+    = g(J E_i, E_j), W M = -Pf(W) with Pf(W) = u lam - p^2 - q^2, so
+
+        theta_i = sum_j W_ij r_j / (u lam - p^2 - q^2) .
+    """
+    m.require_positive()
+    d_omega = exterior_d(m.omega())
+    r = np.stack([_top_coefficient(wedge(d_omega, coframe(m.grid, j)))
+                  for j in range(4)])
+    w = np.einsum("ki,kjxy->ijxy", JMAT, metric_matrix(m.u, m.lam, m.p, m.q))
+    theta = np.einsum("ijxy,jxy->ixy", w, r)
+    return InvariantForm(m.grid, 1, theta / m.determinant_margin())
 
 
 def homogeneous_scalar(u, lam, p, q):
@@ -120,15 +190,7 @@ def koszul_fd_lowered(m):
     """
     n = m.grid.n
     h = 1.0 / n
-    G = np.zeros((4, 4, n, n))
-    G[0, 0] = m.u
-    G[1, 1] = m.u
-    G[2, 2] = m.lam
-    G[3, 3] = m.lam
-    G[0, 2] = G[2, 0] = m.q
-    G[0, 3] = G[3, 0] = -m.p
-    G[1, 2] = G[2, 1] = m.p
-    G[1, 3] = G[3, 1] = m.q
+    G = metric_matrix(m.u, m.lam, m.p, m.q)
 
     D = np.zeros((4, 4, 4, n, n))      # D[a] = derivative of G along E_a
     for i in range(4):
@@ -199,8 +261,7 @@ def moving_frame_curvature(m):
     """
     frame = orthonormal_frame(m)
     grid = m.grid
-    g = m.metric_tensor()               # (n, n, 4, 4)
-    g_back = np.moveaxis(g, (2, 3), (0, 1))   # (4, 4, n, n)
+    g_back = metric_matrix(m.u, m.lam, m.p, m.q)   # (4, 4, n, n)
 
     dx_frame, dy_frame = grid.derivative(frame)
     # D_a f = (F_a)^x dx f + (F_a)^y dy f: directional derivative along F_a
@@ -242,7 +303,7 @@ def moving_frame_curvature(m):
     # map, but we compute it from the frame to keep the trace convention-free
     frame_inv = np.moveaxis(np.linalg.inv(np.moveaxis(frame, (0, 1), (2, 3))),
                             (2, 3), (0, 1))          # (i, b, x, y): E_i = sum_b inv[i,b] F_b
-    j_frame = np.einsum("aixy,ki,kbxy->baxy", frame, J_FRAME, frame_inv, optimize=True)
+    j_frame = np.einsum("aixy,ki,kbxy->baxy", frame, JMAT, frame_inv, optimize=True)
 
     rho_frame = 0.5 * np.einsum("abdcxy,dcxy->abxy", riemann, j_frame, optimize=True)
     s = 0.5 * np.einsum("abxy,baxy->xy", rho_frame, j_frame, optimize=True)

@@ -61,7 +61,7 @@ def all_monitors(csc_trace, csc2_trace, noncsc_trace):
 
 @pytest.fixture(scope="module")
 def battery():
-    return identity_battery()     # n = 32, tol = 1e-7, 50 samples
+    return identity_battery()     # n = 32, 50 samples
 
 
 @pytest.fixture(scope="module")
@@ -155,8 +155,8 @@ def test_criterion_3_lee_form_cross_check(grid, criterion):
     worst = 0.0
     for m in states:
         split = metric_split(m)
-        formula = (split.mu2 * (split.lam * split.sigma1)
-                   - split.mu1 * (split.lam * split.sigma2))
+        formula = (split.mu2 * (m.lam * split.sigma1)
+                   - split.mu1 * (m.lam * split.sigma2))
         worst = max(worst, (lee_form(m) - formula).max_abs())
     criterion("criterion 3 (lee form formula)", worst < 1e-8,
               f"max |theta_solver - lam (sigma1 mu2 - sigma2 mu1)| = {worst:.3e} "
@@ -188,7 +188,7 @@ def test_criterion_4_lee_norm_identity(grid, criterion):
         split = metric_split(m)
         theta = lee_form(m)
         lhs = inner_1forms(m, theta, theta)
-        rhs = split.lam * (split.sigma1 ** 2 + split.sigma2 ** 2)
+        rhs = m.lam * (split.sigma1 ** 2 + split.sigma2 ** 2)
         worst = max(worst, float(np.max(np.abs(lhs - rhs))))
     criterion("criterion 4 (lee norm identity)", worst < 1e-10,
               f"max | |theta|^2 - lam (sigma1^2 + sigma2^2) | = {worst:.3e} "

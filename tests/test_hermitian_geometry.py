@@ -1,18 +1,22 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from ktflow.errors import (DegenerateTransverseError, NonFiniteFieldError,
                            PositivityError)
-from ktflow.hermitian_geometry import (MetricState, bismut_ricci,
+from ktflow.hermitian_geometry import (MetricSplit, MetricState, bismut_ricci,
                                        bismut_torsion, characteristic_numbers,
                                        inner_1forms, lee_form, metric_split)
-from ktflow.invariant_forms import (J_FRAME, BaseGrid, apply_J, basis_form,
-                                    coframe, exterior_d, random_band_limited,
-                                    wedge)
+from ktflow.invariant_forms import (MULTI_INDEX, BaseGrid, InvariantForm,
+                                    apply_J, basis_form, coframe, exterior_d,
+                                    function_form, random_band_limited,
+                                    random_form, wedge)
 
-from oracles import (homogeneous_scalar, koszul_fd_lowered,
-                     left_invariant_curvature, metric_matrix,
-                     moving_frame_curvature)
+from oracles import (JMAT, contraction_split, homogeneous_scalar,
+                     koszul_fd_lowered, left_invariant_curvature,
+                     metric_matrix, metric_tensor, moving_frame_curvature,
+                     wedge_lee_form)
 
 RHO_COMPONENT_ORDER = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
 
@@ -75,17 +79,24 @@ def test_omega_coefficients(grid8):
 
 
 def test_metric_tensor_matches_hand_matrix(grid8, rng):
+    # the hand matrix is g(E_i, E_j) = -omega(J E_i, E_j) of the state's omega,
+    # and inner_1forms on the coframe is its inverse
     for _ in range(5):
         u0, lam0 = np.exp(0.4 * rng.normal(size=2))
         r = 0.7 * np.sqrt(u0 * lam0) * rng.random()
         ang = 2 * np.pi * rng.random()
         p0, q0 = r * np.cos(ang), r * np.sin(ang)
         m = MetricState.constant(grid8, u0, lam0, p0, q0)
-        g = m.metric_tensor()
-        assert np.max(np.abs(g[0, 0] - metric_matrix(u0, lam0, p0, q0))) < 1e-14
-        gi = m.metric_inverse()
-        prod = np.einsum("...ij,...jk->...ik", g, gi)
-        assert np.max(np.abs(prod - np.eye(4))) < 1e-13
+        g = metric_tensor(m)[0, 0]
+        assert np.max(np.abs(g - metric_matrix(u0, lam0, p0, q0))) < 1e-14
+        om = np.zeros((4, 4))
+        for pos, (i, j) in enumerate(MULTI_INDEX[2]):
+            om[i, j] = m.omega().coeffs[pos][0, 0]
+            om[j, i] = -om[i, j]
+        assert np.max(np.abs(g + JMAT.T @ om)) < 1e-14
+        gi = np.array([[inner_1forms(m, coframe(grid8, i), coframe(grid8, j))[0, 0]
+                        for j in range(4)] for i in range(4)])
+        assert np.max(np.abs(g @ gi - np.eye(4))) < 1e-13
 
 
 def test_split_of_standard_state(grid8):
@@ -120,7 +131,7 @@ def test_split_identities_random(grid32, rng):
         assert exterior_d(sp.omega_check).max_abs() < 1e-12
         assert (exterior_d(sp.mu1) - sp.omega_check * sp.sigma1).max_abs() < 1e-12
         assert (exterior_d(sp.mu2) - sp.omega_check * sp.sigma2).max_abs() < 1e-12
-        rebuilt = sp.omega_check + wedge(sp.mu1, sp.mu2) * sp.lam
+        rebuilt = sp.omega_check + wedge(sp.mu1, sp.mu2) * m.lam
         assert (m.omega() - rebuilt).max_abs() < 1e-13
         for mu in (sp.mu1, sp.mu2):
             dmu = exterior_d(mu)
@@ -152,8 +163,46 @@ def test_lee_formula_on_pluriclosed_states(grid32, rng):
     for _ in range(8):
         m = random_state(grid32, rng, lam_const=True)
         sp = metric_split(m)
-        formula = sp.mu2 * (sp.lam * sp.sigma1) + sp.mu1 * (-sp.lam * sp.sigma2)
-        assert (sp.theta - formula).max_abs() < 1e-12
+        formula = sp.mu2 * (m.lam * sp.sigma1) + sp.mu1 * (-m.lam * sp.sigma2)
+        assert (m.theta - formula).max_abs() < 1e-12
+
+
+def test_lee_formula_with_varying_lam_converges_spectrally(rng):
+    # on every state theta = lam (sigma1 mu2 - sigma2 mu1) + d log lam; log lam
+    # is not band-limited, so on a varying-lam state the gap is a spectral
+    # tail that must collapse with n
+    seed = rng.integers(1 << 30)      # the same state at every n
+    gaps = []
+    for n in (16, 32, 64):
+        grid = BaseGrid(n)
+        m = random_state(grid, np.random.default_rng(seed))
+        sp = m.split
+        d_log_lam = exterior_d(function_form(grid, np.log(m.lam)))
+        formula = sp.mu2 * (m.lam * sp.sigma1) - sp.mu1 * (m.lam * sp.sigma2)
+        gaps.append((m.theta - formula - d_log_lam).max_abs())
+    assert gaps[0] / gaps[1] > 100.0
+    assert gaps[1] / gaps[2] > 100.0
+    assert gaps[2] < 1e-12
+
+
+def test_closed_forms_match_oracles(rng):
+    # lam varies: the closed forms against the wedge solve of the Lee form,
+    # the contraction split and the inverse of the hand metric matrix
+    for n in (16, 32, 64):
+        grid = BaseGrid(n)
+        for _ in range(3):
+            m = random_state(grid, rng)
+            assert (lee_form(m) - wedge_lee_form(m)).max_abs() < 1e-13
+            sp, ref = metric_split(m), contraction_split(m)
+            for field in fields(MetricSplit):
+                gap = getattr(sp, field.name) - ref[field.name]
+                if isinstance(gap, InvariantForm):
+                    gap = gap.coeffs
+                assert np.max(np.abs(gap)) < 1e-13, field.name
+            alpha, beta = random_form(grid, rng, 1), random_form(grid, rng, 1)
+            g_inv = np.linalg.inv(metric_tensor(m))
+            expected = np.einsum("ixy,xyij,jxy->xy", alpha.coeffs, g_inv, beta.coeffs)
+            assert np.max(np.abs(inner_1forms(m, alpha, beta) - expected)) < 1e-13
 
 
 def test_torsion_standard_and_closure(grid32, rng):
@@ -172,12 +221,12 @@ def test_orthonormal_frame_properties(grid32, rng):
     for _ in range(6):
         m = random_state(grid32, rng)
         frame = moving_frame_curvature(m)["frame"]
-        g = m.metric_tensor()
+        g = metric_tensor(m)
         gram = np.einsum("aixy,xyij,bjxy->abxy", frame, g, frame)
         assert np.max(np.abs(gram - np.eye(4)[:, :, None, None])) < 1e-12
         # J-adapted: J F0 = F1 and J F2 = F3
-        jf0 = np.einsum("ki,ixy->kxy", J_FRAME, frame[0])
-        jf2 = np.einsum("ki,ixy->kxy", J_FRAME, frame[2])
+        jf0 = np.einsum("ki,ixy->kxy", JMAT, frame[0])
+        jf2 = np.einsum("ki,ixy->kxy", JMAT, frame[2])
         assert np.max(np.abs(jf0 - frame[1])) < 1e-12
         assert np.max(np.abs(jf2 - frame[3])) < 1e-12
 
@@ -311,7 +360,7 @@ def test_connection_form_norms(grid32, rng):
     for _ in range(6):
         m = random_state(grid32, rng)
         sp = metric_split(m)
-        inv_lam = 1.0 / sp.lam
+        inv_lam = 1.0 / m.lam
         assert np.max(np.abs(inner_1forms(m, sp.mu1, sp.mu1) - inv_lam)) < 1e-12
         assert np.max(np.abs(inner_1forms(m, sp.mu2, sp.mu2) - inv_lam)) < 1e-12
         assert np.max(np.abs(inner_1forms(m, sp.mu1, sp.mu2))) < 1e-12
