@@ -235,6 +235,7 @@ def identity_battery(n=32, samples=50, seed=2024):
     from .hermitian_geometry import bismut_torsion, inner_1forms
     from .invariant_forms import (BaseGrid, apply_J, base_integral, basis_form,
                                   coframe, exterior_d, random_form, wedge)
+    from .vaisman_toolkit import potential_residual
 
     grid = BaseGrid(n)
     rng = np.random.default_rng(seed + 1)
@@ -299,9 +300,7 @@ def identity_battery(n=32, samples=50, seed=2024):
             nsq - m.lam * (sp.sigma1 ** 2 + sp.sigma2 ** 2)))))
         torsion = max(torsion, exterior_d(bismut_torsion(m)).max_abs())
         if family in ("constant", "csc_seed"):
-            jtheta = apply_J(theta)
-            residual = (omega * nsq - wedge(theta, jtheta) + exterior_d(jtheta))
-            potential = max(potential, residual.max_abs())
+            potential = max(potential, potential_residual(m))
         if family in ("csc_seed", "noncsc_seed"):
             pkg = m.curvature
             ricci = max(ricci, (pkg.rho - sp.omega_check * pkg.s).max_abs())
@@ -311,9 +310,9 @@ def identity_battery(n=32, samples=50, seed=2024):
     items.append(BatteryItem("second curvature ratio", ratio2, 1e-12))
     items.append(BatteryItem("curvature forms j-invariant", jinv, 1e-12))
     items.append(BatteryItem("state reassembly", reass, 1e-12))
-    items.append(BatteryItem("characteristic numbers", chars, 1e-10))
+    items.append(BatteryItem("characteristic numbers", chars, 1e-12))
     items.append(BatteryItem("lee form defining property", lee_def, 1e-12))
-    items.append(BatteryItem("lee form formula", lee, 1e-8))
+    items.append(BatteryItem("lee form formula", lee, 1e-12))
     items.append(BatteryItem("lee norm identity", norm, 1e-10))
     items.append(BatteryItem("torsion closure", torsion, 1e-12))
     items.append(BatteryItem("potential identity", potential, 1e-12))
@@ -392,9 +391,10 @@ def emit_snapshot(m, path):
         "p": m.p.tolist(),
         "q": m.q.tolist(),
     }
+    text = json.dumps(payload)  # one C-encoder pass; json.dump streams in Python
     try:
         with open(path, "w") as fh:
-            json.dump(payload, fh)
+            fh.write(text)
             fh.write("\n")
     except OSError as exc:
         raise ConfigError(f"cannot write snapshot {path!r}: {exc}") from exc

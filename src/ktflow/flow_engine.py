@@ -1,19 +1,27 @@
 """Method-of-lines integration of the metric flow d/dt omega = -rho^(1,1).
 
 The right-hand side is the J-invariant part of the Bismut Ricci form with a
-minus sign; since it is again an invariant (1,1)-form it decomposes in the
-same four-coefficient basis as the metric state, and the flow reduces to a
-coupled parabolic system for (u, lam, p, q) on the base grid.  Classical
-RK4 with a parabolic step bound keeps the integrator auditable at desk
-scale.  Positivity is enforced, never restored: a step that leaves the
-positive cone is rejected, and non-finite values abort the run.
+minus sign.  On invariant states rho = d alpha with alpha = J(theta -
+(1/2) d log D), D = u lam - p^2 - q^2, and alpha's coefficients depend on
+the base only, so -rho^(1,1) has no e3^e4 term: lam is frozen by
+construction, and the flow is a parabolic system for (u, p, q) on the base
+grid.  Its velocity is a closed form (hermitian_geometry.flow_velocity),
+cached on each state as m.velocity, which the trace records share with the
+next step's first stage.  Classical RK4 with a parabolic step bound keeps
+the integrator auditable at desk scale.  Positivity is enforced, never
+restored: a step that leaves the positive cone is rejected, and non-finite
+values abort the run.
+
+Two identities put the record path on the same velocity: the curvature
+scalar is s = -d/dt log D, and the torsion derivative is d H = -(lam_xx +
+lam_yy) e1^e2^e3^e4, so the pluriclosed defect is a measured max |lap lam|.
 
 Each recorded row carries the conservation diagnostics that the splitting
 calculus predicts: the fiber part of the state velocity (exactly zero at
 instants where lam, sigma_1, sigma_2 are constant), drift of the connection
 forms, drift of the characteristic numbers, the mean-sigma_1 logarithmic
 ODE residual |d/dt mean(sigma_1) - mean(sigma_1) mean(s)|, and the pairing
-residual |g(d/dt mu_1, mu_1) + lam'/(2 lam^2)|.
+residual |g(d/dt mu_1, mu_1) + lam'/(2 lam^2)|, where lam' = 0.
 """
 
 from __future__ import annotations
@@ -30,7 +38,8 @@ from .errors import (
     PositivityError,
     StepRejected,
 )
-from .hermitian_geometry import MetricState, characteristic_numbers, inner_1forms
+from .hermitian_geometry import (MetricState, characteristic_numbers, inner_1forms,
+                                 scalar_curvature)
 from .invariant_forms import form_from, wedge
 from .vaisman_toolkit import assess
 
@@ -100,43 +109,17 @@ class FlowTrace:
 
 
 def flow_rhs(m):
-    """The 2-form -rho^(1,1) driving the flow."""
-    return -1.0 * m.curvature.rho11
-
-
-DECOMPOSITION_TOL = 1e-12
-
-
-def coefficient_velocity(rhs):
-    """Coefficient fields (du, dlam, dp, dq)/dt of a J-invariant 2-form.
-
-    The (1,1) basis pins c(e1^e3) = c(e2^e4) and c(e1^e4) = -c(e2^e3); the
-    residual of those pairings is returned alongside and must stay below
-    1e-12 for a genuine flow velocity.
-    """
-    c = rhs.coeffs
-    residual = max(float(np.max(np.abs(c[1] - c[4]))), float(np.max(np.abs(c[2] + c[3]))))
-    vel = np.stack((c[0], c[5], 0.5 * (c[1] + c[4]), 0.5 * (c[2] - c[3])))
-    return vel, residual
-
-
-def _velocity(m):
-    """State-space velocity (4, n, n) ordered (u, lam, p, q)."""
-    vel, residual = coefficient_velocity(flow_rhs(m))
-    if residual > DECOMPOSITION_TOL:
-        raise NumericalAbort(
-            f"flow velocity failed the (1,1) decomposition check: {residual:.3e}"
-        )
-    return vel
+    """Velocity (du, dp, dq)/dt of the flow at a state; lam is frozen."""
+    return m.velocity
 
 
 def _shifted(m, vel, factor):
     try:
         return MetricState(m.grid,
                            m.u + factor * vel[0],
-                           m.lam + factor * vel[1],
-                           m.p + factor * vel[2],
-                           m.q + factor * vel[3])
+                           m.lam,
+                           m.p + factor * vel[1],
+                           m.q + factor * vel[2])
     except NonFiniteFieldError as exc:
         raise NumericalAbort(f"non-finite state during a step: {exc}") from exc
 
@@ -148,10 +131,10 @@ def step(m, dt):
     run() enforces it per step.
     """
     try:
-        k1 = _velocity(m)
-        k2 = _velocity(_shifted(m, k1, 0.5 * dt))
-        k3 = _velocity(_shifted(m, k2, 0.5 * dt))
-        k4 = _velocity(_shifted(m, k3, dt))
+        k1 = flow_rhs(m)
+        k2 = flow_rhs(_shifted(m, k1, 0.5 * dt))
+        k3 = flow_rhs(_shifted(m, k2, 0.5 * dt))
+        k4 = flow_rhs(_shifted(m, k3, dt))
         out = _shifted(m, k1 + 2.0 * (k2 + k3) + k4, dt / 6.0)
     except PositivityError as exc:
         margin = m.positivity_margin()
@@ -175,29 +158,6 @@ def _cfl_bound(m, cfg):
     return cfg.cfl_safety * h2 * min(float(m.u.min()), float(m.lam.min()))
 
 
-def _mu_velocities(m, vel):
-    """Time derivatives of the connection forms induced by a state velocity.
-
-    mu_1 carries the shift fields (q/lam, p/lam) against e1, e2, and mu_2 is
-    its J-image; their velocities follow by the quotient rule from the
-    coefficient velocities, with no finite-difference error.
-    """
-    _, dlam, dp, dq = vel
-    inv = 1.0 / m.lam
-    da = (dq - m.q * inv * dlam) * inv           # d/dt (q/lam)
-    db = (dp - m.p * inv * dlam) * inv           # d/dt (p/lam)
-    mu1_dot = form_from(m.grid, 1, {(0,): da, (1,): db})
-    mu2_dot = form_from(m.grid, 1, {(0,): -db, (1,): da})
-    return mu1_dot, mu2_dot
-
-
-def _fiber_velocity(m, split, vel):
-    """d/dt (lam mu1^mu2) evaluated from the instantaneous state velocity."""
-    mu1_dot, mu2_dot = _mu_velocities(m, vel)
-    return (wedge(split.mu1, split.mu2) * vel[1]
-            + (wedge(mu1_dot, split.mu2) + wedge(split.mu1, mu2_dot)) * m.lam)
-
-
 def sigma1_ode_residual_instant(m, h=1e-5):
     """Pointwise residual of d/dt sigma_1 = sigma_1 s at the given state.
 
@@ -206,11 +166,11 @@ def sigma1_ode_residual_instant(m, h=1e-5):
     carries no time-integration error; h = 1e-5 balances the O(h^2)
     truncation against roundoff at desk scale.
     """
-    vel = _velocity(m)
+    vel = m.velocity
     plus = _shifted(m, vel, h).split
     minus = _shifted(m, vel, -h).split
     rate = (plus.sigma1 - minus.sigma1) / (2.0 * h)
-    return float(np.max(np.abs(rate - m.split.sigma1 * m.curvature.s)))
+    return float(np.max(np.abs(rate - m.split.sigma1 * scalar_curvature(m))))
 
 
 def run(m0, cfg):
@@ -241,10 +201,16 @@ def run(m0, cfg):
     def record(m, t_now):
         nonlocal prev_fiber, prev_t
         split = m.split
-        pkg = m.curvature
+        vel = m.velocity
+        s = scalar_curvature(m)
         report = assess(m, cfg.vaisman_tol)
-        vel, _ = coefficient_velocity(-1.0 * pkg.rho11)
-        fiber_vel = _fiber_velocity(m, split, vel)
+        # mu1 = (q/lam) e1 + (p/lam) e2 + e3 and mu2 = J mu1 move with
+        # (q', p')/lam, since lam' = 0; fiber_vel is d/dt (lam mu1^mu2)
+        inv = 1.0 / m.lam
+        da, db = vel[2] * inv, vel[1] * inv
+        mu1_dot = form_from(m.grid, 1, {(0,): da, (1,): db})
+        mu2_dot = form_from(m.grid, 1, {(0,): -db, (1,): da})
+        fiber_vel = (wedge(mu1_dot, split.mu2) + wedge(split.mu1, mu2_dot)) * m.lam
         fiber = wedge(split.mu1, split.mu2) * m.lam
         if prev_fiber is None:
             fd = 0.0  # first record has no predecessor
@@ -254,9 +220,8 @@ def run(m0, cfg):
         mu_drift = max((split.mu1 - initial_split.mu1).max_abs(),
                        (split.mu2 - initial_split.mu2).max_abs())
         char1, char2 = characteristic_numbers(split)
-        mu1_dot, _ = _mu_velocities(m, vel)
         pairing = inner_1forms(m, mu1_dot, split.mu1)
-        lam_rel = float(np.max(np.abs(pairing + 0.5 * vel[1] / (m.lam * m.lam))))
+        lam_rel = float(np.max(np.abs(pairing)))  # lam' = 0
         row = {
             "t": t_now,
             "lambda_mean": float(np.mean(m.lam)),
@@ -265,8 +230,8 @@ def run(m0, cfg):
             "sigma1_var": float(np.var(split.sigma1)),
             "sigma2_mean": float(np.mean(split.sigma2)),
             "sigma2_var": float(np.var(split.sigma2)),
-            "s_mean": float(np.mean(pkg.s)),
-            "s_var": float(np.var(pkg.s)),
+            "s_mean": float(np.mean(s)),
+            "s_var": report.s_variance,
             "pluriclosed_defect": report.pluriclosed_defect,
             "lck_defect": report.lck_defect,
             "vaisman_defect": report.vaisman_defect,

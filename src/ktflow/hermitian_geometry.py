@@ -25,11 +25,12 @@ shift (a, b) = (q/lam, p/lam) and the transverse area w = D/lam:
     with x(F1) = x1 - a x3 + b x4 and x(F2) = x2 - b x3 - a x4.
 
 A state's derived data is a property of the state, computed once on first
-access: m.theta = lee_form(m), m.split = metric_split(m) and
-m.curvature = bismut_ricci(m).  The functions stay the definitions; the
-split and theta do not read each other, and the curvature reads m.theta.
-The torsion 3-form is not part of the curvature package, since the flow
-never reads it; bismut_torsion(m) computes it where a defect needs it.
+access: m.theta = lee_form(m), m.split = metric_split(m),
+m.curvature = bismut_ricci(m) and m.velocity = flow_velocity(m).  The
+functions stay the definitions; the split, theta and the velocity do not
+read each other, and the curvature reads m.theta.  The torsion 3-form is
+not part of the curvature package; bismut_torsion(m) computes it where the
+identity battery needs it.
 
 Sign conventions, fixed once and verified by the test oracles:
 
@@ -57,6 +58,13 @@ converges to the closed form spectrally in the grid resolution.
 With these choices the standard state (u = lam = 1, p = q = 0) has
 rho = -e1^e2 and s = -1; it is a constant-curvature state but not a
 Bismut-Ricci-flat one, and the flow in flow_engine expands its base.
+
+The flow d omega/dt = -rho^(1,1) needs only part of this.  rho = d alpha
+with alpha = J (theta - (1/2) d log D), D = u lam - p^2 - q^2, and the
+coefficients of alpha depend on the base only, so rho has no e3^e4 term:
+lam is frozen by construction, and flow_velocity returns (du, dp, dq)/dt
+with no 2-form built.  Along the flow s = -d/dt log D (scalar_curvature),
+and on every state d H = -(lam_xx + lam_yy) e1^e2^e3^e4.
 """
 
 from __future__ import annotations
@@ -142,9 +150,6 @@ class MetricState:
                          np.max(np.abs(self.p - other.p)),
                          np.max(np.abs(self.q - other.q))))
 
-    def copy(self):
-        return MetricState(self.grid, self.u, self.lam, self.p, self.q)
-
     @cached_property
     def theta(self):
         return lee_form(self)
@@ -156,6 +161,10 @@ class MetricState:
     @cached_property
     def curvature(self):
         return bismut_ricci(self)
+
+    @cached_property
+    def velocity(self):
+        return flow_velocity(self)
 
 
 @dataclass(frozen=True, eq=False)
@@ -205,6 +214,19 @@ def metric_split(m):
                        w_check=w)
 
 
+def _lee_coefficients(m, partials, D):
+    """theta's coefficients from the base partials of (lam, p, q) and D."""
+    u, lam, p, q = m.u, m.lam, m.p, m.q
+    (lam_x, p_x, q_x), (lam_y, p_y, q_y) = partials
+    A = -(p_y + q_x)
+    B = p_x - q_y - lam
+    theta = np.stack((u * lam_x - p * B + q * A,
+                      u * lam_y + q * B + p * A,
+                      q * lam_x + p * lam_y + lam * A,
+                      q * lam_y - p * lam_x + lam * B))
+    return theta / D
+
+
 def lee_form(m):
     """Lee form of a state, the unique theta with theta ^ omega = d(omega).
 
@@ -213,15 +235,8 @@ def lee_form(m):
     whose inverse is omega's own coefficient matrix over its Pfaffian D.
     """
     m.require_positive()
-    u, lam, p, q = m.u, m.lam, m.p, m.q
-    (lam_x, p_x, q_x), (lam_y, p_y, q_y) = m.grid.derivative(np.stack((lam, p, q)))
-    A = -(p_y + q_x)
-    B = p_x - q_y - lam
-    theta = np.stack((u * lam_x - p * B + q * A,
-                      u * lam_y + q * B + p * A,
-                      q * lam_x + p * lam_y + lam * A,
-                      q * lam_y - p * lam_x + lam * B))
-    return InvariantForm(m.grid, 1, theta / m.determinant_margin())
+    partials = m.grid.derivative(np.stack((m.lam, m.p, m.q)))
+    return InvariantForm(m.grid, 1, _lee_coefficients(m, partials, m.determinant_margin()))
 
 
 def bismut_torsion(m):
@@ -257,6 +272,34 @@ def bismut_ricci(m):
     s = (2.0 * _top_coefficient(wedge(rho, omega))
          / _top_coefficient(wedge(omega, omega)))
     return CurvaturePackage(rho=rho, rho11=p11_projection(rho), s=s)
+
+
+def flow_velocity(m):
+    """Velocity (du, dp, dq)/dt of d omega/dt = -rho^(1,1), stacked (3, n, n).
+
+    One transform of (lam, p, q, log D) gives alpha = J (theta - (1/2) d log D)
+    and one more gives -rho^(1,1) = -(d alpha)^(1,1) (BaseGrid.d11), whose
+    e3^e4 coefficient, the velocity of lam, vanishes identically.
+    """
+    m.require_positive()  # first: positivity before the log
+    D = m.determinant_margin()
+    partials = m.grid.derivative(np.stack((m.lam, m.p, m.q, np.log(D))))
+    t1, t2, t3, t4 = _lee_coefficients(m, partials[:, :3], D)
+    log_x, log_y = partials[:, 3]
+    b1 = t1 - 0.5 * log_x
+    b2 = t2 - 0.5 * log_y
+    return -m.grid.d11(np.stack((-b2, b1, -t4, t3)))  # alpha = J b
+
+
+def scalar_curvature(m):
+    """Bismut scalar s = -d/dt log D, from the state's velocity.
+
+    In s = 2 (rho ^ omega) / (omega ^ omega) only rho^(1,1) = -d omega/dt
+    pairs with omega, and omega ^ omega = 2 D e1^e2^e3^e4, so s = -D'/D with
+    D' = lam u' - 2 p p' - 2 q q'; it equals bismut_ricci(m).s to rounding.
+    """
+    du, dp, dq = m.velocity
+    return -(m.lam * du - 2.0 * (m.p * dp + m.q * dq)) / m.determinant_margin()
 
 
 def characteristic_numbers(split):

@@ -152,6 +152,22 @@ class BaseGrid:
         ikx, iky = self._ik
         return np.fft.irfft2(np.stack((spec * ikx, spec * iky)), s=(self.n, self.n))
 
+    def d11(self, alpha):
+        """(1,1) part of d alpha for the coefficients (a1, a2, a3, a4) of a 1-form.
+
+        It is c12 e1^e2 + c13 (e1^e3 + e2^e4) + c14 (e1^e4 - e2^e3) with no
+        e3^e4 term; returns (c12, c13, c14) = (a2_x - a1_y - a3, (a3_x +
+        a4_y)/2, (a4_x - a3_y)/2), combined in spectral space between one
+        rfft2 and one irfft2, with the Nyquist convention of derivative().
+        """
+        alpha = self.check_field(alpha, "1-form coefficients")
+        a1, a2, a3, a4 = np.fft.rfft2(alpha)
+        ikx, iky = self._ik
+        spec = np.stack((ikx * a2 - iky * a1 - a3,
+                         0.5 * (ikx * a3 + iky * a4),
+                         0.5 * (ikx * a4 - iky * a3)))
+        return np.fft.irfft2(spec, s=(self.n, self.n))
+
     def poisson(self, rhs):
         """Solve lap(psi) = rhs for the zero-mean psi; rhs must have zero mean."""
         rhs = self.check_field(rhs, "Poisson right-hand side")

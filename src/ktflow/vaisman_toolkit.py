@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PositivityError
-from .hermitian_geometry import MetricState, bismut_torsion, inner_1forms
+from .hermitian_geometry import MetricState, inner_1forms, scalar_curvature
 from .invariant_forms import apply_J, base_integral, exterior_d, wedge
 
 
@@ -28,10 +28,9 @@ from .invariant_forms import apply_J, base_integral, exterior_d, wedge
 class DefectReport:
     """Nonnegative defect functionals of one metric state."""
 
-    pluriclosed_defect: float    # max |d H|
+    pluriclosed_defect: float    # max |d H| = max |lam_xx + lam_yy|
     lck_defect: float            # max |d theta|
     vaisman_defect: float        # Var(lam) + Var(sigma1) + Var(sigma2)
-    potential_residual: float    # max | |theta|^2 omega - theta^J theta + d J theta |
     s_variance: float            # Var(s): the constant-curvature defect
     is_vaisman: bool
 
@@ -41,23 +40,32 @@ def _variance(field):
 
 
 def assess(m, tol=1e-8):
-    """Full defect report of a metric state, from its cached split and curvature."""
+    """Defect report of a metric state, from its cached split, Lee form and velocity.
+
+    d H = -(lam_xx + lam_yy) e1^e2^e3^e4 for the torsion H of any state, so
+    the pluriclosed defect needs lam's Laplacian only; s is the flow's
+    s = -d/dt log D.
+    """
     split = m.split
-    pluriclosed = exterior_d(bismut_torsion(m)).max_abs()
-    theta = m.theta
-    lck = exterior_d(theta).max_abs()
+    lam_x, lam_y = m.grid.derivative(m.lam)
+    (lam_xx, _), (_, lam_yy) = m.grid.derivative(np.stack((lam_x, lam_y)))
+    lck = exterior_d(m.theta).max_abs()
     vaisman = _variance(m.lam) + _variance(split.sigma1) + _variance(split.sigma2)
-    potential = (m.omega() * inner_1forms(m, theta, theta)
-                 - wedge(theta, apply_J(theta))
-                 + exterior_d(apply_J(theta))).max_abs()
     return DefectReport(
-        pluriclosed_defect=float(pluriclosed),
+        pluriclosed_defect=float(np.max(np.abs(lam_xx + lam_yy))),
         lck_defect=float(lck),
         vaisman_defect=float(vaisman),
-        potential_residual=float(potential),
-        s_variance=_variance(m.curvature.s),
+        s_variance=_variance(scalar_curvature(m)),
         is_vaisman=bool(vaisman < tol),
     )
+
+
+def potential_residual(m):
+    """Residual max | |theta|^2 omega - theta ^ J theta + d J theta | of the potential identity."""
+    theta = m.theta
+    jtheta = apply_J(theta)
+    return (m.omega() * inner_1forms(m, theta, theta)
+            - wedge(theta, jtheta) + exterior_d(jtheta)).max_abs()
 
 
 def make_standard_vaisman(grid, scale=1.0):

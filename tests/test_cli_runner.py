@@ -1,5 +1,6 @@
 """Config grammar, identity battery, emission formats, exit codes."""
 
+import io
 import json
 import os
 
@@ -13,7 +14,8 @@ from ktflow.cli_runner import (ExperimentConfig, emit_csv, emit_snapshot,
                                _apply_thread_env)
 from ktflow.errors import ConfigError
 from ktflow.flow_engine import FlowConfig, run
-from ktflow.invariant_forms import BaseGrid
+from ktflow.hermitian_geometry import MetricState
+from ktflow.invariant_forms import CONVENTIONS_VERSION, BaseGrid
 from ktflow.vaisman_toolkit import make_noncsc_vaisman, make_standard_vaisman
 
 
@@ -151,6 +153,24 @@ def test_snapshot_round_trip_bit_exact(tmp_path):
     # grid reconstructed from the payload when not supplied
     again = load_snapshot(str(path))
     assert again.grid.n == 16 and m.max_difference(again) == 0.0
+
+
+def test_snapshot_bytes_match_streaming_encoder(tmp_path):
+    # the one-shot C encoder writes what json.dump's streaming Python encoder
+    # writes, down to signed zeros, subnormals and the largest float
+    grid = BaseGrid(8)
+    rng = np.random.default_rng(7)
+    awkward = rng.normal(size=(8, 8)) * 10.0 ** rng.integers(-300, 300, size=(8, 8))
+    awkward.flat[:5] = (-0.0, 5e-324, 1.7976931348623157e308, 0.1, 1e16)
+    m = MetricState(grid, awkward, 1.0 / 3.0, rng.random((8, 8)), -awkward)
+    path = tmp_path / "state.json"
+    emit_snapshot(m, str(path))
+    streamed = io.StringIO()
+    json.dump({"format": "ktflow-state", "conventions": CONVENTIONS_VERSION,
+               "n": 8, "u": m.u.tolist(), "lam": m.lam.tolist(),
+               "p": m.p.tolist(), "q": m.q.tolist()}, streamed)
+    streamed.write("\n")
+    assert path.read_text() == streamed.getvalue()
 
 
 def test_snapshot_guards(tmp_path):

@@ -8,25 +8,30 @@ import ktflow.hermitian_geometry as hermitian_geometry
 from ktflow.errors import (ConfigError, KTError, NumericalAbort,
                            StepRejected)
 from ktflow.flow_engine import (FlowConfig, FlowTrace, TRACE_COLUMNS,
-                                coefficient_velocity, conservation_monitors,
-                                flow_rhs, run, sigma1_ode_residual_instant,
-                                step)
-from ktflow.hermitian_geometry import MetricState
-from ktflow.invariant_forms import basis_form, form_from
-from ktflow.vaisman_toolkit import make_noncsc_vaisman, make_standard_vaisman
+                                conservation_monitors, flow_rhs, run,
+                                sigma1_ode_residual_instant, step)
+from ktflow.hermitian_geometry import (MetricState, bismut_ricci,
+                                       bismut_torsion, scalar_curvature)
+from ktflow.invariant_forms import (BaseGrid, exterior_d, form_from,
+                                    p11_projection, random_band_limited)
+from ktflow.vaisman_toolkit import (assess, make_noncsc_vaisman,
+                                    make_standard_vaisman)
+
+from oracles import coefficient_velocity
 
 
 def test_flow_rhs_standard(grid16):
     m = make_standard_vaisman(grid16, 1.0)
-    assert (flow_rhs(m) - basis_form(grid16, (0, 1))).max_abs() == 0.0
+    assert flow_rhs(m).shape == (3, 16, 16)
+    assert np.max(np.abs(flow_rhs(m) - np.array([1.0, 0.0, 0.0])[:, None, None])) == 0.0
     # scale 2: rho = s omega_check = -(1/4)(2 e1^e2)
     m2 = make_standard_vaisman(grid16, 2.0)
-    assert (flow_rhs(m2) - 0.5 * basis_form(grid16, (0, 1))).max_abs() < 1e-14
+    assert np.max(np.abs(flow_rhs(m2) - np.array([0.5, 0.0, 0.0])[:, None, None])) < 1e-14
 
 
 def test_coefficient_velocity_reconstruction(grid32, rng):
     m = make_noncsc_vaisman(grid32, 0.2, mode=(2, 1))
-    rhs = flow_rhs(m)
+    rhs = -1.0 * bismut_ricci(m).rho11
     vel, residual = coefficient_velocity(rhs)
     assert residual < 1e-12
     du, dlam, dp, dq = vel
@@ -42,6 +47,26 @@ def test_coefficient_velocity_reports_broken_pairing(grid16):
     bad = form_from(grid16, 2, {(0, 2): grid16.constant(1.0)})
     _, residual = coefficient_velocity(bad)
     assert residual == 1.0
+
+
+def test_velocity_matches_ricci_oracle(rng):
+    # varying lam: the closed-form velocity, the scalar s = -d/dt log D and
+    # the defect max |lap lam| against the Bismut package and the torsion
+    for n in (16, 32, 64):
+        grid = BaseGrid(n)
+        for _ in range(3):
+            u, lam = (1.0 + 0.3 * random_band_limited(grid, rng) for _ in range(2))
+            p, q = (0.2 * random_band_limited(grid, rng) for _ in range(2))
+            m = MetricState(grid, u, lam, p, q)
+            pkg = bismut_ricci(m)
+            vel, residual = coefficient_velocity(-1.0 * p11_projection(pkg.rho))
+            assert residual < 1e-13
+            assert np.max(np.abs(vel[1])) < 1e-13
+            assert np.max(np.abs(vel[[0, 2, 3]] - m.velocity)) < 1e-13
+            s_gap = np.max(np.abs(scalar_curvature(m) - pkg.s))
+            assert s_gap < 1e-13 * np.max(np.abs(pkg.s))
+            torsion = exterior_d(bismut_torsion(m)).max_abs()
+            assert abs(assess(m).pluriclosed_defect - torsion) < 1e-13
 
 
 def test_flow_config_validation():
@@ -78,8 +103,8 @@ def test_step_rejects_positivity_loss(grid32):
 
 def test_step_aborts_on_nonfinite_velocity(grid16, monkeypatch):
     m = make_standard_vaisman(grid16, 1.0)
-    bad = np.full((4, grid16.n, grid16.n), np.nan)
-    monkeypatch.setattr(flow_engine, "_velocity", lambda state: bad)
+    bad = np.full((3, grid16.n, grid16.n), np.nan)
+    monkeypatch.setattr(flow_engine, "flow_rhs", lambda state: bad)
     with pytest.raises(NumericalAbort):
         step(m, 1e-4)
 
@@ -104,25 +129,26 @@ def test_run_enforces_parabolic_bound(grid32):
 def test_run_abort_carries_failure_time(grid16, monkeypatch):
     m = make_standard_vaisman(grid16, 1.0)
     calls = {"k": 0}
-    true_velocity = flow_engine._velocity
+    true_velocity = flow_engine.flow_rhs
 
     def flaky(state):
         calls["k"] += 1
         if calls["k"] > 8:   # fail inside the third step
-            return np.full((4, grid16.n, grid16.n), np.inf)
+            return np.full((3, grid16.n, grid16.n), np.inf)
         return true_velocity(state)
 
-    monkeypatch.setattr(flow_engine, "_velocity", flaky)
+    monkeypatch.setattr(flow_engine, "flow_rhs", flaky)
     with pytest.raises(NumericalAbort) as info:
         run(m, FlowConfig(dt=1e-4, t_end=1e-3, record_every=1))
     assert info.value.t == pytest.approx(2e-4)
 
 
 def test_run_computes_each_state_geometry_once(grid16, monkeypatch):
-    # 5 steps, records at steps 0, 2, 4, 5: 20 stage curvatures plus 4 record
-    # curvatures, less the 3 steps whose k1 starts from a recorded state; the
-    # initial split is the first record's split
-    calls = {"curvature": 0, "split": 0}
+    # 5 steps, records at steps 0, 2, 4, 5: 20 stage velocities plus 4 record
+    # velocities, less the 3 steps whose k1 starts from a recorded state; the
+    # initial split is the first record's split, and the flow path never
+    # builds the Bismut curvature package
+    calls = {"velocity": 0, "split": 0, "curvature": 0}
 
     def counted(name, fn):
         def wrapper(m):
@@ -130,12 +156,12 @@ def test_run_computes_each_state_geometry_once(grid16, monkeypatch):
             return fn(m)
         return wrapper
 
-    monkeypatch.setattr(hermitian_geometry, "bismut_ricci",
-                        counted("curvature", hermitian_geometry.bismut_ricci))
-    monkeypatch.setattr(hermitian_geometry, "metric_split",
-                        counted("split", hermitian_geometry.metric_split))
+    for name, attr in (("velocity", "flow_velocity"), ("split", "metric_split"),
+                       ("curvature", "bismut_ricci")):
+        monkeypatch.setattr(hermitian_geometry, attr,
+                            counted(name, getattr(hermitian_geometry, attr)))
     run(make_noncsc_vaisman(grid16, 0.1), FlowConfig(dt=1e-4, t_end=5e-4, record_every=2))
-    assert calls == {"curvature": 21, "split": 4}
+    assert calls == {"velocity": 21, "split": 4, "curvature": 0}
 
 
 def test_run_trace_structure(grid32):

@@ -7,7 +7,8 @@ from ktflow.errors import PositivityError
 from ktflow.hermitian_geometry import MetricState, metric_split
 from ktflow.invariant_forms import base_integral
 from ktflow.vaisman_toolkit import (assess, basic_class_nontriviality,
-                                    make_noncsc_vaisman, make_standard_vaisman)
+                                    make_noncsc_vaisman, make_standard_vaisman,
+                                    potential_residual)
 
 
 def test_standard_seed_fields(grid32):
@@ -23,13 +24,14 @@ def test_standard_seed_fields(grid32):
 
 def test_standard_seed_is_rigid_vaisman(grid32):
     for scale in (1.0, 0.5, 3.0):
-        rep = assess(make_standard_vaisman(grid32, scale))
+        m = make_standard_vaisman(grid32, scale)
+        rep = assess(m)
         assert rep.is_vaisman
         assert rep.pluriclosed_defect < 1e-13
         assert rep.lck_defect < 1e-13
         assert rep.vaisman_defect < 1e-26
         assert rep.s_variance < 1e-26
-        assert rep.potential_residual < 1e-12
+        assert potential_residual(m) < 1e-12
 
 
 def test_noncsc_seed_exact_splitting(grid32):
