@@ -228,13 +228,20 @@ def _battery_states(grid, samples, seed):
 def identity_battery(n=32, samples=50, seed=2024):
     """All structural identities at resolution n; returns BatteryItem list.
 
-    Randomized states exercise the splitting calculus; the two seed
-    families exercise the curvature identities.
+    Calculus hygiene items come first.  Then randomized states exercise the
+    splitting calculus and the Lee form, and the two seed families the
+    curvature identities.  Each identity is checked along a route other
+    than the one the package computes it by: the closed-form split against
+    the contractions mu1 = -(1/lam) V2 . omega and mu2 = (1/lam) V1 . omega,
+    d(mu_i) = sigma_i omega_check with exterior_d, and theta against
+    theta ^ omega = d omega, whose one d omega per state also gives the
+    torsion H = -J d omega for "torsion closure".
     """
     import numpy as np
-    from .hermitian_geometry import bismut_torsion, inner_1forms
-    from .invariant_forms import (BaseGrid, apply_J, base_integral, basis_form,
-                                  coframe, exterior_d, random_form, wedge)
+    from .hermitian_geometry import inner_1forms
+    from .invariant_forms import (V1, V2, BaseGrid, apply_J, base_integral,
+                                  basis_form, coframe, contract, exterior_d,
+                                  random_form, wedge)
     from .vaisman_toolkit import potential_residual
 
     grid = BaseGrid(n)
@@ -274,22 +281,24 @@ def identity_battery(n=32, samples=50, seed=2024):
     items.append(BatteryItem("wedge graded symmetry", comm, 1e-14))
 
     # one pass over the states; each family feeds the identities that hold on it
-    closed = ratio1 = ratio2 = jinv = reass = chars = lee_def = 0.0
+    contraction = ratio1 = ratio2 = reass = chars = lee_def = 0.0
     lee = norm = torsion = potential = ricci = closed_rho = 0.0
     for family, m in _battery_states(grid, samples, seed):
         sp = m.split
         theta = m.theta
         omega = m.omega()
+        d_omega = exterior_d(omega)
+        inv_lam = 1.0 / m.lam
+        contraction = max(contraction,
+                          (sp.mu1 + contract(V2, omega) * inv_lam).max_abs(),
+                          (sp.mu2 - contract(V1, omega) * inv_lam).max_abs())
         dmu1, dmu2 = exterior_d(sp.mu1), exterior_d(sp.mu2)
-        closed = max(closed, exterior_d(sp.omega_check).max_abs())
         ratio1 = max(ratio1, (dmu1 - sp.omega_check * sp.sigma1).max_abs())
         ratio2 = max(ratio2, (dmu2 - sp.omega_check * sp.sigma2).max_abs())
-        for dmu in (dmu1, dmu2):
-            jinv = max(jinv, (apply_J(dmu) - dmu).max_abs())
         rebuilt = sp.omega_check + wedge(sp.mu1, sp.mu2) * m.lam
         reass = max(reass, (omega - rebuilt).max_abs())
         chars = max(chars, abs(base_integral(dmu1) + 1.0), abs(base_integral(dmu2)))
-        lee_def = max(lee_def, (wedge(theta, omega) - exterior_d(omega)).max_abs())
+        lee_def = max(lee_def, (wedge(theta, omega) - d_omega).max_abs())
         if family == "general":
             continue
         # lam constant from here on
@@ -298,17 +307,16 @@ def identity_battery(n=32, samples=50, seed=2024):
         nsq = inner_1forms(m, theta, theta)
         norm = max(norm, float(np.max(np.abs(
             nsq - m.lam * (sp.sigma1 ** 2 + sp.sigma2 ** 2)))))
-        torsion = max(torsion, exterior_d(bismut_torsion(m)).max_abs())
+        torsion = max(torsion, exterior_d(-1.0 * apply_J(d_omega)).max_abs())
         if family in ("constant", "csc_seed"):
             potential = max(potential, potential_residual(m))
         if family in ("csc_seed", "noncsc_seed"):
             pkg = m.curvature
             ricci = max(ricci, (pkg.rho - sp.omega_check * pkg.s).max_abs())
             closed_rho = max(closed_rho, exterior_d(pkg.rho).max_abs())
-    items.append(BatteryItem("transverse form closed", closed, 1e-12))
+    items.append(BatteryItem("connection forms by contraction", contraction, 1e-12))
     items.append(BatteryItem("first curvature ratio", ratio1, 1e-12))
     items.append(BatteryItem("second curvature ratio", ratio2, 1e-12))
-    items.append(BatteryItem("curvature forms j-invariant", jinv, 1e-12))
     items.append(BatteryItem("state reassembly", reass, 1e-12))
     items.append(BatteryItem("characteristic numbers", chars, 1e-12))
     items.append(BatteryItem("lee form defining property", lee_def, 1e-12))

@@ -29,8 +29,7 @@ access: m.theta = lee_form(m), m.split = metric_split(m),
 m.curvature = bismut_ricci(m) and m.velocity = flow_velocity(m).  The
 functions stay the definitions; the split, theta and the velocity do not
 read each other, and the curvature reads m.theta.  The torsion 3-form is
-not part of the curvature package; bismut_torsion(m) computes it where the
-identity battery needs it.
+not part of the curvature package; bismut_torsion(m) computes it on demand.
 
 Sign conventions, fixed once and verified by the test oracles:
 
@@ -78,7 +77,6 @@ from .errors import DegenerateTransverseError, PositivityError
 from .invariant_forms import (
     InvariantForm,
     apply_J,
-    base_integral,
     exterior_d,
     form_from,
     function_form,
@@ -303,9 +301,13 @@ def scalar_curvature(m):
 
 
 def characteristic_numbers(split):
-    """Base integrals of the curvature 2-forms d(mu1), d(mu2)."""
-    return (base_integral(exterior_d(split.mu1)),
-            base_integral(exterior_d(split.mu2)))
+    """Base integrals of the curvature 2-forms d(mu1), d(mu2).
+
+    d(mu_i) = sigma_i w_check e1^e2, so each integral is the grid mean of
+    sigma_i w_check and needs no transform.
+    """
+    return (float(np.mean(split.sigma1 * split.w_check)),
+            float(np.mean(split.sigma2 * split.w_check)))
 
 
 def inner_1forms(m, alpha, beta):

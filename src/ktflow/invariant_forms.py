@@ -463,18 +463,30 @@ def base_integral(beta):
 def random_band_limited(grid, rng, kmax=2, amplitude=1.0, zero_mean=False):
     """Random smooth field from modes up to kmax per axis, scaled to max-abs.
 
-    Deterministic given the generator state; used by the identity batteries
-    and the randomized tests.
+    The field is sum c cos(phase) + s sin(phase), phase = 2 pi (kx x + ky y),
+    over kx = 0..kmax, ky = -kmax..kmax without the pairs kx = 0, ky <= 0,
+    plus a normal mean unless zero_mean.  Each mode draws (c, s) from the
+    generator in that loop order, then the mean is drawn; the sum is one
+    irfft2 of a half-spectrum holding n^2/2 (c - i s) at (kx, ky) for
+    ky >= 0 and its conjugate at (-kx, -ky) for ky <= 0 (both halves of the
+    ky = 0 column).  Deterministic given the generator state; used by the
+    identity battery and the randomized tests.
     """
-    field = np.zeros((grid.n, grid.n))
-    two_pi = 2.0 * np.pi
-    for kx in range(0, kmax + 1):
-        for ky in range(-kmax, kmax + 1):
-            if kx == 0 and ky <= 0:
-                continue
-            phase = two_pi * (kx * grid.xx + ky * grid.yy)
-            c, s = rng.normal(size=2)
-            field += c * np.cos(phase) + s * np.sin(phase)
+    n = grid.n
+    if not 0 <= 2 * kmax < n:
+        raise GridError(f"kmax = {kmax} needs 0 <= 2 kmax < n = {n}")
+    kx, ky = np.meshgrid(np.arange(kmax + 1), np.arange(-kmax, kmax + 1), indexing="ij")
+    keep = (kx > 0) | (ky > 0)
+    kx, ky = kx[keep], ky[keep]
+    # one call yields the same numbers, in the same order, as one per mode
+    c, s = rng.normal(size=(kx.size, 2)).T
+    coef = 0.5 * n * n * (c - 1j * s)
+    upper, lower = ky >= 0, ky <= 0
+    spec = np.zeros((n, n // 2 + 1), dtype=complex)
+    spec[np.concatenate((kx[upper], -kx[lower])),
+         np.concatenate((ky[upper], -ky[lower]))] = np.concatenate(
+             (coef[upper], coef[lower].conj()))
+    field = np.fft.irfft2(spec, s=(n, n))
     if not zero_mean:
         field += rng.normal()
     peak = np.max(np.abs(field))

@@ -4,7 +4,7 @@ Each oracle is deliberately built along a different code path than the
 package, which computes the split, the Lee form, the inner product of
 1-forms and the Bismut Ricci form
 rho = -(1/2) d J d log(u lam - p^2 - q^2) + d(J theta) in closed form from
-(u, lam, p, q):
+(u, lam, p, q), and its random test fields by spectral synthesis:
 
 * metric_tensor: the hand-written metric matrix g(E_i, E_j) on the grid;
   its pointwise inverse is the reference for inner_1forms.
@@ -17,6 +17,10 @@ rho = -(1/2) d J d log(u lam - p^2 - q^2) + d(J theta) in closed form from
 * wedge_lee_form: the Lee form by wedging d omega = theta ^ omega with
   each coframe vector and solving the 4x4 system through its explicit
   inverse.
+
+* direct_band_limited: the random fields of random_band_limited as a
+  direct sum of cos/sin grid fields, one mode at a time, with the same
+  generator draws; the package synthesizes the same sum with one irfft2.
 
 * coefficient_velocity: the flow velocity as the (u, lam, p, q) coefficients
   of the J-invariant 2-form -p11_projection(rho) built by bismut_ricci,
@@ -128,6 +132,25 @@ def wedge_lee_form(m):
     w = np.einsum("ki,kjxy->ijxy", JMAT, metric_matrix(m.u, m.lam, m.p, m.q))
     theta = np.einsum("ijxy,jxy->ixy", w, r)
     return InvariantForm(m.grid, 1, theta / m.determinant_margin())
+
+
+def direct_band_limited(grid, rng, kmax=2, amplitude=1.0, zero_mean=False):
+    """random_band_limited by summing each mode's cos/sin field on the grid."""
+    field = np.zeros((grid.n, grid.n))
+    two_pi = 2.0 * np.pi
+    for kx in range(0, kmax + 1):
+        for ky in range(-kmax, kmax + 1):
+            if kx == 0 and ky <= 0:
+                continue
+            phase = two_pi * (kx * grid.xx + ky * grid.yy)
+            c, s = rng.normal(size=2)
+            field += c * np.cos(phase) + s * np.sin(phase)
+    if not zero_mean:
+        field += rng.normal()
+    peak = np.max(np.abs(field))
+    if peak > 0:
+        field *= amplitude / peak
+    return field
 
 
 def coefficient_velocity(rhs):

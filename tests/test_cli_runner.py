@@ -3,10 +3,12 @@
 import io
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import ktflow.hermitian_geometry as hermitian_geometry
 from ktflow.cli_runner import (ExperimentConfig, emit_csv, emit_snapshot,
                                identity_battery, load_snapshot,
                                load_trace_csv, main, parse_config,
@@ -15,7 +17,7 @@ from ktflow.cli_runner import (ExperimentConfig, emit_csv, emit_snapshot,
 from ktflow.errors import ConfigError
 from ktflow.flow_engine import FlowConfig, run
 from ktflow.hermitian_geometry import MetricState
-from ktflow.invariant_forms import CONVENTIONS_VERSION, BaseGrid
+from ktflow.invariant_forms import CONVENTIONS_VERSION, BaseGrid, form_from
 from ktflow.vaisman_toolkit import make_noncsc_vaisman, make_standard_vaisman
 
 
@@ -100,6 +102,46 @@ def test_identity_battery_all_green():
         assert item.ok, f"{item.name}: {item.value:.3e} vs {item.bound:.0e}"
         d = item.as_dict()
         assert set(d) == {"name", "max_residual", "bound", "ok"}
+
+
+def test_identity_battery_transform_budget(monkeypatch):
+    # BaseGrid.derivative calls, one per exterior_d or grid.derivative:
+    #   hygiene: exactness 1 + structure equation 1 + 8 pairs x (d a, d d a,
+    #     d(a^b), d a, d b)                                          =  42
+    #   every state: split 1 + theta 1 + d mu1 + d mu2 + d omega 1    =   5
+    #   general            2 states x 5                                =  10
+    #   lam_const          2 x (5 + d H)                               =  12
+    #   constant           4 x (5 + d H + potential d J theta)         =  28
+    #   csc_seed           2 x (5 + d H + potential 1 + curvature 2
+    #                           + d rho)                               =  20
+    #   noncsc_seed        2 x (seed's Hodge shift 1 + 5 + d H
+    #                           + curvature 2 + d rho)                 =  20
+    calls = [0]
+    derivative = BaseGrid.derivative
+
+    def counted(grid, values):
+        calls[0] += 1
+        return derivative(grid, values)
+
+    monkeypatch.setattr(BaseGrid, "derivative", counted)
+    items = identity_battery(n=16, samples=2, seed=5)
+    assert all(item.ok for item in items)
+    assert calls[0] == 132
+
+
+def test_identity_battery_contraction_item_can_fail(monkeypatch):
+    # a split whose mu1 carries the shift (b, a) in place of (a, b)
+    true_split = hermitian_geometry.metric_split
+
+    def wrong_shift(m):
+        sp = true_split(m)
+        a, b = sp.mu1.coeffs[0], sp.mu1.coeffs[1]
+        return replace(sp, mu1=form_from(m.grid, 1, {(0,): b, (1,): a, (2,): 1.0}))
+
+    monkeypatch.setattr(hermitian_geometry, "metric_split", wrong_shift)
+    items = {item.name: item for item in identity_battery(n=16, samples=2, seed=5)}
+    item = items["connection forms by contraction"]
+    assert not item.ok and item.value > 1e-3
 
 
 def _short_trace(n=16):

@@ -9,9 +9,9 @@ from ktflow.hermitian_geometry import (MetricSplit, MetricState, bismut_ricci,
                                        bismut_torsion, characteristic_numbers,
                                        inner_1forms, lee_form, metric_split)
 from ktflow.invariant_forms import (MULTI_INDEX, BaseGrid, InvariantForm,
-                                    apply_J, basis_form, coframe, exterior_d,
-                                    function_form, random_band_limited,
-                                    random_form, wedge)
+                                    apply_J, base_integral, basis_form, coframe,
+                                    exterior_d, function_form,
+                                    random_band_limited, random_form, wedge)
 
 from oracles import (JMAT, contraction_split, homogeneous_scalar,
                      koszul_fd_lowered, left_invariant_curvature,
@@ -354,6 +354,16 @@ def test_characteristic_numbers_universal(grid32, rng):
         c1, c2 = characteristic_numbers(sp)
         assert abs(c1 + 1.0) < 1e-12
         assert abs(c2) < 1e-12
+
+
+def test_characteristic_numbers_match_base_integrals(rng):
+    # the transform-free means against the integrals of d(mu_i) themselves
+    for n in (16, 32, 64):
+        for _ in range(3):
+            sp = metric_split(random_state(BaseGrid(n), rng))
+            numbers = characteristic_numbers(sp)
+            for mu, number in zip((sp.mu1, sp.mu2), numbers):
+                assert abs(base_integral(exterior_d(mu)) - number) < 1e-14
 
 
 def test_connection_form_norms(grid32, rng):

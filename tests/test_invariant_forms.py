@@ -10,6 +10,8 @@ from ktflow.invariant_forms import (BaseGrid, InvariantForm, V1, V2, apply_J,
                                     random_band_limited, random_form, wedge,
                                     zero_form)
 
+from oracles import direct_band_limited
+
 
 def test_grid_rejects_bad_sizes():
     for n in (0, 1, 4, 6, 7, 12, 33):
@@ -288,3 +290,23 @@ def test_random_band_limited_determinism(grid16):
     assert np.max(np.abs(a)) == pytest.approx(1.0)
     c = random_band_limited(grid16, np.random.default_rng(12), zero_mean=True)
     assert abs(np.mean(c)) < 1e-13
+
+
+@pytest.mark.parametrize("zero_mean", (False, True))
+@pytest.mark.parametrize("kmax", (1, 2, 3))
+@pytest.mark.parametrize("n", (8, 16, 32, 64, 128))
+def test_random_band_limited_matches_direct_sum(n, kmax, zero_mean):
+    # same draws, same field to rounding, and the generator ends in the same
+    # state (its next draw is equal)
+    grid = BaseGrid(n)
+    for seed in range(20):
+        rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
+        a = random_band_limited(grid, rng_a, kmax=kmax, zero_mean=zero_mean)
+        b = direct_band_limited(grid, rng_b, kmax=kmax, zero_mean=zero_mean)
+        assert np.max(np.abs(a - b)) < 1e-13
+        assert rng_a.normal() == rng_b.normal()
+
+
+def test_random_band_limited_rejects_unresolved_modes(grid8):
+    with pytest.raises(GridError, match="kmax"):
+        random_band_limited(grid8, np.random.default_rng(0), kmax=4)
