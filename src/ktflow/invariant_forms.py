@@ -14,9 +14,10 @@ symmetry directions.  Invariant forms have one real coefficient field per
 increasing multi-index, each field living on a periodic grid over the unit
 square that discretizes the orbit space.  Base derivatives are spectral
 (trigonometric interpolation), so the structural identities below hold to
-machine precision on band-limited data.  One real transform of a stack of
-fields yields both base partials, so an exterior derivative costs one
-forward and one inverse rfft2 whatever its degree.
+machine precision on band-limited data.  Every transform is an rfft2 or
+irfft2 called as its two 1-D transforms (BaseGrid._forward, _inverse).  An
+exterior derivative moves 1/2, 4/5, 5/4 and 2/1 forward/inverse fields for
+degrees 0 to 3: only the coefficients and components with a base partial.
 
 Index conventions: coframe indices are 0-based internally (e1 -> 0, ...,
 e4 -> 3); docstrings use the 1-based names.  Orientation is fixed by taking
@@ -91,8 +92,8 @@ class BaseGrid:
 
     Resolution must be a power of two and at least 8 so that spectral
     derivatives have a clean Nyquist convention and transforms stay fast.
-    Every spectral operation uses one real transform (rfft2 over the two
-    trailing axes), so all symbols share one half-width wavenumber layout:
+    Every spectral operation goes through _forward and _inverse (rfft2 and
+    irfft2 of the trailing axes), so all symbols share one half-width layout:
     kx over the full first axis, ky >= 0 over the n/2 + 1 columns.
     """
 
@@ -140,6 +141,14 @@ class BaseGrid:
             raise NonFiniteFieldError(f"{what} is non-finite at grid index {tuple(bad)}")
         return values
 
+    def _forward(self, values):
+        """rfft2 of the trailing axes, composed of its two 1-D calls as numpy does."""
+        return np.fft.fft(np.fft.rfft(values), axis=-2)
+
+    def _inverse(self, spec):
+        """irfft2 back to (n, n) fields, composed of its two 1-D calls as numpy does."""
+        return np.fft.irfft(np.fft.ifft(spec, axis=-2), self.n)
+
     def derivative(self, values):
         """Both spectral base partials (d/dx, d/dy) from one real transform.
 
@@ -148,9 +157,11 @@ class BaseGrid:
         modes strictly below n/2 per axis.
         """
         values = self.check_field(values, "derivative input")
-        spec = np.fft.rfft2(values)
-        ikx, iky = self._ik
-        return np.fft.irfft2(np.stack((spec * ikx, spec * iky)), s=(self.n, self.n))
+        spec = self._forward(values)
+        both = np.empty((2,) + spec.shape, dtype=complex)
+        for part, ik in zip(both, self._ik):
+            np.multiply(spec, ik, out=part)
+        return self._inverse(both)
 
     def d11(self, alpha):
         """(1,1) part of d alpha for the coefficients (a1, a2, a3, a4) of a 1-form.
@@ -161,12 +172,12 @@ class BaseGrid:
         rfft2 and one irfft2, with the Nyquist convention of derivative().
         """
         alpha = self.check_field(alpha, "1-form coefficients")
-        a1, a2, a3, a4 = np.fft.rfft2(alpha)
+        a1, a2, a3, a4 = self._forward(alpha)
         ikx, iky = self._ik
         spec = np.stack((ikx * a2 - iky * a1 - a3,
                          0.5 * (ikx * a3 + iky * a4),
                          0.5 * (ikx * a4 - iky * a3)))
-        return np.fft.irfft2(spec, s=(self.n, self.n))
+        return self._inverse(spec)
 
     def poisson(self, rhs):
         """Solve lap(psi) = rhs for the zero-mean psi; rhs must have zero mean."""
@@ -174,12 +185,12 @@ class BaseGrid:
         mean = float(np.mean(rhs))
         if abs(mean) > 1e-12:
             raise GridError(f"Poisson right-hand side has nonzero mean {mean:.3e}")
-        spec = np.fft.rfft2(rhs)
+        spec = self._forward(rhs)
         sym = self._lap_symbol.copy()
         sym[0, 0] = 1.0  # zero mode: quotient is irrelevant, coefficient zeroed below
         spec = spec / sym
         spec[0, 0] = 0.0
-        return np.fft.irfft2(spec, s=(self.n, self.n))
+        return self._inverse(spec)
 
     def integral(self, values):
         """Integral over the unit square; trapezoid on a periodic grid = mean."""
@@ -312,8 +323,7 @@ def form_from(grid, degree, terms):
 
 
 _WEDGE_TABLE = {}
-_D_DERIV_TABLE = {}
-_D_STRUCT_TABLE = {}
+_D_TABLE = {}
 _J_TABLE = {}
 _CONTRACT_TABLE = {}
 
@@ -332,14 +342,21 @@ def _wedge_table(p, q):
 
 
 def _d_tables(k):
-    if k not in _D_DERIV_TABLE:
-        deriv = []
+    """(first, spectral, struct) tables of d on degree-k forms.
+
+    spectral[i_out] holds the terms (j, sign, axis), sign times the axis
+    partial of coefficient first + j.  The coefficients with a partial (no
+    e1^e2) are a lexicographic tail and the components they reach a head.
+    struct holds (i_in, factor, i_out) of the d(e3) part.
+    """
+    if k not in _D_TABLE:
+        spectral = [[] for _ in MULTI_INDEX[k + 1]]
         struct = []
         for i_in, idx in enumerate(MULTI_INDEX[k]):
             for axis in (0, 1):
                 sign, merged = _merge((axis,), idx)
                 if sign is not None:
-                    deriv.append((i_in, axis, sign, INDEX_POS[k + 1][merged]))
+                    spectral[INDEX_POS[k + 1][merged]].append((i_in, sign, axis))
             # structure part: replace e3 in place by d(e3) = -e1^e2
             for pos, ci in enumerate(idx):
                 if ci != STRUCTURE_INDEX:
@@ -349,9 +366,12 @@ def _d_tables(k):
                 if sign is not None:
                     factor = ((-1.0) ** pos) * STRUCTURE_SIGN * sign
                     struct.append((i_in, factor, INDEX_POS[k + 1][merged]))
-        _D_DERIV_TABLE[k] = tuple(deriv)
-        _D_STRUCT_TABLE[k] = tuple(struct)
-    return _D_DERIV_TABLE[k], _D_STRUCT_TABLE[k]
+        while not spectral[-1]:
+            spectral.pop()
+        first = min(i_in for terms in spectral for i_in, _, _ in terms)
+        _D_TABLE[k] = (first, tuple(tuple((i - first, sign, axis) for i, sign, axis in terms)
+                                    for terms in spectral), tuple(struct))
+    return _D_TABLE[k]
 
 
 def _j_table(k):
@@ -394,15 +414,25 @@ def wedge(alpha, beta):
 
 
 def exterior_d(alpha):
-    """Exterior derivative: spectral base part plus the d(e3) structure part."""
+    """Exterior derivative: spectral base part plus the d(e3) structure part.
+
+    The base part is summed per output component in spectral space, between
+    one forward transform of the coefficients that have a partial and one
+    inverse transform of the components that receive one (see _d_tables).
+    """
     k = alpha.degree
     if k >= 4:
         raise DegreeError("exterior derivative of a 4-form is not represented")
-    deriv, struct = _d_tables(k)
-    out = InvariantForm(alpha.grid, k + 1)
-    partials = alpha.grid.derivative(alpha.coeffs)
-    for i_in, axis, sign, i_out in deriv:
-        out.coeffs[i_out] += sign * partials[axis][i_in]
+    first, spectral, struct = _d_tables(k)
+    grid = alpha.grid
+    spec = grid._forward(alpha.coeffs[first:])
+    out_spec = np.empty((len(spectral),) + spec.shape[1:], dtype=complex)
+    for acc, ((j, sign, axis), *rest) in zip(out_spec, spectral):
+        np.multiply(spec[j], sign * grid._ik[axis], out=acc)
+        for j, sign, axis in rest:
+            acc += spec[j] * (sign * grid._ik[axis])
+    out = InvariantForm(grid, k + 1)
+    out.coeffs[:len(spectral)] = grid._inverse(out_spec)
     for i_in, factor, i_out in struct:
         out.coeffs[i_out] += factor * alpha.coeffs[i_in]
     return out
@@ -486,7 +516,7 @@ def random_band_limited(grid, rng, kmax=2, amplitude=1.0, zero_mean=False):
     spec[np.concatenate((kx[upper], -kx[lower])),
          np.concatenate((ky[upper], -ky[lower]))] = np.concatenate(
              (coef[upper], coef[lower].conj()))
-    field = np.fft.irfft2(spec, s=(n, n))
+    field = grid._inverse(spec)
     if not zero_mean:
         field += rng.normal()
     peak = np.max(np.abs(field))

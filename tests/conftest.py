@@ -24,6 +24,22 @@ def rng():
     return np.random.default_rng(11235)
 
 
+@pytest.fixture()
+def transform_fields(monkeypatch):
+    """[forward, inverse] counts of n x n fields through BaseGrid's transforms."""
+    counts = [0, 0]
+
+    def counted(which, transform):
+        def wrapped(grid, values):
+            counts[which] += int(np.prod(np.shape(values)[:-2]))
+            return transform(grid, values)
+        return wrapped
+
+    monkeypatch.setattr(BaseGrid, "_forward", counted(0, BaseGrid._forward))
+    monkeypatch.setattr(BaseGrid, "_inverse", counted(1, BaseGrid._inverse))
+    return counts
+
+
 _CRITERION_LINES = []
 
 

@@ -22,6 +22,18 @@ rho = -(1/2) d J d log(u lam - p^2 - q^2) + d(J theta) in closed form from
   direct sum of cos/sin grid fields, one mode at a time, with the same
   generator draws; the package synthesizes the same sum with one irfft2.
 
+* rfft2_derivative, rfft2_d11, rfft2_poisson and rfft2_band_limited: the
+  spectral operations of BaseGrid and random_band_limited through numpy's
+  n-d wrappers np.fft.rfft2 / irfft2.  The package calls the 1-D
+  transforms those wrappers are built from, so the results are bitwise
+  equal.
+
+* partials_exterior_d: the exterior derivative from both base partials of
+  every coefficient, summed in physical space with a sign table built here;
+  the package forward-transforms only the coefficients that have a partial,
+  sums each output component in spectral space and inverts only the
+  components that receive a derivative term.
+
 * coefficient_velocity: the flow velocity as the (u, lam, p, q) coefficients
   of the J-invariant 2-form -p11_projection(rho) built by bismut_ricci,
   with the residual of its (1,1) pairings; the package evaluates the
@@ -52,9 +64,10 @@ import itertools
 import numpy as np
 
 from ktflow.hermitian_geometry import bismut_torsion
-from ktflow.invariant_forms import (MULTI_INDEX, V1, V2, InvariantForm,
-                                    contract, coframe, exterior_d,
-                                    p11_projection, wedge)
+from ktflow.invariant_forms import (INDEX_POS, MULTI_INDEX, STRUCTURE_INDEX,
+                                    STRUCTURE_PAIR, STRUCTURE_SIGN, V1, V2,
+                                    InvariantForm, _merge, contract, coframe,
+                                    exterior_d, p11_projection, wedge)
 
 # bracket [E_a, E_b] = C[a, b, c] E_c
 STRUCTURE = np.zeros((4, 4, 4))
@@ -151,6 +164,79 @@ def direct_band_limited(grid, rng, kmax=2, amplitude=1.0, zero_mean=False):
     if peak > 0:
         field *= amplitude / peak
     return field
+
+
+def rfft2_derivative(grid, values):
+    """BaseGrid.derivative through np.fft.rfft2 / irfft2."""
+    spec = np.fft.rfft2(values)
+    ikx, iky = grid._ik
+    return np.fft.irfft2(np.stack((spec * ikx, spec * iky)), s=(grid.n, grid.n))
+
+
+def rfft2_d11(grid, alpha):
+    """BaseGrid.d11 through np.fft.rfft2 / irfft2."""
+    a1, a2, a3, a4 = np.fft.rfft2(alpha)
+    ikx, iky = grid._ik
+    spec = np.stack((ikx * a2 - iky * a1 - a3,
+                     0.5 * (ikx * a3 + iky * a4),
+                     0.5 * (ikx * a4 - iky * a3)))
+    return np.fft.irfft2(spec, s=(grid.n, grid.n))
+
+
+def rfft2_poisson(grid, rhs):
+    """BaseGrid.poisson through np.fft.rfft2 / irfft2."""
+    spec = np.fft.rfft2(rhs)
+    sym = grid._lap_symbol.copy()
+    sym[0, 0] = 1.0
+    spec = spec / sym
+    spec[0, 0] = 0.0
+    return np.fft.irfft2(spec, s=(grid.n, grid.n))
+
+
+def rfft2_band_limited(grid, rng, kmax=2, amplitude=1.0, zero_mean=False):
+    """random_band_limited with its half-spectrum synthesized by np.fft.irfft2."""
+    n = grid.n
+    kx, ky = np.meshgrid(np.arange(kmax + 1), np.arange(-kmax, kmax + 1), indexing="ij")
+    keep = (kx > 0) | (ky > 0)
+    kx, ky = kx[keep], ky[keep]
+    c, s = rng.normal(size=(kx.size, 2)).T
+    coef = 0.5 * n * n * (c - 1j * s)
+    upper, lower = ky >= 0, ky <= 0
+    spec = np.zeros((n, n // 2 + 1), dtype=complex)
+    spec[np.concatenate((kx[upper], -kx[lower])),
+         np.concatenate((ky[upper], -ky[lower]))] = np.concatenate(
+             (coef[upper], coef[lower].conj()))
+    field = np.fft.irfft2(spec, s=(n, n))
+    if not zero_mean:
+        field += rng.normal()
+    peak = np.max(np.abs(field))
+    if peak > 0:
+        field *= amplitude / peak
+    return field
+
+
+def partials_exterior_d(alpha):
+    """exterior_d from both partials of every coefficient, summed on the grid.
+
+    d(f e^I) = f_x e1^e^I + f_y e2^e^I, plus f times e^I with each e3
+    replaced in place by d(e3) = -e1^e2.
+    """
+    k = alpha.degree
+    out = InvariantForm(alpha.grid, k + 1)
+    partials = alpha.grid.derivative(alpha.coeffs)
+    for i_in, idx in enumerate(MULTI_INDEX[k]):
+        for axis in (0, 1):
+            sign, merged = _merge((axis,), idx)
+            if sign is not None:
+                out.coeffs[INDEX_POS[k + 1][merged]] += sign * partials[axis][i_in]
+        for pos, ci in enumerate(idx):
+            if ci != STRUCTURE_INDEX:
+                continue
+            sign, merged = _merge(STRUCTURE_PAIR, idx[:pos] + idx[pos + 1:])
+            if sign is not None:
+                factor = ((-1.0) ** pos) * STRUCTURE_SIGN * sign
+                out.coeffs[INDEX_POS[k + 1][merged]] += factor * alpha.coeffs[i_in]
+    return out
 
 
 def coefficient_velocity(rhs):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import ktflow.hermitian_geometry as hermitian_geometry
+import ktflow.invariant_forms as invariant_forms
 from ktflow.cli_runner import (ExperimentConfig, emit_csv, emit_snapshot,
                                identity_battery, load_snapshot,
                                load_trace_csv, main, parse_config,
@@ -104,32 +105,33 @@ def test_identity_battery_all_green():
         assert set(d) == {"name", "max_residual", "bound", "ok"}
 
 
-def test_identity_battery_transform_budget(monkeypatch):
-    # BaseGrid.derivative calls, one per exterior_d or grid.derivative:
-    #   hygiene: exactness 1 + structure equation 1 + 8 pairs x (d a, d d a,
-    #     d(a^b), d a, d b)                                          =  42
-    #   every state: split 1 + theta 1 + d mu1 + d mu2 + d omega 1    =   5
-    #   general            2 states x 5                                =  10
-    #   lam_const          2 x (5 + d H)                               =  12
-    #   constant           4 x (5 + d H + potential d J theta)         =  28
-    #   csc_seed           2 x (5 + d H + potential 1 + curvature 2
-    #                           + d rho)                               =  20
-    #   noncsc_seed        2 x (seed's Hodge shift 1 + 5 + d H
-    #                           + curvature 2 + d rho)                 =  20
-    calls = [0]
-    derivative = BaseGrid.derivative
-
-    def counted(grid, values):
-        calls[0] += 1
-        return derivative(grid, values)
-
-    monkeypatch.setattr(BaseGrid, "derivative", counted)
+def test_identity_battery_transform_budget(transform_fields):
+    # n x n fields through BaseGrid._forward / _inverse.  exterior_d of
+    # degree 0..3 moves 1/2, 4/5, 5/4, 2/1; derivative of s fields s/2s;
+    # poisson 1/1; random_band_limited 0/1.
+    #   hygiene: exactness 1/2 + structure equation 4/5 + 8 random pairs
+    #     (d a twice, d d a, d(a^b), d b, one inverse per drawn
+    #     coefficient)                                             = 145/214
+    #   state draws: 8 random fields, 2 noncsc seeds (poisson 1/1 +
+    #     derivative 1/2)                                          =   4/14
+    #   every state: split 2/4 + theta 3/6 + d mu1 4/5 + d mu2 4/5
+    #     + d omega 5/4                                            =  18/24
+    #   general      2 x 18/24                                     =  36/48
+    #   lam_const    2 x (18/24 + d H 2/1)                         =  40/50
+    #   constant     4 x (18/24 + d H 2/1 + potential d J theta 4/5)
+    #                                                              =  96/120
+    #   csc_seed     2 x (18/24 + d H 2/1 + potential 4/5
+    #                     + curvature 5/7 + d rho 5/4)             =  68/82
+    #   noncsc_seed  2 x (18/24 + d H 2/1 + curvature 5/7 + d rho 5/4)
+    #                                                              =  60/72
+    # (502/1063 when exterior_d inverse-transformed both partials of every
+    # coefficient)
     items = identity_battery(n=16, samples=2, seed=5)
     assert all(item.ok for item in items)
-    assert calls[0] == 132
+    assert transform_fields == [449, 600]
 
 
-def test_identity_battery_contraction_item_can_fail(monkeypatch):
+def _swapped_shift(monkeypatch):
     # a split whose mu1 carries the shift (b, a) in place of (a, b)
     true_split = hermitian_geometry.metric_split
 
@@ -139,9 +141,34 @@ def test_identity_battery_contraction_item_can_fail(monkeypatch):
         return replace(sp, mu1=form_from(m.grid, 1, {(0,): b, (1,): a, (2,): 1.0}))
 
     monkeypatch.setattr(hermitian_geometry, "metric_split", wrong_shift)
+
+
+def _flipped_d_sign(monkeypatch):
+    # d on 1-forms gives the e1^e2 component +a1_y + a2_x, not -a1_y + a2_x
+    first, spectral, struct = invariant_forms._d_tables(1)
+    (j, sign, axis), *rest = spectral[0]
+    spectral = (((j, -sign, axis), *rest),) + spectral[1:]
+    monkeypatch.setitem(invariant_forms._D_TABLE, 1, (first, spectral, struct))
+
+
+def _dropped_structure_term(monkeypatch):
+    # d on 1-forms loses the d(e3) = -e1^e2 term
+    first, spectral, _ = invariant_forms._d_tables(1)
+    monkeypatch.setitem(invariant_forms._D_TABLE, 1, (first, spectral, ()))
+
+
+@pytest.mark.parametrize("mutate, name", (
+    (_swapped_shift, "connection forms by contraction"),
+    (_flipped_d_sign, "exterior nilpotency"),
+    (_dropped_structure_term, "structure equation"),
+), ids=("swapped-shift", "flipped-d-sign", "dropped-structure-term"))
+def test_identity_battery_item_can_fail(monkeypatch, mutate, name):
+    # each mutation leaves the battery able to finish, and the named item
+    # fails by far (it reads 1.15, 140 and 1)
+    mutate(monkeypatch)
     items = {item.name: item for item in identity_battery(n=16, samples=2, seed=5)}
-    item = items["connection forms by contraction"]
-    assert not item.ok and item.value > 1e-3
+    item = items[name]
+    assert not item.ok and item.value > 1e-3, item.value
 
 
 def _short_trace(n=16):

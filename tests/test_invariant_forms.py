@@ -10,7 +10,9 @@ from ktflow.invariant_forms import (BaseGrid, InvariantForm, V1, V2, apply_J,
                                     random_band_limited, random_form, wedge,
                                     zero_form)
 
-from oracles import direct_band_limited
+from oracles import (direct_band_limited, partials_exterior_d,
+                     rfft2_band_limited, rfft2_d11, rfft2_derivative,
+                     rfft2_poisson)
 
 
 def test_grid_rejects_bad_sizes():
@@ -186,6 +188,26 @@ def test_exterior_d_structure_in_higher_degree(grid8):
     assert exterior_d(basis_form(grid8, (1, 2))).max_abs() == 0.0
 
 
+@pytest.mark.parametrize("degree", (0, 1, 2, 3))
+@pytest.mark.parametrize("n", (8, 16, 32, 64, 128))
+def test_exterior_d_matches_partials_oracle(n, degree):
+    grid = BaseGrid(n)
+    for seed in range(5):
+        alpha = random_form(grid, np.random.default_rng(seed), degree)
+        expected = partials_exterior_d(alpha)
+        assert (exterior_d(alpha) - expected).max_abs() <= 1e-13 * expected.max_abs()
+
+
+@pytest.mark.parametrize("degree, fields", ((0, [1, 2]), (1, [4, 5]), (2, [5, 4]), (3, [2, 1])))
+def test_exterior_d_transforms_only_used_fields(grid16, rng, transform_fields, degree, fields):
+    # forward: the coefficients without e1^e2; inverse: the components that
+    # are not made of e3 and e4 alone
+    alpha = random_form(grid16, rng, degree)
+    transform_fields[:] = [0, 0]
+    exterior_d(alpha)
+    assert transform_fields == fields
+
+
 def test_exterior_d_top_degree_rejected(grid8):
     with pytest.raises(DegreeError):
         exterior_d(basis_form(grid8, (0, 1, 2, 3)))
@@ -310,3 +332,25 @@ def test_random_band_limited_matches_direct_sum(n, kmax, zero_mean):
 def test_random_band_limited_rejects_unresolved_modes(grid8):
     with pytest.raises(GridError, match="kmax"):
         random_band_limited(grid8, np.random.default_rng(0), kmax=4)
+
+
+@pytest.mark.parametrize("n", (8, 16, 32, 64, 128))
+def test_spectral_operations_equal_nd_wrapper_forms(n):
+    # the 1-D transform pairs are how numpy composes rfft2 / irfft2, so the
+    # results are bitwise equal
+    grid = BaseGrid(n)
+    rng = np.random.default_rng(n)
+    values = rng.normal(size=(3, n, n))
+    assert np.array_equal(grid.derivative(values), rfft2_derivative(grid, values))
+    assert np.array_equal(grid.derivative(values[0]), rfft2_derivative(grid, values[0]))
+    alpha = rng.normal(size=(4, n, n))
+    assert np.array_equal(grid.d11(alpha), rfft2_d11(grid, alpha))
+    rhs = values[1] - np.mean(values[1])
+    assert np.array_equal(grid.poisson(rhs), rfft2_poisson(grid, rhs))
+    for kmax in (0, 1, 3, n // 2 - 1):
+        for zero_mean in (False, True):
+            a = random_band_limited(grid, np.random.default_rng(kmax), kmax=kmax,
+                                    zero_mean=zero_mean)
+            b = rfft2_band_limited(grid, np.random.default_rng(kmax), kmax=kmax,
+                                   zero_mean=zero_mean)
+            assert np.array_equal(a, b)
