@@ -7,10 +7,12 @@ the base only, so -rho^(1,1) has no e3^e4 term: lam is frozen by
 construction, and the flow is a parabolic system for (u, p, q) on the base
 grid.  Its velocity is a closed form (hermitian_geometry.flow_velocity),
 cached on each state as m.velocity, which the trace records share with the
-next step's first stage.  Classical RK4 with a parabolic step bound keeps
-the integrator auditable at desk scale.  Positivity is enforced, never
-restored: a step that leaves the positive cone is rejected, and non-finite
-values abort the run.
+next step's first stage.  lam passes through bitwise, so every later
+state shares m0's lam array and lam partials (MetricState.with_fields),
+and a stage moves 7/7 forward/inverse fields in two transform pairs.
+Classical RK4 with a parabolic step bound keeps the integrator auditable
+at desk scale.  Positivity is enforced, never restored: a step that leaves
+the positive cone is rejected, and non-finite values abort the run.
 
 Two identities put the record path on the same velocity: the curvature
 scalar is s = -d/dt log D, and the torsion derivative is d H = -(lam_xx +
@@ -114,12 +116,11 @@ def flow_rhs(m):
 
 
 def _shifted(m, vel, factor):
+    """m moved by factor * vel; it shares m's lam array and lam partials."""
     try:
-        return MetricState(m.grid,
-                           m.u + factor * vel[0],
-                           m.lam,
-                           m.p + factor * vel[1],
-                           m.q + factor * vel[2])
+        return m.with_fields(m.u + factor * vel[0],
+                             m.p + factor * vel[1],
+                             m.q + factor * vel[2])
     except NonFiniteFieldError as exc:
         raise NumericalAbort(f"non-finite state during a step: {exc}") from exc
 

@@ -25,11 +25,12 @@ shift (a, b) = (q/lam, p/lam) and the transverse area w = D/lam:
     with x(F1) = x1 - a x3 + b x4 and x(F2) = x2 - b x3 - a x4.
 
 A state's derived data is a property of the state, computed once on first
-access: m.theta = lee_form(m), m.split = metric_split(m),
-m.curvature = bismut_ricci(m) and m.velocity = flow_velocity(m).  The
-functions stay the definitions; the split, theta and the velocity do not
-read each other, and the curvature reads m.theta.  The torsion 3-form is
-not part of the curvature package; bismut_torsion(m) computes it on demand.
+access: m.lam_partials, m.theta = lee_form(m), m.split = metric_split(m),
+m.curvature = bismut_ricci(m) and m.velocity = flow_velocity(m).  Each
+transforms only the partial sums it reads (BaseGrid.partial_sums).  The
+velocity reads m.lam_partials and leaves its theta as m.theta, and the
+curvature reads m.theta.  The torsion 3-form is not part of the curvature
+package; bismut_torsion(m) computes it on demand.
 
 Sign conventions, fixed once and verified by the test oracles:
 
@@ -91,8 +92,8 @@ DEGENERACY_TOL = 1e-12
 class MetricState:
     """Coefficient fields (u, lam, p, q) of an invariant Hermitian 2-form.
 
-    The fields are read-only copies, so the cached theta, split and
-    curvature always describe the fields they were computed from.
+    The fields are read-only copies, so the cached lam partials, theta,
+    split, curvature and velocity describe the fields they came from.
     """
 
     grid: object
@@ -101,14 +102,22 @@ class MetricState:
     p: np.ndarray
     q: np.ndarray
 
-    def __post_init__(self):
-        for name in ("u", "lam", "p", "q"):
+    def __post_init__(self, names=("u", "lam", "p", "q")):
+        for name in names:
             values = np.broadcast_to(np.asarray(getattr(self, name), dtype=float),
                                      (self.grid.n, self.grid.n))
             values = self.grid.check_field(values, f"metric coefficient {name}")
             values = values.copy()
             values.setflags(write=False)
             object.__setattr__(self, name, values)
+
+    def with_fields(self, u, p, q):
+        """State (u, lam, p, q) sharing this state's checked lam and lam partials."""
+        out = object.__new__(MetricState)
+        out.__dict__.update(grid=self.grid, u=u, lam=self.lam, p=p, q=q,
+                            lam_partials=self.lam_partials)
+        out.__post_init__(("u", "p", "q"))
+        return out
 
     @staticmethod
     def constant(grid, u, lam, p=0.0, q=0.0):
@@ -147,6 +156,11 @@ class MetricState:
                          np.max(np.abs(self.lam - other.lam)),
                          np.max(np.abs(self.p - other.p)),
                          np.max(np.abs(self.q - other.q))))
+
+    @cached_property
+    def lam_partials(self):
+        """(lam_x, lam_y) stacked (2, n, n), from one transform pair (1/2 fields)."""
+        return self.grid.derivative(self.lam)
 
     @cached_property
     def theta(self):
@@ -190,12 +204,20 @@ def _shift_and_area(m):
     return m.q * inv_lam, m.p * inv_lam, m.determinant_margin() * inv_lam
 
 
+# (field, sign, axis) terms of BaseGrid.partial_sums: curl b_x - a_y and
+# divergence a_x + b_y of the shift (a, b); A = -(p_y + q_x), B + lam =
+# p_x - q_y and both partials of f, from the stacked fields (p, q, f)
+_SPLIT_TERMS = (((1, 1.0, 0), (0, -1.0, 1)), ((0, 1.0, 0), (1, 1.0, 1)))
+_LEE_TERMS = (((0, -1.0, 1), (1, -1.0, 0)), ((0, 1.0, 0), (1, -1.0, 1)),
+              ((2, 1.0, 0),), ((2, 1.0, 1),))
+
+
 def metric_split(m):
     """Vertical/transverse splitting of a positive metric state, in closed form.
 
     mu1 = -(1/lam) V2 . omega and mu2 = (1/lam) V1 . omega satisfy
     mu_i(V_j) = delta_ij, and omega - lam mu1^mu2 leaves w e1^e2.  As
-    d(e3) = -e1^e2, each d(mu_i) is sigma_i w e1^e2.
+    d(e3) = -e1^e2, each d(mu_i) is sigma_i w e1^e2: 2/2 transform fields.
     """
     m.require_positive()
     a, b, w = _shift_and_area(m)
@@ -204,20 +226,19 @@ def metric_split(m):
         raise DegenerateTransverseError(
             f"transverse area coefficient {worst:.3e} below {DEGENERACY_TOL:.0e}"
         )
-    (a_x, b_x), (a_y, b_y) = m.grid.derivative(np.stack((a, b)))
+    shift = m.grid.check_field(np.stack((a, b)), "connection shift")
+    curl, div = m.grid.partial_sums(shift, _SPLIT_TERMS)
     mu1 = form_from(m.grid, 1, {(0,): a, (1,): b, (2,): 1.0})
     return MetricSplit(mu1=mu1, mu2=apply_J(mu1),
                        omega_check=form_from(m.grid, 2, {(0, 1): w}),
-                       sigma1=(b_x - a_y - 1.0) / w, sigma2=(a_x + b_y) / w,
-                       w_check=w)
+                       sigma1=(curl - 1.0) / w, sigma2=div / w, w_check=w)
 
 
-def _lee_coefficients(m, partials, D):
-    """theta's coefficients from the base partials of (lam, p, q) and D."""
+def _lee_coefficients(m, lam_partials, A, B_plus_lam, D):
+    """theta's coefficients from (lam_x, lam_y), A, B + lam and D."""
     u, lam, p, q = m.u, m.lam, m.p, m.q
-    (lam_x, p_x, q_x), (lam_y, p_y, q_y) = partials
-    A = -(p_y + q_x)
-    B = p_x - q_y - lam
+    lam_x, lam_y = lam_partials
+    B = B_plus_lam - lam
     theta = np.stack((u * lam_x - p * B + q * A,
                       u * lam_y + q * B + p * A,
                       q * lam_x + p * lam_y + lam * A,
@@ -230,11 +251,14 @@ def lee_form(m):
 
     d omega = A e1^e2^e3 + B e1^e2^e4 + lam_x e1^e3^e4 + lam_y e2^e3^e4.
     Wedging with each e^j makes the defining equation a 4x4 linear system
-    whose inverse is omega's own coefficient matrix over its Pfaffian D.
+    whose inverse is omega's own coefficient matrix over its Pfaffian D:
+    3/4 forward/inverse fields, (p, q, lam) to (A, B, lam_x, lam_y).
     """
     m.require_positive()
-    partials = m.grid.derivative(np.stack((m.lam, m.p, m.q)))
-    return InvariantForm(m.grid, 1, _lee_coefficients(m, partials, m.determinant_margin()))
+    fields = m.grid.check_field(np.stack((m.p, m.q, m.lam)), "lee form input")
+    A, B, lam_x, lam_y = m.grid.partial_sums(fields, _LEE_TERMS)
+    theta = _lee_coefficients(m, (lam_x, lam_y), A, B, m.determinant_margin())
+    return InvariantForm(m.grid, 1, theta)
 
 
 def bismut_torsion(m):
@@ -275,15 +299,19 @@ def bismut_ricci(m):
 def flow_velocity(m):
     """Velocity (du, dp, dq)/dt of d omega/dt = -rho^(1,1), stacked (3, n, n).
 
-    One transform of (lam, p, q, log D) gives alpha = J (theta - (1/2) d log D)
-    and one more gives -rho^(1,1) = -(d alpha)^(1,1) (BaseGrid.d11), whose
-    e3^e4 coefficient, the velocity of lam, vanishes identically.
+    A transform pair of (p, q, log D) and m.lam_partials give theta, left as
+    m.theta (equal to lee_form(m) bitwise), and alpha = J (theta - (1/2)
+    d log D); one more gives -rho^(1,1) = -(d alpha)^(1,1) (BaseGrid.d11),
+    whose e3^e4 coefficient, lam's velocity, vanishes identically.  That is
+    7/7 forward/inverse fields.
     """
     m.require_positive()  # first: positivity before the log
     D = m.determinant_margin()
-    partials = m.grid.derivative(np.stack((m.lam, m.p, m.q, np.log(D))))
-    t1, t2, t3, t4 = _lee_coefficients(m, partials[:, :3], D)
-    log_x, log_y = partials[:, 3]
+    fields = m.grid.check_field(np.stack((m.p, m.q, np.log(D))), "flow velocity input")
+    A, B, log_x, log_y = m.grid.partial_sums(fields, _LEE_TERMS)
+    theta = _lee_coefficients(m, m.lam_partials, A, B, D)
+    m.__dict__.setdefault("theta", InvariantForm(m.grid, 1, theta))
+    t1, t2, t3, t4 = theta
     b1 = t1 - 0.5 * log_x
     b2 = t2 - 0.5 * log_y
     return -m.grid.d11(np.stack((-b2, b1, -t4, t3)))  # alpha = J b

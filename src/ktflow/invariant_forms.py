@@ -163,6 +163,20 @@ class BaseGrid:
             np.multiply(spec, ik, out=part)
         return self._inverse(both)
 
+    def partial_sums(self, values, terms):
+        """Sums of signed base partials of stacked fields, in spectral space.
+
+        Output i sums sign times the axis partial of values[field] over the
+        (field, sign, axis) in terms[i]; callers check their input.
+        """
+        spec = self._forward(values)
+        out = np.empty((len(terms),) + spec.shape[1:], dtype=complex)
+        for acc, ((j, sign, axis), *rest) in zip(out, terms):
+            np.multiply(spec[j], sign * self._ik[axis], out=acc)
+            for j, sign, axis in rest:
+                acc += spec[j] * (sign * self._ik[axis])
+        return self._inverse(out)
+
     def d11(self, alpha):
         """(1,1) part of d alpha for the coefficients (a1, a2, a3, a4) of a 1-form.
 
@@ -326,6 +340,7 @@ _WEDGE_TABLE = {}
 _D_TABLE = {}
 _J_TABLE = {}
 _CONTRACT_TABLE = {}
+_BAND_TABLE = {}
 
 
 def _wedge_table(p, q):
@@ -424,15 +439,8 @@ def exterior_d(alpha):
     if k >= 4:
         raise DegreeError("exterior derivative of a 4-form is not represented")
     first, spectral, struct = _d_tables(k)
-    grid = alpha.grid
-    spec = grid._forward(alpha.coeffs[first:])
-    out_spec = np.empty((len(spectral),) + spec.shape[1:], dtype=complex)
-    for acc, ((j, sign, axis), *rest) in zip(out_spec, spectral):
-        np.multiply(spec[j], sign * grid._ik[axis], out=acc)
-        for j, sign, axis in rest:
-            acc += spec[j] * (sign * grid._ik[axis])
-    out = InvariantForm(grid, k + 1)
-    out.coeffs[:len(spectral)] = grid._inverse(out_spec)
+    out = InvariantForm(alpha.grid, k + 1)
+    out.coeffs[:len(spectral)] = alpha.grid.partial_sums(alpha.coeffs[first:], spectral)
     for i_in, factor, i_out in struct:
         out.coeffs[i_out] += factor * alpha.coeffs[i_in]
     return out
@@ -490,6 +498,21 @@ def base_integral(beta):
     return beta.grid.integral(beta.coefficient(0, 1))
 
 
+def _band_table(kmax):
+    """Scatter indices (rows, cols) and draw masks (ky >= 0, ky <= 0) for kmax.
+
+    Negative rows wrap, so one table serves every n.
+    """
+    if kmax not in _BAND_TABLE:
+        kx, ky = np.meshgrid(np.arange(kmax + 1), np.arange(-kmax, kmax + 1), indexing="ij")
+        keep = (kx > 0) | (ky > 0)
+        kx, ky = kx[keep], ky[keep]
+        upper, lower = ky >= 0, ky <= 0
+        _BAND_TABLE[kmax] = (np.concatenate((kx[upper], -kx[lower])),
+                             np.concatenate((ky[upper], -ky[lower])), upper, lower)
+    return _BAND_TABLE[kmax]
+
+
 def random_band_limited(grid, rng, kmax=2, amplitude=1.0, zero_mean=False):
     """Random smooth field from modes up to kmax per axis, scaled to max-abs.
 
@@ -505,17 +528,12 @@ def random_band_limited(grid, rng, kmax=2, amplitude=1.0, zero_mean=False):
     n = grid.n
     if not 0 <= 2 * kmax < n:
         raise GridError(f"kmax = {kmax} needs 0 <= 2 kmax < n = {n}")
-    kx, ky = np.meshgrid(np.arange(kmax + 1), np.arange(-kmax, kmax + 1), indexing="ij")
-    keep = (kx > 0) | (ky > 0)
-    kx, ky = kx[keep], ky[keep]
+    rows, cols, upper, lower = _band_table(kmax)
     # one call yields the same numbers, in the same order, as one per mode
-    c, s = rng.normal(size=(kx.size, 2)).T
+    c, s = rng.normal(size=(upper.size, 2)).T
     coef = 0.5 * n * n * (c - 1j * s)
-    upper, lower = ky >= 0, ky <= 0
     spec = np.zeros((n, n // 2 + 1), dtype=complex)
-    spec[np.concatenate((kx[upper], -kx[lower])),
-         np.concatenate((ky[upper], -ky[lower]))] = np.concatenate(
-             (coef[upper], coef[lower].conj()))
+    spec[rows, cols] = np.concatenate((coef[upper], coef[lower].conj()))
     field = grid._inverse(spec)
     if not zero_mean:
         field += rng.normal()

@@ -43,12 +43,11 @@ def assess(m, tol=1e-8):
     """Defect report of a metric state, from its cached split, Lee form and velocity.
 
     d H = -(lam_xx + lam_yy) e1^e2^e3^e4 for the torsion H of any state, so
-    the pluriclosed defect needs lam's Laplacian only; s is the flow's
-    s = -d/dt log D.
+    the pluriclosed defect needs lam's Laplacian only, one derivative of the
+    cached lam partials; s is the flow's s = -d/dt log D.
     """
     split = m.split
-    lam_x, lam_y = m.grid.derivative(m.lam)
-    (lam_xx, _), (_, lam_yy) = m.grid.derivative(np.stack((lam_x, lam_y)))
+    (lam_xx, _), (_, lam_yy) = m.grid.derivative(m.lam_partials)
     lck = exterior_d(m.theta).max_abs()
     vaisman = _variance(m.lam) + _variance(split.sigma1) + _variance(split.sigma2)
     return DefectReport(

@@ -24,20 +24,31 @@ def rng():
     return np.random.default_rng(11235)
 
 
-@pytest.fixture()
-def transform_fields(monkeypatch):
-    """[forward, inverse] counts of n x n fields through BaseGrid's transforms."""
+def _count_transforms(monkeypatch, size):
+    """[forward, inverse] totals of size(values) over BaseGrid's transforms."""
     counts = [0, 0]
 
     def counted(which, transform):
         def wrapped(grid, values):
-            counts[which] += int(np.prod(np.shape(values)[:-2]))
+            counts[which] += size(values)
             return transform(grid, values)
         return wrapped
 
     monkeypatch.setattr(BaseGrid, "_forward", counted(0, BaseGrid._forward))
     monkeypatch.setattr(BaseGrid, "_inverse", counted(1, BaseGrid._inverse))
     return counts
+
+
+@pytest.fixture()
+def transform_fields(monkeypatch):
+    """[forward, inverse] counts of n x n fields through BaseGrid's transforms."""
+    return _count_transforms(monkeypatch, lambda values: int(np.prod(np.shape(values)[:-2])))
+
+
+@pytest.fixture()
+def transform_calls(monkeypatch):
+    """[forward, inverse] counts of calls of BaseGrid's transforms."""
+    return _count_transforms(monkeypatch, lambda values: 1)
 
 
 _CRITERION_LINES = []

@@ -34,6 +34,18 @@ rho = -(1/2) d J d log(u lam - p^2 - q^2) + d(J theta) in closed form from
   sums each output component in spectral space and inverts only the
   components that receive a derivative term.
 
+* partials_metric_split, partials_lee_form and partials_flow_velocity: the
+  split, the Lee form and the flow velocity from both base partials of
+  every field they differentiate, combined on the grid (4, 6 and 8 inverse
+  fields, the velocity's before d11); the package sums the curl and divergence of the shift, the Lee
+  combinations A and B and the partials of log D in spectral space and
+  inverts only those, and the velocity reads the state's cached lam
+  partials.
+
+* fresh_state_rk4_step: one RK4 step whose stage states are each built by
+  MetricState(...) and so validate and differentiate lam afresh; the package
+  hands the start state's lam array and lam partials to every stage state.
+
 * coefficient_velocity: the flow velocity as the (u, lam, p, q) coefficients
   of the J-invariant 2-form -p11_projection(rho) built by bismut_ricci,
   with the residual of its (1,1) pairings; the package evaluates the
@@ -63,7 +75,8 @@ import itertools
 
 import numpy as np
 
-from ktflow.hermitian_geometry import bismut_torsion
+from ktflow.hermitian_geometry import (MetricState, _lee_coefficients, _shift_and_area,
+                                       bismut_torsion, flow_velocity)
 from ktflow.invariant_forms import (INDEX_POS, MULTI_INDEX, STRUCTURE_INDEX,
                                     STRUCTURE_PAIR, STRUCTURE_SIGN, V1, V2,
                                     InvariantForm, _merge, contract, coframe,
@@ -237,6 +250,49 @@ def partials_exterior_d(alpha):
                 factor = ((-1.0) ** pos) * STRUCTURE_SIGN * sign
                 out.coeffs[INDEX_POS[k + 1][merged]] += factor * alpha.coeffs[i_in]
     return out
+
+
+def partials_metric_split(m):
+    """(sigma1, sigma2) of metric_split from the four partials of the shift (a, b)."""
+    a, b, w = _shift_and_area(m)
+    (a_x, b_x), (a_y, b_y) = m.grid.derivative(np.stack((a, b)))
+    return (b_x - a_y - 1.0) / w, (a_x + b_y) / w
+
+
+def _lee_inputs(partials):
+    """(lam_x, lam_y), A and B + lam from the partials of (lam, p, q)."""
+    (lam_x, p_x, q_x), (lam_y, p_y, q_y) = partials
+    return (lam_x, lam_y), -(p_y + q_x), p_x - q_y
+
+
+def partials_lee_form(m):
+    """lee_form from the six partials of (lam, p, q), combined on the grid."""
+    partials = m.grid.derivative(np.stack((m.lam, m.p, m.q)))
+    theta = _lee_coefficients(m, *_lee_inputs(partials), m.determinant_margin())
+    return InvariantForm(m.grid, 1, theta)
+
+
+def partials_flow_velocity(m):
+    """flow_velocity from one derivative of (lam, p, q, log D), then d11."""
+    D = m.determinant_margin()
+    partials = m.grid.derivative(np.stack((m.lam, m.p, m.q, np.log(D))))
+    t1, t2, t3, t4 = _lee_coefficients(m, *_lee_inputs(partials[:, :3]), D)
+    log_x, log_y = partials[:, 3]
+    b1, b2 = t1 - 0.5 * log_x, t2 - 0.5 * log_y
+    return -m.grid.d11(np.stack((-b2, b1, -t4, t3)))
+
+
+def fresh_state_rk4_step(m, dt):
+    """flow_engine.step with each stage state built fresh by MetricState(...)."""
+    def shifted(k, factor):
+        return MetricState(m.grid, m.u + factor * k[0], m.lam,
+                           m.p + factor * k[1], m.q + factor * k[2])
+
+    k1 = flow_velocity(MetricState(m.grid, m.u, m.lam, m.p, m.q))
+    k2 = flow_velocity(shifted(k1, 0.5 * dt))
+    k3 = flow_velocity(shifted(k2, 0.5 * dt))
+    k4 = flow_velocity(shifted(k3, dt))
+    return shifted(k1 + 2.0 * (k2 + k3) + k4, dt / 6.0)
 
 
 def coefficient_velocity(rhs):

@@ -114,21 +114,22 @@ def test_identity_battery_transform_budget(transform_fields):
     #     coefficient)                                             = 145/214
     #   state draws: 8 random fields, 2 noncsc seeds (poisson 1/1 +
     #     derivative 1/2)                                          =   4/14
-    #   every state: split 2/4 + theta 3/6 + d mu1 4/5 + d mu2 4/5
-    #     + d omega 5/4                                            =  18/24
-    #   general      2 x 18/24                                     =  36/48
-    #   lam_const    2 x (18/24 + d H 2/1)                         =  40/50
-    #   constant     4 x (18/24 + d H 2/1 + potential d J theta 4/5)
-    #                                                              =  96/120
-    #   csc_seed     2 x (18/24 + d H 2/1 + potential 4/5
-    #                     + curvature 5/7 + d rho 5/4)             =  68/82
-    #   noncsc_seed  2 x (18/24 + d H 2/1 + curvature 5/7 + d rho 5/4)
-    #                                                              =  60/72
-    # (502/1063 when exterior_d inverse-transformed both partials of every
-    # coefficient)
+    #   every state: split 2/2 (curl and divergence of the shift)
+    #     + theta 3/4 (lam_x, lam_y, A, B) + d mu1 4/5 + d mu2 4/5
+    #     + d omega 5/4                                            =  18/20
+    #   general      2 x 18/20                                     =  36/40
+    #   lam_const    2 x (18/20 + d H 2/1)                         =  40/42
+    #   constant     4 x (18/20 + d H 2/1 + potential d J theta 4/5)
+    #                                                              =  96/104
+    #   csc_seed     2 x (18/20 + d H 2/1 + potential 4/5
+    #                     + curvature 5/7 + d rho 5/4)             =  68/74
+    #   noncsc_seed  2 x (18/20 + d H 2/1 + curvature 5/7 + d rho 5/4)
+    #                                                              =  60/64
+    # (449/600 when the split and theta inverse-transformed both partials
+    # of every field they differentiate, 502/1063 when exterior_d did too)
     items = identity_battery(n=16, samples=2, seed=5)
     assert all(item.ok for item in items)
-    assert transform_fields == [449, 600]
+    assert transform_fields == [449, 552]
 
 
 def _swapped_shift(monkeypatch):
@@ -157,14 +158,30 @@ def _dropped_structure_term(monkeypatch):
     monkeypatch.setitem(invariant_forms._D_TABLE, 1, (first, spectral, ()))
 
 
+def _flipped_curl_sign(monkeypatch):
+    # the split's curl reads b_x + a_y, not b_x - a_y
+    (b_x, (j, sign, axis)), div = hermitian_geometry._SPLIT_TERMS
+    monkeypatch.setattr(hermitian_geometry, "_SPLIT_TERMS", ((b_x, (j, -sign, axis)), div))
+
+
+def _flipped_lee_a_sign(monkeypatch):
+    # the Lee pass reads A = p_y + q_x, not -(p_y + q_x)
+    A, *rest = hermitian_geometry._LEE_TERMS
+    flipped = tuple((j, -sign, axis) for j, sign, axis in A)
+    monkeypatch.setattr(hermitian_geometry, "_LEE_TERMS", (flipped, *rest))
+
+
 @pytest.mark.parametrize("mutate, name", (
     (_swapped_shift, "connection forms by contraction"),
     (_flipped_d_sign, "exterior nilpotency"),
     (_dropped_structure_term, "structure equation"),
-), ids=("swapped-shift", "flipped-d-sign", "dropped-structure-term"))
+    (_flipped_curl_sign, "first curvature ratio"),
+    (_flipped_lee_a_sign, "lee form defining property"),
+), ids=("swapped-shift", "flipped-d-sign", "dropped-structure-term",
+        "flipped-curl-sign", "flipped-lee-a-sign"))
 def test_identity_battery_item_can_fail(monkeypatch, mutate, name):
     # each mutation leaves the battery able to finish, and the named item
-    # fails by far (it reads 1.15, 140 and 1)
+    # fails by far (it reads 1.15, 140, 1, 3.29 and 4.98)
     mutate(monkeypatch)
     items = {item.name: item for item in identity_battery(n=16, samples=2, seed=5)}
     item = items[name]

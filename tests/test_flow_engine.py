@@ -17,7 +17,7 @@ from ktflow.invariant_forms import (BaseGrid, exterior_d, form_from,
 from ktflow.vaisman_toolkit import (assess, make_noncsc_vaisman,
                                     make_standard_vaisman)
 
-from oracles import coefficient_velocity
+from oracles import coefficient_velocity, fresh_state_rk4_step
 
 
 def test_flow_rhs_standard(grid16):
@@ -55,9 +55,7 @@ def test_velocity_matches_ricci_oracle(rng):
     for n in (16, 32, 64):
         grid = BaseGrid(n)
         for _ in range(3):
-            u, lam = (1.0 + 0.3 * random_band_limited(grid, rng) for _ in range(2))
-            p, q = (0.2 * random_band_limited(grid, rng) for _ in range(2))
-            m = MetricState(grid, u, lam, p, q)
+            m = _varying_lam_state(grid, rng)
             pkg = bismut_ricci(m)
             vel, residual = coefficient_velocity(-1.0 * p11_projection(pkg.rho))
             assert residual < 1e-13
@@ -162,6 +160,61 @@ def test_run_computes_each_state_geometry_once(grid16, monkeypatch):
                             counted(name, getattr(hermitian_geometry, attr)))
     run(make_noncsc_vaisman(grid16, 0.1), FlowConfig(dt=1e-4, t_end=5e-4, record_every=2))
     assert calls == {"velocity": 21, "split": 4, "curvature": 0}
+
+
+def test_flow_transform_budget(grid16, transform_fields, transform_calls):
+    # n x n fields and calls through BaseGrid._forward / _inverse.  The run
+    # of test_run_computes_each_state_geometry_once: 21 velocities, 4 records.
+    #   once per run: lam partials                     1/2 fields, 1/1 calls
+    #   every velocity: (p, q, log D) -> (A, B, d log D) 3/4 + d11 4/3
+    #                                                  7/7 fields, 2/2 calls
+    #   every record: split 2/2 + lap lam 2/4 + d theta 4/5, theta from the
+    #     record's velocity                           8/11 fields, 3/3 calls
+    #   1/2 + 21 x 7/7 + 4 x 8/11 = 180/193 fields; 1 + 42 + 12 = 55/55 calls
+    # (21 x 8/11 + 4 x 12/21 = 216/315 fields, 21 x 2 + 4 x 5 = 62/62 calls
+    # when each velocity and record differentiated lam and each velocity
+    # and theta inverse-transformed all six partials of (lam, p, q))
+    m = make_noncsc_vaisman(grid16, 0.1)
+    transform_fields[:] = transform_calls[:] = [0, 0]
+    run(m, FlowConfig(dt=1e-4, t_end=5e-4, record_every=2))
+    assert transform_fields == [180, 193]
+    assert transform_calls == [55, 55]
+
+
+def _varying_lam_state(grid, rng):
+    u, lam = (1.0 + 0.3 * random_band_limited(grid, rng) for _ in range(2))
+    p, q = (0.2 * random_band_limited(grid, rng) for _ in range(2))
+    return MetricState(grid, u, lam, p, q)
+
+
+@pytest.mark.parametrize("n", (8, 16, 32, 64, 128))
+def test_step_equals_fresh_state_rk4_bitwise(n):
+    # the stage states share the start state's lam and lam partials; a step
+    # whose stage states are built and differentiated afresh is bitwise equal
+    grid = BaseGrid(n)
+    dt = 0.05 * grid.h ** 2
+    for seed in range(3):
+        m = _varying_lam_state(grid, np.random.default_rng(seed))
+        got, expected = step(m, dt), fresh_state_rk4_step(m, dt)
+        for name in ("u", "lam", "p", "q"):
+            assert np.array_equal(getattr(got, name), getattr(expected, name)), name
+
+
+def test_stale_lam_partials_handover_is_seen(monkeypatch):
+    # handing over zero lam partials breaks the bitwise match above
+    true_with_fields = MetricState.with_fields
+
+    def stale(m, u, p, q):
+        out = true_with_fields(m, u, p, q)
+        out.__dict__["lam_partials"] = np.zeros_like(m.lam_partials)
+        return out
+
+    monkeypatch.setattr(MetricState, "with_fields", stale)
+    grid = BaseGrid(16)
+    m = _varying_lam_state(grid, np.random.default_rng(0))
+    dt = 0.05 * grid.h ** 2
+    got, expected = step(m, dt), fresh_state_rk4_step(m, dt)
+    assert np.max(np.abs(got.u - expected.u)) > 1e-8
 
 
 def test_run_trace_structure(grid32):

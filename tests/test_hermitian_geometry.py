@@ -7,7 +7,8 @@ from ktflow.errors import (DegenerateTransverseError, NonFiniteFieldError,
                            PositivityError)
 from ktflow.hermitian_geometry import (MetricSplit, MetricState, bismut_ricci,
                                        bismut_torsion, characteristic_numbers,
-                                       inner_1forms, lee_form, metric_split)
+                                       flow_velocity, inner_1forms, lee_form,
+                                       metric_split)
 from ktflow.invariant_forms import (MULTI_INDEX, BaseGrid, InvariantForm,
                                     apply_J, base_integral, basis_form, coframe,
                                     exterior_d, function_form,
@@ -16,7 +17,8 @@ from ktflow.invariant_forms import (MULTI_INDEX, BaseGrid, InvariantForm,
 from oracles import (JMAT, contraction_split, homogeneous_scalar,
                      koszul_fd_lowered, left_invariant_curvature,
                      metric_matrix, metric_tensor, moving_frame_curvature,
-                     wedge_lee_form)
+                     partials_flow_velocity, partials_lee_form,
+                     partials_metric_split, wedge_lee_form)
 
 RHO_COMPONENT_ORDER = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
 
@@ -203,6 +205,33 @@ def test_closed_forms_match_oracles(rng):
             g_inv = np.linalg.inv(metric_tensor(m))
             expected = np.einsum("ixy,xyij,jxy->xy", alpha.coeffs, g_inv, beta.coeffs)
             assert np.max(np.abs(inner_1forms(m, alpha, beta) - expected)) < 1e-13
+
+
+@pytest.mark.parametrize("n", (8, 16, 32, 64, 128))
+def test_spectral_sums_match_partials_oracles(n):
+    # sigma_i, theta and the velocity from spectral sums against the same
+    # closed forms from every partial of the fields they differentiate
+    grid = BaseGrid(n)
+    for seed in range(5):
+        m = random_state(grid, np.random.default_rng(seed))
+        split = metric_split(m)
+        for got, ref in zip((split.sigma1, split.sigma2), partials_metric_split(m)):
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+        ref = partials_lee_form(m)
+        assert (lee_form(m) - ref).max_abs() <= 1e-13 * ref.max_abs()
+        ref = partials_flow_velocity(m)
+        assert np.max(np.abs(flow_velocity(m) - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("n", (8, 16, 32, 64, 128))
+def test_velocity_leaves_the_lee_form_bitwise(n):
+    # the theta the velocity forms on the way is the state's m.theta
+    grid = BaseGrid(n)
+    for seed in range(5):
+        m = random_state(grid, np.random.default_rng(seed))
+        m.velocity
+        assert "theta" in vars(m)
+        assert np.array_equal(m.theta.coeffs, lee_form(m).coeffs)
 
 
 def test_torsion_standard_and_closure(grid32, rng):
