@@ -103,6 +103,13 @@ class ExperimentConfig:
                 raise ConfigError(
                     f"custom preset violates u0*lam0 - p0^2 - q0^2 > 0 (margin {margin})"
                 )
+            from .hermitian_geometry import DEGENERACY_TOL
+            area = margin * (1.0 / self.lam0)   # w = D/lam as metric_split evaluates it
+            if area < DEGENERACY_TOL:
+                raise ConfigError(
+                    f"custom preset has a degenerate transverse area u0 - (p0^2 + q0^2)/lam0"
+                    f" = {area:.3e} < {DEGENERACY_TOL:.0e}"
+                )
         self.flow_config()
         for name in ("tol", "vaisman_tol", "variance_tol", "exit_threshold"):
             if not getattr(self, name) > 0:

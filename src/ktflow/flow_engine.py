@@ -8,15 +8,20 @@ construction, and the flow is a parabolic system for (u, p, q) on the base
 grid.  Its velocity is a closed form (hermitian_geometry.flow_velocity),
 cached on each state as m.velocity, which the trace records share with the
 next step's first stage.  lam passes through bitwise, so every later
-state shares m0's lam array and lam partials (MetricState.with_fields),
-and a stage moves 7/7 forward/inverse fields in two transform pairs.
+state shares m0's lam array and lam data, 1/lam, min lam, the lam partials
+and the Laplacian (MetricState.with_fields), and a stage moves 7/7
+forward/inverse fields in two transform pairs.  A stage state is one axpy
+on the (u, p, q) stack, and it computes D and its minima once for the
+positivity guard, the velocity and the step bound.
 Classical RK4 with a parabolic step bound keeps the integrator auditable
 at desk scale.  Positivity is enforced, never restored: a step that leaves
 the positive cone is rejected, and non-finite values abort the run.
 
 Two identities put the record path on the same velocity: the curvature
-scalar is s = -d/dt log D, and the torsion derivative is d H = -(lam_xx +
-lam_yy) e1^e2^e3^e4, so the pluriclosed defect is a measured max |lap lam|.
+scalar is s = -d/dt log D (m.s, read once per record), and the torsion
+derivative is d H = -(lam_xx + lam_yy) e1^e2^e3^e4, so the pluriclosed
+defect is a measured max |lap lam| from the shared Laplacian: a record
+moves 6/7 fields, the split and d theta.
 
 Each recorded row carries the conservation diagnostics that the splitting
 calculus predicts: the fiber part of the state velocity (exactly zero at
@@ -34,14 +39,14 @@ import numpy as np
 
 from .errors import (
     ConfigError,
+    DegenerateTransverseError,
     KTError,
     NonFiniteFieldError,
     NumericalAbort,
     PositivityError,
     StepRejected,
 )
-from .hermitian_geometry import (MetricState, characteristic_numbers, inner_1forms,
-                                 scalar_curvature)
+from .hermitian_geometry import MetricState, characteristic_numbers, inner_1forms
 from .invariant_forms import form_from, wedge
 from .vaisman_toolkit import assess
 
@@ -116,11 +121,10 @@ def flow_rhs(m):
 
 
 def _shifted(m, vel, factor):
-    """m moved by factor * vel; it shares m's lam array and lam partials."""
+    """m moved by factor * vel, one axpy on its (u, p, q) stack; it shares m's lam data."""
+    upq = np.multiply(factor, vel)
     try:
-        return m.with_fields(m.u + factor * vel[0],
-                             m.p + factor * vel[1],
-                             m.q + factor * vel[2])
+        return m.with_fields(np.add(m.upq, upq, out=upq))
     except NonFiniteFieldError as exc:
         raise NumericalAbort(f"non-finite state during a step: {exc}") from exc
 
@@ -136,7 +140,11 @@ def step(m, dt):
         k2 = flow_rhs(_shifted(m, k1, 0.5 * dt))
         k3 = flow_rhs(_shifted(m, k2, 0.5 * dt))
         k4 = flow_rhs(_shifted(m, k3, dt))
-        out = _shifted(m, k1 + 2.0 * (k2 + k3) + k4, dt / 6.0)
+        incr = np.add(k2, k3)           # k1 + 2 (k2 + k3) + k4, in one buffer
+        np.multiply(2.0, incr, out=incr)
+        np.add(k1, incr, out=incr)
+        incr += k4
+        out = _shifted(m, incr, dt / 6.0)
     except PositivityError as exc:
         margin = m.positivity_margin()
         raise StepRejected(
@@ -156,7 +164,7 @@ def step(m, dt):
 
 def _cfl_bound(m, cfg):
     h2 = m.grid.h * m.grid.h
-    return cfg.cfl_safety * h2 * min(float(m.u.min()), float(m.lam.min()))
+    return cfg.cfl_safety * h2 * min(m.u_min, m.lam_min)
 
 
 def sigma1_ode_residual_instant(m, h=1e-5):
@@ -171,7 +179,16 @@ def sigma1_ode_residual_instant(m, h=1e-5):
     plus = _shifted(m, vel, h).split
     minus = _shifted(m, vel, -h).split
     rate = (plus.sigma1 - minus.sigma1) / (2.0 * h)
-    return float(np.max(np.abs(rate - m.split.sigma1 * scalar_curvature(m))))
+    return float(np.max(np.abs(rate - m.split.sigma1 * m.s)))
+
+
+def _split_at(m, t):
+    """m.split, where a degenerate transverse area aborts the run at time t."""
+    try:
+        return m.split
+    except DegenerateTransverseError as exc:
+        raise NumericalAbort(f"degenerate transverse area at t = {t:.6f}: {exc}",
+                             t=t) from exc
 
 
 def run(m0, cfg):
@@ -180,7 +197,8 @@ def run(m0, cfg):
     The final partial block is always recorded; a run must produce at least
     three records so that the centered time differences in the trace are
     defined.  Exceptions from step() propagate with the failure time filled
-    in.
+    in, and a record whose transverse area w = D/lam falls below
+    DEGENERACY_TOL aborts the run (NumericalAbort) at its time.
     """
     m0.require_positive()
     steps = cfg.steps()
@@ -195,20 +213,18 @@ def run(m0, cfg):
     columns = {name: [] for name in TRACE_COLUMNS}
     state = m0
     t = 0.0
-    initial_split = m0.split
+    initial_split = _split_at(m0, t)
     prev_fiber = None
     prev_t = None
 
     def record(m, t_now):
         nonlocal prev_fiber, prev_t
-        split = m.split
+        split = _split_at(m, t_now)
         vel = m.velocity
-        s = scalar_curvature(m)
         report = assess(m, cfg.vaisman_tol)
         # mu1 = (q/lam) e1 + (p/lam) e2 + e3 and mu2 = J mu1 move with
         # (q', p')/lam, since lam' = 0; fiber_vel is d/dt (lam mu1^mu2)
-        inv = 1.0 / m.lam
-        da, db = vel[2] * inv, vel[1] * inv
+        da, db = vel[:0:-1] * m.inv_lam
         mu1_dot = form_from(m.grid, 1, {(0,): da, (1,): db})
         mu2_dot = form_from(m.grid, 1, {(0,): -db, (1,): da})
         fiber_vel = (wedge(mu1_dot, split.mu2) + wedge(split.mu1, mu2_dot)) * m.lam
@@ -231,7 +247,7 @@ def run(m0, cfg):
             "sigma1_var": float(np.var(split.sigma1)),
             "sigma2_mean": float(np.mean(split.sigma2)),
             "sigma2_var": float(np.var(split.sigma2)),
-            "s_mean": float(np.mean(s)),
+            "s_mean": float(np.mean(m.s)),
             "s_var": report.s_variance,
             "pluriclosed_defect": report.pluriclosed_defect,
             "lck_defect": report.lck_defect,

@@ -24,13 +24,19 @@ shift (a, b) = (q/lam, p/lam) and the transverse area w = D/lam:
   * <x, y> = [x(F1) y(F1) + x(F2) y(F2)]/w + (x3 y3 + x4 y4)/lam for 1-forms,
     with x(F1) = x1 - a x3 + b x4 and x(F2) = x2 - b x3 - a x4.
 
-A state's derived data is a property of the state, computed once on first
-access: m.lam_partials, m.theta = lee_form(m), m.split = metric_split(m),
-m.curvature = bismut_ricci(m) and m.velocity = flow_velocity(m).  Each
-transforms only the partial sums it reads (BaseGrid.partial_sums).  The
+A state keeps (u, p, q) as the rows of one read-only (3, n, n) stack,
+m.upq, beside a read-only lam.  Its derived data is a property of the
+state, computed once on first access: the Pfaffian m.D = u lam - p^2 - q^2
+and the minima of u, lam and D; the lam data m.inv_lam, m.lam_partials and
+m.lam_laplacian; m.theta = lee_form(m), m.split = metric_split(m),
+m.curvature = bismut_ricci(m), m.velocity = flow_velocity(m) and
+m.s = scalar_curvature(m).  Each transforms only the partial sums it reads
+(BaseGrid.partial_sums) and fills preallocated arrays in place.  The
 velocity reads m.lam_partials and leaves its theta as m.theta, and the
-curvature reads m.theta.  The torsion 3-form is not part of the curvature
-package; bismut_torsion(m) computes it on demand.
+curvature reads m.theta.  A state that m.with_fields(upq) builds on m
+shares m's lam array and the lam data m has computed.  The torsion 3-form
+is not part of the curvature package; bismut_torsion(m) computes it on
+demand.
 
 Sign conventions, fixed once and verified by the test oracles:
 
@@ -87,13 +93,23 @@ from .invariant_forms import (
 
 DEGENERACY_TOL = 1e-12
 
+# state data that depends on lam alone, handed from a state to the states
+# with_fields builds on it, as far as the state has computed it
+_LAM_DATA = ("lam_min", "inv_lam", "lam_partials", "lam_laplacian")
+
+
+def _read_only(values):
+    values.setflags(write=False)
+    return values
+
 
 @dataclass(frozen=True, eq=False)
 class MetricState:
     """Coefficient fields (u, lam, p, q) of an invariant Hermitian 2-form.
 
-    The fields are read-only copies, so the cached lam partials, theta,
-    split, curvature and velocity describe the fields they came from.
+    u, p and q are the rows of one read-only (3, n, n) stack, m.upq, and lam
+    is read-only too, so the cached D, minima, lam data (1/lam, partials,
+    Laplacian) and geometry describe the fields they came from.
     """
 
     grid: object
@@ -102,21 +118,31 @@ class MetricState:
     p: np.ndarray
     q: np.ndarray
 
-    def __post_init__(self, names=("u", "lam", "p", "q")):
-        for name in names:
-            values = np.broadcast_to(np.asarray(getattr(self, name), dtype=float),
-                                     (self.grid.n, self.grid.n))
-            values = self.grid.check_field(values, f"metric coefficient {name}")
-            values = values.copy()
-            values.setflags(write=False)
-            object.__setattr__(self, name, values)
+    def __post_init__(self):
+        n = self.grid.n
+        u, lam, p, q = (self.grid.check_field(
+            np.broadcast_to(np.asarray(getattr(self, name), dtype=float), (n, n)),
+            f"metric coefficient {name}") for name in ("u", "lam", "p", "q"))
+        self.__dict__["lam"] = _read_only(lam.copy())
+        self._set_stack(np.stack((u, p, q)))
 
-    def with_fields(self, u, p, q):
-        """State (u, lam, p, q) sharing this state's checked lam and lam partials."""
+    def _set_stack(self, upq):
+        upq = _read_only(upq)
+        self.__dict__.update(upq=upq, u=upq[0], p=upq[1], q=upq[2])
+
+    def with_fields(self, upq):
+        """State with the (u, p, q) stack upq on this state's lam and lam data.
+
+        upq is a fresh (3, n, n) array: it is checked once and kept, not
+        copied.  The new state shares the lam array and whatever lam data
+        this state has computed (_LAM_DATA).
+        """
+        upq = self.grid.check_field(upq, "metric coefficients (u, p, q)")
         out = object.__new__(MetricState)
-        out.__dict__.update(grid=self.grid, u=u, lam=self.lam, p=p, q=q,
-                            lam_partials=self.lam_partials)
-        out.__post_init__(("u", "p", "q"))
+        out.__dict__.update({key: self.__dict__[key] for key in _LAM_DATA
+                             if key in self.__dict__})
+        out.__dict__.update(grid=self.grid, lam=self.lam)
+        out._set_stack(upq)
         return out
 
     @staticmethod
@@ -134,18 +160,32 @@ class MetricState:
         out.coeffs[5] = self.lam        # e3^e4
         return out
 
-    def determinant_margin(self):
-        return self.u * self.lam - self.p * self.p - self.q * self.q
+    @cached_property
+    def D(self):
+        """Pfaffian u lam - p^2 - q^2 of omega, read-only."""
+        return _read_only(self.u * self.lam - self.p * self.p - self.q * self.q)
+
+    @cached_property
+    def u_min(self):
+        return float(self.u.min())
+
+    @cached_property
+    def lam_min(self):
+        return float(self.lam.min())
+
+    @cached_property
+    def D_min(self):
+        return float(self.D.min())
 
     def positivity_margin(self):
         """Smallest of min(u), min(lam), min(u lam - p^2 - q^2)."""
-        return float(min(self.u.min(), self.lam.min(), self.determinant_margin().min()))
+        return float(min(self.u_min, self.lam_min, self.D_min))
 
     def require_positive(self):
-        for name, values in (("u", self.u), ("lam", self.lam),
-                             ("u*lam - p^2 - q^2", self.determinant_margin())):
-            worst = values.min()
+        for name, key in (("u", "u"), ("lam", "lam"), ("u*lam - p^2 - q^2", "D")):
+            worst = getattr(self, key + "_min")
             if not worst > 0.0:
+                values = getattr(self, key)
                 bad = np.unravel_index(np.argmin(values), values.shape)
                 raise PositivityError(
                     f"positivity violated: {name} = {worst:.6e} at grid point {bad}"
@@ -158,9 +198,19 @@ class MetricState:
                          np.max(np.abs(self.q - other.q))))
 
     @cached_property
+    def inv_lam(self):
+        return _read_only(1.0 / self.lam)
+
+    @cached_property
     def lam_partials(self):
         """(lam_x, lam_y) stacked (2, n, n), from one transform pair (1/2 fields)."""
-        return self.grid.derivative(self.lam)
+        return _read_only(self.grid.derivative(self.lam))
+
+    @cached_property
+    def lam_laplacian(self):
+        """lam_xx + lam_yy, from one pair on the lam partials (2/4 fields)."""
+        (lam_xx, _), (_, lam_yy) = self.grid.derivative(self.lam_partials)
+        return _read_only(lam_xx + lam_yy)
 
     @cached_property
     def theta(self):
@@ -177,6 +227,10 @@ class MetricState:
     @cached_property
     def velocity(self):
         return flow_velocity(self)
+
+    @cached_property
+    def s(self):
+        return scalar_curvature(self)
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,9 +253,8 @@ def _top_coefficient(four_form):
 
 
 def _shift_and_area(m):
-    """Shift (a, b) = (q/lam, p/lam) of mu1 and transverse area w = D/lam."""
-    inv_lam = 1.0 / m.lam
-    return m.q * inv_lam, m.p * inv_lam, m.determinant_margin() * inv_lam
+    """Shift (a, b) = (q/lam, p/lam) of mu1, stacked (2, n, n), and area w = D/lam."""
+    return m.upq[:0:-1] * m.inv_lam, m.D * m.inv_lam
 
 
 # (field, sign, axis) terms of BaseGrid.partial_sums: curl b_x - a_y and
@@ -220,13 +273,13 @@ def metric_split(m):
     d(e3) = -e1^e2, each d(mu_i) is sigma_i w e1^e2: 2/2 transform fields.
     """
     m.require_positive()
-    a, b, w = _shift_and_area(m)
+    shift, w = _shift_and_area(m)
     worst = float(np.min(w))
     if worst < DEGENERACY_TOL:
         raise DegenerateTransverseError(
             f"transverse area coefficient {worst:.3e} below {DEGENERACY_TOL:.0e}"
         )
-    shift = m.grid.check_field(np.stack((a, b)), "connection shift")
+    a, b = m.grid.check_field(shift, "connection shift")
     curl, div = m.grid.partial_sums(shift, _SPLIT_TERMS)
     mu1 = form_from(m.grid, 1, {(0,): a, (1,): b, (2,): 1.0})
     return MetricSplit(mu1=mu1, mu2=apply_J(mu1),
@@ -234,16 +287,32 @@ def metric_split(m):
                        sigma1=(curl - 1.0) / w, sigma2=div / w, w_check=w)
 
 
-def _lee_coefficients(m, lam_partials, A, B_plus_lam, D):
-    """theta's coefficients from (lam_x, lam_y), A, B + lam and D."""
+def _lee_coefficients(m, lam_partials, A, B, D):
+    """theta's coefficients (4, n, n) from (lam_x, lam_y), A, B + lam and D.
+
+    B arrives as B + lam and is overwritten with B; each coefficient is
+    summed left to right in one row of the result, through one scratch field.
+    """
     u, lam, p, q = m.u, m.lam, m.p, m.q
     lam_x, lam_y = lam_partials
-    B = B_plus_lam - lam
-    theta = np.stack((u * lam_x - p * B + q * A,
-                      u * lam_y + q * B + p * A,
-                      q * lam_x + p * lam_y + lam * A,
-                      q * lam_y - p * lam_x + lam * B))
-    return theta / D
+    B -= lam
+    theta = np.empty((4,) + A.shape)
+    t1, t2, t3, t4 = theta
+    scratch = np.empty_like(A)
+    np.multiply(u, lam_x, out=t1)   # u lam_x - p B + q A
+    t1 -= np.multiply(p, B, out=scratch)
+    t1 += np.multiply(q, A, out=scratch)
+    np.multiply(u, lam_y, out=t2)   # u lam_y + q B + p A
+    t2 += np.multiply(q, B, out=scratch)
+    t2 += np.multiply(p, A, out=scratch)
+    np.multiply(q, lam_x, out=t3)   # q lam_x + p lam_y + lam A
+    t3 += np.multiply(p, lam_y, out=scratch)
+    t3 += np.multiply(lam, A, out=scratch)
+    np.multiply(q, lam_y, out=t4)   # q lam_y - p lam_x + lam B
+    t4 -= np.multiply(p, lam_x, out=scratch)
+    t4 += np.multiply(lam, B, out=scratch)
+    theta /= D
+    return theta
 
 
 def lee_form(m):
@@ -257,7 +326,7 @@ def lee_form(m):
     m.require_positive()
     fields = m.grid.check_field(np.stack((m.p, m.q, m.lam)), "lee form input")
     A, B, lam_x, lam_y = m.grid.partial_sums(fields, _LEE_TERMS)
-    theta = _lee_coefficients(m, (lam_x, lam_y), A, B, m.determinant_margin())
+    theta = _lee_coefficients(m, (lam_x, lam_y), A, B, m.D)
     return InvariantForm(m.grid, 1, theta)
 
 
@@ -288,12 +357,39 @@ def bismut_ricci(m):
     s = 2 (rho ^ omega) / (omega ^ omega) as top-form coefficients.
     """
     theta = m.theta  # first: lee_form checks positivity before the log
-    log_det = function_form(m.grid, np.log(m.determinant_margin()))
+    log_det = function_form(m.grid, np.log(m.D))
     rho = exterior_d(apply_J(theta - 0.5 * exterior_d(log_det)))
     omega = m.omega()
     s = (2.0 * _top_coefficient(wedge(rho, omega))
          / _top_coefficient(wedge(omega, omega)))
     return CurvaturePackage(rho=rho, rho11=p11_projection(rho), s=s)
+
+
+def _flow_alpha(m):
+    """alpha = J (theta - (1/2) d log D), leaving theta as m.theta.
+
+    Returns the 1-form coefficients (-b2, b1, -t4, t3) of J b for
+    b = theta - (1/2) d log D; its partial sums are freed on return.
+    """
+    m.require_positive()  # first: positivity before the log
+    fields = np.empty_like(m.upq)
+    fields[:2] = m.upq[1:]
+    np.log(m.D, out=fields[2])
+    fields = m.grid.check_field(fields, "flow velocity input")
+    A, B, log_x, log_y = m.grid.partial_sums(fields, _LEE_TERMS)
+    theta = _lee_coefficients(m, m.lam_partials, A, B, m.D)
+    m.__dict__.setdefault("theta", InvariantForm(m.grid, 1, theta))
+    t1, t2, t3, t4 = theta
+    alpha = np.empty_like(theta)
+    minus_b2, b1, minus_t4, _ = alpha
+    np.multiply(0.5, log_y, out=minus_b2)   # b2 = t2 - (1/2) (log D)_y
+    np.subtract(t2, minus_b2, out=minus_b2)
+    np.negative(minus_b2, out=minus_b2)
+    np.multiply(0.5, log_x, out=b1)         # b1 = t1 - (1/2) (log D)_x
+    np.subtract(t1, b1, out=b1)
+    np.negative(t4, out=minus_t4)
+    alpha[3] = t3
+    return alpha
 
 
 def flow_velocity(m):
@@ -305,16 +401,8 @@ def flow_velocity(m):
     whose e3^e4 coefficient, lam's velocity, vanishes identically.  That is
     7/7 forward/inverse fields.
     """
-    m.require_positive()  # first: positivity before the log
-    D = m.determinant_margin()
-    fields = m.grid.check_field(np.stack((m.p, m.q, np.log(D))), "flow velocity input")
-    A, B, log_x, log_y = m.grid.partial_sums(fields, _LEE_TERMS)
-    theta = _lee_coefficients(m, m.lam_partials, A, B, D)
-    m.__dict__.setdefault("theta", InvariantForm(m.grid, 1, theta))
-    t1, t2, t3, t4 = theta
-    b1 = t1 - 0.5 * log_x
-    b2 = t2 - 0.5 * log_y
-    return -m.grid.d11(np.stack((-b2, b1, -t4, t3)))  # alpha = J b
+    velocity = m.grid.d11(_flow_alpha(m))
+    return np.negative(velocity, out=velocity)
 
 
 def scalar_curvature(m):
@@ -325,7 +413,7 @@ def scalar_curvature(m):
     D' = lam u' - 2 p p' - 2 q q'; it equals bismut_ricci(m).s to rounding.
     """
     du, dp, dq = m.velocity
-    return -(m.lam * du - 2.0 * (m.p * dp + m.q * dq)) / m.determinant_margin()
+    return -(m.lam * du - 2.0 * (m.p * dp + m.q * dq)) / m.D
 
 
 def characteristic_numbers(split):
@@ -344,7 +432,7 @@ def inner_1forms(m, alpha, beta):
     F1 = (E1 - a E3 + b E4)/sqrt(w), F2 = (E2 - b E3 - a E4)/sqrt(w),
     E3/sqrt(lam) and E4/sqrt(lam) are an orthonormal frame.
     """
-    a, b, w = _shift_and_area(m)
+    (a, b), w = _shift_and_area(m)
     x1, x2, x3, x4 = alpha.coeffs
     y1, y2, y3, y4 = beta.coeffs
     horizontal = ((x1 - a * x3 + b * x4) * (y1 - a * y3 + b * y4)

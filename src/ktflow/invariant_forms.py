@@ -114,6 +114,7 @@ class BaseGrid:
         kx[n // 2] = 0.0
         ky[0, -1] = 0.0
         self._ik = (1j * kx, 1j * ky)
+        self._symbol_tables = {}
 
     def __repr__(self):
         return f"BaseGrid(n={self.n})"
@@ -163,6 +164,14 @@ class BaseGrid:
             np.multiply(spec, ik, out=part)
         return self._inverse(both)
 
+    def _signed_symbols(self, terms):
+        """terms with each (sign, axis) as its symbol sign * ik[axis], cached by value."""
+        table = self._symbol_tables.get(terms)
+        if table is None:
+            table = self._symbol_tables[terms] = tuple(
+                tuple((j, sign * self._ik[axis]) for j, sign, axis in row) for row in terms)
+        return table
+
     def partial_sums(self, values, terms):
         """Sums of signed base partials of stacked fields, in spectral space.
 
@@ -171,10 +180,12 @@ class BaseGrid:
         """
         spec = self._forward(values)
         out = np.empty((len(terms),) + spec.shape[1:], dtype=complex)
-        for acc, ((j, sign, axis), *rest) in zip(out, terms):
-            np.multiply(spec[j], sign * self._ik[axis], out=acc)
-            for j, sign, axis in rest:
-                acc += spec[j] * (sign * self._ik[axis])
+        scratch = np.empty_like(out[0])
+        for acc, ((j, symbol), *rest) in zip(out, self._signed_symbols(terms)):
+            np.multiply(spec[j], symbol, out=acc)
+            for j, symbol in rest:
+                acc += np.multiply(spec[j], symbol, out=scratch)
+        del spec, scratch  # freed before the inverse transform allocates
         return self._inverse(out)
 
     def d11(self, alpha):
@@ -188,9 +199,19 @@ class BaseGrid:
         alpha = self.check_field(alpha, "1-form coefficients")
         a1, a2, a3, a4 = self._forward(alpha)
         ikx, iky = self._ik
-        spec = np.stack((ikx * a2 - iky * a1 - a3,
-                         0.5 * (ikx * a3 + iky * a4),
-                         0.5 * (ikx * a4 - iky * a3)))
+        spec = np.empty((3,) + a1.shape, dtype=complex)
+        c12, c13, c14 = spec
+        scratch = np.empty_like(a1)
+        np.multiply(ikx, a2, out=c12)
+        c12 -= np.multiply(iky, a1, out=scratch)
+        c12 -= a3
+        np.multiply(ikx, a3, out=c13)
+        c13 += np.multiply(iky, a4, out=scratch)
+        np.multiply(0.5, c13, out=c13)
+        np.multiply(ikx, a4, out=c14)
+        c14 -= np.multiply(iky, a3, out=scratch)
+        np.multiply(0.5, c14, out=c14)
+        del a1, a2, a3, a4, scratch  # freed before the inverse transform allocates
         return self._inverse(spec)
 
     def poisson(self, rhs):

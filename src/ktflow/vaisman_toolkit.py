@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PositivityError
-from .hermitian_geometry import MetricState, inner_1forms, scalar_curvature
+from .hermitian_geometry import MetricState, inner_1forms
 from .invariant_forms import apply_J, base_integral, exterior_d, wedge
 
 
@@ -40,21 +40,20 @@ def _variance(field):
 
 
 def assess(m, tol=1e-8):
-    """Defect report of a metric state, from its cached split, Lee form and velocity.
+    """Defect report of a metric state, from its cached split, Lee form and scalar.
 
     d H = -(lam_xx + lam_yy) e1^e2^e3^e4 for the torsion H of any state, so
-    the pluriclosed defect needs lam's Laplacian only, one derivative of the
-    cached lam partials; s is the flow's s = -d/dt log D.
+    the pluriclosed defect needs lam's Laplacian only, m.lam_laplacian, which
+    the states of a flow share; s is the flow's s = -d/dt log D, m.s.
     """
     split = m.split
-    (lam_xx, _), (_, lam_yy) = m.grid.derivative(m.lam_partials)
     lck = exterior_d(m.theta).max_abs()
     vaisman = _variance(m.lam) + _variance(split.sigma1) + _variance(split.sigma2)
     return DefectReport(
-        pluriclosed_defect=float(np.max(np.abs(lam_xx + lam_yy))),
+        pluriclosed_defect=float(np.max(np.abs(m.lam_laplacian))),
         lck_defect=float(lck),
         vaisman_defect=float(vaisman),
-        s_variance=_variance(scalar_curvature(m)),
+        s_variance=_variance(m.s),
         is_vaisman=bool(vaisman < tol),
     )
 

@@ -42,6 +42,12 @@ rho = -(1/2) d J d log(u lam - p^2 - q^2) + d(J theta) in closed form from
   inverts only those, and the velocity reads the state's cached lam
   partials.
 
+* expression_flow_velocity: flow_velocity with every intermediate a fresh
+  array from a numpy expression: theta and alpha by np.stack, each signed
+  symbol sign * ik formed per call, d11 as rfft2_d11.  The package fills
+  preallocated arrays in place with the same operands in the same order,
+  so the two agree bitwise.
+
 * fresh_state_rk4_step: one RK4 step whose stage states are each built by
   MetricState(...) and so validate and differentiate lam afresh; the package
   hands the start state's lam array and lam partials to every stage state.
@@ -75,8 +81,7 @@ import itertools
 
 import numpy as np
 
-from ktflow.hermitian_geometry import (MetricState, _lee_coefficients, _shift_and_area,
-                                       bismut_torsion, flow_velocity)
+from ktflow.hermitian_geometry import _LEE_TERMS, MetricState, bismut_torsion, flow_velocity
 from ktflow.invariant_forms import (INDEX_POS, MULTI_INDEX, STRUCTURE_INDEX,
                                     STRUCTURE_PAIR, STRUCTURE_SIGN, V1, V2,
                                     InvariantForm, _merge, contract, coframe,
@@ -157,7 +162,7 @@ def wedge_lee_form(m):
                   for j in range(4)])
     w = np.einsum("ki,kjxy->ijxy", JMAT, metric_matrix(m.u, m.lam, m.p, m.q))
     theta = np.einsum("ijxy,jxy->ixy", w, r)
-    return InvariantForm(m.grid, 1, theta / m.determinant_margin())
+    return InvariantForm(m.grid, 1, theta / _determinant(m))
 
 
 def direct_band_limited(grid, rng, kmax=2, amplitude=1.0, zero_mean=False):
@@ -252,11 +257,29 @@ def partials_exterior_d(alpha):
     return out
 
 
+def _determinant(m):
+    """u lam - p^2 - q^2 of a state, evaluated here."""
+    return m.u * m.lam - m.p * m.p - m.q * m.q
+
+
 def partials_metric_split(m):
     """(sigma1, sigma2) of metric_split from the four partials of the shift (a, b)."""
-    a, b, w = _shift_and_area(m)
+    inv_lam = 1.0 / m.lam
+    a, b, w = m.q * inv_lam, m.p * inv_lam, _determinant(m) * inv_lam
     (a_x, b_x), (a_y, b_y) = m.grid.derivative(np.stack((a, b)))
     return (b_x - a_y - 1.0) / w, (a_x + b_y) / w
+
+
+def _expression_lee_coefficients(m, lam_partials, A, B_plus_lam, D):
+    """theta's coefficients from (lam_x, lam_y), A, B + lam and D, stacked."""
+    u, lam, p, q = m.u, m.lam, m.p, m.q
+    lam_x, lam_y = lam_partials
+    B = B_plus_lam - lam
+    theta = np.stack((u * lam_x - p * B + q * A,
+                      u * lam_y + q * B + p * A,
+                      q * lam_x + p * lam_y + lam * A,
+                      q * lam_y - p * lam_x + lam * B))
+    return theta / D
 
 
 def _lee_inputs(partials):
@@ -268,18 +291,47 @@ def _lee_inputs(partials):
 def partials_lee_form(m):
     """lee_form from the six partials of (lam, p, q), combined on the grid."""
     partials = m.grid.derivative(np.stack((m.lam, m.p, m.q)))
-    theta = _lee_coefficients(m, *_lee_inputs(partials), m.determinant_margin())
+    theta = _expression_lee_coefficients(m, *_lee_inputs(partials), _determinant(m))
     return InvariantForm(m.grid, 1, theta)
 
 
 def partials_flow_velocity(m):
     """flow_velocity from one derivative of (lam, p, q, log D), then d11."""
-    D = m.determinant_margin()
+    D = _determinant(m)
     partials = m.grid.derivative(np.stack((m.lam, m.p, m.q, np.log(D))))
-    t1, t2, t3, t4 = _lee_coefficients(m, *_lee_inputs(partials[:, :3]), D)
+    t1, t2, t3, t4 = _expression_lee_coefficients(m, *_lee_inputs(partials[:, :3]), D)
     log_x, log_y = partials[:, 3]
     b1, b2 = t1 - 0.5 * log_x, t2 - 0.5 * log_y
     return -m.grid.d11(np.stack((-b2, b1, -t4, t3)))
+
+
+def _expression_partial_sums(grid, values, terms):
+    """BaseGrid.partial_sums with each signed symbol and product formed per call."""
+    spec = grid._forward(values)
+    out = np.empty((len(terms),) + spec.shape[1:], dtype=complex)
+    for acc, ((j, sign, axis), *rest) in zip(out, terms):
+        np.multiply(spec[j], sign * grid._ik[axis], out=acc)
+        for j, sign, axis in rest:
+            acc += spec[j] * (sign * grid._ik[axis])
+    return grid._inverse(out)
+
+
+def expression_flow_velocity(m):
+    """flow_velocity with every intermediate a fresh array, as numpy expressions.
+
+    The same operands in the same order as the package, which fills
+    preallocated arrays in place: D, the partial sums of (p, q, log D),
+    theta by np.stack, alpha = J (theta - (1/2) d log D) by np.stack and
+    d11 as rfft2_d11.  The results are bitwise equal.
+    """
+    D = _determinant(m)
+    fields = np.stack((m.p, m.q, np.log(D)))
+    A, B, log_x, log_y = _expression_partial_sums(m.grid, fields, _LEE_TERMS)
+    theta = _expression_lee_coefficients(m, m.grid.derivative(m.lam), A, B, D)
+    t1, t2, t3, t4 = theta
+    b1 = t1 - 0.5 * log_x
+    b2 = t2 - 0.5 * log_y
+    return -rfft2_d11(m.grid, np.stack((-b2, b1, -t4, t3)))
 
 
 def fresh_state_rk4_step(m, dt):

@@ -76,7 +76,7 @@ def order_errors(grid16):
     # below 0.7 of it while the finest error stays far above rounding
     m0 = make_noncsc_vaisman(grid16, 0.1)
     k_max = 2.0 * np.pi * (grid16.n // 2 - 1)
-    w_min = float(np.min(m0.determinant_margin() / m0.lam))
+    w_min = float(np.min(m0.D / m0.lam))
     limit = 2.785 * 2.0 * w_min / (2.0 * k_max ** 2)
     assert max(LADDER_DT) <= 0.7 * limit
     t_star = 0.008

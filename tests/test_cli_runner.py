@@ -8,6 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import ktflow.cli_runner as cli_runner
 import ktflow.hermitian_geometry as hermitian_geometry
 import ktflow.invariant_forms as invariant_forms
 from ktflow.cli_runner import (ExperimentConfig, emit_csv, emit_snapshot,
@@ -86,6 +87,9 @@ def test_config_named_constraints():
         ExperimentConfig(preset="custom", u0=-1.0)
     with pytest.raises(ConfigError, match="p0"):
         ExperimentConfig(preset="custom", u0=1.0, lam0=1.0, p0=1.5)
+    with pytest.raises(ConfigError, match="degenerate transverse area"):
+        # margin 1e-13 > 0, but the transverse area is below DEGENERACY_TOL
+        ExperimentConfig(preset="custom", u0=1.0, lam0=1.0, p0=0.99999999999995)
     with pytest.raises(ConfigError, match="cfl_safety"):
         ExperimentConfig(cfl_safety=0.9)
     with pytest.raises(ConfigError, match="samples"):
@@ -164,6 +168,18 @@ def _flipped_curl_sign(monkeypatch):
     monkeypatch.setattr(hermitian_geometry, "_SPLIT_TERMS", ((b_x, (j, -sign, axis)), div))
 
 
+def _flipped_div_sign(monkeypatch):
+    # the split's divergence reads -a_x + b_y, not a_x + b_y
+    curl, ((j, sign, axis), b_y) = hermitian_geometry._SPLIT_TERMS
+    monkeypatch.setattr(hermitian_geometry, "_SPLIT_TERMS", (curl, ((j, -sign, axis), b_y)))
+
+
+def _flipped_lee_b_sign(monkeypatch):
+    # the Lee pass reads B + lam = p_x + q_y, not p_x - q_y
+    A, (p_x, (j, sign, axis)), *rest = hermitian_geometry._LEE_TERMS
+    monkeypatch.setattr(hermitian_geometry, "_LEE_TERMS", (A, (p_x, (j, -sign, axis)), *rest))
+
+
 def _flipped_lee_a_sign(monkeypatch):
     # the Lee pass reads A = p_y + q_x, not -(p_y + q_x)
     A, *rest = hermitian_geometry._LEE_TERMS
@@ -177,11 +193,14 @@ def _flipped_lee_a_sign(monkeypatch):
     (_dropped_structure_term, "structure equation"),
     (_flipped_curl_sign, "first curvature ratio"),
     (_flipped_lee_a_sign, "lee form defining property"),
+    (_flipped_div_sign, "second curvature ratio"),
+    (_flipped_lee_b_sign, "lee form formula"),
 ), ids=("swapped-shift", "flipped-d-sign", "dropped-structure-term",
-        "flipped-curl-sign", "flipped-lee-a-sign"))
+        "flipped-curl-sign", "flipped-lee-a-sign", "flipped-div-sign",
+        "flipped-lee-b-sign"))
 def test_identity_battery_item_can_fail(monkeypatch, mutate, name):
     # each mutation leaves the battery able to finish, and the named item
-    # fails by far (it reads 1.15, 140, 1, 3.29 and 4.98)
+    # fails by far (it reads 1.15, 140, 1, 3.29, 4.98, 3.92 and 2.79)
     mutate(monkeypatch)
     items = {item.name: item for item in identity_battery(n=16, samples=2, seed=5)}
     item = items[name]
@@ -340,6 +359,26 @@ def test_main_exit_codes(tmp_path):
     assert not verdict["ok"]
     failed = [a["name"] for a in verdict["assertions"] if not a["ok"]]
     assert "leaves vaisman" in failed
+
+
+def test_main_degenerate_transverse_area(tmp_path, monkeypatch, capsys):
+    # 2: a custom seed whose transverse area is below DEGENERACY_TOL
+    degenerate = ("preset = custom\nn = 8\np0 = 0.99999999999995\nu0 = 1\nlam0 = 1\n"
+                  "dt = 1e-4\nt_end = 5e-4\nrecord_every = 1\n")
+    cfgfile = tmp_path / "degenerate.cfg"
+    cfgfile.write_text(degenerate + f"out_dir = {tmp_path / 'out2'}\n")
+    assert main(["run", str(cfgfile)]) == 2
+    assert "degenerate transverse area" in capsys.readouterr().err
+
+    # 3: a degenerate split at a record is a numerical abort, not a traceback
+    monkeypatch.setattr(cli_runner, "_seed_state", lambda cfg, grid: MetricState.constant(
+        grid, 1.0, 1.0, 0.99999999999995))
+    cfgfile.write_text(degenerate.replace("p0 = 0.99999999999995", "p0 = 0.5")
+                       + f"out_dir = {tmp_path / 'out3'}\n")
+    assert main(["run", str(cfgfile)]) == 3
+    verdict = json.loads((tmp_path / "out3" / "custom_verdict.json").read_text())
+    assert verdict["aborted"] and not verdict["ok"] and verdict["t"] == 0.0
+    assert "transverse area" in verdict["reason"]
 
 
 def test_main_unwritable_verdict_is_a_config_error(tmp_path, capsys):

@@ -5,8 +5,8 @@ import pytest
 
 import ktflow.flow_engine as flow_engine
 import ktflow.hermitian_geometry as hermitian_geometry
-from ktflow.errors import (ConfigError, KTError, NumericalAbort,
-                           StepRejected)
+from ktflow.errors import (ConfigError, DegenerateTransverseError, KTError,
+                           NumericalAbort, StepRejected)
 from ktflow.flow_engine import (FlowConfig, FlowTrace, TRACE_COLUMNS,
                                 conservation_monitors, flow_rhs, run,
                                 sigma1_ode_residual_instant, step)
@@ -165,20 +165,21 @@ def test_run_computes_each_state_geometry_once(grid16, monkeypatch):
 def test_flow_transform_budget(grid16, transform_fields, transform_calls):
     # n x n fields and calls through BaseGrid._forward / _inverse.  The run
     # of test_run_computes_each_state_geometry_once: 21 velocities, 4 records.
-    #   once per run: lam partials                     1/2 fields, 1/1 calls
+    #   once per run: lam partials 1/2 + lap lam 2/4     3/6 fields, 2/2 calls
     #   every velocity: (p, q, log D) -> (A, B, d log D) 3/4 + d11 4/3
     #                                                  7/7 fields, 2/2 calls
-    #   every record: split 2/2 + lap lam 2/4 + d theta 4/5, theta from the
-    #     record's velocity                           8/11 fields, 3/3 calls
-    #   1/2 + 21 x 7/7 + 4 x 8/11 = 180/193 fields; 1 + 42 + 12 = 55/55 calls
-    # (21 x 8/11 + 4 x 12/21 = 216/315 fields, 21 x 2 + 4 x 5 = 62/62 calls
-    # when each velocity and record differentiated lam and each velocity
-    # and theta inverse-transformed all six partials of (lam, p, q))
+    #   every record: split 2/2 + d theta 4/5, theta from the record's
+    #     velocity, lap lam from the state's lam data  6/7 fields, 2/2 calls
+    #   3/6 + 21 x 7/7 + 4 x 6/7 = 174/181 fields; 2 + 42 + 8 = 52/52 calls
+    # (1/2 + 21 x 7/7 + 4 x 8/11 = 180/193 fields and 55/55 calls when each
+    # record took lap lam afresh; 21 x 8/11 + 4 x 12/21 = 216/315 fields and
+    # 62/62 calls when each velocity and record differentiated lam and each
+    # velocity and theta inverse-transformed all six partials of (lam, p, q))
     m = make_noncsc_vaisman(grid16, 0.1)
     transform_fields[:] = transform_calls[:] = [0, 0]
     run(m, FlowConfig(dt=1e-4, t_end=5e-4, record_every=2))
-    assert transform_fields == [180, 193]
-    assert transform_calls == [55, 55]
+    assert transform_fields == [174, 181]
+    assert transform_calls == [52, 52]
 
 
 def _varying_lam_state(grid, rng):
@@ -200,21 +201,63 @@ def test_step_equals_fresh_state_rk4_bitwise(n):
             assert np.array_equal(getattr(got, name), getattr(expected, name)), name
 
 
-def test_stale_lam_partials_handover_is_seen(monkeypatch):
-    # handing over zero lam partials breaks the bitwise match above
+def _stale_handover(monkeypatch, key):
+    # with_fields hands every new state zeros in place of the lam data `key`
     true_with_fields = MetricState.with_fields
 
-    def stale(m, u, p, q):
-        out = true_with_fields(m, u, p, q)
-        out.__dict__["lam_partials"] = np.zeros_like(m.lam_partials)
+    def stale(m, upq):
+        out = true_with_fields(m, upq)
+        out.__dict__[key] = np.zeros_like(getattr(m, key))
         return out
 
     monkeypatch.setattr(MetricState, "with_fields", stale)
+
+
+def test_stale_lam_partials_handover_is_seen(monkeypatch):
+    # handing over zero lam partials breaks the bitwise match above
+    _stale_handover(monkeypatch, "lam_partials")
     grid = BaseGrid(16)
     m = _varying_lam_state(grid, np.random.default_rng(0))
     dt = 0.05 * grid.h ** 2
     got, expected = step(m, dt), fresh_state_rk4_step(m, dt)
     assert np.max(np.abs(got.u - expected.u)) > 1e-8
+
+
+def _lam_laplacian_run(grid):
+    # pluriclosed defects of a varying-lam run, and max |lap lam| of fresh
+    # states built from its first and last fields
+    m = _varying_lam_state(grid, np.random.default_rng(3))
+    trace = run(m, FlowConfig(dt=1e-4, t_end=5e-4, record_every=1))
+    fresh = [assess(MetricState(grid, s.u, s.lam, s.p, s.q)).pluriclosed_defect
+             for s in (trace.initial_state, trace.final_state)]
+    return trace.column("pluriclosed_defect"), fresh
+
+
+def test_run_shares_lam_laplacian():
+    # every record reads the laplacian of the run's first state; a fresh
+    # state's is bitwise the same, and lam is frozen
+    defects, fresh = _lam_laplacian_run(BaseGrid(16))
+    assert fresh[0] == fresh[1] > 0.1
+    assert np.all(defects == fresh[0])
+
+
+def test_stale_lam_laplacian_handover_is_seen(monkeypatch):
+    # handing over a zero laplacian zeroes every defect after the first record
+    _stale_handover(monkeypatch, "lam_laplacian")
+    defects, fresh = _lam_laplacian_run(BaseGrid(16))
+    assert defects[0] == fresh[0] > 0.1
+    assert np.all(defects[1:] == 0.0)
+
+
+def test_run_aborts_on_degenerate_transverse_area(grid16):
+    # D = 1 - p^2 = 1e-13 > 0, but w = D/lam is below DEGENERACY_TOL: the
+    # first record's split aborts the run at t = 0 and names the area
+    thin = MetricState.constant(grid16, 1.0, 1.0, 0.99999999999995)
+    thin.require_positive()
+    with pytest.raises(NumericalAbort, match="degenerate transverse area at t = 0") as info:
+        run(thin, FlowConfig(dt=1e-4, t_end=5e-4, record_every=1))
+    assert info.value.t == 0.0
+    assert isinstance(info.value.__cause__, DegenerateTransverseError)
 
 
 def test_run_trace_structure(grid32):

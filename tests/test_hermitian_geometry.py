@@ -14,7 +14,7 @@ from ktflow.invariant_forms import (MULTI_INDEX, BaseGrid, InvariantForm,
                                     exterior_d, function_form,
                                     random_band_limited, random_form, wedge)
 
-from oracles import (JMAT, contraction_split, homogeneous_scalar,
+from oracles import (JMAT, contraction_split, expression_flow_velocity, homogeneous_scalar,
                      koszul_fd_lowered, left_invariant_curvature,
                      metric_matrix, metric_tensor, moving_frame_curvature,
                      partials_flow_velocity, partials_lee_form,
@@ -221,6 +221,36 @@ def test_spectral_sums_match_partials_oracles(n):
         assert (lee_form(m) - ref).max_abs() <= 1e-13 * ref.max_abs()
         ref = partials_flow_velocity(m)
         assert np.max(np.abs(flow_velocity(m) - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("n", (8, 16, 32, 64, 128))
+def test_velocity_equals_expression_oracle_bitwise(n):
+    # the in-place assembly of theta, alpha, the partial sums and d11 against
+    # the same operations as numpy expressions on fresh arrays
+    grid = BaseGrid(n)
+    for seed in range(5):
+        m = random_state(grid, np.random.default_rng(seed))
+        assert np.array_equal(flow_velocity(m), expression_flow_velocity(m))
+
+
+def test_state_arrays_are_read_only(grid16, rng):
+    # the (u, p, q) stack, D and the lam data, on a state and on one that
+    # with_fields builds on it, which shares the lam data computed so far
+    m = random_state(grid16, rng)
+    m.velocity, m.split, m.lam_laplacian
+    moved = m.with_fields(m.upq + 1e-3 * m.velocity)
+    assert not {"D", "u_min", "velocity", "split"} & set(vars(moved))
+    for state in (m, moved):
+        assert state.upq.shape == (3, 16, 16)
+        assert all(np.shares_memory(row, state.upq) for row in (state.u, state.p, state.q))
+        for name in ("upq", "u", "p", "q", "lam", "D", "inv_lam", "lam_partials",
+                     "lam_laplacian"):
+            values = getattr(state, name)
+            assert not values.flags.writeable, name
+            with pytest.raises(ValueError):
+                values[..., 0, 0] = 0.0
+    for name in ("lam", "lam_min", "inv_lam", "lam_partials", "lam_laplacian"):
+        assert getattr(moved, name) is getattr(m, name), name
 
 
 @pytest.mark.parametrize("n", (8, 16, 32, 64, 128))
