@@ -6,7 +6,7 @@ Recognized keys and defaults:
     preset        identity_suite | stationary_csc | noncsc_vaisman | custom
     n             32          grid resolution, power of two >= 8
     epsilon       0.1         non-CSC seed amplitude, |epsilon| < 0.5
-    mode          1,1         non-CSC seed wave numbers, positive integers
+    mode          1,1         non-CSC seed wave numbers, positive, 2 max(mode) < n
     scale         1.0         base area of the standard seed
     u0 lam0 p0 q0 1 1 0 0     custom preset: constant coefficient fields
     dt            1e-4        time step
@@ -91,6 +91,8 @@ class ExperimentConfig:
             raise ConfigError(f"epsilon must satisfy |epsilon| < 0.5, got {self.epsilon}")
         if min(self.mode) < 1:
             raise ConfigError(f"mode entries must be positive integers, got {self.mode}")
+        if not 2 * max(self.mode) < n:
+            raise ConfigError(f"mode {self.mode} is not resolved: needs 2 max(mode) < n = {n}")
         if not self.scale > 0:
             raise ConfigError(f"scale must be positive, got {self.scale}")
         if self.preset == "custom":

@@ -82,6 +82,9 @@ import numpy as np
 
 from .errors import DegenerateTransverseError, PositivityError
 from .invariant_forms import (
+    DX,
+    DY,
+    LAPLACIAN,
     InvariantForm,
     apply_J,
     exterior_d,
@@ -208,9 +211,8 @@ class MetricState:
 
     @cached_property
     def lam_laplacian(self):
-        """lam_xx + lam_yy, from one pair on the lam partials (2/4 fields)."""
-        (lam_xx, _), (_, lam_yy) = self.grid.derivative(self.lam_partials)
-        return _read_only(lam_xx + lam_yy)
+        """lam_xx + lam_yy, from one transform pair on lam (1/1 fields)."""
+        return _read_only(self.grid.partial_sums(self.lam[None], LAPLACIAN)[0])
 
     @cached_property
     def theta(self):
@@ -257,12 +259,12 @@ def _shift_and_area(m):
     return m.upq[:0:-1] * m.inv_lam, m.D * m.inv_lam
 
 
-# (field, sign, axis) terms of BaseGrid.partial_sums: curl b_x - a_y and
+# (field, factor, symbol) terms of BaseGrid.partial_sums: curl b_x - a_y and
 # divergence a_x + b_y of the shift (a, b); A = -(p_y + q_x), B + lam =
 # p_x - q_y and both partials of f, from the stacked fields (p, q, f)
-_SPLIT_TERMS = (((1, 1.0, 0), (0, -1.0, 1)), ((0, 1.0, 0), (1, 1.0, 1)))
-_LEE_TERMS = (((0, -1.0, 1), (1, -1.0, 0)), ((0, 1.0, 0), (1, -1.0, 1)),
-              ((2, 1.0, 0),), ((2, 1.0, 1),))
+_SPLIT_TERMS = (((1, 1.0, DX), (0, -1.0, DY)), ((0, 1.0, DX), (1, 1.0, DY)))
+_LEE_TERMS = (((0, -1.0, DY), (1, -1.0, DX)), ((0, 1.0, DX), (1, -1.0, DY)),
+              ((2, 1.0, DX),), ((2, 1.0, DY),))
 
 
 def metric_split(m):

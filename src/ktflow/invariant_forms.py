@@ -14,8 +14,10 @@ symmetry directions.  Invariant forms have one real coefficient field per
 increasing multi-index, each field living on a periodic grid over the unit
 square that discretizes the orbit space.  Base derivatives are spectral
 (trigonometric interpolation), so the structural identities below hold to
-machine precision on band-limited data.  Every transform is an rfft2 or
-irfft2 called as its two 1-D transforms (BaseGrid._forward, _inverse).  An
+machine precision on band-limited data.  Every spectral operation is one
+BaseGrid.partial_sums over a table of (field, factor, symbol) terms: an
+rfft2, sums of products with cached symbols (partials, the Laplacian, its
+inverse), an irfft2, each transform called as its two 1-D transforms.  An
 exterior derivative moves 1/2, 4/5, 5/4 and 2/1 forward/inverse fields for
 degrees 0 to 3: only the coefficients and components with a base partial.
 
@@ -27,6 +29,7 @@ e1^e2^e3^e4 as the positive volume form.
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -87,14 +90,29 @@ def _merge(left, right):
     return _sort_sign(tuple(left) + tuple(right))
 
 
+# Symbols of BaseGrid.partial_sums: tuples of names from the grid's factor
+# table, multiplied together; () is the constant 1.
+DX, DY = ("ik_x",), ("ik_y",)
+_GRADIENT = (((0, 1.0, DX),), ((0, 1.0, DY),))
+LAPLACIAN = (((0, 1.0, DX + DX), (0, 1.0, DY + DY)),)
+_D11 = (((1, 1.0, DX), (0, -1.0, DY), (2, -1.0, ())),
+        ((2, 0.5, DX), (3, 0.5, DY)),
+        ((3, 0.5, DX), (2, -0.5, DY)))
+
+
 class BaseGrid:
     """Uniform periodic grid on the unit square orbit space.
 
     Resolution must be a power of two and at least 8 so that spectral
     derivatives have a clean Nyquist convention and transforms stay fast.
-    Every spectral operation goes through _forward and _inverse (rfft2 and
-    irfft2 of the trailing axes), so all symbols share one half-width layout:
-    kx over the full first axis, ky >= 0 over the n/2 + 1 columns.
+    Every spectral operation is one partial_sums call: _forward (rfft2 of
+    the trailing axes), products with symbols in one half-width layout (kx
+    over the full first axis, ky >= 0 over the n/2 + 1 columns), _inverse.
+    A symbol multiplies named factors of one table built here, so their
+    conventions are decided once.  ik_x and ik_y are 0 on their axis's
+    Nyquist mode, which carries no usable odd-derivative information (DX +
+    DX drops it too); inv_lap is 1 / -(kx^2 + ky^2) of the full wave
+    numbers with a zero mode of 0, the zero-mean inverse Laplacian.
     """
 
     def __init__(self, n):
@@ -108,12 +126,13 @@ class BaseGrid:
         self.xx, self.yy = np.meshgrid(self.x, self.y, indexing="ij")
         kx = 2.0 * np.pi * np.fft.fftfreq(n, d=self.h)[:, None]
         ky = 2.0 * np.pi * np.fft.rfftfreq(n, d=self.h)[None, :]
-        self._lap_symbol = -(kx * kx + ky * ky)
-        # the Nyquist mode carries no usable odd-derivative information; on y
-        # it is the last rfft column
+        lap = -(kx * kx + ky * ky)
+        lap[0, 0] = 1.0
+        inv_lap = 1.0 / lap
+        inv_lap[0, 0] = 0.0
         kx[n // 2] = 0.0
-        ky[0, -1] = 0.0
-        self._ik = (1j * kx, 1j * ky)
+        ky[0, -1] = 0.0  # the y Nyquist mode is the last rfft column
+        self._factors = {"ik_x": 1j * kx, "ik_y": 1j * ky, "inv_lap": inv_lap}
         self._symbol_tables = {}
 
     def __repr__(self):
@@ -150,6 +169,31 @@ class BaseGrid:
         """irfft2 back to (n, n) fields, composed of its two 1-D calls as numpy does."""
         return np.fft.irfft(np.fft.ifft(spec, axis=-2), self.n)
 
+    def _symbols(self, terms):
+        """terms with each (factor, names) as factor times the named factors, cached."""
+        table = self._symbol_tables.get(terms)
+        if table is None:
+            table = self._symbol_tables[terms] = tuple(tuple(
+                (j, math.prod((self._factors[name] for name in names), start=factor))
+                for j, factor, names in row) for row in terms)
+        return table
+
+    def partial_sums(self, values, terms):
+        """Sums of spectral multiples of stacked fields, from one transform pair.
+
+        Output i sums factor times symbol applied to values[field] over the
+        (field, factor, symbol) in terms[i]; callers check their input.
+        """
+        spec = self._forward(values)
+        out = np.empty((len(terms),) + spec.shape[1:], dtype=complex)
+        scratch = np.empty_like(out[0])
+        for acc, ((j, symbol), *rest) in zip(out, self._symbols(terms)):
+            np.multiply(spec[j], symbol, out=acc)
+            for j, symbol in rest:
+                acc += np.multiply(spec[j], symbol, out=scratch)
+        del spec, scratch  # freed before the inverse transform allocates
+        return self._inverse(out)
+
     def derivative(self, values):
         """Both spectral base partials (d/dx, d/dy) from one real transform.
 
@@ -158,74 +202,16 @@ class BaseGrid:
         modes strictly below n/2 per axis.
         """
         values = self.check_field(values, "derivative input")
-        spec = self._forward(values)
-        both = np.empty((2,) + spec.shape, dtype=complex)
-        for part, ik in zip(both, self._ik):
-            np.multiply(spec, ik, out=part)
-        return self._inverse(both)
-
-    def _signed_symbols(self, terms):
-        """terms with each (sign, axis) as its symbol sign * ik[axis], cached by value."""
-        table = self._symbol_tables.get(terms)
-        if table is None:
-            table = self._symbol_tables[terms] = tuple(
-                tuple((j, sign * self._ik[axis]) for j, sign, axis in row) for row in terms)
-        return table
-
-    def partial_sums(self, values, terms):
-        """Sums of signed base partials of stacked fields, in spectral space.
-
-        Output i sums sign times the axis partial of values[field] over the
-        (field, sign, axis) in terms[i]; callers check their input.
-        """
-        spec = self._forward(values)
-        out = np.empty((len(terms),) + spec.shape[1:], dtype=complex)
-        scratch = np.empty_like(out[0])
-        for acc, ((j, symbol), *rest) in zip(out, self._signed_symbols(terms)):
-            np.multiply(spec[j], symbol, out=acc)
-            for j, symbol in rest:
-                acc += np.multiply(spec[j], symbol, out=scratch)
-        del spec, scratch  # freed before the inverse transform allocates
-        return self._inverse(out)
+        return self.partial_sums(values[None], _GRADIENT)
 
     def d11(self, alpha):
         """(1,1) part of d alpha for the coefficients (a1, a2, a3, a4) of a 1-form.
 
         It is c12 e1^e2 + c13 (e1^e3 + e2^e4) + c14 (e1^e4 - e2^e3) with no
         e3^e4 term; returns (c12, c13, c14) = (a2_x - a1_y - a3, (a3_x +
-        a4_y)/2, (a4_x - a3_y)/2), combined in spectral space between one
-        rfft2 and one irfft2, with the Nyquist convention of derivative().
+        a4_y)/2, (a4_x - a3_y)/2) from one transform pair.
         """
-        alpha = self.check_field(alpha, "1-form coefficients")
-        a1, a2, a3, a4 = self._forward(alpha)
-        ikx, iky = self._ik
-        spec = np.empty((3,) + a1.shape, dtype=complex)
-        c12, c13, c14 = spec
-        scratch = np.empty_like(a1)
-        np.multiply(ikx, a2, out=c12)
-        c12 -= np.multiply(iky, a1, out=scratch)
-        c12 -= a3
-        np.multiply(ikx, a3, out=c13)
-        c13 += np.multiply(iky, a4, out=scratch)
-        np.multiply(0.5, c13, out=c13)
-        np.multiply(ikx, a4, out=c14)
-        c14 -= np.multiply(iky, a3, out=scratch)
-        np.multiply(0.5, c14, out=c14)
-        del a1, a2, a3, a4, scratch  # freed before the inverse transform allocates
-        return self._inverse(spec)
-
-    def poisson(self, rhs):
-        """Solve lap(psi) = rhs for the zero-mean psi; rhs must have zero mean."""
-        rhs = self.check_field(rhs, "Poisson right-hand side")
-        mean = float(np.mean(rhs))
-        if abs(mean) > 1e-12:
-            raise GridError(f"Poisson right-hand side has nonzero mean {mean:.3e}")
-        spec = self._forward(rhs)
-        sym = self._lap_symbol.copy()
-        sym[0, 0] = 1.0  # zero mode: quotient is irrelevant, coefficient zeroed below
-        spec = spec / sym
-        spec[0, 0] = 0.0
-        return self._inverse(spec)
+        return self.partial_sums(self.check_field(alpha, "1-form coefficients"), _D11)
 
     def integral(self, values):
         """Integral over the unit square; trapezoid on a periodic grid = mean."""
@@ -380,19 +366,20 @@ def _wedge_table(p, q):
 def _d_tables(k):
     """(first, spectral, struct) tables of d on degree-k forms.
 
-    spectral[i_out] holds the terms (j, sign, axis), sign times the axis
-    partial of coefficient first + j.  The coefficients with a partial (no
-    e1^e2) are a lexicographic tail and the components they reach a head.
+    spectral[i_out] holds the partial_sums terms (j, sign, DX or DY), sign
+    times a base partial of coefficient first + j.  The coefficients with a
+    partial (no e1^e2) are a lexicographic tail and the components they
+    reach a head.
     struct holds (i_in, factor, i_out) of the d(e3) part.
     """
     if k not in _D_TABLE:
         spectral = [[] for _ in MULTI_INDEX[k + 1]]
         struct = []
         for i_in, idx in enumerate(MULTI_INDEX[k]):
-            for axis in (0, 1):
+            for axis, partial in enumerate((DX, DY)):
                 sign, merged = _merge((axis,), idx)
                 if sign is not None:
-                    spectral[INDEX_POS[k + 1][merged]].append((i_in, sign, axis))
+                    spectral[INDEX_POS[k + 1][merged]].append((i_in, sign, partial))
             # structure part: replace e3 in place by d(e3) = -e1^e2
             for pos, ci in enumerate(idx):
                 if ci != STRUCTURE_INDEX:
@@ -405,8 +392,9 @@ def _d_tables(k):
         while not spectral[-1]:
             spectral.pop()
         first = min(i_in for terms in spectral for i_in, _, _ in terms)
-        _D_TABLE[k] = (first, tuple(tuple((i - first, sign, axis) for i, sign, axis in terms)
-                                    for terms in spectral), tuple(struct))
+        spectral = tuple(tuple((i - first, sign, partial) for i, sign, partial in terms)
+                         for terms in spectral)
+        _D_TABLE[k] = (first, spectral, tuple(struct))
     return _D_TABLE[k]
 
 

@@ -19,9 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PositivityError
+from .errors import GridError, PositivityError
 from .hermitian_geometry import MetricState, inner_1forms
-from .invariant_forms import apply_J, base_integral, exterior_d, wedge
+from .invariant_forms import DX, DY, apply_J, base_integral, exterior_d, wedge
 
 
 @dataclass(frozen=True)
@@ -66,6 +66,10 @@ def potential_residual(m):
             - wedge(theta, jtheta) + exterior_d(jtheta)).max_abs()
 
 
+# the seed's shift (a, b) = (-psi_y, psi_x) of the psi with lap psi = rhs
+_SHIFT_TERMS = (((0, -1.0, DY + ("inv_lap",)),), ((0, 1.0, DX + ("inv_lap",)),))
+
+
 def make_standard_vaisman(grid, scale=1.0):
     """Homogeneous seed u = scale, lam = 1: constant splitting data.
 
@@ -91,10 +95,12 @@ def make_noncsc_vaisman(grid, eps, mode=(1, 1)):
     The two constraints form a curl/divergence system for (a, b); with
     a = -dpsi/dy, b = dpsi/dx both reduce to the Poisson equation
     lap(psi) = -eps sin sin, whose right-hand side has zero mean by
-    construction (asserted anyway).  The remaining coefficient is then
-    forced: u = w + a^2 + b^2, which keeps u lam - p^2 - q^2 = w exactly,
-    so positivity needs |eps| < 1.  The stricter |eps| < 1/2 bound leaves
-    a uniform margin of 1/2.
+    construction (asserted anyway), and (a, b) come from one transform
+    pair of it with the symbols -ik_y inv_lap and ik_x inv_lap.  The
+    remaining coefficient is then forced: u = w + a^2 + b^2, which keeps
+    u lam - p^2 - q^2 = w exactly, so positivity needs |eps| < 1.  The
+    stricter |eps| < 1/2 bound leaves a uniform margin of 1/2.  The grid
+    must resolve the mode: 2 max(kx, ky) < n.
 
     For eps = 0 every correction vanishes identically and the output equals
     make_standard_vaisman(grid, 1.0) bit for bit.
@@ -104,6 +110,8 @@ def make_noncsc_vaisman(grid, eps, mode=(1, 1)):
     kx, ky = (int(k) for k in mode)
     if kx < 1 or ky < 1:
         raise ValueError(f"mode integers must be >= 1, got {mode}")
+    if not 2 * max(kx, ky) < grid.n:
+        raise GridError(f"mode {(kx, ky)} needs 2 max(mode) < n = {grid.n}")
     two_pi = 2.0 * np.pi
     oscillation = np.sin(two_pi * kx * grid.xx) * np.sin(two_pi * ky * grid.yy)
     w = 1.0 + eps * oscillation
@@ -111,15 +119,9 @@ def make_noncsc_vaisman(grid, eps, mode=(1, 1)):
     mean = abs(float(np.mean(rhs)))
     if mean > 1e-13:
         raise ValueError(f"shift system incompatible: mean {mean:.3e} != 0")
-    psi = grid.poisson(rhs)
-    dx, dy = grid.derivative(psi)
-    a, b = -dy, dx
-    lam = grid.constant(1.0)
     # mu_1 components (a, b) against e1, e2 translate to q = lam a, p = lam b
-    q = a
-    p = b
-    u = w + a * a + b * b
-    return MetricState(grid, u, lam, p, q)
+    q, p = grid.partial_sums(rhs[None], _SHIFT_TERMS)
+    return MetricState(grid, w + q * q + p * p, grid.constant(1.0), p, q)
 
 
 def basic_class_nontriviality(split):

@@ -22,11 +22,15 @@ rho = -(1/2) d J d log(u lam - p^2 - q^2) + d(J theta) in closed form from
   direct sum of cos/sin grid fields, one mode at a time, with the same
   generator draws; the package synthesizes the same sum with one irfft2.
 
-* rfft2_derivative, rfft2_d11, rfft2_poisson and rfft2_band_limited: the
-  spectral operations of BaseGrid and random_band_limited through numpy's
-  n-d wrappers np.fft.rfft2 / irfft2.  The package calls the 1-D
-  transforms those wrappers are built from, so the results are bitwise
-  equal.
+* rfft2_derivative, rfft2_d11, rfft2_shift and rfft2_band_limited: the
+  spectral operations of BaseGrid, make_noncsc_vaisman's shift and
+  random_band_limited through numpy's n-d wrappers np.fft.rfft2 / irfft2.
+  The package calls the 1-D transforms those wrappers are built from, so
+  the results are bitwise equal.
+
+* two_pair_laplacian: lap of a field as the derivative of its derivative,
+  two transform pairs; the package multiplies by the product symbols
+  ik_x ik_x + ik_y ik_y in one pair.
 
 * partials_exterior_d: the exterior derivative from both base partials of
   every coefficient, summed in physical space with a sign table built here;
@@ -43,10 +47,10 @@ rho = -(1/2) d J d log(u lam - p^2 - q^2) + d(J theta) in closed form from
   partials.
 
 * expression_flow_velocity: flow_velocity with every intermediate a fresh
-  array from a numpy expression: theta and alpha by np.stack, each signed
-  symbol sign * ik formed per call, d11 as rfft2_d11.  The package fills
-  preallocated arrays in place with the same operands in the same order,
-  so the two agree bitwise.
+  array from a numpy expression: theta and alpha by np.stack, each symbol
+  formed per call, d11 as rfft2_d11.  The package fills preallocated
+  arrays in place with the same operands in the same order, so the two
+  agree bitwise.
 
 * fresh_state_rk4_step: one RK4 step whose stage states are each built by
   MetricState(...) and so validate and differentiate lam afresh; the package
@@ -187,28 +191,32 @@ def direct_band_limited(grid, rng, kmax=2, amplitude=1.0, zero_mean=False):
 def rfft2_derivative(grid, values):
     """BaseGrid.derivative through np.fft.rfft2 / irfft2."""
     spec = np.fft.rfft2(values)
-    ikx, iky = grid._ik
+    ikx, iky = grid._factors["ik_x"], grid._factors["ik_y"]
     return np.fft.irfft2(np.stack((spec * ikx, spec * iky)), s=(grid.n, grid.n))
 
 
 def rfft2_d11(grid, alpha):
     """BaseGrid.d11 through np.fft.rfft2 / irfft2."""
     a1, a2, a3, a4 = np.fft.rfft2(alpha)
-    ikx, iky = grid._ik
+    ikx, iky = grid._factors["ik_x"], grid._factors["ik_y"]
     spec = np.stack((ikx * a2 - iky * a1 - a3,
                      0.5 * (ikx * a3 + iky * a4),
                      0.5 * (ikx * a4 - iky * a3)))
     return np.fft.irfft2(spec, s=(grid.n, grid.n))
 
 
-def rfft2_poisson(grid, rhs):
-    """BaseGrid.poisson through np.fft.rfft2 / irfft2."""
+def rfft2_shift(grid, rhs):
+    """The eps-seed's shift (-psi_y, psi_x), lap psi = rhs, through np.fft.rfft2 / irfft2."""
     spec = np.fft.rfft2(rhs)
-    sym = grid._lap_symbol.copy()
-    sym[0, 0] = 1.0
-    spec = spec / sym
-    spec[0, 0] = 0.0
-    return np.fft.irfft2(spec, s=(grid.n, grid.n))
+    ikx, iky, inv_lap = (grid._factors[name] for name in ("ik_x", "ik_y", "inv_lap"))
+    return np.fft.irfft2(np.stack((spec * (-iky * inv_lap), spec * (ikx * inv_lap))),
+                         s=(grid.n, grid.n))
+
+
+def two_pair_laplacian(grid, values):
+    """lap of a field as derivative of derivative: two transform pairs, 2/4 fields."""
+    (xx, _), (_, yy) = grid.derivative(grid.derivative(values))
+    return xx + yy
 
 
 def rfft2_band_limited(grid, rng, kmax=2, amplitude=1.0, zero_mean=False):
@@ -306,13 +314,19 @@ def partials_flow_velocity(m):
 
 
 def _expression_partial_sums(grid, values, terms):
-    """BaseGrid.partial_sums with each signed symbol and product formed per call."""
+    """BaseGrid.partial_sums with each symbol and product formed per call."""
     spec = grid._forward(values)
     out = np.empty((len(terms),) + spec.shape[1:], dtype=complex)
-    for acc, ((j, sign, axis), *rest) in zip(out, terms):
-        np.multiply(spec[j], sign * grid._ik[axis], out=acc)
-        for j, sign, axis in rest:
-            acc += spec[j] * (sign * grid._ik[axis])
+
+    def symbol(factor, names):
+        for name in names:
+            factor = factor * grid._factors[name]
+        return factor
+
+    for acc, ((j, factor, names), *rest) in zip(out, terms):
+        np.multiply(spec[j], symbol(factor, names), out=acc)
+        for j, factor, names in rest:
+            acc += spec[j] * symbol(factor, names)
     return grid._inverse(out)
 
 

@@ -81,6 +81,8 @@ def test_config_named_constraints():
         ExperimentConfig(epsilon=0.7)
     with pytest.raises(ConfigError, match="mode entries"):
         ExperimentConfig(mode=(0, 1))
+    with pytest.raises(ConfigError, match="not resolved"):
+        ExperimentConfig(n=8, mode=(1, 4))
     with pytest.raises(ConfigError, match="unknown preset"):
         ExperimentConfig(preset="mystery")
     with pytest.raises(ConfigError, match="u0"):
@@ -112,12 +114,12 @@ def test_identity_battery_all_green():
 def test_identity_battery_transform_budget(transform_fields):
     # n x n fields through BaseGrid._forward / _inverse.  exterior_d of
     # degree 0..3 moves 1/2, 4/5, 5/4, 2/1; derivative of s fields s/2s;
-    # poisson 1/1; random_band_limited 0/1.
+    # random_band_limited 0/1.
     #   hygiene: exactness 1/2 + structure equation 4/5 + 8 random pairs
     #     (d a twice, d d a, d(a^b), d b, one inverse per drawn
     #     coefficient)                                             = 145/214
-    #   state draws: 8 random fields, 2 noncsc seeds (poisson 1/1 +
-    #     derivative 1/2)                                          =   4/14
+    #   state draws: 8 random fields, 2 noncsc seeds (the shift
+    #     (-psi_y, psi_x) 1/2)                                     =   2/12
     #   every state: split 2/2 (curl and divergence of the shift)
     #     + theta 3/4 (lam_x, lam_y, A, B) + d mu1 4/5 + d mu2 4/5
     #     + d omega 5/4                                            =  18/20
@@ -129,11 +131,13 @@ def test_identity_battery_transform_budget(transform_fields):
     #                     + curvature 5/7 + d rho 5/4)             =  68/74
     #   noncsc_seed  2 x (18/20 + d H 2/1 + curvature 5/7 + d rho 5/4)
     #                                                              =  60/64
-    # (449/600 when the split and theta inverse-transformed both partials
-    # of every field they differentiate, 502/1063 when exterior_d did too)
+    # (449/552 when each seed solved for psi 1/1 and then differentiated
+    # it 1/2, 449/600 when the split and theta inverse-transformed both
+    # partials of every field they differentiate, 502/1063 when exterior_d
+    # did too)
     items = identity_battery(n=16, samples=2, seed=5)
     assert all(item.ok for item in items)
-    assert transform_fields == [449, 552]
+    assert transform_fields == [447, 550]
 
 
 def _swapped_shift(monkeypatch):
@@ -151,8 +155,8 @@ def _swapped_shift(monkeypatch):
 def _flipped_d_sign(monkeypatch):
     # d on 1-forms gives the e1^e2 component +a1_y + a2_x, not -a1_y + a2_x
     first, spectral, struct = invariant_forms._d_tables(1)
-    (j, sign, axis), *rest = spectral[0]
-    spectral = (((j, -sign, axis), *rest),) + spectral[1:]
+    (j, sign, symbol), *rest = spectral[0]
+    spectral = (((j, -sign, symbol), *rest),) + spectral[1:]
     monkeypatch.setitem(invariant_forms._D_TABLE, 1, (first, spectral, struct))
 
 
@@ -164,26 +168,26 @@ def _dropped_structure_term(monkeypatch):
 
 def _flipped_curl_sign(monkeypatch):
     # the split's curl reads b_x + a_y, not b_x - a_y
-    (b_x, (j, sign, axis)), div = hermitian_geometry._SPLIT_TERMS
-    monkeypatch.setattr(hermitian_geometry, "_SPLIT_TERMS", ((b_x, (j, -sign, axis)), div))
+    (b_x, (j, sign, symbol)), div = hermitian_geometry._SPLIT_TERMS
+    monkeypatch.setattr(hermitian_geometry, "_SPLIT_TERMS", ((b_x, (j, -sign, symbol)), div))
 
 
 def _flipped_div_sign(monkeypatch):
     # the split's divergence reads -a_x + b_y, not a_x + b_y
-    curl, ((j, sign, axis), b_y) = hermitian_geometry._SPLIT_TERMS
-    monkeypatch.setattr(hermitian_geometry, "_SPLIT_TERMS", (curl, ((j, -sign, axis), b_y)))
+    curl, ((j, sign, symbol), b_y) = hermitian_geometry._SPLIT_TERMS
+    monkeypatch.setattr(hermitian_geometry, "_SPLIT_TERMS", (curl, ((j, -sign, symbol), b_y)))
 
 
 def _flipped_lee_b_sign(monkeypatch):
     # the Lee pass reads B + lam = p_x + q_y, not p_x - q_y
-    A, (p_x, (j, sign, axis)), *rest = hermitian_geometry._LEE_TERMS
-    monkeypatch.setattr(hermitian_geometry, "_LEE_TERMS", (A, (p_x, (j, -sign, axis)), *rest))
+    A, (p_x, (j, sign, symbol)), *rest = hermitian_geometry._LEE_TERMS
+    monkeypatch.setattr(hermitian_geometry, "_LEE_TERMS", (A, (p_x, (j, -sign, symbol)), *rest))
 
 
 def _flipped_lee_a_sign(monkeypatch):
     # the Lee pass reads A = p_y + q_x, not -(p_y + q_x)
     A, *rest = hermitian_geometry._LEE_TERMS
-    flipped = tuple((j, -sign, axis) for j, sign, axis in A)
+    flipped = tuple((j, -sign, symbol) for j, sign, symbol in A)
     monkeypatch.setattr(hermitian_geometry, "_LEE_TERMS", (flipped, *rest))
 
 
@@ -359,6 +363,18 @@ def test_main_exit_codes(tmp_path):
     assert not verdict["ok"]
     failed = [a["name"] for a in verdict["assertions"] if not a["ok"]]
     assert "leaves vaisman" in failed
+
+
+@pytest.mark.parametrize("mode", ("4,1", "5,1"))
+def test_main_rejects_unresolved_mode(tmp_path, capsys, mode):
+    # 2: at n = 8, mode (4, 1) sits on the Nyquist row, where the seed's sine
+    # reads 0, and (5, 1) aliases to (3, 1); neither is the requested seed
+    cfgfile = tmp_path / "mode.cfg"
+    cfgfile.write_text(f"preset = noncsc_vaisman\nn = 8\nmode = {mode}\n"
+                       f"out_dir = {tmp_path}\n")
+    assert main(["run", str(cfgfile)]) == 2
+    assert "not resolved: needs 2 max(mode) < n = 8" in capsys.readouterr().err
+    assert not list(tmp_path.glob("noncsc_vaisman_*"))
 
 
 def test_main_degenerate_transverse_area(tmp_path, monkeypatch, capsys):

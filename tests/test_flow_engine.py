@@ -165,20 +165,21 @@ def test_run_computes_each_state_geometry_once(grid16, monkeypatch):
 def test_flow_transform_budget(grid16, transform_fields, transform_calls):
     # n x n fields and calls through BaseGrid._forward / _inverse.  The run
     # of test_run_computes_each_state_geometry_once: 21 velocities, 4 records.
-    #   once per run: lam partials 1/2 + lap lam 2/4     3/6 fields, 2/2 calls
+    #   once per run: lam partials 1/2 + lap lam 1/1     2/3 fields, 2/2 calls
     #   every velocity: (p, q, log D) -> (A, B, d log D) 3/4 + d11 4/3
     #                                                  7/7 fields, 2/2 calls
     #   every record: split 2/2 + d theta 4/5, theta from the record's
     #     velocity, lap lam from the state's lam data  6/7 fields, 2/2 calls
-    #   3/6 + 21 x 7/7 + 4 x 6/7 = 174/181 fields; 2 + 42 + 8 = 52/52 calls
-    # (1/2 + 21 x 7/7 + 4 x 8/11 = 180/193 fields and 55/55 calls when each
+    #   2/3 + 21 x 7/7 + 4 x 6/7 = 173/178 fields; 2 + 42 + 8 = 52/52 calls
+    # (174/181 fields when lap lam was the derivative of lam's partials, 2/4;
+    # 1/2 + 21 x 7/7 + 4 x 8/11 = 180/193 fields and 55/55 calls when each
     # record took lap lam afresh; 21 x 8/11 + 4 x 12/21 = 216/315 fields and
     # 62/62 calls when each velocity and record differentiated lam and each
     # velocity and theta inverse-transformed all six partials of (lam, p, q))
     m = make_noncsc_vaisman(grid16, 0.1)
     transform_fields[:] = transform_calls[:] = [0, 0]
     run(m, FlowConfig(dt=1e-4, t_end=5e-4, record_every=2))
-    assert transform_fields == [174, 181]
+    assert transform_fields == [173, 178]
     assert transform_calls == [52, 52]
 
 

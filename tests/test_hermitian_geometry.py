@@ -18,7 +18,7 @@ from oracles import (JMAT, contraction_split, expression_flow_velocity, homogene
                      koszul_fd_lowered, left_invariant_curvature,
                      metric_matrix, metric_tensor, moving_frame_curvature,
                      partials_flow_velocity, partials_lee_form,
-                     partials_metric_split, wedge_lee_form)
+                     partials_metric_split, two_pair_laplacian, wedge_lee_form)
 
 RHO_COMPONENT_ORDER = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
 
@@ -221,6 +221,17 @@ def test_spectral_sums_match_partials_oracles(n):
         assert (lee_form(m) - ref).max_abs() <= 1e-13 * ref.max_abs()
         ref = partials_flow_velocity(m)
         assert np.max(np.abs(flow_velocity(m) - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("n", (16, 32, 64, 128))
+def test_lam_laplacian_matches_two_pair_oracle(n):
+    # one pair with the symbol ik_x ik_x + ik_y ik_y against the derivative
+    # of the derivative, to rounding
+    grid = BaseGrid(n)
+    for seed in range(5):
+        m = random_state(grid, np.random.default_rng(seed))
+        ref = two_pair_laplacian(grid, m.lam)
+        assert np.max(np.abs(m.lam_laplacian - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize("n", (8, 16, 32, 64, 128))

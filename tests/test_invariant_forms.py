@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+from ktflow import vaisman_toolkit
 from ktflow.errors import (DegreeError, GridError, NonBasicFormError,
                            NonFiniteFieldError)
-from ktflow.invariant_forms import (BaseGrid, InvariantForm, V1, V2, apply_J,
-                                    base_integral, basis_form, coframe,
+from ktflow.invariant_forms import (LAPLACIAN, BaseGrid, InvariantForm, V1, V2,
+                                    apply_J, base_integral, basis_form, coframe,
                                     contract, exterior_d, form_from,
                                     function_form, p11_projection,
                                     random_band_limited, random_form, wedge,
@@ -12,7 +13,7 @@ from ktflow.invariant_forms import (BaseGrid, InvariantForm, V1, V2, apply_J,
 
 from oracles import (direct_band_limited, partials_exterior_d,
                      rfft2_band_limited, rfft2_d11, rfft2_derivative,
-                     rfft2_poisson)
+                     rfft2_shift)
 
 
 def test_grid_rejects_bad_sizes():
@@ -62,17 +63,13 @@ def test_derivative_rejects_nonfinite(grid8):
 
 
 def test_poisson_inverts_laplacian(grid32, rng):
+    # the Laplacian table of the inverse-Laplacian table returns rhs, and the
+    # inverse Laplacian's zero mode is 0
     rhs = random_band_limited(grid32, rng, kmax=3, zero_mean=True)
-    sol = grid32.poisson(rhs)
-    dx, dy = grid32.derivative(sol)
-    lap = grid32.derivative(dx)[0] + grid32.derivative(dy)[1]
+    sol = grid32.partial_sums(rhs[None], (((0, 1.0, ("inv_lap",)),),))
+    lap = grid32.partial_sums(sol, LAPLACIAN)[0]
     assert np.max(np.abs(lap - rhs)) < 1e-11
     assert abs(np.mean(sol)) < 1e-13
-
-
-def test_poisson_rejects_nonzero_mean(grid32):
-    with pytest.raises(GridError):
-        grid32.poisson(np.ones((32, 32)))
 
 
 def test_form_coefficient_layout(grid8):
@@ -346,7 +343,8 @@ def test_spectral_operations_equal_nd_wrapper_forms(n):
     alpha = rng.normal(size=(4, n, n))
     assert np.array_equal(grid.d11(alpha), rfft2_d11(grid, alpha))
     rhs = values[1] - np.mean(values[1])
-    assert np.array_equal(grid.poisson(rhs), rfft2_poisson(grid, rhs))
+    assert np.array_equal(grid.partial_sums(rhs[None], vaisman_toolkit._SHIFT_TERMS),
+                          rfft2_shift(grid, rhs))
     for kmax in (0, 1, 3, n // 2 - 1):
         for zero_mean in (False, True):
             a = random_band_limited(grid, np.random.default_rng(kmax), kmax=kmax,

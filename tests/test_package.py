@@ -34,8 +34,15 @@ def test_all_names_resolve_and_import_stays_light():
 FFT_SITES = {"BaseGrid.__init__", "BaseGrid._forward", "BaseGrid._inverse"}
 
 
-def _fft_uses(tree):
-    """(scope, line) of each numpy fft attribute or import in a module tree."""
+# The only callers of the transforms: partial_sums, which combines every
+# spectrum, and random_band_limited, which synthesizes one.  A spectral
+# body written outside partial_sums shows up here.
+TRANSFORM_CALLERS = {"_forward": {"BaseGrid.partial_sums"},
+                     "_inverse": {"BaseGrid.partial_sums", "random_band_limited"}}
+
+
+def _scan(tree, match):
+    """(scope, line, match(node)) of each node of a module tree that match names."""
     found = []
 
     def visit(node, scope):
@@ -43,27 +50,58 @@ def _fft_uses(tree):
             inner = scope
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 inner = f"{scope}.{child.name}" if scope else child.name
-            elif isinstance(child, ast.Attribute) and child.attr == "fft":
-                found.append((scope, child.lineno))
-            elif isinstance(child, (ast.Import, ast.ImportFrom)):
-                names = [alias.name for alias in child.names]
-                names.append(getattr(child, "module", None) or "")
-                if any("fft" in name for name in names):
-                    found.append((scope, child.lineno))
+            what = match(child)
+            if what:
+                found.append((scope, child.lineno, what))
             visit(child, inner)
 
     visit(tree, "")
     return found
 
 
-def test_transforms_go_through_grid_primitives():
+def _fft_use(node):
+    if isinstance(node, ast.Attribute) and node.attr == "fft":
+        return "fft"
+    if isinstance(node, (ast.Import, ast.ImportFrom)):
+        names = [alias.name for alias in node.names]
+        names.append(getattr(node, "module", None) or "")
+        if any("fft" in name for name in names):
+            return "fft"
+    return None
+
+
+def _transform_call(node):
+    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr in TRANSFORM_CALLERS):
+        return node.func.attr
+    return None
+
+
+def _fft_uses(tree):
+    """(scope, line) of each numpy fft attribute or import in a module tree."""
+    return [(scope, line) for scope, line, _ in _scan(tree, _fft_use)]
+
+
+def _sources():
     sources = sorted((SRC / "ktflow").glob("*.py"))
     assert sources
+    return [(path.name, ast.parse(path.read_text(), filename=str(path))) for path in sources]
+
+
+def test_transforms_go_through_grid_primitives():
     stray = []
-    for path in sources:
-        tree = ast.parse(path.read_text(), filename=str(path))
-        stray += [f"{path.name}:{line} in {scope or '<module>'}"
+    for name, tree in _sources():
+        stray += [f"{name}:{line} in {scope or '<module>'}"
                   for scope, line in _fft_uses(tree) if scope not in FFT_SITES]
+    assert not stray, stray
+
+
+def test_spectra_are_combined_only_in_partial_sums():
+    stray = []
+    for name, tree in _sources():
+        stray += [f"{name}:{line} calls {what} in {scope or '<module>'}"
+                  for scope, line, what in _scan(tree, _transform_call)
+                  if scope not in TRANSFORM_CALLERS[what]]
     assert not stray, stray
 
 
@@ -79,3 +117,21 @@ class BaseGrid:
 """
     scopes = [scope for scope, _ in _fft_uses(ast.parse(code))]
     assert scopes == ["", "", "f", "BaseGrid._forward"]
+
+
+def test_transform_scan_sees_calls_by_scope():
+    code = """
+class BaseGrid:
+    def partial_sums(self, v):
+        return self._inverse(self._forward(v))
+    def poisson(self, v):
+        return self._inverse(self._forward(v))
+def random_band_limited(grid):
+    return grid._inverse(grid._forward)
+"""
+    found = [(scope, what) for scope, _, what in _scan(ast.parse(code), _transform_call)]
+    assert found == [("BaseGrid.partial_sums", "_inverse"), ("BaseGrid.partial_sums", "_forward"),
+                     ("BaseGrid.poisson", "_inverse"), ("BaseGrid.poisson", "_forward"),
+                     ("random_band_limited", "_inverse")]
+    stray = [(scope, what) for scope, what in found if scope not in TRANSFORM_CALLERS[what]]
+    assert stray == [("BaseGrid.poisson", "_inverse"), ("BaseGrid.poisson", "_forward")]

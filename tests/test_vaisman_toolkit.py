@@ -3,12 +3,14 @@
 import numpy as np
 import pytest
 
-from ktflow.errors import PositivityError
+from ktflow.errors import GridError, PositivityError
 from ktflow.hermitian_geometry import MetricState, metric_split
-from ktflow.invariant_forms import base_integral
+from ktflow.invariant_forms import BaseGrid, base_integral
 from ktflow.vaisman_toolkit import (assess, basic_class_nontriviality,
                                     make_noncsc_vaisman, make_standard_vaisman,
                                     potential_residual)
+
+from oracles import two_pair_laplacian
 
 
 def test_standard_seed_fields(grid32):
@@ -74,6 +76,13 @@ def test_noncsc_seed_modes_and_bounds(grid32):
         make_noncsc_vaisman(grid32, 0.1, mode=(0, 1))
     with pytest.raises(ValueError):
         make_noncsc_vaisman(grid32, 0.1, mode=(1, -2))
+    # the grid must resolve the mode: at n = 8, (4, 1) sits on the Nyquist
+    # row and (5, 1) aliases to (3, 1)
+    grid8 = BaseGrid(8)
+    make_noncsc_vaisman(grid8, 0.1, mode=(3, 1))
+    for mode in ((4, 1), (5, 1), (1, 4)):
+        with pytest.raises(GridError, match="2 max"):
+            make_noncsc_vaisman(grid8, 0.1, mode=mode)
     for bad in (0.5, -0.5, 0.9):
         with pytest.raises(PositivityError):
             make_noncsc_vaisman(grid32, bad)
@@ -112,3 +121,15 @@ def test_basic_class_nontriviality(grid32):
     # the oscillation integrates away: the class does not move with eps
     assert abs(basic_class_nontriviality(split) - 1.0) < 1e-13
     assert basic_class_nontriviality(split) == base_integral(split.omega_check)
+
+
+@pytest.mark.parametrize("n", (8, 32))
+@pytest.mark.parametrize("axis", (0, 1))
+def test_pluriclosed_defect_drops_the_nyquist_mode(n, axis):
+    # cos(pi n x) has no usable derivative on the grid; the Laplacian's
+    # symbol ik_x ik_x + ik_y ik_y zeroes it, as the two-pair route does
+    grid = BaseGrid(n)
+    lam = 1.0 + 0.1 * np.cos(np.pi * n * (grid.xx, grid.yy)[axis])
+    m = MetricState(grid, 1.0, lam, 0.0, 0.0)
+    assert assess(m).pluriclosed_defect == 0.0
+    assert np.max(np.abs(two_pair_laplacian(grid, lam))) == 0.0
