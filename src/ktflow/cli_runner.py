@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -101,16 +102,16 @@ class ExperimentConfig:
                     f"custom preset needs u0 > 0 and lam0 > 0, got {self.u0}, {self.lam0}"
                 )
             margin = self.u0 * self.lam0 - self.p0 * self.p0 - self.q0 * self.q0
-            if not margin > 0:
+            if not 0 < margin < math.inf:
                 raise ConfigError(
-                    f"custom preset violates u0*lam0 - p0^2 - q0^2 > 0 (margin {margin})"
+                    f"custom preset violates 0 < u0*lam0 - p0^2 - q0^2 < inf (margin {margin})"
                 )
             from .hermitian_geometry import DEGENERACY_TOL
             area = margin * (1.0 / self.lam0)   # w = D/lam as metric_split evaluates it
-            if area < DEGENERACY_TOL:
+            if not DEGENERACY_TOL <= area < math.inf:
                 raise ConfigError(
                     f"custom preset has a degenerate transverse area u0 - (p0^2 + q0^2)/lam0"
-                    f" = {area:.3e} < {DEGENERACY_TOL:.0e}"
+                    f" = {area:.3e}, outside [{DEGENERACY_TOL:.0e}, inf)"
                 )
         self.flow_config()
         for name in ("tol", "vaisman_tol", "variance_tol", "exit_threshold"):
@@ -133,8 +134,8 @@ def parse_config(text, strict=True):
     """Parse `key = value` lines into an ExperimentConfig.
 
     Unknown keys are rejected in strict mode (warned about otherwise);
-    malformed lines and duplicates report their line number; constraint
-    violations come back as ConfigError with the named constraint.
+    malformed lines, duplicates and nan/inf report their line number;
+    constraint violations come back as ConfigError with the named constraint.
     """
     values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -156,7 +157,9 @@ def parse_config(text, strict=True):
         if not value:
             raise ConfigError(f"line {lineno}: empty value for {key!r}")
         try:
-            values[key] = _CASTERS[key](value)
+            values[key] = cast = _CASTERS[key](value)
+            if isinstance(cast, float) and not math.isfinite(cast):
+                raise ValueError(f"{value!r} is not a finite number")
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from exc
     return ExperimentConfig(**values)

@@ -36,7 +36,8 @@ velocity reads m.lam_partials and leaves its theta as m.theta, and the
 curvature reads m.theta.  A state that m.with_fields(upq) builds on m
 shares m's lam array and the lam data m has computed.  The torsion 3-form
 is not part of the curvature package; bismut_torsion(m) computes it on
-demand.
+demand.  MetricState and m.with_fields scan their input fields for NaN/Inf;
+the velocity and the Lee form, derived from a scanned state, are not.
 
 Sign conventions, fixed once and verified by the test oracles:
 
@@ -154,14 +155,9 @@ class MetricState:
                            grid.constant(p), grid.constant(q))
 
     def omega(self):
-        out = InvariantForm(self.grid, 2)
-        out.coeffs[0] = self.u          # e1^e2
-        out.coeffs[1] = self.p          # e1^e3
-        out.coeffs[2] = self.q          # e1^e4
-        out.coeffs[3] = -self.q         # e2^e3
-        out.coeffs[4] = self.p          # e2^e4
-        out.coeffs[5] = self.lam        # e3^e4
-        return out
+        """u e1^e2 + p (e1^e3 + e2^e4) + q (e1^e4 - e2^e3) + lam e3^e4."""
+        return InvariantForm._trusted(self.grid, 2, np.stack(
+            (self.u, self.p, self.q, -self.q, self.p, self.lam)))
 
     @cached_property
     def D(self):
@@ -281,7 +277,7 @@ def metric_split(m):
         raise DegenerateTransverseError(
             f"transverse area coefficient {worst:.3e} below {DEGENERACY_TOL:.0e}"
         )
-    a, b = m.grid.check_field(shift, "connection shift")
+    a, b = shift
     curl, div = m.grid.partial_sums(shift, _SPLIT_TERMS)
     mu1 = form_from(m.grid, 1, {(0,): a, (1,): b, (2,): 1.0})
     return MetricSplit(mu1=mu1, mu2=apply_J(mu1),
@@ -326,10 +322,9 @@ def lee_form(m):
     3/4 forward/inverse fields, (p, q, lam) to (A, B, lam_x, lam_y).
     """
     m.require_positive()
-    fields = m.grid.check_field(np.stack((m.p, m.q, m.lam)), "lee form input")
-    A, B, lam_x, lam_y = m.grid.partial_sums(fields, _LEE_TERMS)
+    A, B, lam_x, lam_y = m.grid.partial_sums(np.stack((m.p, m.q, m.lam)), _LEE_TERMS)
     theta = _lee_coefficients(m, (lam_x, lam_y), A, B, m.D)
-    return InvariantForm(m.grid, 1, theta)
+    return InvariantForm._trusted(m.grid, 1, theta)
 
 
 def bismut_torsion(m):
@@ -377,10 +372,9 @@ def _flow_alpha(m):
     fields = np.empty_like(m.upq)
     fields[:2] = m.upq[1:]
     np.log(m.D, out=fields[2])
-    fields = m.grid.check_field(fields, "flow velocity input")
     A, B, log_x, log_y = m.grid.partial_sums(fields, _LEE_TERMS)
     theta = _lee_coefficients(m, m.lam_partials, A, B, m.D)
-    m.__dict__.setdefault("theta", InvariantForm(m.grid, 1, theta))
+    m.__dict__.setdefault("theta", InvariantForm._trusted(m.grid, 1, theta))
     t1, t2, t3, t4 = theta
     alpha = np.empty_like(theta)
     minus_b2, b1, minus_t4, _ = alpha

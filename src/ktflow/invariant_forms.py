@@ -157,8 +157,8 @@ class BaseGrid:
                 f"{what} has shape {values.shape}, expected trailing ({self.n}, {self.n})"
             )
         if not np.all(np.isfinite(values)):
-            bad = np.argwhere(~np.isfinite(values))[0]
-            raise NonFiniteFieldError(f"{what} is non-finite at grid index {tuple(bad)}")
+            bad = tuple(np.argwhere(~np.isfinite(values))[0].tolist())
+            raise NonFiniteFieldError(f"{what} is non-finite at grid index {bad}")
         return values
 
     def _forward(self, values):
@@ -211,7 +211,7 @@ class BaseGrid:
         e3^e4 term; returns (c12, c13, c14) = (a2_x - a1_y - a3, (a3_x +
         a4_y)/2, (a4_x - a3_y)/2) from one transform pair.
         """
-        return self.partial_sums(self.check_field(alpha, "1-form coefficients"), _D11)
+        return self.partial_sums(alpha, _D11)
 
     def integral(self, values):
         """Integral over the unit square; trapezoid on a periodic grid = mean."""
@@ -223,7 +223,9 @@ class InvariantForm:
     """Degree-k invariant form: coefficient fields over increasing multi-indices.
 
     Coefficients are stored as one array of shape (C(4, k), n, n), ordered
-    lexicographically over the multi-indices of MULTI_INDEX[k].
+    lexicographically over the multi-indices of MULTI_INDEX[k].  The
+    constructor checks the shape and scans for NaN/Inf; forms computed from
+    checked data (arithmetic, the Lee form) are built by _trusted, unchecked.
     """
 
     __slots__ = ("grid", "degree", "coeffs")
@@ -242,15 +244,15 @@ class InvariantForm:
                 raise GridError(
                     f"degree-{degree} coefficients must have shape {shape}, got {coeffs.shape}"
                 )
-            if not np.all(np.isfinite(coeffs)):
-                bad = np.argwhere(~np.isfinite(coeffs))[0]
-                raise NonFiniteFieldError(
-                    f"form coefficient non-finite at (component, i, j) = {tuple(bad)}"
-                )
+            grid.check_field(coeffs, "form coefficient")
         self.coeffs = coeffs
 
-    def copy(self):
-        return InvariantForm(self.grid, self.degree, self.coeffs.copy())
+    @classmethod
+    def _trusted(cls, grid, degree, coeffs):
+        """Form on coefficients computed from checked data: no shape check, no scan."""
+        out = object.__new__(cls)
+        out.grid, out.degree, out.coeffs = grid, degree, coeffs
+        return out
 
     def coefficient(self, *indices):
         """Coefficient field of the increasing multi-index (0-based)."""
@@ -276,22 +278,22 @@ class InvariantForm:
 
     def __add__(self, other):
         self._check_compatible(other)
-        return InvariantForm(self.grid, self.degree, self.coeffs + other.coeffs)
+        return InvariantForm._trusted(self.grid, self.degree, self.coeffs + other.coeffs)
 
     def __sub__(self, other):
         self._check_compatible(other)
-        return InvariantForm(self.grid, self.degree, self.coeffs - other.coeffs)
+        return InvariantForm._trusted(self.grid, self.degree, self.coeffs - other.coeffs)
 
     def __neg__(self):
-        return InvariantForm(self.grid, self.degree, -self.coeffs)
+        return InvariantForm._trusted(self.grid, self.degree, -self.coeffs)
 
     def __mul__(self, factor):
         """Scale by a number or pointwise by a scalar field."""
         factor = np.asarray(factor, dtype=float)
         if factor.ndim == 0:
-            return InvariantForm(self.grid, self.degree, self.coeffs * float(factor))
+            return InvariantForm._trusted(self.grid, self.degree, self.coeffs * float(factor))
         factor = self.grid.check_field(factor, "scaling field")
-        return InvariantForm(self.grid, self.degree, self.coeffs * factor[None])
+        return InvariantForm._trusted(self.grid, self.degree, self.coeffs * factor[None])
 
     __rmul__ = __mul__
 

@@ -51,6 +51,21 @@ def transform_calls(monkeypatch):
     return _count_transforms(monkeypatch, lambda values: 1)
 
 
+@pytest.fixture()
+def scanned_fields(monkeypatch):
+    """[calls, n x n fields] through BaseGrid.check_field, the one NaN/Inf scan."""
+    counts = [0, 0]
+    check = BaseGrid.check_field
+
+    def counted(grid, values, what="field"):
+        counts[0] += 1
+        counts[1] += int(np.prod(np.shape(values)[:-2]))
+        return check(grid, values, what)
+
+    monkeypatch.setattr(BaseGrid, "check_field", counted)
+    return counts
+
+
 _CRITERION_LINES = []
 
 

@@ -56,6 +56,13 @@ rho = -(1/2) d J d log(u lam - p^2 - q^2) + d(J theta) in closed form from
   MetricState(...) and so validate and differentiate lam afresh; the package
   hands the start state's lam array and lam partials to every stage state.
 
+* form_algebra_record: the trace columns fiber_rhs_residual,
+  fiber_fd_residual, mu_drift and lambda_rel_residual of a run from forms:
+  mu1_dot and mu2_dot by form_from, the fiber part lam mu1^mu2 and its
+  velocity by wedge, the drift of mu1 and mu2 by form subtraction and the
+  pairing g(mu1_dot, mu1) by inner_1forms.  The package evaluates their
+  closed forms in the shift (a, b) = (q, p)/lam; the two agree bitwise.
+
 * coefficient_velocity: the flow velocity as the (u, lam, p, q) coefficients
   of the J-invariant 2-form -p11_projection(rho) built by bismut_ricci,
   with the residual of its (1,1) pairings; the package evaluates the
@@ -85,11 +92,13 @@ import itertools
 
 import numpy as np
 
-from ktflow.hermitian_geometry import _LEE_TERMS, MetricState, bismut_torsion, flow_velocity
+from ktflow.flow_engine import step
+from ktflow.hermitian_geometry import (_LEE_TERMS, MetricState, bismut_torsion,
+                                       flow_velocity, inner_1forms)
 from ktflow.invariant_forms import (INDEX_POS, MULTI_INDEX, STRUCTURE_INDEX,
                                     STRUCTURE_PAIR, STRUCTURE_SIGN, V1, V2,
                                     InvariantForm, _merge, contract, coframe,
-                                    exterior_d, p11_projection, wedge)
+                                    exterior_d, form_from, p11_projection, wedge)
 
 # bracket [E_a, E_b] = C[a, b, c] E_c
 STRUCTURE = np.zeros((4, 4, 4))
@@ -359,6 +368,42 @@ def fresh_state_rk4_step(m, dt):
     k3 = flow_velocity(shifted(k2, 0.5 * dt))
     k4 = flow_velocity(shifted(k3, dt))
     return shifted(k1 + 2.0 * (k2 + k3) + k4, dt / 6.0)
+
+
+def form_algebra_record(m0, cfg):
+    """Record monitors of run(m0, cfg) from form algebra, as column arrays.
+
+    The states are stepped here on run's record schedule (steps are
+    deterministic, so they are run's states).  At each, mu1 = (q/lam) e1 +
+    (p/lam) e2 + e3 and mu2 = J mu1 move with (q', p')/lam, since lam' = 0.
+    """
+    steps = cfg.steps()
+    records = [(0.0, m0)]
+    m = m0
+    for k in range(1, steps + 1):
+        m = step(m, cfg.dt)
+        if k % cfg.record_every == 0 or k == steps:
+            records.append((k * cfg.dt, m))
+    columns = {name: [] for name in ("fiber_rhs_residual", "fiber_fd_residual",
+                                     "mu_drift", "lambda_rel_residual")}
+    initial = m0.split
+    prev_fiber = prev_t = None
+    for t, m in records:
+        split = m.split
+        da, db = m.velocity[:0:-1] * m.inv_lam
+        mu1_dot = form_from(m.grid, 1, {(0,): da, (1,): db})
+        mu2_dot = form_from(m.grid, 1, {(0,): -db, (1,): da})
+        fiber_vel = (wedge(mu1_dot, split.mu2) + wedge(split.mu1, mu2_dot)) * m.lam
+        fiber = wedge(split.mu1, split.mu2) * m.lam
+        fd = 0.0 if prev_fiber is None else (fiber - prev_fiber).max_abs() / (t - prev_t)
+        prev_fiber, prev_t = fiber, t
+        columns["fiber_rhs_residual"].append(fiber_vel.max_abs())
+        columns["fiber_fd_residual"].append(fd)
+        columns["mu_drift"].append(max((split.mu1 - initial.mu1).max_abs(),
+                                       (split.mu2 - initial.mu2).max_abs()))
+        pairing = inner_1forms(m, mu1_dot, split.mu1)
+        columns["lambda_rel_residual"].append(float(np.max(np.abs(pairing))))
+    return {name: np.asarray(values) for name, values in columns.items()}
 
 
 def coefficient_velocity(rhs):

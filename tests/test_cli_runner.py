@@ -397,6 +397,24 @@ def test_main_degenerate_transverse_area(tmp_path, monkeypatch, capsys):
     assert "transverse area" in verdict["reason"]
 
 
+@pytest.mark.parametrize("text, message", (
+    ("preset = stationary_csc\nscale = inf\n", "line 2: bad value for 'scale': 'inf' is not a finite"),
+    ("preset = custom\nu0 = inf\n", "line 2: bad value for 'u0': 'inf' is not a finite"),
+    ("preset = stationary_csc\nt_end = inf\n", "line 2: bad value for 't_end': 'inf' is not a finite"),
+    # u0 lam0 overflows, and 1/lam0 overflows in the transverse area
+    ("preset = custom\nu0 = 1e200\nlam0 = 1e200\n", "margin inf"),
+    ("preset = custom\nlam0 = 1e-310\n", "transverse area u0 - (p0^2 + q0^2)/lam0 = inf"),
+))
+def test_main_nonfinite_config_values_are_config_errors(tmp_path, capsys, text, message):
+    # 2, not a traceback: each passed ExperimentConfig before and then raised
+    # NonFiniteFieldError or OverflowError in the seed, the split or the step count
+    cfgfile = tmp_path / "nonfinite.cfg"
+    cfgfile.write_text(text + f"n = 8\nout_dir = {tmp_path / 'out'}\n")
+    assert main(["run", str(cfgfile)]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_main_unwritable_verdict_is_a_config_error(tmp_path, capsys):
     # a directory where a verdict file should go: exit 2, not a traceback
     configs = {

@@ -17,7 +17,7 @@ from ktflow.invariant_forms import (BaseGrid, exterior_d, form_from,
 from ktflow.vaisman_toolkit import (assess, make_noncsc_vaisman,
                                     make_standard_vaisman)
 
-from oracles import coefficient_velocity, fresh_state_rk4_step
+from oracles import coefficient_velocity, form_algebra_record, fresh_state_rk4_step
 
 
 def test_flow_rhs_standard(grid16):
@@ -181,6 +181,64 @@ def test_flow_transform_budget(grid16, transform_fields, transform_calls):
     run(m, FlowConfig(dt=1e-4, t_end=5e-4, record_every=2))
     assert transform_fields == [173, 178]
     assert transform_calls == [52, 52]
+
+
+def test_rk4_step_scans_only_its_stage_states(grid16, scanned_fields):
+    # k1 cached: the three stage states and the result, one (3, n, n) scan
+    # each; their velocities and d11's alpha are not scanned (10 calls over
+    # 33 fields when each stage velocity scanned (p, q, log D) and alpha)
+    m = make_noncsc_vaisman(grid16, 0.1)
+    m.velocity
+    scanned_fields[:] = [0, 0]
+    step(m, 1e-4)
+    assert scanned_fields == [4, 12]
+
+
+def test_flow_scan_budget(grid16, scanned_fields):
+    # calls/fields through BaseGrid.check_field in the run of
+    # test_run_computes_each_state_geometry_once: 5 steps, 4 records
+    #   once per run: derivative of lam (the lam partials)      1/1
+    #   every step: 4 new stage states, 4 x 1/3                 4/12
+    #   every record: metric_split's form_from of mu1 (1/4) and
+    #     omega_check (1/6)                                     2/10
+    #   1/1 + 5 x 4/12 + 4 x 2/10 = 29/101
+    # (91/296 when each velocity scanned (p, q, log D) and alpha, the split
+    # its shift and the record its forms)
+    m = make_noncsc_vaisman(grid16, 0.1)
+    scanned_fields[:] = [0, 0]
+    run(m, FlowConfig(dt=1e-4, t_end=5e-4, record_every=2))
+    assert scanned_fields == [29, 101]
+
+
+RECORD_MONITORS = ("fiber_rhs_residual", "fiber_fd_residual", "mu_drift",
+                   "lambda_rel_residual")
+
+
+@pytest.mark.parametrize("seed", ("noncsc", "rigid", 16, 32, 64, "wide"))
+def test_record_equals_form_algebra_bitwise(seed):
+    # the columns are maxima over components: with |(a, b)| < 1 the e13 and
+    # e14 terms carry them, and the "wide" state's shift |(a, b)| > 1 makes
+    # the e12 terms lam (a^2 + b^2) and 2 (a da + b db) lam carry them
+    if seed == "noncsc":
+        m, cfg = make_noncsc_vaisman(BaseGrid(32), 0.15, (2, 1)), FlowConfig(dt=1e-4, t_end=1e-3)
+    elif seed == "rigid":
+        m = make_standard_vaisman(BaseGrid(16), 1.37)
+        cfg = FlowConfig(dt=1e-4, t_end=1e-3, record_every=3)
+    else:
+        grid = BaseGrid(32 if seed == "wide" else seed)
+        m = _varying_lam_state(grid, np.random.default_rng(7))
+        if seed == "wide":
+            m = MetricState(grid, 20.0 * m.u, m.lam, 10.0 * m.p, 10.0 * m.q)
+        dt = 0.05 * grid.h ** 2
+        cfg = FlowConfig(dt=dt, t_end=6 * dt, record_every=1)
+    trace = run(m, cfg)
+    expected = form_algebra_record(m, cfg)
+    for name in RECORD_MONITORS:
+        assert np.array_equal(trace.column(name), expected[name]), name
+    assert np.all(expected["lambda_rel_residual"] == 0.0)
+    if seed != "rigid":   # the rigid seed has p = q = 0 at every record
+        assert np.max(expected["fiber_rhs_residual"]) > 0.0
+        assert np.max(expected["mu_drift"]) > 0.0
 
 
 def _varying_lam_state(grid, rng):

@@ -1,11 +1,21 @@
-"""The top-level package: exported names, the cost of `import ktflow`, and
-the one route its spectral transforms take."""
+"""The top-level package: exported names, the cost of `import ktflow`, the
+one route its spectral transforms take, and the places it scans for NaN/Inf."""
 
 import ast
+import json
 import os
 import pathlib
 import subprocess
 import sys
+
+import numpy as np
+import pytest
+
+from ktflow.cli_runner import SNAPSHOT_FORMAT, load_snapshot
+from ktflow.errors import NonFiniteFieldError
+from ktflow.hermitian_geometry import MetricState
+from ktflow.invariant_forms import (CONVENTIONS_VERSION, BaseGrid, InvariantForm,
+                                    coframe, form_from, function_form)
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
@@ -41,6 +51,16 @@ TRANSFORM_CALLERS = {"_forward": {"BaseGrid.partial_sums"},
                      "_inverse": {"BaseGrid.partial_sums", "random_band_limited"}}
 
 
+# The only callers of the NaN/Inf scan: the places where data enters.  A
+# state's four input fields and each new stage state; the public form
+# constructors; the grid's derivative and integral, and a form's scaling
+# field.  Config and snapshot loading reach it through MetricState.
+# Everything computed from checked data is not scanned again.
+CHECK_SITES = {"MetricState.__post_init__", "MetricState.with_fields",
+               "InvariantForm.__init__", "InvariantForm.__mul__", "function_form",
+               "form_from", "BaseGrid.derivative", "BaseGrid.integral"}
+
+
 def _scan(tree, match):
     """(scope, line, match(node)) of each node of a module tree that match names."""
     found = []
@@ -74,6 +94,13 @@ def _transform_call(node):
     if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
             and node.func.attr in TRANSFORM_CALLERS):
         return node.func.attr
+    return None
+
+
+def _check_call(node):
+    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "check_field"):
+        return "check_field"
     return None
 
 
@@ -135,3 +162,61 @@ def random_band_limited(grid):
                      ("random_band_limited", "_inverse")]
     stray = [(scope, what) for scope, what in found if scope not in TRANSFORM_CALLERS[what]]
     assert stray == [("BaseGrid.poisson", "_inverse"), ("BaseGrid.poisson", "_forward")]
+
+
+def test_finiteness_scans_only_where_data_enters():
+    stray = []
+    for name, tree in _sources():
+        stray += [f"{name}:{line} calls check_field in {scope or '<module>'}"
+                  for scope, line, _ in _scan(tree, _check_call) if scope not in CHECK_SITES]
+    assert not stray, stray
+
+
+def test_check_scan_sees_calls_by_scope():
+    code = """
+class MetricState:
+    def __post_init__(self):
+        u = (self.grid.check_field(v) for v in self.fields)
+def lee_form(m):
+    return m.grid.check_field(m.p)
+check_field(x)
+"""
+    found = [(scope, what) for scope, _, what in _scan(ast.parse(code), _check_call)]
+    assert found == [("MetricState.__post_init__", "check_field"), ("lee_form", "check_field")]
+    assert [scope for scope, _ in found if scope not in CHECK_SITES] == ["lee_form"]
+
+
+def _bad_field(grid):
+    bad = np.ones((grid.n, grid.n))
+    bad[1, 2] = np.nan
+    return bad
+
+
+def _bad_snapshot(grid, bad, tmp_path):
+    fields = {key: np.ones_like(bad).tolist() for key in ("u", "lam", "p", "q")}
+    fields["p"] = (bad - 1.0).tolist()
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps({"format": SNAPSHOT_FORMAT, "conventions": CONVENTIONS_VERSION,
+                                "n": grid.n, **fields}))
+    return load_snapshot(str(path))
+
+
+BOUNDARIES = {
+    "MetricState": lambda grid, bad, _: MetricState(grid, 1.0, bad, 0.0, 0.0),
+    "MetricState.with_fields": lambda grid, bad, _: MetricState.constant(
+        grid, 1.0, 1.0).with_fields(np.stack((np.ones_like(bad), bad, np.zeros_like(bad)))),
+    "InvariantForm": lambda grid, bad, _: InvariantForm(grid, 1, np.stack((bad,) * 4)),
+    "InvariantForm.__mul__": lambda grid, bad, _: coframe(grid, 0) * bad,
+    "function_form": lambda grid, bad, _: function_form(grid, bad),
+    "form_from": lambda grid, bad, _: form_from(grid, 2, {(0, 1): bad}),
+    "BaseGrid.derivative": lambda grid, bad, _: grid.derivative(bad),
+    "BaseGrid.integral": lambda grid, bad, _: grid.integral(bad),
+    "load_snapshot": _bad_snapshot,
+}
+
+
+@pytest.mark.parametrize("boundary", BOUNDARIES)
+def test_each_boundary_rejects_nonfinite(boundary, tmp_path):
+    grid = BaseGrid(8)
+    with pytest.raises(NonFiniteFieldError, match=r"non-finite at grid index \(.*1, 2\)"):
+        BOUNDARIES[boundary](grid, _bad_field(grid), tmp_path)
