@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """The library's Bismut curvature against the values the geometry predicts.
 
-The library evaluates rho = -(1/2) d J d log(u lam - p^2 - q^2) + d(J theta).
+The library evaluates rho = d alpha on the flow's 1-form alpha = J (theta -
+(1/2) d log(u lam - p^2 - q^2)), and s = -d/dt log(u lam - p^2 - q^2).
 For constant-coefficient states the Ricci form is also rho = s omega_check
 with s = -lam / w^2, so the standard seed has rho = -e1^e2 and s = -1 (not
 zero); on every Vaisman seed rho = s omega_check.  Both are compared digit by

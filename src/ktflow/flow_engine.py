@@ -89,9 +89,14 @@ class FlowConfig:
             raise ConfigError(f"record_every must be >= 1, got {self.record_every}")
 
     def steps(self):
+        """Number of steps; t_end must be a whole number of them to 1e-9 relative."""
         n = int(round(self.t_end / self.dt))
         if n < 1:
             raise ConfigError("t_end shorter than one time step")
+        if abs(n * self.dt - self.t_end) > 1e-9 * n * self.dt:
+            raise ConfigError(
+                f"t_end = {self.t_end} is not an integer number of steps of dt = {self.dt}"
+            )
         return n
 
 
@@ -203,10 +208,6 @@ def run(m0, cfg):
     """
     m0.require_positive()
     steps = cfg.steps()
-    if abs(steps * cfg.dt - cfg.t_end) > 1e-9 * max(1.0, steps):
-        raise ConfigError(
-            f"t_end = {cfg.t_end} is not an integer number of steps of dt = {cfg.dt}"
-        )
     n_records = steps // cfg.record_every + (1 if steps % cfg.record_every else 0)
     if n_records + 1 < 3:
         raise ConfigError("run too short: fewer than 3 trace records")

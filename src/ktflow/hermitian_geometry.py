@@ -33,11 +33,12 @@ m.curvature = bismut_ricci(m), m.velocity = flow_velocity(m) and
 m.s = scalar_curvature(m).  Each transforms only the partial sums it reads
 (BaseGrid.partial_sums) and fills preallocated arrays in place.  The
 velocity reads m.lam_partials and leaves its theta as m.theta, and the
-curvature reads m.theta.  A state that m.with_fields(upq) builds on m
-shares m's lam array and the lam data m has computed.  The torsion 3-form
-is not part of the curvature package; bismut_torsion(m) computes it on
-demand.  MetricState and m.with_fields scan their input fields for NaN/Inf;
-the velocity and the Lee form, derived from a scanned state, are not.
+curvature takes d of the velocity's alpha and reads m.s.  A state that
+m.with_fields(upq) builds on m shares m's lam array and the lam data m has
+computed.  The torsion 3-form is not part of the curvature package;
+bismut_torsion(m) computes it on demand.  MetricState and m.with_fields
+scan their input fields for NaN/Inf; the velocity and the Lee form, derived
+from a scanned state, are not.
 
 Sign conventions, fixed once and verified by the test oracles:
 
@@ -52,26 +53,26 @@ Sign conventions, fixed once and verified by the test oracles:
 These traces define the conventions and are what the moving-frame oracle in
 the tests computes.  The library evaluates the same Ricci form in closed form,
 
-    rho = -(1/2) d J d log(u lam - p^2 - q^2) + d(J theta) ,
+    rho = d alpha ,  alpha = J (theta - (1/2) d log(u lam - p^2 - q^2)) ,
 
 the Bismut/Chern relation rho^B = rho^C - d(J theta) (Alexandrov-Ivanov
 2001), whose Chern term is -(1/2) d J d log of the Pfaffian u lam - p^2 - q^2
-of omega in these sign conventions; the scalar is s = 2 (rho ^ omega) /
-(omega ^ omega).  Since d and J are linear, both terms come from one
-exterior derivative of a 1-form, rho = d J (theta - (1/2) d log(u lam - p^2
-- q^2)).  The Chern term vanishes on constant states, and the oracle
-converges to the closed form spectrally in the grid resolution.
+of omega in these sign conventions.  alpha is the flow's own 1-form
+(_flow_alpha), so bismut_ricci and flow_velocity share one route: rho is
+exterior_d of it, the velocity is -d11 of it, and the scalar is the state's
+s = -d/dt log D (scalar_curvature).  The Chern term vanishes on constant
+states, and the oracle converges to the closed form spectrally in the grid
+resolution.
 
 With these choices the standard state (u = lam = 1, p = q = 0) has
 rho = -e1^e2 and s = -1; it is a constant-curvature state but not a
 Bismut-Ricci-flat one, and the flow in flow_engine expands its base.
 
-The flow d omega/dt = -rho^(1,1) needs only part of this.  rho = d alpha
-with alpha = J (theta - (1/2) d log D), D = u lam - p^2 - q^2, and the
+The flow d omega/dt = -rho^(1,1) needs only part of this.  The
 coefficients of alpha depend on the base only, so rho has no e3^e4 term:
 lam is frozen by construction, and flow_velocity returns (du, dp, dq)/dt
-with no 2-form built.  Along the flow s = -d/dt log D (scalar_curvature),
-and on every state d H = -(lam_xx + lam_yy) e1^e2^e3^e4.
+with no 2-form built.  On every state d H = -(lam_xx + lam_yy)
+e1^e2^e3^e4.
 """
 
 from __future__ import annotations
@@ -89,10 +90,7 @@ from .invariant_forms import (
     InvariantForm,
     apply_J,
     exterior_d,
-    form_from,
-    function_form,
     p11_projection,
-    wedge,
 )
 
 DEGENERACY_TOL = 1e-12
@@ -185,7 +183,7 @@ class MetricState:
             worst = getattr(self, key + "_min")
             if not worst > 0.0:
                 values = getattr(self, key)
-                bad = np.unravel_index(np.argmin(values), values.shape)
+                bad = tuple(map(int, np.unravel_index(np.argmin(values), values.shape)))
                 raise PositivityError(
                     f"positivity violated: {name} = {worst:.6e} at grid point {bad}"
                 )
@@ -246,10 +244,6 @@ class MetricSplit:
     w_check: np.ndarray
 
 
-def _top_coefficient(four_form):
-    return four_form.coeffs[0]
-
-
 def _shift_and_area(m):
     """Shift (a, b) = (q/lam, p/lam) of mu1, stacked (2, n, n), and area w = D/lam."""
     return m.upq[:0:-1] * m.inv_lam, m.D * m.inv_lam
@@ -277,11 +271,14 @@ def metric_split(m):
         raise DegenerateTransverseError(
             f"transverse area coefficient {worst:.3e} below {DEGENERACY_TOL:.0e}"
         )
-    a, b = shift
     curl, div = m.grid.partial_sums(shift, _SPLIT_TERMS)
-    mu1 = form_from(m.grid, 1, {(0,): a, (1,): b, (2,): 1.0})
+    mu1 = np.zeros((4,) + w.shape)   # a e1 + b e2 + e3
+    mu1[:2], mu1[2] = shift, 1.0
+    omega_check = np.zeros((6,) + w.shape)   # w e1^e2
+    omega_check[0] = w
+    mu1 = InvariantForm._trusted(m.grid, 1, mu1)
     return MetricSplit(mu1=mu1, mu2=apply_J(mu1),
-                       omega_check=form_from(m.grid, 2, {(0, 1): w}),
+                       omega_check=InvariantForm._trusted(m.grid, 2, omega_check),
                        sigma1=(curl - 1.0) / w, sigma2=div / w, w_check=w)
 
 
@@ -346,20 +343,15 @@ class CurvaturePackage:
 
 
 def bismut_ricci(m):
-    """Bismut curvature package from the closed form of the Ricci form.
+    """Bismut curvature package: rho = d alpha on the flow's own alpha.
 
-    rho = -(1/2) d J d log(u lam - p^2 - q^2) + d(J theta), the Bismut/Chern
-    relation rho^B = rho^C - d(J theta) written in these conventions,
-    evaluated as d J (theta - (1/2) d log(u lam - p^2 - q^2)); the scalar is
-    s = 2 (rho ^ omega) / (omega ^ omega) as top-form coefficients.
+    alpha = J (theta - (1/2) d log(u lam - p^2 - q^2)) is the 1-form whose
+    d11 is the flow's -velocity (_flow_alpha), so rho = d alpha is the
+    Bismut/Chern relation rho^B = rho^C - d(J theta) in these conventions,
+    and s is the state's m.s = -d/dt log D.
     """
-    theta = m.theta  # first: lee_form checks positivity before the log
-    log_det = function_form(m.grid, np.log(m.D))
-    rho = exterior_d(apply_J(theta - 0.5 * exterior_d(log_det)))
-    omega = m.omega()
-    s = (2.0 * _top_coefficient(wedge(rho, omega))
-         / _top_coefficient(wedge(omega, omega)))
-    return CurvaturePackage(rho=rho, rho11=p11_projection(rho), s=s)
+    rho = exterior_d(InvariantForm._trusted(m.grid, 1, _flow_alpha(m)))
+    return CurvaturePackage(rho=rho, rho11=p11_projection(rho), s=m.s)
 
 
 def _flow_alpha(m):
@@ -406,7 +398,7 @@ def scalar_curvature(m):
 
     In s = 2 (rho ^ omega) / (omega ^ omega) only rho^(1,1) = -d omega/dt
     pairs with omega, and omega ^ omega = 2 D e1^e2^e3^e4, so s = -D'/D with
-    D' = lam u' - 2 p p' - 2 q q'; it equals bismut_ricci(m).s to rounding.
+    D' = lam u' - 2 p p' - 2 q q'.  bismut_ricci(m).s is this field.
     """
     du, dp, dq = m.velocity
     return -(m.lam * du - 2.0 * (m.p * dp + m.q * dq)) / m.D

@@ -2,8 +2,8 @@
 
 Each oracle is deliberately built along a different code path than the
 package, which computes the split, the Lee form, the inner product of
-1-forms and the Bismut Ricci form
-rho = -(1/2) d J d log(u lam - p^2 - q^2) + d(J theta) in closed form from
+1-forms and the Bismut Ricci form rho = d alpha of the flow's 1-form
+alpha = J (theta - (1/2) d log(u lam - p^2 - q^2)) in closed form from
 (u, lam, p, q), and its random test fields by spectral synthesis:
 
 * metric_tensor: the hand-written metric matrix g(E_i, E_j) on the grid;
@@ -63,8 +63,15 @@ rho = -(1/2) d J d log(u lam - p^2 - q^2) + d(J theta) in closed form from
   pairing g(mu1_dot, mu1) by inner_1forms.  The package evaluates their
   closed forms in the shift (a, b) = (q, p)/lam; the two agree bitwise.
 
+* form_route_ricci: the Bismut curvature package by form algebra, rho =
+  d J (theta - (1/2) d log D) from function_form(log D), exterior_d, apply_J
+  and form subtraction on the Lee form, and s = 2 (rho ^ omega) / (omega ^
+  omega) from two wedges.  The package takes rho = d alpha on the flow's
+  in-place alpha and s = -d/dt log D from the velocity; rho agrees bitwise
+  and s to rounding.
+
 * coefficient_velocity: the flow velocity as the (u, lam, p, q) coefficients
-  of the J-invariant 2-form -p11_projection(rho) built by bismut_ricci,
+  of the J-invariant 2-form -p11_projection(rho) of a curvature package,
   with the residual of its (1,1) pairings; the package evaluates the
   velocity in closed form and never builds that 2-form on the flow path.
 
@@ -93,12 +100,13 @@ import itertools
 import numpy as np
 
 from ktflow.flow_engine import step
-from ktflow.hermitian_geometry import (_LEE_TERMS, MetricState, bismut_torsion,
-                                       flow_velocity, inner_1forms)
+from ktflow.hermitian_geometry import (_LEE_TERMS, CurvaturePackage, MetricState,
+                                       bismut_torsion, flow_velocity, inner_1forms)
 from ktflow.invariant_forms import (INDEX_POS, MULTI_INDEX, STRUCTURE_INDEX,
                                     STRUCTURE_PAIR, STRUCTURE_SIGN, V1, V2,
-                                    InvariantForm, _merge, contract, coframe,
-                                    exterior_d, form_from, p11_projection, wedge)
+                                    InvariantForm, _merge, apply_J, contract, coframe,
+                                    exterior_d, form_from, function_form,
+                                    p11_projection, wedge)
 
 # bracket [E_a, E_b] = C[a, b, c] E_c
 STRUCTURE = np.zeros((4, 4, 4))
@@ -404,6 +412,22 @@ def form_algebra_record(m0, cfg):
         pairing = inner_1forms(m, mu1_dot, split.mu1)
         columns["lambda_rel_residual"].append(float(np.max(np.abs(pairing))))
     return {name: np.asarray(values) for name, values in columns.items()}
+
+
+def form_route_ricci(m):
+    """Bismut curvature package of a state by form algebra.
+
+    rho = -(1/2) d J d log(u lam - p^2 - q^2) + d(J theta), evaluated as
+    d J (theta - (1/2) d log(u lam - p^2 - q^2)); the scalar is
+    s = 2 (rho ^ omega) / (omega ^ omega) as top-form coefficients.
+    """
+    theta = m.theta  # first: lee_form checks positivity before the log
+    log_det = function_form(m.grid, np.log(m.D))
+    rho = exterior_d(apply_J(theta - 0.5 * exterior_d(log_det)))
+    omega = m.omega()
+    s = (2.0 * _top_coefficient(wedge(rho, omega))
+         / _top_coefficient(wedge(omega, omega)))
+    return CurvaturePackage(rho=rho, rho11=p11_projection(rho), s=s)
 
 
 def coefficient_velocity(rhs):

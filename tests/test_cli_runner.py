@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import ktflow.cli_runner as cli_runner
+import ktflow.flow_engine as flow_engine
 import ktflow.hermitian_geometry as hermitian_geometry
 import ktflow.invariant_forms as invariant_forms
 from ktflow.cli_runner import (ExperimentConfig, emit_csv, emit_snapshot,
@@ -16,7 +17,7 @@ from ktflow.cli_runner import (ExperimentConfig, emit_csv, emit_snapshot,
                                load_trace_csv, main, parse_config,
                                run_experiment, serialize_config,
                                _apply_thread_env)
-from ktflow.errors import ConfigError
+from ktflow.errors import ConfigError, PositivityError
 from ktflow.flow_engine import FlowConfig, run
 from ktflow.hermitian_geometry import MetricState
 from ktflow.invariant_forms import CONVENTIONS_VERSION, BaseGrid, form_from
@@ -127,17 +128,21 @@ def test_identity_battery_transform_budget(transform_fields):
     #   lam_const    2 x (18/20 + d H 2/1)                         =  40/42
     #   constant     4 x (18/20 + d H 2/1 + potential d J theta 4/5)
     #                                                              =  96/104
+    #   curvature: lam partials 1/2 + alpha from (p, q, log D) 3/4
+    #     + rho = d alpha 4/5 + s from the velocity (alpha 3/4
+    #     + d11 4/3)                                               =  15/18
     #   csc_seed     2 x (18/20 + d H 2/1 + potential 4/5
-    #                     + curvature 5/7 + d rho 5/4)             =  68/74
-    #   noncsc_seed  2 x (18/20 + d H 2/1 + curvature 5/7 + d rho 5/4)
-    #                                                              =  60/64
-    # (449/552 when each seed solved for psi 1/1 and then differentiated
-    # it 1/2, 449/600 when the split and theta inverse-transformed both
-    # partials of every field they differentiate, 502/1063 when exterior_d
-    # did too)
+    #                     + curvature 15/18 + d rho 5/4)           =  88/96
+    #   noncsc_seed  2 x (18/20 + d H 2/1 + curvature 15/18 + d rho 5/4)
+    #                                                              =  80/86
+    # (447/550 when the curvature took d J (theta - (1/2) d log D) by form
+    # algebra, 5/7, and s from two wedges; 449/552 when each seed solved
+    # for psi 1/1 and then differentiated it 1/2, 449/600 when the split
+    # and theta inverse-transformed both partials of every field they
+    # differentiate, 502/1063 when exterior_d did too)
     items = identity_battery(n=16, samples=2, seed=5)
     assert all(item.ok for item in items)
-    assert transform_fields == [447, 550]
+    assert transform_fields == [487, 594]
 
 
 def _swapped_shift(monkeypatch):
@@ -191,6 +196,12 @@ def _flipped_lee_a_sign(monkeypatch):
     monkeypatch.setattr(hermitian_geometry, "_LEE_TERMS", (flipped, *rest))
 
 
+def _flipped_d11_sign(monkeypatch):
+    # the flow's d11 reads c12 = -a2_x - a1_y - a3, not a2_x - a1_y - a3
+    ((j, sign, symbol), *c12), *rest = invariant_forms._D11
+    monkeypatch.setattr(invariant_forms, "_D11", (((j, -sign, symbol), *c12), *rest))
+
+
 @pytest.mark.parametrize("mutate, name", (
     (_swapped_shift, "connection forms by contraction"),
     (_flipped_d_sign, "exterior nilpotency"),
@@ -199,12 +210,14 @@ def _flipped_lee_a_sign(monkeypatch):
     (_flipped_lee_a_sign, "lee form defining property"),
     (_flipped_div_sign, "second curvature ratio"),
     (_flipped_lee_b_sign, "lee form formula"),
+    (_flipped_d11_sign, "transverse ricci"),
 ), ids=("swapped-shift", "flipped-d-sign", "dropped-structure-term",
         "flipped-curl-sign", "flipped-lee-a-sign", "flipped-div-sign",
-        "flipped-lee-b-sign"))
+        "flipped-lee-b-sign", "flipped-d11-sign"))
 def test_identity_battery_item_can_fail(monkeypatch, mutate, name):
     # each mutation leaves the battery able to finish, and the named item
-    # fails by far (it reads 1.15, 140, 1, 3.29, 4.98, 3.92 and 2.79)
+    # fails by far (it reads 1.15, 140, 1, 3.29, 4.98, 3.92, 2.79 and 17.4;
+    # the d11 sign reaches "transverse ricci" through s = -d/dt log D)
     mutate(monkeypatch)
     items = {item.name: item for item in identity_battery(n=16, samples=2, seed=5)}
     item = items[name]
@@ -363,6 +376,42 @@ def test_main_exit_codes(tmp_path):
     assert not verdict["ok"]
     failed = [a["name"] for a in verdict["assertions"] if not a["ok"]]
     assert "leaves vaisman" in failed
+
+
+def test_main_rejects_fractional_step_count(tmp_path, capsys):
+    # 2: t_end = 3.4 dt ran 3 steps and exited 0 while the time-grid check
+    # was absolute (1e-9 * steps)
+    cfgfile = tmp_path / "fraction.cfg"
+    cfgfile.write_text("preset = stationary_csc\nn = 8\ndt = 1e-10\nt_end = 3.4e-10\n"
+                       f"record_every = 1\nout_dir = {tmp_path}\n")
+    assert main(["run", str(cfgfile)]) == 2
+    assert "not an integer number of steps" in capsys.readouterr().err
+    assert not list(tmp_path.glob("stationary_csc_*"))
+
+
+def test_positivity_error_names_plain_grid_point(tmp_path, monkeypatch):
+    # numpy 2 printed np.unravel_index's entries as np.int64(i)
+    with pytest.raises(PositivityError, match=r"at grid point \(0, 0\)$"):
+        MetricState.constant(BaseGrid(8), 1, 1, 2).require_positive()
+
+    # 3: a kick at (3, 5) takes u negative in the first stage state, and the
+    # rejected step's verdict names the point
+    true_rhs = flow_engine.flow_rhs
+
+    def kicked(m):
+        vel = np.array(true_rhs(m))
+        vel[0, 3, 5] -= 1e6
+        return vel
+
+    monkeypatch.setattr(flow_engine, "flow_rhs", kicked)
+    cfgfile = tmp_path / "kicked.cfg"
+    cfgfile.write_text("preset = custom\nn = 8\ndt = 1e-4\nt_end = 5e-4\n"
+                       f"record_every = 1\nout_dir = {tmp_path}\n")
+    assert main(["run", str(cfgfile)]) == 3
+    verdict = json.loads((tmp_path / "custom_verdict.json").read_text())
+    assert verdict["aborted"] and verdict["t"] == 0.0
+    assert verdict["reason"].startswith("step dt=1.000e-04 rejected, positivity lost")
+    assert verdict["reason"].endswith("positivity violated: u = -4.899995e+01 at grid point (3, 5)")
 
 
 @pytest.mark.parametrize("mode", ("4,1", "5,1"))

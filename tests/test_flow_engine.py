@@ -17,7 +17,8 @@ from ktflow.invariant_forms import (BaseGrid, exterior_d, form_from,
 from ktflow.vaisman_toolkit import (assess, make_noncsc_vaisman,
                                     make_standard_vaisman)
 
-from oracles import coefficient_velocity, form_algebra_record, fresh_state_rk4_step
+from oracles import (coefficient_velocity, form_algebra_record, form_route_ricci,
+                     fresh_state_rk4_step)
 
 
 def test_flow_rhs_standard(grid16):
@@ -51,12 +52,13 @@ def test_coefficient_velocity_reports_broken_pairing(grid16):
 
 def test_velocity_matches_ricci_oracle(rng):
     # varying lam: the closed-form velocity, the scalar s = -d/dt log D and
-    # the defect max |lap lam| against the Bismut package and the torsion
+    # the defect max |lap lam| against the form-route Bismut package and the
+    # torsion
     for n in (16, 32, 64):
         grid = BaseGrid(n)
         for _ in range(3):
             m = _varying_lam_state(grid, rng)
-            pkg = bismut_ricci(m)
+            pkg = form_route_ricci(m)
             vel, residual = coefficient_velocity(-1.0 * p11_projection(pkg.rho))
             assert residual < 1e-13
             assert np.max(np.abs(vel[1])) < 1e-13
@@ -65,6 +67,24 @@ def test_velocity_matches_ricci_oracle(rng):
             assert s_gap < 1e-13 * np.max(np.abs(pkg.s))
             torsion = exterior_d(bismut_torsion(m)).max_abs()
             assert abs(assess(m).pluriclosed_defect - torsion) < 1e-13
+
+
+@pytest.mark.parametrize("n", (16, 32, 64))
+def test_bismut_ricci_equals_form_route(n):
+    # rho = d alpha on the flow's alpha is the form route's d J (theta -
+    # (1/2) d log D) operand for operand; s = -d/dt log D agrees with the
+    # wedge ratio to rounding.  The oracle gets a fresh state, so its theta
+    # is lee_form's, not the velocity's.
+    grid = BaseGrid(n)
+    rng = np.random.default_rng(n)
+    states = [make_standard_vaisman(grid, 1.37), make_noncsc_vaisman(grid, 0.15, (2, 1))]
+    states += [_varying_lam_state(grid, rng) for _ in range(3)]
+    for m in states:
+        pkg = bismut_ricci(m)
+        oracle = form_route_ricci(MetricState(grid, m.u, m.lam, m.p, m.q))
+        assert np.array_equal(pkg.rho.coeffs, oracle.rho.coeffs)
+        assert np.array_equal(pkg.rho11.coeffs, oracle.rho11.coeffs)
+        assert np.max(np.abs(pkg.s - oracle.s)) <= 1e-14 * np.max(np.abs(oracle.s))
 
 
 def test_flow_config_validation():
@@ -111,9 +131,24 @@ def test_run_rejects_bad_time_grid(grid16):
     m = make_standard_vaisman(grid16, 1.0)
     with pytest.raises(ConfigError):
         run(m, FlowConfig(dt=3e-4, t_end=1e-3))
+    with pytest.raises(ConfigError, match="not an integer number of steps"):
+        # 3.4 steps: within a tolerance of 1e-9 * steps, not of 1e-9 * steps * dt
+        run(m, FlowConfig(dt=1e-10, t_end=3.4e-10))
     with pytest.raises(ConfigError):
         # two records only
         run(m, FlowConfig(dt=1e-4, t_end=2e-4, record_every=2))
+
+
+@pytest.mark.parametrize("dt, t_end, steps", (
+    (1e-4, 0.1, 1000),      # the defaults
+    (1e-4, 2e-3, 20),       # benchmark noncsc
+    (2e-5, 2.2e-4, 11),     # benchmark rigid
+    (1e-4, 0.01, 100),      # demos
+    (2e-5, 1e-3, 50),
+    (1e-10, 3e-10, 3),
+))
+def test_time_grid_accepts_whole_step_counts(dt, t_end, steps):
+    assert FlowConfig(dt=dt, t_end=t_end).steps() == steps
 
 
 def test_run_enforces_parabolic_bound(grid32):
@@ -199,15 +234,16 @@ def test_flow_scan_budget(grid16, scanned_fields):
     # test_run_computes_each_state_geometry_once: 5 steps, 4 records
     #   once per run: derivative of lam (the lam partials)      1/1
     #   every step: 4 new stage states, 4 x 1/3                 4/12
-    #   every record: metric_split's form_from of mu1 (1/4) and
-    #     omega_check (1/6)                                     2/10
-    #   1/1 + 5 x 4/12 + 4 x 2/10 = 29/101
-    # (91/296 when each velocity scanned (p, q, log D) and alpha, the split
-    # its shift and the record its forms)
+    #   every record: nothing; the split's mu1 and omega_check
+    #     come from the scanned state                           0/0
+    #   1/1 + 5 x 4/12 = 21/61
+    # (29/101 when each record's split scanned mu1 (1/4) and omega_check
+    # (1/6) by form_from; 91/296 when each velocity scanned (p, q, log D)
+    # and alpha, the split its shift and the record its forms)
     m = make_noncsc_vaisman(grid16, 0.1)
     scanned_fields[:] = [0, 0]
     run(m, FlowConfig(dt=1e-4, t_end=5e-4, record_every=2))
-    assert scanned_fields == [29, 101]
+    assert scanned_fields == [21, 61]
 
 
 RECORD_MONITORS = ("fiber_rhs_residual", "fiber_fd_residual", "mu_drift",

@@ -1,5 +1,6 @@
 """The top-level package: exported names, the cost of `import ktflow`, the
-one route its spectral transforms take, and the places it scans for NaN/Inf."""
+one route its spectral transforms take, the places it scans for NaN/Inf,
+and no import it does not read."""
 
 import ast
 import json
@@ -184,6 +185,75 @@ check_field(x)
     found = [(scope, what) for scope, _, what in _scan(ast.parse(code), _check_call)]
     assert found == [("MetricState.__post_init__", "check_field"), ("lee_form", "check_field")]
     assert [scope for scope, _ in found if scope not in CHECK_SITES] == ["lee_form"]
+
+
+def _imported_names(node):
+    """Names an import statement binds; from __future__ and * bind none we track."""
+    if isinstance(node, ast.Import):
+        return [alias.asname or alias.name.split(".")[0] for alias in node.names]
+    if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+        return [alias.asname or alias.name for alias in node.names if alias.name != "*"]
+    return []
+
+
+def _own_nodes(scope):
+    """Nodes of a scope's body, not descending into nested functions or classes."""
+    for child in ast.iter_child_nodes(scope):
+        yield child
+        if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield from _own_nodes(child)
+
+
+def _unused_imports(tree):
+    """(line, name) of each name imported in a scope that the scope never reads.
+
+    A scope is the module or a function or class; a read anywhere inside
+    it, nested scopes included, counts.  Names listed in a module-level
+    __all__ are exports and count as read.
+    """
+    exported = set()
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(getattr(target, "id", None) == "__all__" for target in node.targets)):
+            exported = {item.value for item in ast.walk(node.value)
+                        if isinstance(item, ast.Constant) and isinstance(item.value, str)}
+    found = []
+    scopes = [tree] + [node for node in ast.walk(tree) if isinstance(
+        node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
+    for scope in scopes:
+        read = {node.id for node in ast.walk(scope)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        found += [(node.lineno, name) for node in _own_nodes(scope)
+                  for name in _imported_names(node)
+                  if name not in read and name not in exported]
+    return sorted(found)
+
+
+def test_no_unused_imports():
+    stray = []
+    for name, tree in _sources():
+        stray += [f"{name}:{line} imports {what} unused" for line, what in _unused_imports(tree)]
+    assert not stray, stray
+
+
+def test_import_scan_sees_unused_names_by_scope():
+    code = """
+from __future__ import annotations
+import os.path
+import numpy as np
+from . import errors
+from .forms import wedge, exterior_d as d
+__all__ = sorted(["errors"])
+def f(x):
+    import json
+    from .forms import wedge
+    return d(np.asarray(x))
+def g():
+    def inner():
+        return json
+"""
+    assert _unused_imports(ast.parse(code)) == [(3, "os"), (6, "wedge"), (9, "json"),
+                                                (10, "wedge")]
 
 
 def _bad_field(grid):
