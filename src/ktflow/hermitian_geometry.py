@@ -33,7 +33,8 @@ m.curvature = bismut_ricci(m), m.velocity = flow_velocity(m) and
 m.s = scalar_curvature(m).  Each transforms only the partial sums it reads
 (BaseGrid.partial_sums) and fills preallocated arrays in place.  The
 velocity reads m.lam_partials and leaves its theta as m.theta, and the
-curvature takes d of the velocity's alpha and reads m.s.  A state that
+curvature takes d of the velocity's alpha, leaves -d11 of that alpha as
+m.velocity if the state has none, and reads m.s.  A state that
 m.with_fields(upq) builds on m shares m's lam array and the lam data m has
 computed.  The torsion 3-form is not part of the curvature package;
 bismut_torsion(m) computes it on demand.  MetricState and m.with_fields
@@ -348,9 +349,14 @@ def bismut_ricci(m):
     alpha = J (theta - (1/2) d log(u lam - p^2 - q^2)) is the 1-form whose
     d11 is the flow's -velocity (_flow_alpha), so rho = d alpha is the
     Bismut/Chern relation rho^B = rho^C - d(J theta) in these conventions,
-    and s is the state's m.s = -d/dt log D.
+    and s is the state's m.s = -d/dt log D.  The one alpha gives both rho
+    and, unless the state has one, m.velocity: 12/14 forward/inverse
+    fields with lam's partials.
     """
-    rho = exterior_d(InvariantForm._trusted(m.grid, 1, _flow_alpha(m)))
+    alpha = _flow_alpha(m)
+    rho = exterior_d(InvariantForm._trusted(m.grid, 1, alpha))
+    if "velocity" not in m.__dict__:
+        m.__dict__["velocity"] = _velocity_from_alpha(m, alpha)
     return CurvaturePackage(rho=rho, rho11=p11_projection(rho), s=m.s)
 
 
@@ -389,7 +395,12 @@ def flow_velocity(m):
     whose e3^e4 coefficient, lam's velocity, vanishes identically.  That is
     7/7 forward/inverse fields.
     """
-    velocity = m.grid.d11(_flow_alpha(m))
+    return _velocity_from_alpha(m, _flow_alpha(m))
+
+
+def _velocity_from_alpha(m, alpha):
+    """-d11(alpha), lam's velocity left out: 4/3 forward/inverse fields."""
+    velocity = m.grid.d11(alpha)
     return np.negative(velocity, out=velocity)
 
 

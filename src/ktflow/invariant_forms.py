@@ -533,8 +533,11 @@ def random_band_limited(grid, rng, kmax=2, amplitude=1.0, zero_mean=False):
     generator in that loop order, then the mean is drawn; the sum is one
     irfft2 of a half-spectrum holding n^2/2 (c - i s) at (kx, ky) for
     ky >= 0 and its conjugate at (-kx, -ky) for ky <= 0 (both halves of the
-    ky = 0 column).  Deterministic given the generator state; used by the
-    identity battery and the randomized tests.
+    ky = 0 column).  rng needs one method, normal(size=None), giving a
+    standard normal, or an array of them of shape size, as a numpy
+    Generator does.  Deterministic given the generator state; used by the
+    identity battery (whose draws come from random.Random) and the
+    randomized tests.
     """
     n = grid.n
     if not 0 <= 2 * kmax < n:
@@ -555,7 +558,11 @@ def random_band_limited(grid, rng, kmax=2, amplitude=1.0, zero_mean=False):
 
 
 def random_form(grid, rng, degree, kmax=2, amplitude=1.0):
-    """Random band-limited invariant form of the given degree."""
+    """Random band-limited invariant form of the given degree.
+
+    Each coefficient is one random_band_limited field, so rng needs only
+    normal(size=None) as there.
+    """
     out = InvariantForm(grid, degree)
     for i in range(NCOMP[degree]):
         out.coeffs[i] = random_band_limited(grid, rng, kmax=kmax, amplitude=amplitude)

@@ -275,6 +275,22 @@ def test_velocity_leaves_the_lee_form_bitwise(n):
         assert np.array_equal(m.theta.coeffs, lee_form(m).coeffs)
 
 
+@pytest.mark.parametrize("n", (8, 16, 32, 64, 128))
+def test_curvature_leaves_the_velocity_bitwise(n):
+    # the curvature's alpha gives m.velocity, equal to flow_velocity on a
+    # fresh state, and a velocity the state already has is kept
+    grid = BaseGrid(n)
+    for seed in range(5):
+        m = random_state(grid, np.random.default_rng(seed))
+        m.curvature
+        assert "velocity" in vars(m)
+        fresh = MetricState(grid, m.u, m.lam, m.p, m.q)
+        assert np.array_equal(m.velocity, flow_velocity(fresh))
+        velocity = fresh.velocity
+        fresh.curvature
+        assert fresh.velocity is velocity
+
+
 def test_torsion_standard_and_closure(grid32, rng):
     H = bismut_torsion(MetricState.constant(grid32, 1.0, 1.0))
     assert (H + basis_form(grid32, (0, 1, 2))).max_abs() == 0.0

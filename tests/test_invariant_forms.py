@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from ktflow import vaisman_toolkit
+from ktflow.cli_runner import _BatteryDraws
 from ktflow.errors import (DegreeError, GridError, NonBasicFormError,
                            NonFiniteFieldError)
 from ktflow.invariant_forms import (LAPLACIAN, BaseGrid, InvariantForm, V1, V2,
@@ -302,13 +303,19 @@ def test_form_from_rejects_nonfinite(grid8):
         form_from(grid8, 1, {(0,): bad})
 
 
+# the generators random fields are drawn from: numpy's, in the tests and
+# demos, and the identity battery's draws over random.Random
+GENERATORS = (np.random.default_rng, _BatteryDraws)
+
+
 def test_random_band_limited_determinism(grid16):
-    a = random_band_limited(grid16, np.random.default_rng(12))
-    b = random_band_limited(grid16, np.random.default_rng(12))
-    assert np.array_equal(a, b)
-    assert np.max(np.abs(a)) == pytest.approx(1.0)
-    c = random_band_limited(grid16, np.random.default_rng(12), zero_mean=True)
-    assert abs(np.mean(c)) < 1e-13
+    for generator in GENERATORS:
+        a = random_band_limited(grid16, generator(12))
+        b = random_band_limited(grid16, generator(12))
+        assert np.array_equal(a, b)
+        assert np.max(np.abs(a)) == pytest.approx(1.0)
+        c = random_band_limited(grid16, generator(12), zero_mean=True)
+        assert abs(np.mean(c)) < 1e-13
 
 
 @pytest.mark.parametrize("zero_mean", (False, True))
@@ -318,12 +325,13 @@ def test_random_band_limited_matches_direct_sum(n, kmax, zero_mean):
     # same draws, same field to rounding, and the generator ends in the same
     # state (its next draw is equal)
     grid = BaseGrid(n)
-    for seed in range(20):
-        rng_a, rng_b = np.random.default_rng(seed), np.random.default_rng(seed)
-        a = random_band_limited(grid, rng_a, kmax=kmax, zero_mean=zero_mean)
-        b = direct_band_limited(grid, rng_b, kmax=kmax, zero_mean=zero_mean)
-        assert np.max(np.abs(a - b)) < 1e-13
-        assert rng_a.normal() == rng_b.normal()
+    for generator in GENERATORS:
+        for seed in range(20):
+            rng_a, rng_b = generator(seed), generator(seed)
+            a = random_band_limited(grid, rng_a, kmax=kmax, zero_mean=zero_mean)
+            b = direct_band_limited(grid, rng_b, kmax=kmax, zero_mean=zero_mean)
+            assert np.max(np.abs(a - b)) < 1e-13
+            assert rng_a.normal() == rng_b.normal()
 
 
 def test_random_band_limited_rejects_unresolved_modes(grid8):

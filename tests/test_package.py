@@ -1,6 +1,6 @@
-"""The top-level package: exported names, the cost of `import ktflow`, the
-one route its spectral transforms take, the places it scans for NaN/Inf,
-and no import it does not read."""
+"""The top-level package: exported names, the cost of `import ktflow` and of
+a battery run, the one route its spectral transforms take, the places it
+scans for NaN/Inf, no numpy.random, and no import it does not read."""
 
 import ast
 import json
@@ -31,12 +31,29 @@ assert not missing, missing
 """
 
 
-def test_all_names_resolve_and_import_stays_light():
+BATTERY_PROBE = """
+import sys
+from ktflow.cli_runner import identity_battery
+assert all(item.ok for item in identity_battery(n=16, samples=2, seed=5))
+loaded = [name for name in ("numpy.random", "argparse") if name in sys.modules]
+assert not loaded, f"the identity battery loaded {loaded}"
+"""
+
+
+def _run_probe(probe):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    result = subprocess.run([sys.executable, "-c", PROBE], env=env,
+    result = subprocess.run([sys.executable, "-c", probe], env=env,
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
+
+
+def test_all_names_resolve_and_import_stays_light():
+    _run_probe(PROBE)
+
+
+def test_identity_battery_loads_neither_numpy_random_nor_argparse():
+    _run_probe(BATTERY_PROBE)
 
 
 # The only places that may touch numpy's FFT module: the wavenumber tables
@@ -163,6 +180,44 @@ def random_band_limited(grid):
                      ("random_band_limited", "_inverse")]
     stray = [(scope, what) for scope, what in found if scope not in TRANSFORM_CALLERS[what]]
     assert stray == [("BaseGrid.poisson", "_inverse"), ("BaseGrid.poisson", "_forward")]
+
+
+def _numpy_random_use(node):
+    if (isinstance(node, ast.Attribute) and node.attr == "random"
+            and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")):
+        return "numpy.random"
+    if isinstance(node, ast.Import):
+        if any(alias.name.startswith("numpy.random") for alias in node.names):
+            return "numpy.random"
+    if isinstance(node, ast.ImportFrom) and node.module:
+        if node.module.startswith("numpy.random") or (
+                node.module == "numpy" and any(alias.name == "random" for alias in node.names)):
+            return "numpy.random"
+    return None
+
+
+def test_no_module_names_numpy_random():
+    # random draws come from random.Random, which the interpreter has loaded
+    # before numpy; importing numpy.random costs a run about 5 MiB
+    stray = []
+    for name, tree in _sources():
+        stray += [f"{name}:{line} names numpy.random in {scope or '<module>'}"
+                  for scope, line, _ in _scan(tree, _numpy_random_use)]
+    assert not stray, stray
+
+
+def test_numpy_random_scan_sees_attributes_and_imports():
+    code = """
+import numpy.random
+import numpy.random as npr
+from numpy import random
+from numpy.random import default_rng
+import random
+def f(seed):
+    return np.random.default_rng(seed), numpy.random.normal(), random.Random(seed)
+"""
+    found = [(scope, line) for scope, line, _ in _scan(ast.parse(code), _numpy_random_use)]
+    assert found == [("", 2), ("", 3), ("", 4), ("", 5), ("f", 8), ("f", 8)]
 
 
 def test_finiteness_scans_only_where_data_enters():
