@@ -114,9 +114,8 @@ class ExperimentConfig:
                     f" = {area:.3e}, outside [{DEGENERACY_TOL:.0e}, inf)"
                 )
         self.flow_config()
-        for name in ("tol", "vaisman_tol", "variance_tol", "exit_threshold"):
-            if not getattr(self, name) > 0:
-                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
+        if not self.tol > 0:
+            raise ConfigError(f"tol must be positive, got {self.tol}")
         if self.samples < 1:
             raise ConfigError(f"samples must be >= 1, got {self.samples}")
 
@@ -282,17 +281,21 @@ def identity_battery(n=32, samples=50, seed=2024):
     """All structural identities at resolution n; returns BatteryItem list.
 
     Calculus hygiene items come first, on random forms drawn from
-    _BatteryDraws(seed + 1).  Then randomized states (_battery_states,
-    drawn from _BatteryDraws(seed)) exercise the splitting calculus and the
-    Lee form, and the two seed families the curvature identities.  Each
-    identity is checked along a route other than the one the package
-    computes it by: the closed-form split against the contractions
-    mu1 = -(1/lam) V2 . omega and mu2 = (1/lam) V1 . omega, d(mu_i) =
-    sigma_i omega_check with exterior_d, and theta against theta ^ omega =
-    d omega.  The same d omega gives the torsion H = -J d omega, and
-    "torsion closure" checks d H = -(lam_xx + lam_yy) e1^e2^e3^e4 against
-    m.lam_laplacian, the flow's pluriclosed defect, on the states whose lam
-    varies.
+    _BatteryDraws(seed + 1) with modes up to min(2, (n/2 - 1) // 2), so a
+    product of two stays below the Nyquist mode.  Then randomized states
+    (_battery_states, drawn from _BatteryDraws(seed)) exercise the
+    splitting calculus and the Lee form, and the two seed families the
+    curvature identities.  Each identity is checked along a route other
+    than the one the package computes it by: the closed-form split against
+    the contractions mu1 = -(1/lam) V2 . omega and mu2 = (1/lam) V1 .
+    omega, d(mu_i) = sigma_i omega_check with exterior_d, and theta against
+    theta ^ omega = d omega.  The same d omega gives the torsion H = -J d
+    omega, and "torsion closure" checks d H = -(lam_xx + lam_yy)
+    e1^e2^e3^e4 against m.lam_laplacian, the flow's pluriclosed defect, on
+    the states whose lam varies.  "ricci (1,1) velocity" checks the
+    seeds' m.velocity, -d11 of the flow's alpha, against rho^(1,1) =
+    p11_projection(d alpha): -(du, dp, dq) on (e12, e13, e14), paired as
+    omega is (e13 = e24, e14 = -e23) and with no e3^e4 term.
     """
     import numpy as np
     from .hermitian_geometry import inner_1forms
@@ -316,13 +319,16 @@ def identity_battery(n=32, samples=50, seed=2024):
     items.append(BatteryItem("structure equation",
                              (exterior_d(coframe(grid, 2)) + e12).max_abs(), 1e-14))
 
+    # products of two forms reach mode 2 kmax, kept below the Nyquist mode n/2
+    # whose derivative symbols are zero: kmax 1 at n = 8, 2 from n = 16
+    kmax = min(2, (n // 2 - 1) // 2)
     dd = 0.0
     leib = 0.0
     jj = 0.0
     comm = 0.0
     for _ in range(8):
-        a = random_form(grid, rng, int(rng.integers(0, 3)))
-        b = random_form(grid, rng, int(rng.integers(0, 4 - a.degree)))
+        a = random_form(grid, rng, int(rng.integers(0, 3)), kmax=kmax)
+        b = random_form(grid, rng, int(rng.integers(0, 4 - a.degree)), kmax=kmax)
         if a.degree <= 2:
             dd = max(dd, exterior_d(exterior_d(a)).max_abs())
         lhs = exterior_d(wedge(a, b))
@@ -339,7 +345,7 @@ def identity_battery(n=32, samples=50, seed=2024):
 
     # one pass over the states; each family feeds the identities that hold on it
     contraction = ratio1 = ratio2 = reass = chars = lee_def = 0.0
-    lee = norm = torsion = potential = ricci = closed_rho = 0.0
+    lee = norm = torsion = potential = ricci = velocity = 0.0
     for family, m in _battery_states(grid, samples, seed):
         sp = m.split
         theta = m.theta
@@ -371,7 +377,11 @@ def identity_battery(n=32, samples=50, seed=2024):
         if family in ("csc_seed", "noncsc_seed"):
             pkg = m.curvature
             ricci = max(ricci, (pkg.rho - sp.omega_check * pkg.s).max_abs())
-            closed_rho = max(closed_rho, exterior_d(pkg.rho).max_abs())
+            # d11's velocity against rho^(1,1) from exterior_d and apply_J
+            c12, c13, c14, c23, c24, c34 = pkg.rho11.coeffs
+            du, dp, dq = m.velocity
+            velocity = max(velocity, *(float(np.max(np.abs(r))) for r in (
+                du + c12, dp + c13, dq + c14, c34, c13 - c24, c14 + c23)))
     items.append(BatteryItem("connection forms by contraction", contraction, 1e-12))
     items.append(BatteryItem("first curvature ratio", ratio1, 1e-12))
     items.append(BatteryItem("second curvature ratio", ratio2, 1e-12))
@@ -386,7 +396,7 @@ def identity_battery(n=32, samples=50, seed=2024):
     items.append(BatteryItem("torsion closure", torsion, 2e-14 * n))
     items.append(BatteryItem("potential identity", potential, 1e-12))
     items.append(BatteryItem("transverse ricci", ricci, 1e-8))
-    items.append(BatteryItem("ricci closedness", closed_rho, 1e-12))
+    items.append(BatteryItem("ricci (1,1) velocity", velocity, 1e-12))
 
     return items
 
@@ -406,16 +416,22 @@ def _print_battery(items, stream):
 # ---------------------------------------------------------------------------
 # emission
 
+def _write_text(path, text, what):
+    """Write text and a closing newline; an OSError becomes a ConfigError naming what."""
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+            fh.write("\n")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {what} {path!r}: {exc}") from exc
+
+
 def emit_csv(trace, path):
     """Trace rows as CSV; 17 significant digits, so reload is bit-exact."""
     from .flow_engine import TRACE_COLUMNS
-    try:
-        with open(path, "w") as fh:
-            fh.write(",".join(TRACE_COLUMNS) + "\n")
-            for row in trace.rows():
-                fh.write(",".join("%.17g" % x for x in row) + "\n")
-    except OSError as exc:
-        raise ConfigError(f"cannot write trace CSV {path!r}: {exc}") from exc
+    lines = [",".join(TRACE_COLUMNS)]
+    lines += [",".join("%.17g" % x for x in row) for row in trace.rows()]
+    _write_text(path, "\n".join(lines), "trace CSV")
 
 
 def load_trace_csv(path):
@@ -460,23 +476,13 @@ def emit_snapshot(m, path):
         "p": m.p.tolist(),
         "q": m.q.tolist(),
     }
-    text = json.dumps(payload)  # one C-encoder pass; json.dump streams in Python
-    try:
-        with open(path, "w") as fh:
-            fh.write(text)
-            fh.write("\n")
-    except OSError as exc:
-        raise ConfigError(f"cannot write snapshot {path!r}: {exc}") from exc
+    # one C-encoder pass; json.dump streams in Python
+    _write_text(path, json.dumps(payload), "snapshot")
 
 
 def _write_verdict(verdict, path):
     """Verdict dictionary as indented JSON."""
-    try:
-        with open(path, "w") as fh:
-            json.dump(verdict, fh, indent=1)
-            fh.write("\n")
-    except OSError as exc:
-        raise ConfigError(f"cannot write verdict {path!r}: {exc}") from exc
+    _write_text(path, json.dumps(verdict, indent=1), "verdict")
 
 
 def load_snapshot(path, grid=None):

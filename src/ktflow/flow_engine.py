@@ -87,6 +87,9 @@ class FlowConfig:
             raise ConfigError(f"cfl_safety must lie in (0, 0.5], got {self.cfl_safety}")
         if int(self.record_every) < 1:
             raise ConfigError(f"record_every must be >= 1, got {self.record_every}")
+        for name in ("vaisman_tol", "variance_tol", "exit_threshold"):
+            if not getattr(self, name) > 0:
+                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
 
     def steps(self):
         """Number of steps; t_end must be a whole number of them to 1e-9 relative."""

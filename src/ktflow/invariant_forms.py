@@ -21,6 +21,10 @@ inverse), an irfft2, each transform called as its two 1-D transforms.  An
 exterior derivative moves 1/2, 4/5, 5/4 and 2/1 forward/inverse fields for
 degrees 0 to 3: only the coefficients and components with a base partial.
 
+The coframe operations are tables over multi-index positions, built once
+per key (functools.cache), every sign from _merge; J, the contractions and
+the d(e3) part of d apply (i_in, sign, i_out) tables through _apply.
+
 Index conventions: coframe indices are 0-based internally (e1 -> 0, ...,
 e4 -> 3); docstrings use the 1-based names.  Orientation is fixed by taking
 e1^e2^e3^e4 as the positive volume form.
@@ -28,6 +32,7 @@ e1^e2^e3^e4 as the positive volume form.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -62,33 +67,6 @@ VERTICAL_COFRAME_INDEX = (2, 3)
 MULTI_INDEX = {k: tuple(itertools.combinations(range(COFRAME_DIM), k)) for k in range(5)}
 INDEX_POS = {k: {idx: i for i, idx in enumerate(MULTI_INDEX[k])} for k in range(5)}
 NCOMP = {k: len(MULTI_INDEX[k]) for k in range(5)}
-
-BASIS_NAMES = {
-    k: tuple("e" + "".join(str(i + 1) for i in idx) for idx in MULTI_INDEX[k])
-    for k in range(1, 5)
-}
-
-
-def _sort_sign(indices):
-    """Permutation sign and sorted tuple; None if an index repeats."""
-    arr = list(indices)
-    sign = 1.0
-    for i in range(1, len(arr)):
-        j = i
-        while j > 0 and arr[j - 1] > arr[j]:
-            arr[j - 1], arr[j] = arr[j], arr[j - 1]
-            sign = -sign
-            j -= 1
-    for i in range(1, len(arr)):
-        if arr[i - 1] == arr[i]:
-            return None, ()
-    return sign, tuple(arr)
-
-
-def _merge(left, right):
-    """Sign and multi-index of e^left ^ e^right, or (None, ()) on collision."""
-    return _sort_sign(tuple(left) + tuple(right))
-
 
 # Symbols of BaseGrid.partial_sums: tuples of names from the grid's factor
 # table, multiplied together; () is the constant 1.
@@ -304,9 +282,6 @@ class InvariantForm:
         )
 
 
-def zero_form(grid, degree):
-    return InvariantForm(grid, degree)
-
 def function_form(grid, values):
     """Wrap a scalar field as a 0-form."""
     values = grid.check_field(np.broadcast_to(values, (grid.n, grid.n)), "0-form")
@@ -345,26 +320,35 @@ def form_from(grid, degree, terms):
     return out
 
 
-_WEDGE_TABLE = {}
-_D_TABLE = {}
-_J_TABLE = {}
-_CONTRACT_TABLE = {}
-_BAND_TABLE = {}
+def _merge(left, right):
+    """Sign and sorted multi-index of e^left ^ e^right, or (None, ()) on collision.
+
+    The sign is (-1) to the number of inversions of left + right.
+    """
+    merged = tuple(left) + tuple(right)
+    if len(set(merged)) < len(merged):
+        return None, ()
+    inversions = sum(a > b for a, b in itertools.combinations(merged, 2))
+    return (-1.0) ** inversions, tuple(sorted(merged))
 
 
+@functools.cache
 def _wedge_table(p, q):
-    key = (p, q)
-    if key not in _WEDGE_TABLE:
-        entries = []
-        for ia, left in enumerate(MULTI_INDEX[p]):
-            for ib, right in enumerate(MULTI_INDEX[q]):
-                sign, merged = _merge(left, right)
-                if sign is not None:
-                    entries.append((ia, ib, sign, INDEX_POS[p + q][merged]))
-        _WEDGE_TABLE[key] = tuple(entries)
-    return _WEDGE_TABLE[key]
+    """(ia, ib, sign, i_out): e^left ^ e^right = sign e^merged, collisions dropped."""
+    products = ((ia, ib, *_merge(left, right)) for ia, left in enumerate(MULTI_INDEX[p])
+                for ib, right in enumerate(MULTI_INDEX[q]))
+    return tuple((ia, ib, sign, INDEX_POS[p + q][merged])
+                 for ia, ib, sign, merged in products if sign is not None)
 
 
+@functools.cache
+def _contract_table(k, ci):
+    """(i_in, sign, i_out) of the contraction with e^ci's dual, from e^ci ^ e^out = sign e^in."""
+    return tuple((i_idx, sign, i_rest)
+                 for i_ci, i_rest, sign, i_idx in _wedge_table(1, k - 1) if i_ci == ci)
+
+
+@functools.cache
 def _d_tables(k):
     """(first, spectral, struct) tables of d on degree-k forms.
 
@@ -372,58 +356,42 @@ def _d_tables(k):
     times a base partial of coefficient first + j.  The coefficients with a
     partial (no e1^e2) are a lexicographic tail and the components they
     reach a head.
-    struct holds (i_in, factor, i_out) of the d(e3) part.
+    struct holds (i_in, sign, i_out) of the d(e3) part, d(e3) ^ the e3 contraction.
     """
-    if k not in _D_TABLE:
-        spectral = [[] for _ in MULTI_INDEX[k + 1]]
-        struct = []
-        for i_in, idx in enumerate(MULTI_INDEX[k]):
-            for axis, partial in enumerate((DX, DY)):
-                sign, merged = _merge((axis,), idx)
-                if sign is not None:
-                    spectral[INDEX_POS[k + 1][merged]].append((i_in, sign, partial))
-            # structure part: replace e3 in place by d(e3) = -e1^e2
-            for pos, ci in enumerate(idx):
-                if ci != STRUCTURE_INDEX:
-                    continue
-                rest = idx[:pos] + idx[pos + 1:]
-                sign, merged = _merge(STRUCTURE_PAIR, rest)
-                if sign is not None:
-                    factor = ((-1.0) ** pos) * STRUCTURE_SIGN * sign
-                    struct.append((i_in, factor, INDEX_POS[k + 1][merged]))
-        while not spectral[-1]:
-            spectral.pop()
-        first = min(i_in for terms in spectral for i_in, _, _ in terms)
-        spectral = tuple(tuple((i - first, sign, partial) for i, sign, partial in terms)
-                         for terms in spectral)
-        _D_TABLE[k] = (first, spectral, tuple(struct))
-    return _D_TABLE[k]
+    spectral = [[] for _ in MULTI_INDEX[k + 1]]
+    for i_in, idx in enumerate(MULTI_INDEX[k]):
+        for axis, partial in enumerate((DX, DY)):
+            sign, merged = _merge((axis,), idx)
+            if sign is not None:
+                spectral[INDEX_POS[k + 1][merged]].append((i_in, sign, partial))
+    struct = []
+    for i_in, s, i_rest in _contract_table(k, STRUCTURE_INDEX) if k else ():
+        sign, merged = _merge(STRUCTURE_PAIR, MULTI_INDEX[k - 1][i_rest])
+        if sign is not None:
+            struct.append((i_in, s * STRUCTURE_SIGN * sign, INDEX_POS[k + 1][merged]))
+    while not spectral[-1]:
+        spectral.pop()
+    first = min(i_in for terms in spectral for i_in, _, _ in terms)
+    spectral = tuple(tuple((i - first, sign, partial) for i, sign, partial in terms)
+                     for terms in spectral)
+    return first, spectral, tuple(struct)
 
 
+@functools.cache
 def _j_table(k):
-    if k not in _J_TABLE:
-        entries = []
-        for i_in, idx in enumerate(MULTI_INDEX[k]):
-            sign = 1.0
-            for ci in idx:
-                sign *= J_SIGN[ci]
-            perm_sign, sorted_idx = _sort_sign(tuple(J_MAP[ci] for ci in idx))
-            entries.append((i_in, sign * perm_sign, INDEX_POS[k][sorted_idx]))
-        _J_TABLE[k] = tuple(entries)
-    return _J_TABLE[k]
+    """(i_in, sign, i_out): J e^idx = sign e^image, as J e^i = J_SIGN[i] e^(J_MAP[i])."""
+    entries = []
+    for i_in, idx in enumerate(MULTI_INDEX[k]):
+        sign, image = _merge((J_MAP[ci] for ci in idx), ())
+        entries.append((i_in, sign * math.prod(J_SIGN[ci] for ci in idx), INDEX_POS[k][image]))
+    return tuple(entries)
 
 
-def _contract_table(k, coframe_index):
-    key = (k, coframe_index)
-    if key not in _CONTRACT_TABLE:
-        entries = []
-        for i_in, idx in enumerate(MULTI_INDEX[k]):
-            for pos, ci in enumerate(idx):
-                if ci == coframe_index:
-                    rest = idx[:pos] + idx[pos + 1:]
-                    entries.append((i_in, (-1.0) ** pos, INDEX_POS[k - 1][rest]))
-        _CONTRACT_TABLE[key] = tuple(entries)
-    return _CONTRACT_TABLE[key]
+def _apply(table, alpha, out):
+    """Add sign * alpha's coefficient i_in to out's i_out, in table order."""
+    for i_in, sign, i_out in table:
+        out.coeffs[i_out] += sign * alpha.coeffs[i_in]
+    return out
 
 
 def wedge(alpha, beta):
@@ -452,9 +420,7 @@ def exterior_d(alpha):
     first, spectral, struct = _d_tables(k)
     out = InvariantForm(alpha.grid, k + 1)
     out.coeffs[:len(spectral)] = alpha.grid.partial_sums(alpha.coeffs[first:], spectral)
-    for i_in, factor, i_out in struct:
-        out.coeffs[i_out] += factor * alpha.coeffs[i_in]
-    return out
+    return _apply(struct, alpha, out)
 
 
 def apply_J(alpha):
@@ -465,10 +431,7 @@ def apply_J(alpha):
     untouched.  One table covers all degrees because the sign conventions
     cancel against the coframe transport.
     """
-    out = InvariantForm(alpha.grid, alpha.degree)
-    for i_in, sign, i_out in _j_table(alpha.degree):
-        out.coeffs[i_out] += sign * alpha.coeffs[i_in]
-    return out
+    return _apply(_j_table(alpha.degree), alpha, InvariantForm(alpha.grid, alpha.degree))
 
 
 def p11_projection(beta):
@@ -484,10 +447,8 @@ def contract(vertical, alpha):
         raise DegreeError(f"vertical generator must be V1 (0) or V2 (1), got {vertical}")
     if alpha.degree == 0:
         raise DegreeError("cannot contract a 0-form")
-    out = InvariantForm(alpha.grid, alpha.degree - 1)
-    for i_in, sign, i_out in _contract_table(alpha.degree, VERTICAL_COFRAME_INDEX[vertical]):
-        out.coeffs[i_out] += sign * alpha.coeffs[i_in]
-    return out
+    table = _contract_table(alpha.degree, VERTICAL_COFRAME_INDEX[vertical])
+    return _apply(table, alpha, InvariantForm(alpha.grid, alpha.degree - 1))
 
 
 BASIC_TOL = 1e-12
@@ -509,19 +470,18 @@ def base_integral(beta):
     return beta.grid.integral(beta.coefficient(0, 1))
 
 
+@functools.cache
 def _band_table(kmax):
     """Scatter indices (rows, cols) and draw masks (ky >= 0, ky <= 0) for kmax.
 
     Negative rows wrap, so one table serves every n.
     """
-    if kmax not in _BAND_TABLE:
-        kx, ky = np.meshgrid(np.arange(kmax + 1), np.arange(-kmax, kmax + 1), indexing="ij")
-        keep = (kx > 0) | (ky > 0)
-        kx, ky = kx[keep], ky[keep]
-        upper, lower = ky >= 0, ky <= 0
-        _BAND_TABLE[kmax] = (np.concatenate((kx[upper], -kx[lower])),
-                             np.concatenate((ky[upper], -ky[lower])), upper, lower)
-    return _BAND_TABLE[kmax]
+    kx, ky = np.meshgrid(np.arange(kmax + 1), np.arange(-kmax, kmax + 1), indexing="ij")
+    keep = (kx > 0) | (ky > 0)
+    kx, ky = kx[keep], ky[keep]
+    upper, lower = ky >= 0, ky <= 0
+    return (np.concatenate((kx[upper], -kx[lower])),
+            np.concatenate((ky[upper], -ky[lower])), upper, lower)
 
 
 def random_band_limited(grid, rng, kmax=2, amplitude=1.0, zero_mean=False):

@@ -101,6 +101,14 @@ def test_flow_config_validation():
         FlowConfig(record_every=0)
 
 
+@pytest.mark.parametrize("name", ("vaisman_tol", "variance_tol", "exit_threshold"))
+@pytest.mark.parametrize("value", (0.0, -1.0, float("nan")))
+def test_flow_config_rejects_nonpositive_tolerances(name, value):
+    # a FlowConfig built without an ExperimentConfig checks its own thresholds
+    with pytest.raises(ConfigError, match=f"{name} must be positive, got {value}"):
+        FlowConfig(**{name: value})
+
+
 def test_single_step_matches_closed_form_at_fifth_order(grid16):
     # u' = 1/u integrates to u = sqrt(1 + 2t); one RK4 step is O(dt^5)
     m = make_standard_vaisman(grid16, 1.0)

@@ -9,8 +9,7 @@ from ktflow.invariant_forms import (LAPLACIAN, BaseGrid, InvariantForm, V1, V2,
                                     apply_J, base_integral, basis_form, coframe,
                                     contract, exterior_d, form_from,
                                     function_form, p11_projection,
-                                    random_band_limited, random_form, wedge,
-                                    zero_form)
+                                    random_band_limited, random_form, wedge)
 
 from oracles import (direct_band_limited, partials_exterior_d,
                      rfft2_band_limited, rfft2_d11, rfft2_derivative,
@@ -226,7 +225,7 @@ def test_apply_J_two_forms(grid8):
              (0, 3): [((1, 2), -1.0)]}
     for src, targets in pairs.items():
         image = apply_J(basis_form(grid8, src))
-        expect = zero_form(grid8, 2)
+        expect = InvariantForm(grid8, 2)
         for idx, sign in targets:
             expect = expect + basis_form(grid8, idx) * sign
         assert (image - expect).max_abs() == 0.0
@@ -267,7 +266,7 @@ def test_contract_table(grid8):
     inner = contract(V2, basis_form(grid8, (2, 3)))
     assert (inner + e3).max_abs() == 0.0
     with pytest.raises(DegreeError):
-        contract(V1, zero_form(grid8, 0))
+        contract(V1, InvariantForm(grid8, 0))
     with pytest.raises(DegreeError):
         contract(2, e3)
 

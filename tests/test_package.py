@@ -1,6 +1,7 @@
 """The top-level package: exported names, the cost of `import ktflow` and of
 a battery run, the one route its spectral transforms take, the places it
-scans for NaN/Inf, no numpy.random, and no import it does not read."""
+scans for NaN/Inf, no numpy.random, no module-level dict cache, and no
+import it does not read."""
 
 import ast
 import json
@@ -240,6 +241,74 @@ check_field(x)
     found = [(scope, what) for scope, _, what in _scan(ast.parse(code), _check_call)]
     assert found == [("MetricState.__post_init__", "check_field"), ("lee_form", "check_field")]
     assert [scope for scope, _ in found if scope not in CHECK_SITES] == ["lee_form"]
+
+
+def _dict_value(node):
+    """"empty" or "filled" for a dict display, comprehension or dict() call, else None."""
+    if isinstance(node, ast.Dict):
+        return "filled" if node.keys else "empty"
+    if isinstance(node, ast.DictComp):
+        return "filled"
+    if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "dict":
+        return "filled" if node.args or node.keywords else "empty"
+    return None
+
+
+def _module_dict_caches(tree):
+    """(line, name) of each module-level dict that starts empty or that a
+    function stores into: a cache kept beside the code that fills it."""
+    dicts = {}
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and _dict_value(node.value):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            dicts.update((target.id, (node.lineno, _dict_value(node.value)))
+                         for target in targets if isinstance(target, ast.Name))
+    found = {(line, name) for name, (line, kind) in dicts.items() if kind == "empty"}
+    functions = [node for node in ast.walk(tree)
+                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    for function in functions:
+        for node in ast.walk(function):
+            stored = None
+            if isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del)):
+                stored = node.value
+            elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) in (
+                    "setdefault", "update", "pop", "clear", "__setitem__"):
+                stored = node.func.value
+            if isinstance(stored, ast.Name) and stored.id in dicts:
+                found.add((dicts[stored.id][0], stored.id))
+    return sorted(found)
+
+
+def test_no_module_level_dict_cache():
+    # tables are built once per key by functools.cache, or kept on the
+    # object they belong to (BaseGrid._symbols), never in a module dict
+    stray = []
+    for name, tree in _sources():
+        stray += [f"{name}:{line} keeps {what} as a module-level cache"
+                  for line, what in _module_dict_caches(tree)]
+    assert not stray, stray
+
+
+def test_dict_cache_scan_sees_empty_and_filled_dicts():
+    code = """
+_TABLE = {}
+_CACHE: dict = dict()
+NAMES = {"a": 1}
+SQUARES = {k: k * k for k in range(4)}
+_FILLED = {"a": 1}
+_GROWN = dict(a=1)
+def f(key):
+    values = {}
+    values[key] = 1
+    _FILLED[key] = NAMES[key]
+    _GROWN.setdefault(key, 2)
+    return SQUARES[key]
+class Grid:
+    def __init__(self):
+        self._tables = {}
+"""
+    assert _module_dict_caches(ast.parse(code)) == [(2, "_TABLE"), (3, "_CACHE"),
+                                                    (6, "_FILLED"), (7, "_GROWN")]
 
 
 def _imported_names(node):
