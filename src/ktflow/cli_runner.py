@@ -244,15 +244,19 @@ class _BatteryDraws:
         return self._rng.randrange(low, high)
 
 
-def _battery_states(grid, samples, seed):
-    """(family, state) pairs: random states in draw order, then the seeds.
+# states per stack in the battery: past 3 a run is bound by its transforms,
+# and 2 saves most of the per-call cost without adding memory
+_BATTERY_STACK = 2
+
+
+def _battery_fields(grid, samples, seed):
+    """(family, (u, lam, p, q)) of each state: random states in draw order, then the seeds.
 
     The draws come from _BatteryDraws(seed).  Families: "general" (every
     field varies), "lam_const" (constant lam), "constant" (constant
     coefficients), "csc_seed" (standard Vaisman seeds) and "noncsc_seed"
     (the non-constant-curvature seeds).
     """
-    from .hermitian_geometry import MetricState
     from .invariant_forms import random_band_limited
     from .vaisman_toolkit import make_noncsc_vaisman, make_standard_vaisman
 
@@ -262,49 +266,52 @@ def _battery_states(grid, samples, seed):
         lam = 1.0 + 0.3 * random_band_limited(grid, rng)
         p = 0.2 * random_band_limited(grid, rng)
         q = 0.2 * random_band_limited(grid, rng)
-        yield "general", MetricState(grid, u, lam, p, q)
-        yield "lam_const", MetricState(grid, u, 1.0 + 0.5 * rng.random(), p, q)
+        yield "general", (u, lam, p, q)
+        yield "lam_const", (u, grid.constant(1.0 + 0.5 * rng.random()), p, q)
     for _ in range(max(4, samples // 8)):
         u0 = math.exp(0.5 * rng.normal())
         lam0 = math.exp(0.5 * rng.normal())
         r = 0.8 * math.sqrt(u0 * lam0) * rng.random()
         ang = 2.0 * math.pi * rng.random()
-        yield "constant", MetricState.constant(grid, u0, lam0,
-                                               r * math.cos(ang), r * math.sin(ang))
-    for scale in (1.0, 2.0):
-        yield "csc_seed", make_standard_vaisman(grid, scale)
-    for mode in ((1, 1), (2, 1)):
-        yield "noncsc_seed", make_noncsc_vaisman(grid, 0.1, mode)
+        yield "constant", tuple(map(grid.constant, (u0, lam0, r * math.cos(ang),
+                                                    r * math.sin(ang))))
+    seeds = [("csc_seed", make_standard_vaisman(grid, scale)) for scale in (1.0, 2.0)]
+    seeds += [("noncsc_seed", make_noncsc_vaisman(grid, 0.1, mode)) for mode in ((1, 1), (2, 1))]
+    for family, m in seeds:
+        yield family, (m.u, m.lam, m.p, m.q)
 
 
-def identity_battery(n=32, samples=50, seed=2024):
-    """All structural identities at resolution n; returns BatteryItem list.
+def _battery_states(grid, samples, seed):
+    """(family, state) pairs, each state a stack of _BATTERY_STACK = 2 states.
 
-    Calculus hygiene items come first, on random forms drawn from
-    _BatteryDraws(seed + 1) with modes up to min(2, (n/2 - 1) // 2), so a
-    product of two stays below the Nyquist mode.  Then randomized states
-    (_battery_states, drawn from _BatteryDraws(seed)) exercise the
-    splitting calculus and the Lee form, and the two seed families the
-    curvature identities.  Each identity is checked along a route other
-    than the one the package computes it by: the closed-form split against
-    the contractions mu1 = -(1/lam) V2 . omega and mu2 = (1/lam) V1 .
-    omega, d(mu_i) = sigma_i omega_check with exterior_d, and theta against
-    theta ^ omega = d omega.  The same d omega gives the torsion H = -J d
-    omega, and "torsion closure" checks d H = -(lam_xx + lam_yy)
-    e1^e2^e3^e4 against m.lam_laplacian, the flow's pluriclosed defect, on
-    the states whose lam varies.  "ricci (1,1) velocity" checks the
-    seeds' m.velocity, -d11 of the flow's alpha, against rho^(1,1) =
-    p11_projection(d alpha): -(du, dp, dq) on (e12, e13, e14), paired as
-    omega is (e13 = e24, e14 = -e23) and with no e3^e4 term.
+    A family's states from _battery_fields are stacked in draw order, two
+    at a time, and a family with an odd count ends on a stack of one, so
+    the battery makes half the calls it would make state by state.
     """
     import numpy as np
-    from .hermitian_geometry import inner_1forms
-    from .invariant_forms import (V1, V2, BaseGrid, apply_J, base_integral,
-                                  basis_form, coframe, contract, exterior_d,
-                                  random_form, wedge)
-    from .vaisman_toolkit import potential_residual
+    from .hermitian_geometry import MetricState
 
-    grid = BaseGrid(n)
+    pending = {}
+
+    def stacked(family):
+        fields = zip(*pending.pop(family))
+        return family, MetricState(grid, *map(np.stack, fields))
+
+    for family, fields in _battery_fields(grid, samples, seed):
+        pending.setdefault(family, []).append(fields)
+        if len(pending[family]) == _BATTERY_STACK:
+            yield stacked(family)
+    while pending:
+        yield stacked(next(iter(pending)))
+
+
+def _calculus_items(grid, seed):
+    """The calculus hygiene items, on random forms drawn from _BatteryDraws(seed + 1)."""
+    import numpy as np
+    from .invariant_forms import (apply_J, basis_form, coframe, exterior_d,
+                                  random_form, wedge)
+
+    n = grid.n
     rng = _BatteryDraws(seed + 1)
     items = []
 
@@ -342,8 +349,42 @@ def identity_battery(n=32, samples=50, seed=2024):
     items.append(BatteryItem("leibniz rule", leib, 1e-10))
     items.append(BatteryItem("complex structure squares", jj, 1e-14))
     items.append(BatteryItem("wedge graded symmetry", comm, 1e-14))
+    return items
 
-    # one pass over the states; each family feeds the identities that hold on it
+
+def identity_battery(n=32, samples=50, seed=2024):
+    """All structural identities at resolution n; returns BatteryItem list.
+
+    Calculus hygiene items come first (_calculus_items), on random forms
+    drawn from _BatteryDraws(seed + 1) with modes up to min(2, (n/2 - 1) //
+    2), so a product of two stays below the Nyquist mode.  Then randomized
+    states (drawn from _BatteryDraws(seed)) exercise the splitting calculus
+    and the Lee form, and the two seed families the curvature identities.
+    The states come in stacks of two (_battery_states): each stack goes
+    through the calculus as one state, and each item takes its maximum over
+    a stack, which is its maximum over the states one by one, bitwise.
+    Each identity is checked along a route other than the one the package
+    computes it by: the closed-form split against the contractions mu1 =
+    -(1/lam) V2 . omega and mu2 = (1/lam) V1 . omega, d(mu_i) = sigma_i
+    omega_check with exterior_d, and theta against theta ^ omega = d omega.
+    The same d omega gives the torsion H = -J d omega, and "torsion
+    closure" checks d H = -(lam_xx + lam_yy) e1^e2^e3^e4 against
+    m.lam_laplacian, the flow's pluriclosed defect, on the states whose lam
+    varies.  "ricci (1,1) velocity" checks the seeds' m.velocity, -d11 of
+    the flow's alpha, against rho^(1,1) = p11_projection(d alpha): -(du,
+    dp, dq) on (e12, e13, e14), paired as omega is (e13 = e24, e14 = -e23)
+    and with no e3^e4 term.
+    """
+    import numpy as np
+    from .hermitian_geometry import inner_1forms
+    from .invariant_forms import (V1, V2, BaseGrid, apply_J, base_integral,
+                                  contract, exterior_d, wedge)
+    from .vaisman_toolkit import potential_residual
+
+    grid = BaseGrid(n)
+    items = _calculus_items(grid, seed)
+
+    # one pass over the stacks; each family feeds the identities that hold on it
     contraction = ratio1 = ratio2 = reass = chars = lee_def = 0.0
     lee = norm = torsion = potential = ricci = velocity = 0.0
     for family, m in _battery_states(grid, samples, seed):
@@ -360,7 +401,8 @@ def identity_battery(n=32, samples=50, seed=2024):
         ratio2 = max(ratio2, (dmu2 - sp.omega_check * sp.sigma2).max_abs())
         rebuilt = sp.omega_check + wedge(sp.mu1, sp.mu2) * m.lam
         reass = max(reass, (omega - rebuilt).max_abs())
-        chars = max(chars, abs(base_integral(dmu1) + 1.0), abs(base_integral(dmu2)))
+        chars = max(chars, float(np.max(np.abs(base_integral(dmu1) + 1.0))),
+                    float(np.max(np.abs(base_integral(dmu2)))))
         lee_def = max(lee_def, (wedge(theta, omega) - d_omega).max_abs())
         if family == "general":
             d_torsion = exterior_d(-1.0 * apply_J(d_omega)).coeffs[0]
@@ -465,8 +507,12 @@ def load_trace_csv(path):
 
 
 def emit_snapshot(m, path):
-    """Metric state as JSON: resolution, coefficient arrays, convention tag."""
+    """Metric state as JSON: resolution, coefficient arrays, convention tag.
+
+    A snapshot holds one state; a stack of states raises GridError.
+    """
     from .invariant_forms import CONVENTIONS_VERSION
+    m.grid.require_single(m.lam, "emit_snapshot")
     payload = {
         "format": SNAPSHOT_FORMAT,
         "conventions": CONVENTIONS_VERSION,

@@ -207,8 +207,10 @@ def run(m0, cfg):
     three records so that the centered time differences in the trace are
     defined.  Exceptions from step() propagate with the failure time filled
     in, and a record whose transverse area w = D/lam falls below
-    DEGENERACY_TOL aborts the run (NumericalAbort) at its time.
+    DEGENERACY_TOL aborts the run (NumericalAbort) at its time.  m0 is one
+    state; a stack of states raises GridError.
     """
+    m0.grid.require_single(m0.lam, "run")
     m0.require_positive()
     steps = cfg.steps()
     n_records = steps // cfg.record_every + (1 if steps % cfg.record_every else 0)

@@ -24,7 +24,12 @@ shift (a, b) = (q/lam, p/lam) and the transverse area w = D/lam:
   * <x, y> = [x(F1) y(F1) + x(F2) y(F2)]/w + (x3 y3 + x4 y4)/lam for 1-forms,
     with x(F1) = x1 - a x3 + b x4 and x(F2) = x2 - b x3 - a x4.
 
-A state keeps (u, p, q) as the rows of one read-only (3, n, n) stack,
+A state's fields are (*stack, n, n): one state is (n, n), and a stack of
+states, say (2, n, n), goes through every function here as one, each slice
+of a result bitwise the result of its state alone (the shape rule of
+invariant_forms).  The flow, the defect report, the characteristic numbers
+and the snapshot take one state and raise GridError on a stack.  A state
+keeps (u, p, q) as the rows of one read-only (3, *stack, n, n) array,
 m.upq, beside a read-only lam.  Its derived data is a property of the
 state, computed once on first access: the Pfaffian m.D = u lam - p^2 - q^2
 and the minima of u, lam and D; the lam data m.inv_lam, m.lam_partials and
@@ -83,7 +88,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DegenerateTransverseError, PositivityError
+from .errors import DegenerateTransverseError, GridError, PositivityError
 from .invariant_forms import (
     DX,
     DY,
@@ -110,9 +115,12 @@ def _read_only(values):
 class MetricState:
     """Coefficient fields (u, lam, p, q) of an invariant Hermitian 2-form.
 
-    u, p and q are the rows of one read-only (3, n, n) stack, m.upq, and lam
-    is read-only too, so the cached D, minima, lam data (1/lam, partials,
-    Laplacian) and geometry describe the fields they came from.
+    The four fields broadcast to one shape (*stack, n, n); with leading
+    axes the state is a stack of states, and its minima and positivity
+    checks cover every state.  u, p and q are the rows of one read-only
+    (3, *stack, n, n) array, m.upq, and lam is read-only too, so the cached
+    D, minima, lam data (1/lam, partials, Laplacian) and geometry describe
+    the fields they came from.
     """
 
     grid: object
@@ -123,9 +131,16 @@ class MetricState:
 
     def __post_init__(self):
         n = self.grid.n
-        u, lam, p, q = (self.grid.check_field(
-            np.broadcast_to(np.asarray(getattr(self, name), dtype=float), (n, n)),
-            f"metric coefficient {name}") for name in ("u", "lam", "p", "q"))
+        names = ("u", "lam", "p", "q")
+        fields = [np.asarray(getattr(self, name), dtype=float) for name in names]
+        try:
+            shape = np.broadcast_shapes(*(f.shape for f in fields), (n, n))
+        except ValueError:
+            raise GridError(f"metric coefficients of shapes {[f.shape for f in fields]} "
+                            f"do not broadcast to one shape (*stack, {n}, {n})") from None
+        u, lam, p, q = (self.grid.check_field(np.broadcast_to(f, shape),
+                                              f"metric coefficient {name}")
+                        for f, name in zip(fields, names))
         self.__dict__["lam"] = _read_only(lam.copy())
         self._set_stack(np.stack((u, p, q)))
 
@@ -136,7 +151,7 @@ class MetricState:
     def with_fields(self, upq):
         """State with the (u, p, q) stack upq on this state's lam and lam data.
 
-        upq is a fresh (3, n, n) array: it is checked once and kept, not
+        upq is a fresh (3, *stack, n, n) array: it is checked once and kept, not
         copied.  The new state shares the lam array and whatever lam data
         this state has computed (_LAM_DATA).
         """
@@ -201,7 +216,7 @@ class MetricState:
 
     @cached_property
     def lam_partials(self):
-        """(lam_x, lam_y) stacked (2, n, n), from one transform pair (1/2 fields)."""
+        """(lam_x, lam_y) stacked (2, *stack, n, n), from one transform pair (1/2 fields)."""
         return _read_only(self.grid.derivative(self.lam))
 
     @cached_property
@@ -246,7 +261,7 @@ class MetricSplit:
 
 
 def _shift_and_area(m):
-    """Shift (a, b) = (q/lam, p/lam) of mu1, stacked (2, n, n), and area w = D/lam."""
+    """Shift (a, b) = (q/lam, p/lam) of mu1, stacked (2, *stack, n, n), and area w = D/lam."""
     return m.upq[:0:-1] * m.inv_lam, m.D * m.inv_lam
 
 
@@ -284,7 +299,7 @@ def metric_split(m):
 
 
 def _lee_coefficients(m, lam_partials, A, B, D):
-    """theta's coefficients (4, n, n) from (lam_x, lam_y), A, B + lam and D.
+    """theta's coefficients (4, *stack, n, n) from (lam_x, lam_y), A, B + lam and D.
 
     B arrives as B + lam and is overwritten with B; each coefficient is
     summed left to right in one row of the result, through one scratch field.
@@ -387,7 +402,7 @@ def _flow_alpha(m):
 
 
 def flow_velocity(m):
-    """Velocity (du, dp, dq)/dt of d omega/dt = -rho^(1,1), stacked (3, n, n).
+    """Velocity (du, dp, dq)/dt of d omega/dt = -rho^(1,1), stacked (3, *stack, n, n).
 
     A transform pair of (p, q, log D) and m.lam_partials give theta, left as
     m.theta (equal to lee_form(m) bitwise), and alpha = J (theta - (1/2)
@@ -419,8 +434,10 @@ def characteristic_numbers(split):
     """Base integrals of the curvature 2-forms d(mu1), d(mu2).
 
     d(mu_i) = sigma_i w_check e1^e2, so each integral is the grid mean of
-    sigma_i w_check and needs no transform.
+    sigma_i w_check and needs no transform.  One state only: a stack raises
+    GridError.
     """
+    split.mu1.grid.require_single(split.w_check, "characteristic_numbers")
     return (float(np.mean(split.sigma1 * split.w_check)),
             float(np.mean(split.sigma2 * split.w_check)))
 

@@ -25,6 +25,15 @@ The coframe operations are tables over multi-index positions, built once
 per key (functools.cache), every sign from _merge; J, the contractions and
 the d(e3) part of d apply (i_in, sign, i_out) tables through _apply.
 
+Shapes: a field is (*stack, n, n) and a degree-k form's coefficients are
+(C(4, k), *stack, n, n), where the stack axes, if any, hold independent
+states.  Only the input constructors (BaseGrid.zeros and constant,
+function_form, form_from, random_band_limited) build a single (n, n)
+field; every operation allocates from its operands' shapes, so a stack of
+states goes through each call as one, and each slice of the result is
+bitwise the result of its state alone.  max_abs is a maximum over the
+stack, and BaseGrid.integral integrates each state.
+
 Index conventions: coframe indices are 0-based internally (e1 -> 0, ...,
 e4 -> 3); docstrings use the 1-based names.  Orientation is fixed by taking
 e1^e2^e3^e4 as the positive volume form.
@@ -192,16 +201,30 @@ class BaseGrid:
         return self.partial_sums(alpha, _D11)
 
     def integral(self, values):
-        """Integral over the unit square; trapezoid on a periodic grid = mean."""
+        """Integral over the unit square of each state; trapezoid on a periodic grid = mean.
+
+        One field gives a float, a (*stack, n, n) stack an array of shape stack.
+        """
         values = self.check_field(values, "integrand")
-        return float(np.mean(values))
+        mean = np.mean(values, axis=(-2, -1))
+        return float(mean) if mean.ndim == 0 else mean
+
+    def require_single(self, values, what):
+        """Raise GridError unless values are one (n, n) field, not a stack of states.
+
+        For what pools over the grid or writes one state, where a stack
+        would be pooled across its states without notice.
+        """
+        if np.ndim(values) != 2:
+            raise GridError(f"{what} takes one state, got fields of shape {np.shape(values)}")
 
 
 class InvariantForm:
     """Degree-k invariant form: coefficient fields over increasing multi-indices.
 
-    Coefficients are stored as one array of shape (C(4, k), n, n), ordered
-    lexicographically over the multi-indices of MULTI_INDEX[k].  The
+    Coefficients are stored as one array of shape (C(4, k), *stack, n, n),
+    ordered lexicographically over the multi-indices of MULTI_INDEX[k]; the
+    zero form InvariantForm(grid, k) is one state, (C(4, k), n, n).  The
     constructor checks the shape and scans for NaN/Inf; forms computed from
     checked data (arithmetic, the Lee form) are built by _trusted, unchecked.
     """
@@ -213,15 +236,14 @@ class InvariantForm:
             raise DegreeError(f"form degree must be in 0..4, got {degree}")
         self.grid = grid
         self.degree = int(degree)
-        shape = (NCOMP[self.degree], grid.n, grid.n)
+        ncomp = NCOMP[self.degree]
         if coeffs is None:
-            coeffs = np.zeros(shape)
+            coeffs = grid.zeros(ncomp)
         else:
             coeffs = np.asarray(coeffs, dtype=float)
-            if coeffs.shape != shape:
-                raise GridError(
-                    f"degree-{degree} coefficients must have shape {shape}, got {coeffs.shape}"
-                )
+            if coeffs.ndim < 3 or coeffs.shape[0] != ncomp:
+                raise GridError(f"degree-{degree} coefficients must have shape "
+                                f"({ncomp}, *stack, n, n), got {coeffs.shape}")
             grid.check_field(coeffs, "form coefficient")
         self.coeffs = coeffs
 
@@ -240,6 +262,7 @@ class InvariantForm:
         return self.coeffs[INDEX_POS[self.degree][key]]
 
     def max_abs(self):
+        """Largest |coefficient| over every component, point and state."""
         if self.coeffs.size == 0:
             return 0.0
         return float(np.max(np.abs(self.coeffs)))
@@ -387,6 +410,11 @@ def _j_table(k):
     return tuple(entries)
 
 
+def _zeros(grid, degree, shape):
+    """Zero degree-k form on fields of shape (*stack, n, n)."""
+    return InvariantForm._trusted(grid, degree, np.zeros((NCOMP[degree],) + shape))
+
+
 def _apply(table, alpha, out):
     """Add sign * alpha's coefficient i_in to out's i_out, in table order."""
     for i_in, sign, i_out in table:
@@ -401,7 +429,8 @@ def wedge(alpha, beta):
     p, q = alpha.degree, beta.degree
     if p + q > 4:
         raise DegreeError(f"wedge degree overflow: {p} + {q} > 4")
-    out = InvariantForm(alpha.grid, p + q)
+    out = _zeros(alpha.grid, p + q,
+                 np.broadcast_shapes(alpha.coeffs.shape[1:], beta.coeffs.shape[1:]))
     for ia, ib, sign, i_out in _wedge_table(p, q):
         out.coeffs[i_out] += sign * alpha.coeffs[ia] * beta.coeffs[ib]
     return out
@@ -418,7 +447,7 @@ def exterior_d(alpha):
     if k >= 4:
         raise DegreeError("exterior derivative of a 4-form is not represented")
     first, spectral, struct = _d_tables(k)
-    out = InvariantForm(alpha.grid, k + 1)
+    out = _zeros(alpha.grid, k + 1, alpha.coeffs.shape[1:])
     out.coeffs[:len(spectral)] = alpha.grid.partial_sums(alpha.coeffs[first:], spectral)
     return _apply(struct, alpha, out)
 
@@ -431,7 +460,8 @@ def apply_J(alpha):
     untouched.  One table covers all degrees because the sign conventions
     cancel against the coframe transport.
     """
-    return _apply(_j_table(alpha.degree), alpha, InvariantForm(alpha.grid, alpha.degree))
+    out = _zeros(alpha.grid, alpha.degree, alpha.coeffs.shape[1:])
+    return _apply(_j_table(alpha.degree), alpha, out)
 
 
 def p11_projection(beta):
@@ -448,26 +478,27 @@ def contract(vertical, alpha):
     if alpha.degree == 0:
         raise DegreeError("cannot contract a 0-form")
     table = _contract_table(alpha.degree, VERTICAL_COFRAME_INDEX[vertical])
-    return _apply(table, alpha, InvariantForm(alpha.grid, alpha.degree - 1))
+    return _apply(table, alpha, _zeros(alpha.grid, alpha.degree - 1, alpha.coeffs.shape[1:]))
 
 
 BASIC_TOL = 1e-12
 
 
 def base_integral(beta):
-    """Integral of a basic 2-form over the base square.
+    """Integral of a basic 2-form over the base square, per state.
 
-    The integrand is the e1^e2 coefficient; both vertical contractions must
-    vanish below 1e-12 or the form is rejected as non-basic.
+    The integrand is the e1^e2 coefficient.  The two vertical contractions
+    read the other five coefficients, e13, e14, e23, e24 and e34, which
+    must vanish below 1e-12 or the form is rejected as non-basic.
     """
     if beta.degree != 2:
         raise DegreeError(f"base integral needs degree 2, got {beta.degree}")
-    worst = max(contract(V1, beta).max_abs(), contract(V2, beta).max_abs())
+    worst = float(np.max(np.abs(beta.coeffs[1:])))
     if worst > BASIC_TOL:
         raise NonBasicFormError(
             f"form is not basic: max |vertical contraction| = {worst:.3e} > {BASIC_TOL:.0e}"
         )
-    return beta.grid.integral(beta.coefficient(0, 1))
+    return beta.grid.integral(beta.coeffs[0])
 
 
 @functools.cache

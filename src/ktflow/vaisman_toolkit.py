@@ -44,8 +44,10 @@ def assess(m, tol=1e-8):
 
     d H = -(lam_xx + lam_yy) e1^e2^e3^e4 for the torsion H of any state, so
     the pluriclosed defect needs lam's Laplacian only, m.lam_laplacian, which
-    the states of a flow share; s is the flow's s = -d/dt log D, m.s.
+    the states of a flow share; s is the flow's s = -d/dt log D, m.s.  One
+    state only: its variances would pool a stack, which raises GridError.
     """
+    m.grid.require_single(m.lam, "assess")
     split = m.split
     lck = exterior_d(m.theta).max_abs()
     vaisman = _variance(m.lam) + _variance(split.sigma1) + _variance(split.sigma2)

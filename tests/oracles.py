@@ -75,6 +75,12 @@ alpha = J (theta - (1/2) d log(u lam - p^2 - q^2)) in closed form from
   with the residual of its (1,1) pairings; the package evaluates the
   velocity in closed form and never builds that 2-form on the flow path.
 
+* per_state_battery: the identity battery state by state, each state its
+  own MetricState, drawn and visited in draw order; the package draws the
+  same states and runs them through the calculus in stacks of two, each
+  item a maximum over a stack.  The calculus hygiene items are the
+  package's own (cli_runner._calculus_items), so the two agree bitwise.
+
 * left_invariant_curvature: for spatially constant states the whole
   geometry reduces to linear algebra on the 4-dimensional symmetry algebra
   with bracket [E0, E1] = E2.  Orthonormalization goes through a Cholesky
@@ -96,17 +102,22 @@ alpha = J (theta - (1/2) d log(u lam - p^2 - q^2)) in closed form from
 """
 
 import itertools
+import math
 
 import numpy as np
 
+from ktflow.cli_runner import BatteryItem, _BatteryDraws, _calculus_items
 from ktflow.flow_engine import step
 from ktflow.hermitian_geometry import (_LEE_TERMS, CurvaturePackage, MetricState,
                                        bismut_torsion, flow_velocity, inner_1forms)
 from ktflow.invariant_forms import (INDEX_POS, MULTI_INDEX, STRUCTURE_INDEX,
-                                    STRUCTURE_PAIR, STRUCTURE_SIGN, V1, V2,
-                                    InvariantForm, _merge, apply_J, contract, coframe,
-                                    exterior_d, form_from, function_form,
-                                    p11_projection, wedge)
+                                    STRUCTURE_PAIR, STRUCTURE_SIGN, V1, V2, BaseGrid,
+                                    InvariantForm, _merge, apply_J, base_integral,
+                                    contract, coframe, exterior_d, form_from,
+                                    function_form, p11_projection,
+                                    random_band_limited, wedge)
+from ktflow.vaisman_toolkit import (make_noncsc_vaisman, make_standard_vaisman,
+                                    potential_residual)
 
 # bracket [E_a, E_b] = C[a, b, c] E_c
 STRUCTURE = np.zeros((4, 4, 4))
@@ -441,6 +452,86 @@ def coefficient_velocity(rhs):
     residual = max(float(np.max(np.abs(c[1] - c[4]))), float(np.max(np.abs(c[2] + c[3]))))
     vel = np.stack((c[0], c[5], 0.5 * (c[1] + c[4]), 0.5 * (c[2] - c[3])))
     return vel, residual
+
+
+def _single_battery_states(grid, samples, seed):
+    """(family, state) pairs of the identity battery, one state each, in draw order."""
+    rng = _BatteryDraws(seed)
+    for _ in range(samples):
+        u = 1.0 + 0.3 * random_band_limited(grid, rng)
+        lam = 1.0 + 0.3 * random_band_limited(grid, rng)
+        p = 0.2 * random_band_limited(grid, rng)
+        q = 0.2 * random_band_limited(grid, rng)
+        yield "general", MetricState(grid, u, lam, p, q)
+        yield "lam_const", MetricState(grid, u, 1.0 + 0.5 * rng.random(), p, q)
+    for _ in range(max(4, samples // 8)):
+        u0 = math.exp(0.5 * rng.normal())
+        lam0 = math.exp(0.5 * rng.normal())
+        r = 0.8 * math.sqrt(u0 * lam0) * rng.random()
+        ang = 2.0 * math.pi * rng.random()
+        yield "constant", MetricState.constant(grid, u0, lam0,
+                                               r * math.cos(ang), r * math.sin(ang))
+    for scale in (1.0, 2.0):
+        yield "csc_seed", make_standard_vaisman(grid, scale)
+    for mode in ((1, 1), (2, 1)):
+        yield "noncsc_seed", make_noncsc_vaisman(grid, 0.1, mode)
+
+
+def per_state_battery(n=32, samples=50, seed=2024):
+    """cli_runner.identity_battery with every state visited on its own."""
+    grid = BaseGrid(n)
+    items = _calculus_items(grid, seed)
+    contraction = ratio1 = ratio2 = reass = chars = lee_def = 0.0
+    lee = norm = torsion = potential = ricci = velocity = 0.0
+    for family, m in _single_battery_states(grid, samples, seed):
+        sp = m.split
+        theta = m.theta
+        omega = m.omega()
+        d_omega = exterior_d(omega)
+        inv_lam = 1.0 / m.lam
+        contraction = max(contraction,
+                          (sp.mu1 + contract(V2, omega) * inv_lam).max_abs(),
+                          (sp.mu2 - contract(V1, omega) * inv_lam).max_abs())
+        dmu1, dmu2 = exterior_d(sp.mu1), exterior_d(sp.mu2)
+        ratio1 = max(ratio1, (dmu1 - sp.omega_check * sp.sigma1).max_abs())
+        ratio2 = max(ratio2, (dmu2 - sp.omega_check * sp.sigma2).max_abs())
+        rebuilt = sp.omega_check + wedge(sp.mu1, sp.mu2) * m.lam
+        reass = max(reass, (omega - rebuilt).max_abs())
+        chars = max(chars, abs(base_integral(dmu1) + 1.0), abs(base_integral(dmu2)))
+        lee_def = max(lee_def, (wedge(theta, omega) - d_omega).max_abs())
+        if family == "general":
+            d_torsion = exterior_d(-1.0 * apply_J(d_omega)).coeffs[0]
+            torsion = max(torsion, float(np.max(np.abs(d_torsion + m.lam_laplacian))))
+            continue
+        formula = sp.mu2 * (m.lam * sp.sigma1) + sp.mu1 * (-m.lam * sp.sigma2)
+        lee = max(lee, (theta - formula).max_abs())
+        nsq = inner_1forms(m, theta, theta)
+        norm = max(norm, float(np.max(np.abs(
+            nsq - m.lam * (sp.sigma1 ** 2 + sp.sigma2 ** 2)))))
+        if family in ("constant", "csc_seed"):
+            potential = max(potential, potential_residual(m))
+        if family in ("csc_seed", "noncsc_seed"):
+            pkg = m.curvature
+            ricci = max(ricci, (pkg.rho - sp.omega_check * pkg.s).max_abs())
+            c12, c13, c14, c23, c24, c34 = pkg.rho11.coeffs
+            du, dp, dq = m.velocity
+            velocity = max(velocity, *(float(np.max(np.abs(r))) for r in (
+                du + c12, dp + c13, dq + c14, c34, c13 - c24, c14 + c23)))
+    for name, value, bound in (
+            ("connection forms by contraction", contraction, 1e-12),
+            ("first curvature ratio", ratio1, 1e-12),
+            ("second curvature ratio", ratio2, 1e-12),
+            ("state reassembly", reass, 1e-12),
+            ("characteristic numbers", chars, 1e-12),
+            ("lee form defining property", lee_def, 1e-12),
+            ("lee form formula", lee, 1e-12),
+            ("lee norm identity", norm, 1e-10),
+            ("torsion closure", torsion, 2e-14 * n),
+            ("potential identity", potential, 1e-12),
+            ("transverse ricci", ricci, 1e-8),
+            ("ricci (1,1) velocity", velocity, 1e-12)):
+        items.append(BatteryItem(name, value, bound))
+    return items
 
 
 def homogeneous_scalar(u, lam, p, q):

@@ -20,8 +20,10 @@ from ktflow.cli_runner import (ExperimentConfig, emit_csv, emit_snapshot,
 from ktflow.errors import ConfigError, PositivityError
 from ktflow.flow_engine import FlowConfig, run
 from ktflow.hermitian_geometry import MetricState
-from ktflow.invariant_forms import CONVENTIONS_VERSION, BaseGrid, form_from
+from ktflow.invariant_forms import CONVENTIONS_VERSION, BaseGrid, InvariantForm
 from ktflow.vaisman_toolkit import make_noncsc_vaisman, make_standard_vaisman
+
+from oracles import per_state_battery
 
 
 def test_parse_config_defaults():
@@ -130,7 +132,7 @@ def test_identity_suite_passes_at_n8(tmp_path):
     assert run_experiment(cfg, stream=io.StringIO()) == 0
 
 
-def test_identity_battery_transform_budget(transform_fields):
+def test_identity_battery_transform_budget(transform_fields, transform_calls):
     # n x n fields through BaseGrid._forward / _inverse.  exterior_d of
     # degree 0..3 moves 1/2, 4/5, 5/4, 2/1; derivative of s fields s/2s;
     # random_band_limited 0/1.
@@ -159,19 +161,51 @@ def test_identity_battery_transform_budget(transform_fields):
     # differentiated it 1/2, 449/600 when the split and theta
     # inverse-transformed both partials of every field they differentiate,
     # 502/1063 when exterior_d did too)
+    # Calls: the 12 states go through the state items in 6 stacks of two
+    # (general, lam_const, two of constants, csc and noncsc seeds), which
+    # saves 43 calls each way: 5 a state (split, theta, d mu1, d mu2,
+    # d omega), 2 a general state, 1 a potential and 4 a curvature.  The
+    # hygiene items and the draws are unchanged.  (130/192 state by state.)
     items = identity_battery(n=16, samples=2, seed=5)
     assert all(item.ok for item in items)
     assert transform_fields == [433, 541]
+    assert transform_calls == [87, 149]
+
+
+def _battery_bytes(cfg, path):
+    # identity_battery.json as run_experiment writes it, less its wall_time
+    assert run_experiment(cfg, stream=io.StringIO()) == 0
+    lines = path.read_text().splitlines(keepends=True)
+    return "".join(line for line in lines if '"wall_time"' not in line)
+
+
+@pytest.mark.parametrize("n, samples, seeds", (
+    (8, 4, range(20)), (16, 3, (5,)), (32, 50, (21,)),
+), ids=("n8-seeds0-19", "n16-odd-count", "n32"))
+def test_identity_battery_matches_per_state_oracle(monkeypatch, tmp_path, n, samples, seeds):
+    # the stacks of two give every item and the verdict bytes of the states
+    # one by one; 3 samples end "general" and "lam_const" on a stack of one
+    for seed in seeds:
+        stacked = identity_battery(n, samples, seed)
+        single = per_state_battery(n, samples, seed)
+        assert ([(i.name, i.value, i.bound) for i in stacked]
+                == [(i.name, i.value, i.bound) for i in single]), seed
+        cfg = ExperimentConfig(n=n, samples=samples, seed=seed, out_dir=str(tmp_path))
+        path = tmp_path / "identity_battery.json"
+        written = _battery_bytes(cfg, path)
+        with monkeypatch.context() as patch:
+            patch.setattr(cli_runner, "identity_battery", per_state_battery)
+            assert written == _battery_bytes(cfg, path), seed
 
 
 def _swapped_shift(monkeypatch):
-    # a split whose mu1 carries the shift (b, a) in place of (a, b)
+    # a split whose mu1 carries the shift (b, a) in place of (a, b), on a
+    # state or a stack of states
     true_split = hermitian_geometry.metric_split
 
     def wrong_shift(m):
         sp = true_split(m)
-        a, b = sp.mu1.coeffs[0], sp.mu1.coeffs[1]
-        return replace(sp, mu1=form_from(m.grid, 1, {(0,): b, (1,): a, (2,): 1.0}))
+        return replace(sp, mu1=InvariantForm(m.grid, 1, sp.mu1.coeffs[[1, 0, 2, 3]]))
 
     monkeypatch.setattr(hermitian_geometry, "metric_split", wrong_shift)
 

@@ -295,6 +295,27 @@ def test_base_integral(grid32):
         base_integral(coframe(grid32, 0))
 
 
+@pytest.mark.parametrize("indices", ((0, 2), (0, 3), (1, 2), (1, 3), (2, 3)))
+def test_base_integral_rejects_each_vertical_component(grid8, indices):
+    # the five components the two vertical contractions read; 1e-12 passes
+    e12 = basis_form(grid8, (0, 1))
+    assert base_integral(e12 + basis_form(grid8, indices) * 1e-12) == 1.0
+    with pytest.raises(NonBasicFormError, match="2.000e-12 > 1e-12"):
+        base_integral(e12 + basis_form(grid8, indices) * 2e-12)
+
+
+def test_integrals_are_per_state(grid16, rng):
+    # a stack integrates each state to the float it gives alone
+    fields = rng.normal(size=(2, 3, 16, 16))
+    single = grid16.integral(fields[1, 2])
+    assert type(single) is float
+    stacked = grid16.integral(fields)
+    assert stacked.shape == (2, 3)
+    assert all(stacked[i, j] == grid16.integral(fields[i, j]) for i in range(2) for j in range(3))
+    forms = InvariantForm(grid16, 2, np.concatenate((fields[:1], np.zeros((5, 3, 16, 16)))))
+    assert base_integral(forms).tolist() == stacked[0].tolist()
+
+
 def test_form_from_rejects_nonfinite(grid8):
     bad = np.ones((8, 8))
     bad[0, 0] = np.nan

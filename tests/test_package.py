@@ -1,7 +1,7 @@
 """The top-level package: exported names, the cost of `import ktflow` and of
 a battery run, the one route its spectral transforms take, the places it
-scans for NaN/Inf, no numpy.random, no module-level dict cache, and no
-import it does not read."""
+scans for NaN/Inf or spells out a one-state shape, no numpy.random, no
+module-level dict cache, and no import it does not read."""
 
 import ast
 import json
@@ -80,6 +80,15 @@ CHECK_SITES = {"MetricState.__post_init__", "MetricState.with_fields",
                "form_from", "BaseGrid.derivative", "BaseGrid.integral"}
 
 
+# The only places that spell out a shape of one state's fields, such as
+# (n, n) or (grid.n, grid.n): the constructors and checks where one state's
+# fields enter.  Every operation after them allocates from its operands'
+# shapes, so a stack of states (*stack, n, n) goes through it as one.
+SHAPE_SITES = {"BaseGrid.zeros", "BaseGrid.constant", "BaseGrid.check_field",
+               "function_form", "form_from", "MetricState.__post_init__",
+               "random_band_limited", "load_snapshot"}
+
+
 def _scan(tree, match):
     """(scope, line, match(node)) of each node of a module tree that match names."""
     found = []
@@ -120,6 +129,21 @@ def _check_call(node):
     if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
             and node.func.attr == "check_field"):
         return "check_field"
+    return None
+
+
+def _extent(node):
+    """A resolution n or x.n, or arithmetic on one, such as n // 2 + 1."""
+    if isinstance(node, ast.BinOp):
+        return _extent(node.left) or _extent(node.right)
+    return ((isinstance(node, ast.Name) and node.id == "n")
+            or (isinstance(node, ast.Attribute) and node.attr == "n"))
+
+
+def _shape_literal(node):
+    """A tuple display with two or more extents among its entries."""
+    if isinstance(node, ast.Tuple) and sum(map(_extent, node.elts)) >= 2:
+        return "shape"
     return None
 
 
@@ -181,6 +205,29 @@ def random_band_limited(grid):
                      ("random_band_limited", "_inverse")]
     stray = [(scope, what) for scope, what in found if scope not in TRANSFORM_CALLERS[what]]
     assert stray == [("BaseGrid.poisson", "_inverse"), ("BaseGrid.poisson", "_forward")]
+
+
+def test_one_state_shapes_only_where_fields_enter():
+    stray = []
+    for name, tree in _sources():
+        stray += [f"{name}:{line} spells out a one-state shape in {scope or '<module>'}"
+                  for scope, line, _ in _scan(tree, _shape_literal) if scope not in SHAPE_SITES]
+    assert not stray, stray
+
+
+def test_shape_scan_sees_literals_by_scope():
+    code = """
+class BaseGrid:
+    def zeros(self, *lead):
+        return np.zeros(lead + (self.n, self.n))
+def wedge(alpha, grid, n):
+    out = np.zeros((6, grid.n, grid.n))
+    spec = np.empty((n, n // 2 + 1))
+    return out, (alpha.shape, n), (grid.h, grid.h), np.full((n, n), 0.0)
+"""
+    found = [(scope, line) for scope, line, _ in _scan(ast.parse(code), _shape_literal)]
+    assert found == [("BaseGrid.zeros", 4), ("wedge", 6), ("wedge", 7), ("wedge", 8)]
+    assert [scope for scope, _ in found if scope not in SHAPE_SITES] == ["wedge"] * 3
 
 
 def _numpy_random_use(node):
