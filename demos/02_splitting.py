@@ -9,9 +9,8 @@ enough to break every predicate in the report.
 import numpy as np
 
 from ktflow.hermitian_geometry import MetricState, metric_split
-from ktflow.invariant_forms import BaseGrid, exterior_d
-from ktflow.vaisman_toolkit import (assess, basic_class_nontriviality,
-                                    make_noncsc_vaisman, make_standard_vaisman)
+from ktflow.invariant_forms import BaseGrid, base_integral, exterior_d
+from ktflow.vaisman_toolkit import assess, make_noncsc_vaisman, make_standard_vaisman
 
 
 def show(name, m):
@@ -23,7 +22,7 @@ def show(name, m):
     print(f"  sigma1 in [{split.sigma1.min():+.4f}, {split.sigma1.max():+.4f}]"
           f"   sigma2 in [{split.sigma2.min():+.4f}, {split.sigma2.max():+.4f}]")
     print(f"  |d mu_i - sigma_i omega_check| = {max(resid1, resid2):.3e}")
-    print(f"  transverse class integral = {basic_class_nontriviality(split):+.6f}")
+    print(f"  transverse class integral = {base_integral(split.omega_check):+.6f}")
     print(f"  pluriclosed_defect = {rep.pluriclosed_defect:.3e}"
           f"   lck_defect = {rep.lck_defect:.3e}")
     print(f"  vaisman_defect = {rep.vaisman_defect:.3e}"

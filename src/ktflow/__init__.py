@@ -8,6 +8,7 @@ invariant_forms     coframe calculus: wedge, d, J, contractions, base grid
 hermitian_geometry  metric states, splitting data, Bismut curvature
 vaisman_toolkit     structure defect reports and the two seed families
 flow_engine         RK4 integration and conservation monitors
+identities          the identity battery, one table of checks
 cli_runner          config-driven experiment runner (console script `ktflow`)
 
 Attribute access is lazy so that `import ktflow` stays cheap and the
@@ -39,7 +40,6 @@ _EXPORTS = {
     "assess": "vaisman_toolkit",
     "make_standard_vaisman": "vaisman_toolkit",
     "make_noncsc_vaisman": "vaisman_toolkit",
-    "basic_class_nontriviality": "vaisman_toolkit",
     "FlowConfig": "flow_engine",
     "FlowTrace": "flow_engine",
     "flow_rhs": "flow_engine",
@@ -49,7 +49,7 @@ _EXPORTS = {
     "ExperimentConfig": "cli_runner",
     "parse_config": "cli_runner",
     "run_experiment": "cli_runner",
-    "identity_battery": "cli_runner",
+    "identity_battery": "identities",
     "emit_csv": "cli_runner",
     "emit_snapshot": "cli_runner",
 }

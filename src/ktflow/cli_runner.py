@@ -13,7 +13,7 @@ Recognized keys and defaults:
     t_end         0.1         final time (integer number of steps)
     record_every  2           steps between trace records
     cfl_safety    0.2         parabolic step-bound factor, in (0, 0.5]
-    tol           1e-7        flow's pluriclosed-preserved bound
+    tol           1e-7        flow's pluriclosed-preserved bound, in (0, inf)
     vaisman_tol   1e-8        constancy threshold for Vaisman instants
     variance_tol  1e-14       scalar-curvature constancy threshold
     exit_threshold 1e-9       defect level defining the exit time
@@ -23,8 +23,8 @@ Recognized keys and defaults:
 
 Flow presets write `<preset>_trace.csv` (header row, comma separated,
 17 significant digits so reloads are bit-exact), `<preset>_verdict.json`
-and `<preset>_final_state.json`.  The identity suite prints one line per
-identity and writes `identity_battery.json`.
+and `<preset>_final_state.json`.  The identity suite (ktflow.identities)
+prints one line per identity and writes `identity_battery.json`.
 
 Exit codes: 0 all assertions pass, 1 assertion failures, 2 config errors,
 3 numerical aborts (rejected step or non-finite state).
@@ -38,7 +38,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import random
 import sys
 import time
 from dataclasses import dataclass, fields, replace
@@ -114,8 +113,8 @@ class ExperimentConfig:
                     f" = {area:.3e}, outside [{DEGENERACY_TOL:.0e}, inf)"
                 )
         self.flow_config()
-        if not self.tol > 0:
-            raise ConfigError(f"tol must be positive, got {self.tol}")
+        if not 0 < self.tol < math.inf:
+            raise ConfigError(f"tol must satisfy 0 < tol < inf, got {self.tol}")
         if self.samples < 1:
             raise ConfigError(f"samples must be >= 1, got {self.samples}")
 
@@ -181,278 +180,6 @@ def _echo_header(cfg, stream):
     stream.write("# effective configuration\n")
     for line in serialize_config(cfg).splitlines():
         stream.write(f"#   {line}\n")
-
-
-# ---------------------------------------------------------------------------
-# identity battery
-
-class BatteryItem:
-    __slots__ = ("name", "value", "bound")
-
-    def __init__(self, name, value, bound):
-        self.name = name
-        self.value = float(value)
-        self.bound = float(bound)
-
-    @property
-    def ok(self):
-        return self.value < self.bound
-
-    def as_dict(self):
-        return {"name": self.name, "max_residual": self.value,
-                "bound": self.bound, "ok": self.ok}
-
-
-class _BatteryDraws:
-    """The numpy Generator calls the battery makes, over random.Random(seed).
-
-    normal(size=None) gives one standard normal, or an array of the shape
-    size; random() a uniform float in [0, 1); integers(low, high) an int in
-    [low, high).  The interpreter has loaded random before numpy, so a
-    suite run never imports numpy.random.
-    """
-
-    __slots__ = ("_rng",)
-
-    def __init__(self, seed):
-        self._rng = random.Random(seed)
-
-    def normal(self, size=None):
-        """One gauss() draw, or an array by Box-Muller in one randbytes call.
-
-        Each pair of 53-bit uniforms gives two normals in turn, so a call of
-        size 2k draws what k calls of size 2 draw.
-        """
-        if size is None:
-            return self._rng.gauss(0.0, 1.0)
-        import numpy as np
-        count = size if isinstance(size, int) else math.prod(size)
-        pairs = (count + 1) // 2
-        bits = np.frombuffer(self._rng.randbytes(16 * pairs), dtype="<u8")
-        uniform = (bits >> 11) * 2.0 ** -53
-        radius = np.sqrt(-2.0 * np.log1p(-uniform[0::2]))
-        angle = 2.0 * math.pi * uniform[1::2]
-        normals = np.empty((pairs, 2))
-        np.multiply(radius, np.cos(angle), out=normals[:, 0])
-        np.multiply(radius, np.sin(angle), out=normals[:, 1])
-        return normals.ravel()[:count].reshape(size)
-
-    def random(self):
-        return self._rng.random()
-
-    def integers(self, low, high):
-        return self._rng.randrange(low, high)
-
-
-# states per stack in the battery: past 3 a run is bound by its transforms,
-# and 2 saves most of the per-call cost without adding memory
-_BATTERY_STACK = 2
-
-
-def _battery_fields(grid, samples, seed):
-    """(family, (u, lam, p, q)) of each state: random states in draw order, then the seeds.
-
-    The draws come from _BatteryDraws(seed).  Families: "general" (every
-    field varies), "lam_const" (constant lam), "constant" (constant
-    coefficients), "csc_seed" (standard Vaisman seeds) and "noncsc_seed"
-    (the non-constant-curvature seeds).
-    """
-    from .invariant_forms import random_band_limited
-    from .vaisman_toolkit import make_noncsc_vaisman, make_standard_vaisman
-
-    rng = _BatteryDraws(seed)
-    for _ in range(samples):
-        u = 1.0 + 0.3 * random_band_limited(grid, rng)
-        lam = 1.0 + 0.3 * random_band_limited(grid, rng)
-        p = 0.2 * random_band_limited(grid, rng)
-        q = 0.2 * random_band_limited(grid, rng)
-        yield "general", (u, lam, p, q)
-        yield "lam_const", (u, grid.constant(1.0 + 0.5 * rng.random()), p, q)
-    for _ in range(max(4, samples // 8)):
-        u0 = math.exp(0.5 * rng.normal())
-        lam0 = math.exp(0.5 * rng.normal())
-        r = 0.8 * math.sqrt(u0 * lam0) * rng.random()
-        ang = 2.0 * math.pi * rng.random()
-        yield "constant", tuple(map(grid.constant, (u0, lam0, r * math.cos(ang),
-                                                    r * math.sin(ang))))
-    seeds = [("csc_seed", make_standard_vaisman(grid, scale)) for scale in (1.0, 2.0)]
-    seeds += [("noncsc_seed", make_noncsc_vaisman(grid, 0.1, mode)) for mode in ((1, 1), (2, 1))]
-    for family, m in seeds:
-        yield family, (m.u, m.lam, m.p, m.q)
-
-
-def _battery_states(grid, samples, seed):
-    """(family, state) pairs, each state a stack of _BATTERY_STACK = 2 states.
-
-    A family's states from _battery_fields are stacked in draw order, two
-    at a time, and a family with an odd count ends on a stack of one, so
-    the battery makes half the calls it would make state by state.
-    """
-    import numpy as np
-    from .hermitian_geometry import MetricState
-
-    pending = {}
-
-    def stacked(family):
-        fields = zip(*pending.pop(family))
-        return family, MetricState(grid, *map(np.stack, fields))
-
-    for family, fields in _battery_fields(grid, samples, seed):
-        pending.setdefault(family, []).append(fields)
-        if len(pending[family]) == _BATTERY_STACK:
-            yield stacked(family)
-    while pending:
-        yield stacked(next(iter(pending)))
-
-
-def _calculus_items(grid, seed):
-    """The calculus hygiene items, on random forms drawn from _BatteryDraws(seed + 1)."""
-    import numpy as np
-    from .invariant_forms import (apply_J, basis_form, coframe, exterior_d,
-                                  random_form, wedge)
-
-    n = grid.n
-    rng = _BatteryDraws(seed + 1)
-    items = []
-
-    # calculus hygiene, fixed machine-level bounds
-    f = np.sin(2.0 * np.pi * grid.xx) * np.cos(4.0 * np.pi * grid.yy)
-    fx = 2.0 * np.pi * np.cos(2.0 * np.pi * grid.xx) * np.cos(4.0 * np.pi * grid.yy)
-    fy = -4.0 * np.pi * np.sin(2.0 * np.pi * grid.xx) * np.sin(4.0 * np.pi * grid.yy)
-    value = float(np.max(np.abs(grid.derivative(f) - np.stack((fx, fy)))))
-    items.append(BatteryItem("spectral derivative exactness", value, 1e-12))
-
-    e12 = basis_form(grid, (0, 1))
-    items.append(BatteryItem("structure equation",
-                             (exterior_d(coframe(grid, 2)) + e12).max_abs(), 1e-14))
-
-    # products of two forms reach mode 2 kmax, kept below the Nyquist mode n/2
-    # whose derivative symbols are zero: kmax 1 at n = 8, 2 from n = 16
-    kmax = min(2, (n // 2 - 1) // 2)
-    dd = 0.0
-    leib = 0.0
-    jj = 0.0
-    comm = 0.0
-    for _ in range(8):
-        a = random_form(grid, rng, int(rng.integers(0, 3)), kmax=kmax)
-        b = random_form(grid, rng, int(rng.integers(0, 4 - a.degree)), kmax=kmax)
-        if a.degree <= 2:
-            dd = max(dd, exterior_d(exterior_d(a)).max_abs())
-        lhs = exterior_d(wedge(a, b))
-        rhs = wedge(exterior_d(a), b) + wedge(a, exterior_d(b)) * ((-1.0) ** a.degree)
-        leib = max(leib, (lhs - rhs).max_abs())
-        sign = -1.0 if a.degree in (1, 3) else 1.0
-        jj = max(jj, (apply_J(apply_J(a)) - a * sign).max_abs())
-        flip = (-1.0) ** (a.degree * b.degree)
-        comm = max(comm, (wedge(a, b) - wedge(b, a) * flip).max_abs())
-    items.append(BatteryItem("exterior nilpotency", dd, 1e-10))
-    items.append(BatteryItem("leibniz rule", leib, 1e-10))
-    items.append(BatteryItem("complex structure squares", jj, 1e-14))
-    items.append(BatteryItem("wedge graded symmetry", comm, 1e-14))
-    return items
-
-
-def identity_battery(n=32, samples=50, seed=2024):
-    """All structural identities at resolution n; returns BatteryItem list.
-
-    Calculus hygiene items come first (_calculus_items), on random forms
-    drawn from _BatteryDraws(seed + 1) with modes up to min(2, (n/2 - 1) //
-    2), so a product of two stays below the Nyquist mode.  Then randomized
-    states (drawn from _BatteryDraws(seed)) exercise the splitting calculus
-    and the Lee form, and the two seed families the curvature identities.
-    The states come in stacks of two (_battery_states): each stack goes
-    through the calculus as one state, and each item takes its maximum over
-    a stack, which is its maximum over the states one by one, bitwise.
-    Each identity is checked along a route other than the one the package
-    computes it by: the closed-form split against the contractions mu1 =
-    -(1/lam) V2 . omega and mu2 = (1/lam) V1 . omega, d(mu_i) = sigma_i
-    omega_check with exterior_d, and theta against theta ^ omega = d omega.
-    The same d omega gives the torsion H = -J d omega, and "torsion
-    closure" checks d H = -(lam_xx + lam_yy) e1^e2^e3^e4 against
-    m.lam_laplacian, the flow's pluriclosed defect, on the states whose lam
-    varies.  "ricci (1,1) velocity" checks the seeds' m.velocity, -d11 of
-    the flow's alpha, against rho^(1,1) = p11_projection(d alpha): -(du,
-    dp, dq) on (e12, e13, e14), paired as omega is (e13 = e24, e14 = -e23)
-    and with no e3^e4 term.
-    """
-    import numpy as np
-    from .hermitian_geometry import inner_1forms
-    from .invariant_forms import (V1, V2, BaseGrid, apply_J, base_integral,
-                                  contract, exterior_d, wedge)
-    from .vaisman_toolkit import potential_residual
-
-    grid = BaseGrid(n)
-    items = _calculus_items(grid, seed)
-
-    # one pass over the stacks; each family feeds the identities that hold on it
-    contraction = ratio1 = ratio2 = reass = chars = lee_def = 0.0
-    lee = norm = torsion = potential = ricci = velocity = 0.0
-    for family, m in _battery_states(grid, samples, seed):
-        sp = m.split
-        theta = m.theta
-        omega = m.omega()
-        d_omega = exterior_d(omega)
-        inv_lam = 1.0 / m.lam
-        contraction = max(contraction,
-                          (sp.mu1 + contract(V2, omega) * inv_lam).max_abs(),
-                          (sp.mu2 - contract(V1, omega) * inv_lam).max_abs())
-        dmu1, dmu2 = exterior_d(sp.mu1), exterior_d(sp.mu2)
-        ratio1 = max(ratio1, (dmu1 - sp.omega_check * sp.sigma1).max_abs())
-        ratio2 = max(ratio2, (dmu2 - sp.omega_check * sp.sigma2).max_abs())
-        rebuilt = sp.omega_check + wedge(sp.mu1, sp.mu2) * m.lam
-        reass = max(reass, (omega - rebuilt).max_abs())
-        chars = max(chars, float(np.max(np.abs(base_integral(dmu1) + 1.0))),
-                    float(np.max(np.abs(base_integral(dmu2)))))
-        lee_def = max(lee_def, (wedge(theta, omega) - d_omega).max_abs())
-        if family == "general":
-            d_torsion = exterior_d(-1.0 * apply_J(d_omega)).coeffs[0]
-            torsion = max(torsion, float(np.max(np.abs(d_torsion + m.lam_laplacian))))
-            continue
-        # lam constant from here on
-        formula = sp.mu2 * (m.lam * sp.sigma1) + sp.mu1 * (-m.lam * sp.sigma2)
-        lee = max(lee, (theta - formula).max_abs())
-        nsq = inner_1forms(m, theta, theta)
-        norm = max(norm, float(np.max(np.abs(
-            nsq - m.lam * (sp.sigma1 ** 2 + sp.sigma2 ** 2)))))
-        if family in ("constant", "csc_seed"):
-            potential = max(potential, potential_residual(m))
-        if family in ("csc_seed", "noncsc_seed"):
-            pkg = m.curvature
-            ricci = max(ricci, (pkg.rho - sp.omega_check * pkg.s).max_abs())
-            # d11's velocity against rho^(1,1) from exterior_d and apply_J
-            c12, c13, c14, c23, c24, c34 = pkg.rho11.coeffs
-            du, dp, dq = m.velocity
-            velocity = max(velocity, *(float(np.max(np.abs(r))) for r in (
-                du + c12, dp + c13, dq + c14, c34, c13 - c24, c14 + c23)))
-    items.append(BatteryItem("connection forms by contraction", contraction, 1e-12))
-    items.append(BatteryItem("first curvature ratio", ratio1, 1e-12))
-    items.append(BatteryItem("second curvature ratio", ratio2, 1e-12))
-    items.append(BatteryItem("state reassembly", reass, 1e-12))
-    items.append(BatteryItem("characteristic numbers", chars, 1e-12))
-    items.append(BatteryItem("lee form defining property", lee_def, 1e-12))
-    items.append(BatteryItem("lee form formula", lee, 1e-12))
-    items.append(BatteryItem("lee norm identity", norm, 1e-10))
-    # two spectral derivatives of omega against lam's Laplacian, on |d H| up
-    # to about 80: the rounding gap grows about linearly in n, worst over
-    # seeds 0-99 5.7e-14, 1.3e-13, 3.1e-13, 7.2e-13, 1.5e-12 at n = 16..256
-    items.append(BatteryItem("torsion closure", torsion, 2e-14 * n))
-    items.append(BatteryItem("potential identity", potential, 1e-12))
-    items.append(BatteryItem("transverse ricci", ricci, 1e-8))
-    items.append(BatteryItem("ricci (1,1) velocity", velocity, 1e-12))
-
-    return items
-
-
-def _print_battery(items, stream):
-    width = max(len(item.name) for item in items)
-    for item in items:
-        tag = "PASS" if item.ok else "FAIL"
-        stream.write(f"{tag}  {item.name:<{width}}  max residual {item.value:10.3e}"
-                     f"  (bound {item.bound:.2g})\n")
-    failed = [item.name for item in items if not item.ok]
-    stream.write(f"{len(items) - len(failed)}/{len(items)} identities pass\n")
-    if failed:
-        stream.write("failed: " + ", ".join(failed) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -620,8 +347,9 @@ def run_experiment(cfg, stream=None):
         raise ConfigError(f"cannot create out_dir {cfg.out_dir!r}: {exc}") from exc
 
     if cfg.preset == "identity_suite":
-        items = identity_battery(cfg.n, cfg.samples, cfg.seed)
-        _print_battery(items, stream)
+        from . import identities
+        items = identities.identity_battery(cfg.n, cfg.samples, cfg.seed)
+        identities._print_battery(items, stream)
         verdict = {
             "preset": cfg.preset,
             "config": serialize_config(cfg),

@@ -1,0 +1,279 @@
+"""The identity battery, one table of the structural identities of the
+coframe calculus, the splitting, the Lee form and the Bismut curvature.
+
+IDENTITIES lists the items in output order as (name, bound, families,
+residual), the bound a number or a function of the resolution n.  An item's
+value is its largest residual over the contexts of its families: "grid"
+(once), "forms" (8 pairs of random forms), and stacks of two states of
+"general" (every field varies), "lam_const", "constant" (constant
+coefficients), "csc_seed" and "noncsc_seed" (the two seed families).  A
+stack goes through the calculus as one state, so its residual is bitwise
+the largest of its states'.  Each identity is checked along a route other
+than the one the package computes it by.
+"""
+
+from __future__ import annotations
+
+import collections
+import itertools
+import math
+import random
+from functools import cached_property
+
+import numpy as np
+
+from .hermitian_geometry import MetricState, inner_1forms
+from .invariant_forms import (V1, V2, BaseGrid, apply_J, base_integral, basis_form,
+                              coframe, contract, exterior_d, random_band_limited,
+                              random_form, wedge)
+from .vaisman_toolkit import make_noncsc_vaisman, make_standard_vaisman, potential_residual
+
+
+class BatteryItem:
+    __slots__ = ("name", "value", "bound")
+
+    def __init__(self, name, value, bound):
+        self.name = name
+        self.value = float(value)
+        self.bound = float(bound)
+
+    @property
+    def ok(self):
+        return self.value < self.bound
+
+    def as_dict(self):
+        return {"name": self.name, "max_residual": self.value,
+                "bound": self.bound, "ok": self.ok}
+
+
+class _BatteryDraws:
+    """The numpy Generator calls the battery makes, over random.Random(seed).
+
+    normal(size=None) gives one standard normal, or an array of the shape
+    size; random() a uniform float in [0, 1); integers(low, high) an int in
+    [low, high).  The interpreter has loaded random before numpy, so a
+    suite run never imports numpy.random.
+    """
+
+    __slots__ = ("_rng",)
+
+    def __init__(self, seed):
+        self._rng = random.Random(seed)
+
+    def normal(self, size=None):
+        """One gauss() draw, or an array by Box-Muller in one randbytes call.
+
+        Each pair of 53-bit uniforms gives two normals in turn, so a call of
+        size 2k draws what k calls of size 2 draw.
+        """
+        if size is None:
+            return self._rng.gauss(0.0, 1.0)
+        count = size if isinstance(size, int) else math.prod(size)
+        pairs = (count + 1) // 2
+        bits = np.frombuffer(self._rng.randbytes(16 * pairs), dtype="<u8")
+        uniform = (bits >> 11) * 2.0 ** -53
+        radius = np.sqrt(-2.0 * np.log1p(-uniform[0::2]))
+        angle = 2.0 * math.pi * uniform[1::2]
+        normals = np.empty((pairs, 2))
+        np.multiply(radius, np.cos(angle), out=normals[:, 0])
+        np.multiply(radius, np.sin(angle), out=normals[:, 1])
+        return normals.ravel()[:count].reshape(size)
+
+    def random(self):
+        return self._rng.random()
+
+    def integers(self, low, high):
+        return self._rng.randrange(low, high)
+
+
+# states per stack in the battery: past 3 a run is bound by its transforms,
+# and 2 saves most of the per-call cost without adding memory
+_BATTERY_STACK = 2
+
+
+def _battery_fields(grid, samples, seed):
+    """(family, (u, lam, p, q)) of each state: random states in draw order, then the seeds."""
+    rng = _BatteryDraws(seed)
+    for _ in range(samples):
+        u = 1.0 + 0.3 * random_band_limited(grid, rng)
+        lam = 1.0 + 0.3 * random_band_limited(grid, rng)
+        p = 0.2 * random_band_limited(grid, rng)
+        q = 0.2 * random_band_limited(grid, rng)
+        yield "general", (u, lam, p, q)
+        yield "lam_const", (u, grid.constant(1.0 + 0.5 * rng.random()), p, q)
+    for _ in range(max(4, samples // 8)):
+        u0 = math.exp(0.5 * rng.normal())
+        lam0 = math.exp(0.5 * rng.normal())
+        r = 0.8 * math.sqrt(u0 * lam0) * rng.random()
+        ang = 2.0 * math.pi * rng.random()
+        yield "constant", tuple(map(grid.constant, (u0, lam0, r * math.cos(ang),
+                                                    r * math.sin(ang))))
+    seeds = [("csc_seed", make_standard_vaisman(grid, scale)) for scale in (1.0, 2.0)]
+    seeds += [("noncsc_seed", make_noncsc_vaisman(grid, 0.1, mode)) for mode in ((1, 1), (2, 1))]
+    for family, m in seeds:
+        yield family, (m.u, m.lam, m.p, m.q)
+
+
+def _battery_states(grid, samples, seed):
+    """(family, state) pairs, each state a stack of _BATTERY_STACK = 2 states.
+
+    A family's states from _battery_fields are stacked in draw order, two
+    at a time, and a family with an odd count ends on a stack of one, so
+    the battery makes half the calls it would make state by state.
+    """
+    pending = {}
+
+    def stacked(family):
+        fields = zip(*pending.pop(family))
+        return family, MetricState(grid, *map(np.stack, fields))
+
+    for family, fields in _battery_fields(grid, samples, seed):
+        pending.setdefault(family, []).append(fields)
+        if len(pending[family]) == _BATTERY_STACK:
+            yield stacked(family)
+    while pending:
+        yield stacked(next(iter(pending)))
+
+
+_Pair = collections.namedtuple("_Pair", "a b")
+
+
+def _calculus_contexts(grid, seed):
+    """("grid", grid), then ("forms", (a, b)) for 8 pairs from _BatteryDraws(seed + 1)."""
+    yield "grid", grid
+    rng = _BatteryDraws(seed + 1)
+    # products of two forms reach mode 2 kmax, kept below the Nyquist mode n/2
+    # whose derivative symbols are zero: kmax 1 at n = 8, 2 from n = 16
+    kmax = min(2, (grid.n // 2 - 1) // 2)
+    for _ in range(8):
+        a = random_form(grid, rng, int(rng.integers(0, 3)), kmax=kmax)
+        b = random_form(grid, rng, int(rng.integers(0, 4 - a.degree)), kmax=kmax)
+        yield "forms", _Pair(a, b)
+
+
+class _Stack:
+    """A stack of battery states, m, and the forms several identities read, built once."""
+
+    def __init__(self, m):
+        self.m = m      # which caches its own split and theta
+
+    @cached_property
+    def omega(self):
+        return self.m.omega()
+
+    @cached_property
+    def d_omega(self):
+        return exterior_d(self.omega)
+
+    @cached_property
+    def d_mu(self):
+        return exterior_d(self.m.split.mu1), exterior_d(self.m.split.mu2)
+
+
+def _peak(values):
+    return float(np.max(np.abs(values)))
+
+
+def _derivative_exactness(grid):
+    f = np.sin(2.0 * np.pi * grid.xx) * np.cos(4.0 * np.pi * grid.yy)
+    fx = 2.0 * np.pi * np.cos(2.0 * np.pi * grid.xx) * np.cos(4.0 * np.pi * grid.yy)
+    fy = -4.0 * np.pi * np.sin(2.0 * np.pi * grid.xx) * np.sin(4.0 * np.pi * grid.yy)
+    return _peak(grid.derivative(f) - np.stack((fx, fy)))
+
+
+def _ricci_velocity(s):
+    c12, c13, c14, c23, c24, c34 = s.m.curvature.rho11.coeffs
+    du, dp, dq = s.m.velocity
+    return max(map(_peak, (du + c12, dp + c13, dq + c14, c34, c13 - c24, c14 + c23)))
+
+
+_STATES = ("general", "lam_const", "constant", "csc_seed", "noncsc_seed")
+_LAM_CONSTANT = _STATES[1:]
+_SEEDS = ("csc_seed", "noncsc_seed")
+
+IDENTITIES = (
+    ("spectral derivative exactness", 1e-12, ("grid",), _derivative_exactness),
+    ("structure equation", 1e-14, ("grid",),
+     lambda grid: (exterior_d(coframe(grid, 2)) + basis_form(grid, (0, 1))).max_abs()),
+    ("exterior nilpotency", 1e-10, ("forms",), lambda f: exterior_d(exterior_d(f.a)).max_abs()),
+    ("leibniz rule", 1e-10, ("forms",),
+     lambda f: (exterior_d(wedge(f.a, f.b))
+                - (wedge(exterior_d(f.a), f.b)
+                   + wedge(f.a, exterior_d(f.b)) * (-1.0) ** f.a.degree)).max_abs()),
+    ("complex structure squares", 1e-14, ("forms",),
+     lambda f: (apply_J(apply_J(f.a)) - f.a * (-1.0) ** f.a.degree).max_abs()),
+    ("wedge graded symmetry", 1e-14, ("forms",),
+     lambda f: (wedge(f.a, f.b)
+                - wedge(f.b, f.a) * (-1.0) ** (f.a.degree * f.b.degree)).max_abs()),
+    # the closed-form split against mu1 = -(1/lam) V2 . omega, mu2 = (1/lam) V1 . omega
+    ("connection forms by contraction", 1e-12, _STATES,
+     lambda s: max((s.m.split.mu1 + contract(V2, s.omega) * s.m.inv_lam).max_abs(),
+                   (s.m.split.mu2 - contract(V1, s.omega) * s.m.inv_lam).max_abs())),
+    # d(mu_i) = sigma_i omega_check with exterior_d
+    ("first curvature ratio", 1e-12, _STATES,
+     lambda s: (s.d_mu[0] - s.m.split.omega_check * s.m.split.sigma1).max_abs()),
+    ("second curvature ratio", 1e-12, _STATES,
+     lambda s: (s.d_mu[1] - s.m.split.omega_check * s.m.split.sigma2).max_abs()),
+    ("state reassembly", 1e-12, _STATES,
+     lambda s: (s.omega - (s.m.split.omega_check
+                           + wedge(s.m.split.mu1, s.m.split.mu2) * s.m.lam)).max_abs()),
+    ("characteristic numbers", 1e-12, _STATES,
+     lambda s: max(_peak(base_integral(s.d_mu[0]) + 1.0), _peak(base_integral(s.d_mu[1])))),
+    # theta against theta ^ omega = d omega
+    ("lee form defining property", 1e-12, _STATES,
+     lambda s: (wedge(s.m.theta, s.omega) - s.d_omega).max_abs()),
+    ("lee form formula", 1e-12, _LAM_CONSTANT,
+     lambda s: (s.m.theta - (s.m.split.mu2 * (s.m.lam * s.m.split.sigma1)
+                             + s.m.split.mu1 * (-s.m.lam * s.m.split.sigma2))).max_abs()),
+    ("lee norm identity", 1e-10, _LAM_CONSTANT,
+     lambda s: _peak(inner_1forms(s.m, s.m.theta, s.m.theta)
+                     - s.m.lam * (s.m.split.sigma1 ** 2 + s.m.split.sigma2 ** 2))),
+    # d H = -(lam_xx + lam_yy) e1^e2^e3^e4 for the torsion H = -J d omega, against
+    # m.lam_laplacian: on |d H| up to about 80 the rounding gap grows about linearly
+    # in n, worst over seeds 0-99 5.7e-14, 1.3e-13, 3.1e-13, 7.2e-13, 1.5e-12 at n = 16..256
+    ("torsion closure", lambda n: 2e-14 * n, ("general",),
+     lambda s: _peak(exterior_d(-1.0 * apply_J(s.d_omega)).coeffs[0] + s.m.lam_laplacian)),
+    ("potential identity", 1e-12, ("constant", "csc_seed"), lambda s: potential_residual(s.m)),
+    # rho = s omega_check; rho and s are second derivatives, and the seeds do not depend on
+    # the battery's seed: 9.9e-16, 4.6e-15, 2.0e-14, 1.3e-13, 4.4e-13, 2.3e-12 at n = 8..256
+    ("transverse ricci", lambda n: 5e-16 * n * n, _SEEDS,
+     lambda s: (s.m.curvature.rho - s.m.split.omega_check * s.m.curvature.s).max_abs()),
+    # m.velocity, -d11 of the flow's alpha, against rho^(1,1) = p11_projection(d alpha):
+    # -(du, dp, dq) on (e12, e13, e14), paired as omega is (e13 = e24, e14 = -e23), no e34
+    ("ricci (1,1) velocity", 1e-12, _SEEDS, _ricci_velocity),
+)
+
+
+def _maxima(entries, contexts, n):
+    """A BatteryItem per entry: its largest residual over the contexts of its families."""
+    values = [0.0] * len(entries)
+    for family, context in contexts:
+        for i, (_, _, families, residual) in enumerate(entries):
+            if family in families:
+                values[i] = max(values[i], residual(context))
+    return [BatteryItem(name, value, bound(n) if callable(bound) else bound)
+            for (name, bound, _, _), value in zip(entries, values)]
+
+
+def _calculus_items(grid, seed):
+    """The calculus hygiene items: the entries on the "grid" and "forms" contexts."""
+    entries = [entry for entry in IDENTITIES if entry[2] in (("grid",), ("forms",))]
+    return _maxima(entries, _calculus_contexts(grid, seed), grid.n)
+
+
+def identity_battery(n=32, samples=50, seed=2024):
+    """Every item of IDENTITIES at resolution n, as a list of BatteryItem."""
+    grid = BaseGrid(n)
+    stacks = ((family, _Stack(m)) for family, m in _battery_states(grid, samples, seed))
+    return _maxima(IDENTITIES, itertools.chain(_calculus_contexts(grid, seed), stacks), n)
+
+
+def _print_battery(items, stream):
+    width = max(len(item.name) for item in items)
+    for item in items:
+        stream.write(f"{'PASS' if item.ok else 'FAIL'}  {item.name:<{width}}  max residual"
+                     f" {item.value:10.3e}  (bound {item.bound:.2g})\n")
+    failed = [item.name for item in items if not item.ok]
+    stream.write(f"{len(items) - len(failed)}/{len(items)} identities pass\n")
+    if failed:
+        stream.write("failed: " + ", ".join(failed) + "\n")

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import GridError, PositivityError
 from .hermitian_geometry import MetricState, inner_1forms
-from .invariant_forms import DX, DY, apply_J, base_integral, exterior_d, wedge
+from .invariant_forms import DX, DY, apply_J, exterior_d, wedge
 
 
 @dataclass(frozen=True)
@@ -125,11 +125,3 @@ def make_noncsc_vaisman(grid, eps, mode=(1, 1)):
     q, p = grid.partial_sums(rhs[None], _SHIFT_TERMS)
     return MetricState(grid, w + q * q + p * p, grid.constant(1.0), p, q)
 
-
-def basic_class_nontriviality(split):
-    """Base integral of the transverse form; nonzero certifies a non-exact class.
-
-    A basic exact 2-form integrates to zero over the torus base, so a
-    positive value here separates the transverse class from zero.
-    """
-    return base_integral(split.omega_check)

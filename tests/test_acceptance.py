@@ -11,12 +11,12 @@ mode turns any unexpected pass into a hard failure.
 import numpy as np
 import pytest
 
-from ktflow.cli_runner import (emit_csv, emit_snapshot, identity_battery,
-                               load_snapshot, load_trace_csv)
+from ktflow.cli_runner import emit_csv, emit_snapshot, load_snapshot, load_trace_csv
 from ktflow.flow_engine import (FlowConfig, conservation_monitors, run,
                                 sigma1_ode_residual_instant, step)
 from ktflow.hermitian_geometry import (MetricState, bismut_ricci, inner_1forms,
                                        lee_form, metric_split)
+from ktflow.identities import identity_battery
 from ktflow.invariant_forms import BaseGrid, exterior_d
 from ktflow.vaisman_toolkit import (assess, make_noncsc_vaisman,
                                     make_standard_vaisman, potential_residual)

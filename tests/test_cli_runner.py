@@ -11,15 +11,16 @@ import pytest
 import ktflow.cli_runner as cli_runner
 import ktflow.flow_engine as flow_engine
 import ktflow.hermitian_geometry as hermitian_geometry
+import ktflow.identities as identities
 import ktflow.invariant_forms as invariant_forms
 from ktflow.cli_runner import (ExperimentConfig, emit_csv, emit_snapshot,
-                               identity_battery, load_snapshot,
-                               load_trace_csv, main, parse_config,
+                               load_snapshot, load_trace_csv, main, parse_config,
                                run_experiment, serialize_config,
                                _apply_thread_env)
 from ktflow.errors import ConfigError, PositivityError
 from ktflow.flow_engine import FlowConfig, run
 from ktflow.hermitian_geometry import MetricState
+from ktflow.identities import identity_battery
 from ktflow.invariant_forms import CONVENTIONS_VERSION, BaseGrid, InvariantForm
 from ktflow.vaisman_toolkit import make_noncsc_vaisman, make_standard_vaisman
 
@@ -99,6 +100,9 @@ def test_config_named_constraints():
         ExperimentConfig(cfl_safety=0.9)
     with pytest.raises(ConfigError, match="samples"):
         ExperimentConfig(samples=0)
+    for tol in (0.0, float("inf"), float("nan")):
+        with pytest.raises(ConfigError, match="tol"):
+            ExperimentConfig(tol=tol)
     with pytest.raises(ConfigError, match="vaisman_tol"):
         ExperimentConfig(vaisman_tol=0.0)
 
@@ -194,7 +198,7 @@ def test_identity_battery_matches_per_state_oracle(monkeypatch, tmp_path, n, sam
         path = tmp_path / "identity_battery.json"
         written = _battery_bytes(cfg, path)
         with monkeypatch.context() as patch:
-            patch.setattr(cli_runner, "identity_battery", per_state_battery)
+            patch.setattr(identities, "identity_battery", per_state_battery)
             assert written == _battery_bytes(cfg, path), seed
 
 
@@ -268,31 +272,117 @@ def _flipped_laplacian_sign(monkeypatch):
     monkeypatch.setattr(hermitian_geometry, "LAPLACIAN", ((xx, (j, -sign, symbol)),))
 
 
-@pytest.mark.parametrize("mutate, name", (
-    (_swapped_shift, "connection forms by contraction"),
-    (_flipped_d_sign, "exterior nilpotency"),
-    (_dropped_structure_term, "structure equation"),
-    (_flipped_curl_sign, "first curvature ratio"),
-    (_flipped_lee_a_sign, "lee form defining property"),
-    (_flipped_div_sign, "second curvature ratio"),
-    (_flipped_lee_b_sign, "lee form formula"),
-    (_flipped_d11_sign, "transverse ricci"),
-    (_flipped_d11_sign, "ricci (1,1) velocity"),
-    (_flipped_laplacian_sign, "torsion closure"),
-), ids=("swapped-shift", "flipped-d-sign", "dropped-structure-term",
-        "flipped-curl-sign", "flipped-lee-a-sign", "flipped-div-sign",
-        "flipped-lee-b-sign", "flipped-d11-sign", "flipped-d11-sign-velocity",
-        "flipped-laplacian-sign"))
+def _flipped_gradient_sign(monkeypatch):
+    # BaseGrid.derivative returns -f_x in place of f_x
+    ((j, sign, symbol),), dy = invariant_forms._GRADIENT
+    monkeypatch.setattr(invariant_forms, "_GRADIENT", (((j, -sign, symbol),), dy))
+
+
+def _flipped_j_sign(monkeypatch):
+    # J on 1-forms takes e1 to -e2, so J J e1 = e1
+    true_table = invariant_forms._j_table
+    (i_in, sign, i_out), *rest = true_table(1)
+    table = ((i_in, -sign, i_out), *rest)
+    monkeypatch.setattr(invariant_forms, "_j_table", lambda k: table if k == 1 else true_table(k))
+
+
+def _patch_wedge(monkeypatch, key, table):
+    # wedge of degrees key reads table; the contraction tables, which the
+    # d tables read too, stay as cached from the true wedge tables
+    for k in range(1, 5):
+        for ci in range(4):
+            invariant_forms._contract_table(k, ci)
+    true_table = invariant_forms._wedge_table
+    monkeypatch.setattr(invariant_forms, "_wedge_table",
+                        lambda p, q: table if (p, q) == key else true_table(p, q))
+
+
+def _flipped_wedge_sign(monkeypatch):
+    # e1 ^ e2^e3 = -e1^e2^e3, while its partner e2^e3 ^ e1 in the (2, 1)
+    # table keeps its sign
+    (ia, ib, sign, i_out), *rest = invariant_forms._wedge_table(1, 2)
+    _patch_wedge(monkeypatch, (1, 2), ((ia, ib, -sign, i_out), *rest))
+
+
+def _flipped_wedge_pair(monkeypatch):
+    # e3 ^ e4 = -e3^e4 and e4 ^ e3 = e3^e4: one sign flipped with its
+    # partner, so wedge stays graded-symmetric but d is no derivation of it
+    e34 = invariant_forms.INDEX_POS[2][(2, 3)]
+    table = tuple((ia, ib, -sign if i_out == e34 else sign, i_out)
+                  for ia, ib, sign, i_out in invariant_forms._wedge_table(1, 1))
+    _patch_wedge(monkeypatch, (1, 1), table)
+
+
+def _flipped_structure_sign(monkeypatch):
+    # d on 1-forms takes d(e3) = +e1^e2, so d mu1 integrates to +1
+    first, spectral, struct = invariant_forms._d_tables(1)
+    _patch_d1(monkeypatch, (first, spectral, tuple((i, -sign, o) for i, sign, o in struct)))
+
+
+ITEM_MUTATIONS = (
+    pytest.param(_swapped_shift, "connection forms by contraction", id="swapped-shift"),
+    pytest.param(_flipped_d_sign, "exterior nilpotency", id="flipped-d-sign"),
+    pytest.param(_dropped_structure_term, "structure equation", id="dropped-structure-term"),
+    pytest.param(_flipped_curl_sign, "first curvature ratio", id="flipped-curl-sign"),
+    pytest.param(_flipped_lee_a_sign, "lee form defining property", id="flipped-lee-a-sign"),
+    pytest.param(_flipped_div_sign, "second curvature ratio", id="flipped-div-sign"),
+    pytest.param(_flipped_lee_b_sign, "lee form formula", id="flipped-lee-b-sign"),
+    pytest.param(_flipped_d11_sign, "transverse ricci", id="flipped-d11-sign"),
+    pytest.param(_flipped_d11_sign, "ricci (1,1) velocity", id="flipped-d11-sign-velocity"),
+    pytest.param(_flipped_laplacian_sign, "torsion closure", id="flipped-laplacian-sign"),
+    pytest.param(_flipped_gradient_sign, "spectral derivative exactness",
+                 id="flipped-gradient-sign"),
+    pytest.param(_flipped_wedge_pair, "leibniz rule", id="flipped-wedge-pair"),
+    pytest.param(_flipped_j_sign, "complex structure squares", id="flipped-j-sign"),
+    pytest.param(_flipped_wedge_sign, "wedge graded symmetry", id="flipped-wedge-sign"),
+    pytest.param(_flipped_wedge_pair, "state reassembly", id="flipped-wedge-pair-reassembly"),
+    pytest.param(_flipped_structure_sign, "characteristic numbers",
+                 id="flipped-structure-sign"),
+    pytest.param(_flipped_lee_b_sign, "lee norm identity", id="flipped-lee-b-sign-norm"),
+    pytest.param(_flipped_j_sign, "potential identity", id="flipped-j-sign-potential"),
+)
+
+# battery items with no mutation in ITEM_MUTATIONS, each with the reason
+# none exists; every item has one today
+WAIVERS = {}
+
+
+@pytest.mark.parametrize("mutate, name", ITEM_MUTATIONS)
 def test_identity_battery_item_can_fail(monkeypatch, mutate, name):
     # each mutation leaves the battery able to finish, and the named item
     # fails by far (it reads 0.506, 168, 1, 4.23, 3.98, 4.45, 3.66, 17.4,
     # 17.4 and 65.1; the d11 sign reaches "transverse ricci" through s =
     # -d/dt log D and "ricci (1,1) velocity" through m.velocity, and the
-    # Laplacian's sign "torsion closure" through m.lam_laplacian)
+    # Laplacian's sign "torsion closure" through m.lam_laplacian).  The
+    # table signs of the other eight read 12.6, 15.9, 2, 0.876, 2.99, 2,
+    # 13.1 and 0.825: the wedge pair reaches "state reassembly" through
+    # lam mu1^mu2, the Lee pass's B sign "lee norm identity" through theta,
+    # and J's sign "potential identity" through d J theta
     mutate(monkeypatch)
     items = {item.name: item for item in identity_battery(n=16, samples=2, seed=5)}
     item = items[name]
     assert not item.ok and item.value > 1e-3, item.value
+
+
+def test_every_battery_item_has_a_mutation_or_a_waiver():
+    names = [name for name, _, _, _ in identities.IDENTITIES]
+    assert len(names) == len(set(names)) == 18
+    mutated = {case.values[1] for case in ITEM_MUTATIONS}
+    assert mutated <= set(names), mutated - set(names)
+    assert not mutated & set(WAIVERS), mutated & set(WAIVERS)
+    assert all(isinstance(reason, str) and reason.strip() for reason in WAIVERS.values())
+    assert [name for name in names if name not in mutated and name not in WAIVERS] == []
+
+
+@pytest.mark.parametrize("n", (8, 256))
+def test_transverse_ricci_bound_can_fail(n):
+    # the residual grows as n^2 (rho and s are second derivatives), and the
+    # bound 5e-16 n^2 keeps a 10x margin over it from n = 8 to 256, where
+    # the fixed 1e-8 was 1e7 times the residual at n = 8
+    item = {item.name: item for item in identity_battery(n=n, samples=2, seed=5)}[
+        "transverse ricci"]
+    assert item.bound == 5e-16 * n * n
+    assert 10 * item.value < item.bound < 1000 * item.value, (item.value, item.bound)
 
 
 def _short_trace(n=16):
@@ -447,6 +537,18 @@ def test_main_exit_codes(tmp_path):
     assert not verdict["ok"]
     failed = [a["name"] for a in verdict["assertions"] if not a["ok"]]
     assert "leaves vaisman" in failed
+
+
+def test_main_rejects_infinite_tol_override(tmp_path, capsys):
+    # 2: with --tol inf "pluriclosed preserved" could not fail, and the echoed
+    # tol = inf did not parse back; a config file's tol = inf was already 2
+    cfgfile = tmp_path / "tol.cfg"
+    cfgfile.write_text("preset = stationary_csc\nn = 16\ndt = 1e-4\nt_end = 4e-4\n"
+                       f"out_dir = {tmp_path}\n")
+    assert main(["run", str(cfgfile), "--tol", "inf"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "tol" in err, err
+    assert not list(tmp_path.glob("stationary_csc_*"))
 
 
 def test_main_rejects_fractional_step_count(tmp_path, capsys):

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from ktflow import vaisman_toolkit
-from ktflow.cli_runner import _BatteryDraws
 from ktflow.errors import (DegreeError, GridError, NonBasicFormError,
                            NonFiniteFieldError)
+from ktflow.identities import _BatteryDraws
 from ktflow.invariant_forms import (LAPLACIAN, BaseGrid, InvariantForm, V1, V2,
                                     apply_J, base_integral, basis_form, coframe,
                                     contract, exterior_d, form_from,

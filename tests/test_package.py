@@ -34,7 +34,9 @@ assert not missing, missing
 
 BATTERY_PROBE = """
 import sys
-from ktflow.cli_runner import identity_battery
+import ktflow
+from ktflow.identities import identity_battery
+assert ktflow.identity_battery is identity_battery, "the identities module shadows the export"
 assert all(item.ok for item in identity_battery(n=16, samples=2, seed=5))
 loaded = [name for name in ("numpy.random", "argparse") if name in sys.modules]
 assert not loaded, f"the identity battery loaded {loaded}"

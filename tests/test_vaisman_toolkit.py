@@ -6,8 +6,7 @@ import pytest
 from ktflow.errors import GridError, PositivityError
 from ktflow.hermitian_geometry import MetricState, metric_split
 from ktflow.invariant_forms import BaseGrid, base_integral
-from ktflow.vaisman_toolkit import (assess, basic_class_nontriviality,
-                                    make_noncsc_vaisman, make_standard_vaisman,
+from ktflow.vaisman_toolkit import (assess, make_noncsc_vaisman, make_standard_vaisman,
                                     potential_residual)
 
 from oracles import two_pair_laplacian
@@ -116,11 +115,10 @@ def test_defects_respond_to_each_breakage(grid32):
 def test_basic_class_nontriviality(grid32):
     for scale in (1.0, 2.0, 0.5):
         split = metric_split(make_standard_vaisman(grid32, scale))
-        assert abs(basic_class_nontriviality(split) - scale) < 1e-13
+        assert abs(base_integral(split.omega_check) - scale) < 1e-13
     split = metric_split(make_noncsc_vaisman(grid32, 0.3))
     # the oscillation integrates away: the class does not move with eps
-    assert abs(basic_class_nontriviality(split) - 1.0) < 1e-13
-    assert basic_class_nontriviality(split) == base_integral(split.omega_check)
+    assert abs(base_integral(split.omega_check) - 1.0) < 1e-13
 
 
 @pytest.mark.parametrize("n", (8, 32))
