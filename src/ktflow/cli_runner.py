@@ -233,24 +233,34 @@ def load_trace_csv(path):
     return {name: data[:, i] for i, name in enumerate(TRACE_COLUMNS)}
 
 
+def _json_matrix(values):
+    """An (n, n) float field as json.dumps writes values.tolist().
+
+    Each distinct value, keyed by its bit pattern so that -0.0 and 0.0 stay
+    apart, is formatted once by repr, json's format of a finite float.
+    """
+    import numpy as np
+    keys, index = np.unique(values.view(np.int64), return_inverse=True)
+    texts = np.array([repr(x) for x in keys.view(float).tolist()], dtype=object)
+    rows = texts[index.reshape(values.shape)].tolist()
+    return "[[" + "], [".join(map(", ".join, rows)) + "]]"
+
+
 def emit_snapshot(m, path):
     """Metric state as JSON: resolution, coefficient arrays, convention tag.
 
-    A snapshot holds one state; a stack of states raises GridError.
+    A snapshot holds one state; a stack of states raises GridError.  The
+    bytes are json.dumps of {format, conventions, n, u, lam, p, q}, each
+    field a list of rows; a field is written through _json_matrix, so a
+    final state with few distinct values formats few floats.
     """
     from .invariant_forms import CONVENTIONS_VERSION
     m.grid.require_single(m.lam, "emit_snapshot")
-    payload = {
-        "format": SNAPSHOT_FORMAT,
-        "conventions": CONVENTIONS_VERSION,
-        "n": m.grid.n,
-        "u": m.u.tolist(),
-        "lam": m.lam.tolist(),
-        "p": m.p.tolist(),
-        "q": m.q.tolist(),
-    }
-    # one C-encoder pass; json.dump streams in Python
-    _write_text(path, json.dumps(payload), "snapshot")
+    head = json.dumps({"format": SNAPSHOT_FORMAT, "conventions": CONVENTIONS_VERSION,
+                       "n": m.grid.n})
+    body = "".join(f', "{key}": {_json_matrix(getattr(m, key))}'
+                   for key in ("u", "lam", "p", "q"))
+    _write_text(path, head[:-1] + body + "}", "snapshot")
 
 
 def _write_verdict(verdict, path):

@@ -174,6 +174,11 @@ def _peak(values):
     return float(np.max(np.abs(values)))
 
 
+def _worst(*residuals):
+    """The largest residual, or nan if one is nan, which the builtin max can drop."""
+    return math.nan if any(map(math.isnan, residuals)) else max(residuals)
+
+
 def _derivative_exactness(grid):
     f = np.sin(2.0 * np.pi * grid.xx) * np.cos(4.0 * np.pi * grid.yy)
     fx = 2.0 * np.pi * np.cos(2.0 * np.pi * grid.xx) * np.cos(4.0 * np.pi * grid.yy)
@@ -184,7 +189,7 @@ def _derivative_exactness(grid):
 def _ricci_velocity(s):
     c12, c13, c14, c23, c24, c34 = s.m.curvature.rho11.coeffs
     du, dp, dq = s.m.velocity
-    return max(map(_peak, (du + c12, dp + c13, dq + c14, c34, c13 - c24, c14 + c23)))
+    return _worst(*map(_peak, (du + c12, dp + c13, dq + c14, c34, c13 - c24, c14 + c23)))
 
 
 _STATES = ("general", "lam_const", "constant", "csc_seed", "noncsc_seed")
@@ -207,8 +212,8 @@ IDENTITIES = (
                 - wedge(f.b, f.a) * (-1.0) ** (f.a.degree * f.b.degree)).max_abs()),
     # the closed-form split against mu1 = -(1/lam) V2 . omega, mu2 = (1/lam) V1 . omega
     ("connection forms by contraction", 1e-12, _STATES,
-     lambda s: max((s.m.split.mu1 + contract(V2, s.omega) * s.m.inv_lam).max_abs(),
-                   (s.m.split.mu2 - contract(V1, s.omega) * s.m.inv_lam).max_abs())),
+     lambda s: _worst((s.m.split.mu1 + contract(V2, s.omega) * s.m.inv_lam).max_abs(),
+                      (s.m.split.mu2 - contract(V1, s.omega) * s.m.inv_lam).max_abs())),
     # d(mu_i) = sigma_i omega_check with exterior_d
     ("first curvature ratio", 1e-12, _STATES,
      lambda s: (s.d_mu[0] - s.m.split.omega_check * s.m.split.sigma1).max_abs()),
@@ -218,14 +223,19 @@ IDENTITIES = (
      lambda s: (s.omega - (s.m.split.omega_check
                            + wedge(s.m.split.mu1, s.m.split.mu2) * s.m.lam)).max_abs()),
     ("characteristic numbers", 1e-12, _STATES,
-     lambda s: max(_peak(base_integral(s.d_mu[0]) + 1.0), _peak(base_integral(s.d_mu[1])))),
+     lambda s: _worst(_peak(base_integral(s.d_mu[0]) + 1.0),
+                      _peak(base_integral(s.d_mu[1])))),
     # theta against theta ^ omega = d omega
     ("lee form defining property", 1e-12, _STATES,
      lambda s: (wedge(s.m.theta, s.omega) - s.d_omega).max_abs()),
     ("lee form formula", 1e-12, _LAM_CONSTANT,
      lambda s: (s.m.theta - (s.m.split.mu2 * (s.m.lam * s.m.split.sigma1)
                              + s.m.split.mu1 * (-s.m.lam * s.m.split.sigma2))).max_abs()),
-    ("lee norm identity", 1e-10, _LAM_CONSTANT,
+    # |theta|^2 = lam (sigma1^2 + sigma2^2) on lam-constant states: theta and sigma are
+    # first derivatives, and on the lam_const family the rounding gap grows about as n
+    # (the constant family stays near 1.4e-14), worst over seeds 0-99 2.8e-14, 3.2e-14,
+    # 7.5e-14, 1.7e-13, 4.4e-13, 1.1e-12 at n = 8..256; capped at the former fixed 1e-10
+    ("lee norm identity", lambda n: min(6e-14 * n, 1e-10), _LAM_CONSTANT,
      lambda s: _peak(inner_1forms(s.m, s.m.theta, s.m.theta)
                      - s.m.lam * (s.m.split.sigma1 ** 2 + s.m.split.sigma2 ** 2))),
     # d H = -(lam_xx + lam_yy) e1^e2^e3^e4 for the torsion H = -J d omega, against
@@ -245,12 +255,15 @@ IDENTITIES = (
 
 
 def _maxima(entries, contexts, n):
-    """A BatteryItem per entry: its largest residual over the contexts of its families."""
+    """A BatteryItem per entry: its largest residual over the contexts of its families.
+
+    A nan residual makes the item's value nan, so the item fails.
+    """
     values = [0.0] * len(entries)
     for family, context in contexts:
         for i, (_, _, families, residual) in enumerate(entries):
             if family in families:
-                values[i] = max(values[i], residual(context))
+                values[i] = _worst(values[i], residual(context))
     return [BatteryItem(name, value, bound(n) if callable(bound) else bound)
             for (name, bound, _, _), value in zip(entries, values)]
 

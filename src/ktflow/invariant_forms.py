@@ -17,7 +17,8 @@ square that discretizes the orbit space.  Base derivatives are spectral
 machine precision on band-limited data.  Every spectral operation is one
 BaseGrid.partial_sums over a table of (field, factor, symbol) terms: an
 rfft2, sums of products with cached symbols (partials, the Laplacian, its
-inverse), an irfft2, each transform called as its two 1-D transforms.  An
+inverse), an irfft2, each transform called as its two 1-D transforms, the
+second written into the first's complex array.  An
 exterior derivative moves 1/2, 4/5, 5/4 and 2/1 forward/inverse fields for
 degrees 0 to 3: only the coefficients and components with a base partial.
 
@@ -149,12 +150,19 @@ class BaseGrid:
         return values
 
     def _forward(self, values):
-        """rfft2 of the trailing axes, composed of its two 1-D calls as numpy does."""
-        return np.fft.fft(np.fft.rfft(values), axis=-2)
+        """rfft2 of the trailing axes, composed of its two 1-D calls as numpy does.
+
+        The axis -2 pass writes into the array the rfft returned.
+        """
+        spec = np.fft.rfft(values)
+        return np.fft.fft(spec, axis=-2, out=spec)
 
     def _inverse(self, spec):
-        """irfft2 back to (n, n) fields, composed of its two 1-D calls as numpy does."""
-        return np.fft.irfft(np.fft.ifft(spec, axis=-2), self.n)
+        """irfft2 back to (n, n) fields, composed of its two 1-D calls as numpy does.
+
+        Consumes spec: the axis -2 pass writes into it.
+        """
+        return np.fft.irfft(np.fft.ifft(spec, axis=-2, out=spec), self.n)
 
     def _symbols(self, terms):
         """terms with each (factor, names) as factor times the named factors, cached."""
@@ -169,7 +177,9 @@ class BaseGrid:
         """Sums of spectral multiples of stacked fields, from one transform pair.
 
         Output i sums factor times symbol applied to values[field] over the
-        (field, factor, symbol) in terms[i]; callers check their input.
+        (field, factor, symbol) in terms[i]; callers check their input.  Both
+        1-D passes of each direction share one complex array, so a pair
+        allocates one spectrum of the inputs and one of the outputs.
         """
         spec = self._forward(values)
         out = np.empty((len(terms),) + spec.shape[1:], dtype=complex)
@@ -178,7 +188,7 @@ class BaseGrid:
             np.multiply(spec[j], symbol, out=acc)
             for j, symbol in rest:
                 acc += np.multiply(spec[j], symbol, out=scratch)
-        del spec, scratch  # freed before the inverse transform allocates
+        del spec, scratch  # freed before the irfft allocates the fields
         return self._inverse(out)
 
     def derivative(self, values):
@@ -489,12 +499,13 @@ def base_integral(beta):
 
     The integrand is the e1^e2 coefficient.  The two vertical contractions
     read the other five coefficients, e13, e14, e23, e24 and e34, which
-    must vanish below 1e-12 or the form is rejected as non-basic.
+    must vanish below 1e-12 or the form is rejected as non-basic; a
+    non-finite one is rejected too.
     """
     if beta.degree != 2:
         raise DegreeError(f"base integral needs degree 2, got {beta.degree}")
     worst = float(np.max(np.abs(beta.coeffs[1:])))
-    if worst > BASIC_TOL:
+    if not worst <= BASIC_TOL:
         raise NonBasicFormError(
             f"form is not basic: max |vertical contraction| = {worst:.3e} > {BASIC_TOL:.0e}"
         )

@@ -526,7 +526,7 @@ def per_state_battery(n=32, samples=50, seed=2024):
             ("characteristic numbers", chars, 1e-12),
             ("lee form defining property", lee_def, 1e-12),
             ("lee form formula", lee, 1e-12),
-            ("lee norm identity", norm, 1e-10),
+            ("lee norm identity", norm, min(6e-14 * n, 1e-10)),
             ("torsion closure", torsion, 2e-14 * n),
             ("potential identity", potential, 1e-12),
             ("transverse ricci", ricci, 5e-16 * n * n),

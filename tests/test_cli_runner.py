@@ -1,6 +1,7 @@
 """Config grammar, identity battery, emission formats, exit codes."""
 
 import io
+import itertools
 import json
 import os
 from dataclasses import replace
@@ -374,6 +375,51 @@ def test_every_battery_item_has_a_mutation_or_a_waiver():
     assert [name for name in names if name not in mutated and name not in WAIVERS] == []
 
 
+def _nan_inner_product(monkeypatch):
+    monkeypatch.setattr(identities, "inner_1forms",
+                        lambda m, alpha, beta: np.full_like(m.lam, np.nan))
+
+
+def _nan_second_contraction(monkeypatch):
+    # the second part of the item's two-part residual, mu2 - (1/lam) V1 . omega
+    contract = identities.contract
+    monkeypatch.setattr(identities, "contract", lambda vertical, alpha: (
+        contract(vertical, alpha) * (np.nan if vertical == identities.V1 else 1.0)))
+
+
+def _nan_second_integral(monkeypatch):
+    # every second call is the integral of d mu2, the second part of the residual
+    base_integral, calls = identities.base_integral, itertools.count()
+    monkeypatch.setattr(identities, "base_integral", lambda beta: (
+        base_integral(beta) * (np.nan if next(calls) % 2 else 1.0)))
+
+
+def _nan_rho11_c34(monkeypatch):
+    # c34 is the fourth of the six peaks of the residual
+    p11_projection = hermitian_geometry.p11_projection
+
+    def projection(beta):
+        coeffs = p11_projection(beta).coeffs.copy()
+        coeffs[5] = np.nan
+        return InvariantForm._trusted(beta.grid, 2, coeffs)
+    monkeypatch.setattr(hermitian_geometry, "p11_projection", projection)
+
+
+@pytest.mark.parametrize("mutate, name", (
+    pytest.param(_nan_inner_product, "lee norm identity", id="running-maximum"),
+    pytest.param(_nan_second_contraction, "connection forms by contraction",
+                 id="connection-forms"),
+    pytest.param(_nan_second_integral, "characteristic numbers", id="characteristic-numbers"),
+    pytest.param(_nan_rho11_c34, "ricci (1,1) velocity", id="ricci-velocity"),
+))
+def test_identity_battery_nan_residual_fails(monkeypatch, mutate, name):
+    # the builtin max keeps its first argument against a later nan, so a nan
+    # residual was dropped and the item passed ("lee norm identity" read 0.0)
+    mutate(monkeypatch)
+    items = {item.name: item for item in identity_battery(n=16, samples=3, seed=5)}
+    assert np.isnan(items[name].value) and not items[name].ok
+
+
 @pytest.mark.parametrize("n", (8, 256))
 def test_transverse_ricci_bound_can_fail(n):
     # the residual grows as n^2 (rho and s are second derivatives), and the
@@ -382,6 +428,17 @@ def test_transverse_ricci_bound_can_fail(n):
     item = {item.name: item for item in identity_battery(n=n, samples=2, seed=5)}[
         "transverse ricci"]
     assert item.bound == 5e-16 * n * n
+    assert 10 * item.value < item.bound < 1000 * item.value, (item.value, item.bound)
+
+
+@pytest.mark.parametrize("n", (8, 256))
+def test_lee_norm_identity_bound_can_fail(n):
+    # the residual grows about as n (theta and sigma are first derivatives),
+    # and the bound 6e-14 n keeps a 10x margin over the worst of seeds 0-99
+    # from n = 8 to 256, where the fixed 1e-10 was 3500 times it at n = 8
+    item = {item.name: item for item in identity_battery(n=n, samples=2, seed=5)}[
+        "lee norm identity"]
+    assert item.bound == 6e-14 * n
     assert 10 * item.value < item.bound < 1000 * item.value, (item.value, item.bound)
 
 
@@ -454,6 +511,44 @@ def test_snapshot_bytes_match_streaming_encoder(tmp_path):
                "p": m.p.tolist(), "q": m.q.tolist()}, streamed)
     streamed.write("\n")
     assert path.read_text() == streamed.getvalue()
+
+
+def _signed_zeros():
+    signed = np.where(np.arange(64).reshape(8, 8) % 3 == 0, -0.0, 0.0)
+    return MetricState(BaseGrid(8), 2.0, 1.0, signed, -signed)
+
+
+def _all_distinct():
+    fields = 0.5 + np.random.default_rng(3).random((4, 16, 16))
+    assert np.unique(fields).size == fields.size
+    return MetricState(BaseGrid(16), *fields)
+
+
+SNAPSHOT_CASES = {
+    "signed-zeros": _signed_zeros,
+    "constant": lambda: MetricState.constant(BaseGrid(16), 1.7, 0.9, 0.3, -0.2),
+    "rigid": lambda: run(make_standard_vaisman(BaseGrid(16), 1.37),
+                         FlowConfig(dt=2e-5, t_end=6e-5, record_every=1)).final_state,
+    "noncsc": lambda: make_noncsc_vaisman(BaseGrid(64), 0.1, (2, 1)),
+    "all-distinct": _all_distinct,
+}
+
+
+@pytest.mark.parametrize("case", SNAPSHOT_CASES)
+def test_snapshot_bytes_match_json_dumps(tmp_path, case):
+    # each distinct value is formatted once, keyed by its bits, so a field
+    # holding 0.0 and -0.0 keeps both; every case reloads bit for bit
+    m = SNAPSHOT_CASES[case]()
+    path = tmp_path / "state.json"
+    emit_snapshot(m, str(path))
+    expected = json.dumps({"format": "ktflow-state", "conventions": CONVENTIONS_VERSION,
+                           "n": m.grid.n, "u": m.u.tolist(), "lam": m.lam.tolist(),
+                           "p": m.p.tolist(), "q": m.q.tolist()})
+    assert path.read_text() == expected + "\n"
+    back = load_snapshot(str(path))
+    for key in ("u", "lam", "p", "q"):
+        assert np.array_equal(getattr(back, key).view(np.int64),
+                              getattr(m, key).view(np.int64)), key
 
 
 def test_snapshot_guards(tmp_path):

@@ -304,6 +304,15 @@ def test_base_integral_rejects_each_vertical_component(grid8, indices):
         base_integral(e12 + basis_form(grid8, indices) * 2e-12)
 
 
+def test_base_integral_rejects_a_nan_vertical_component(grid8):
+    # inf - inf is nan, and the test worst > 1e-12 is False for nan
+    with np.errstate(over="ignore", invalid="ignore"):
+        v = basis_form(grid8, (0, 2)) * 1e300 * 1e300
+        beta = (v - v) + basis_form(grid8, (0, 1))
+    with pytest.raises(NonBasicFormError, match="nan"):
+        base_integral(beta)
+
+
 def test_integrals_are_per_state(grid16, rng):
     # a stack integrates each state to the float it gives alone
     fields = rng.normal(size=(2, 3, 16, 16))
