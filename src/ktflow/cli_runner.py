@@ -19,11 +19,12 @@ Recognized keys and defaults:
     exit_threshold 1e-9       defect level defining the exit time
     samples       50          randomized states in the identity battery
     seed          2024        seed of the battery's random.Random draws
-    out_dir       .           output directory
+    out_dir       .           output directory: one line, no '#', no outer whitespace
 
 Flow presets write `<preset>_trace.csv` (header row, comma separated,
-17 significant digits so reloads are bit-exact), `<preset>_verdict.json`
-and `<preset>_final_state.json`.  The identity suite (ktflow.identities)
+17 significant digits, so np.genfromtxt(path, delimiter=",", names=True)
+reloads it bit-exact), `<preset>_verdict.json` and
+`<preset>_final_state.json`.  The identity suite (ktflow.identities)
 prints one line per identity and writes `identity_battery.json`.
 
 Exit codes: 0 all assertions pass, 1 assertion failures, 2 config errors,
@@ -117,6 +118,10 @@ class ExperimentConfig:
             raise ConfigError(f"tol must satisfy 0 < tol < inf, got {self.tol}")
         if self.samples < 1:
             raise ConfigError(f"samples must be >= 1, got {self.samples}")
+        out = self.out_dir
+        if not out or out != out.strip() or "#" in out or len(out.splitlines()) != 1:
+            raise ConfigError(f"out_dir must be one nonempty line without '#' or"
+                              f" surrounding whitespace, got {out!r}")
 
     def flow_config(self):
         """The FlowConfig carried by this experiment; it validates its fields."""
@@ -201,36 +206,6 @@ def emit_csv(trace, path):
     lines = [",".join(TRACE_COLUMNS)]
     lines += [",".join("%.17g" % x for x in row) for row in trace.rows()]
     _write_text(path, "\n".join(lines), "trace CSV")
-
-
-def load_trace_csv(path):
-    import numpy as np
-    from .flow_engine import TRACE_COLUMNS
-    rows = []
-    try:
-        with open(path) as fh:
-            header = fh.readline().strip().split(",")
-            if tuple(header) != TRACE_COLUMNS:
-                raise ConfigError(f"unexpected trace columns in {path!r}: {header}")
-            for lineno, line in enumerate(fh, start=2):
-                if not line.strip():
-                    continue
-                try:
-                    row = [float(x) for x in line.split(",")]
-                except ValueError as exc:
-                    raise ConfigError(f"trace CSV {path!r} line {lineno}: {exc}") from exc
-                if len(row) != len(TRACE_COLUMNS):
-                    raise ConfigError(
-                        f"trace CSV {path!r} line {lineno}: {len(row)} values, "
-                        f"expected {len(TRACE_COLUMNS)}"
-                    )
-                rows.append(row)
-    except OSError as exc:
-        raise ConfigError(f"cannot read trace CSV {path!r}: {exc}") from exc
-    if not rows:
-        raise ConfigError(f"trace CSV {path!r} line 2: no data rows after the header")
-    data = np.asarray(rows)
-    return {name: data[:, i] for i, name in enumerate(TRACE_COLUMNS)}
 
 
 def _json_matrix(values):

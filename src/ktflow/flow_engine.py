@@ -160,8 +160,6 @@ def step(m, dt):
             f"step dt={dt:.3e} rejected, positivity lost in a stage: {exc}",
             margin=margin,
         ) from exc
-    except NonFiniteFieldError as exc:
-        raise NumericalAbort(f"non-finite values in a step: {exc}") from exc
     margin = out.positivity_margin()
     if not margin > 0.0:
         raise StepRejected(

@@ -268,12 +268,6 @@ def _maxima(entries, contexts, n):
             for (name, bound, _, _), value in zip(entries, values)]
 
 
-def _calculus_items(grid, seed):
-    """The calculus hygiene items: the entries on the "grid" and "forms" contexts."""
-    entries = [entry for entry in IDENTITIES if entry[2] in (("grid",), ("forms",))]
-    return _maxima(entries, _calculus_contexts(grid, seed), grid.n)
-
-
 def identity_battery(n=32, samples=50, seed=2024):
     """Every item of IDENTITIES at resolution n, as a list of BatteryItem."""
     grid = BaseGrid(n)

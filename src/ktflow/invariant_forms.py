@@ -29,11 +29,13 @@ the d(e3) part of d apply (i_in, sign, i_out) tables through _apply.
 Shapes: a field is (*stack, n, n) and a degree-k form's coefficients are
 (C(4, k), *stack, n, n), where the stack axes, if any, hold independent
 states.  Only the input constructors (BaseGrid.zeros and constant,
-function_form, form_from, random_band_limited) build a single (n, n)
-field; every operation allocates from its operands' shapes, so a stack of
-states goes through each call as one, and each slice of the result is
-bitwise the result of its state alone.  max_abs is a maximum over the
-stack, and BaseGrid.integral integrates each state.
+random_band_limited) build a single (n, n) field; every operation
+allocates from its operands' shapes, so a stack of states goes through
+each call as one, and each slice of the result is bitwise the result of
+its state alone.  max_abs is a maximum over the stack, and
+BaseGrid.integral integrates each state.  Forms enter the calculus through
+InvariantForm(grid, k, coeffs), basis_form (coframe is its degree-1 case)
+and random_form.
 
 Index conventions: coframe indices are 0-based internally (e1 -> 0, ...,
 e4 -> 3); docstrings use the 1-based names.  Orientation is fixed by taking
@@ -109,9 +111,8 @@ class BaseGrid:
             raise GridError(f"grid resolution must be a power of two >= 8, got {n}")
         self.n = n
         self.h = 1.0 / n
-        self.x = np.arange(n) * self.h
-        self.y = np.arange(n) * self.h
-        self.xx, self.yy = np.meshgrid(self.x, self.y, indexing="ij")
+        axis = np.arange(n) * self.h
+        self.xx, self.yy = np.meshgrid(axis, axis, indexing="ij")
         kx = 2.0 * np.pi * np.fft.fftfreq(n, d=self.h)[:, None]
         ky = 2.0 * np.pi * np.fft.rfftfreq(n, d=self.h)[None, :]
         lap = -(kx * kx + ky * ky)
@@ -315,19 +316,9 @@ class InvariantForm:
         )
 
 
-def function_form(grid, values):
-    """Wrap a scalar field as a 0-form."""
-    values = grid.check_field(np.broadcast_to(values, (grid.n, grid.n)), "0-form")
-    return InvariantForm(grid, 0, values[None].copy())
-
-
 def coframe(grid, index):
     """The constant 1-form e^(index+1), index 0-based."""
-    if index not in range(COFRAME_DIM):
-        raise DegreeError(f"coframe index must be 0..3, got {index}")
-    out = InvariantForm(grid, 1)
-    out.coeffs[index] = 1.0
-    return out
+    return basis_form(grid, (index,))
 
 
 def basis_form(grid, indices):
@@ -338,18 +329,6 @@ def basis_form(grid, indices):
         raise DegreeError(f"{indices} is not an increasing multi-index")
     out = InvariantForm(grid, degree)
     out.coeffs[INDEX_POS[degree][indices]] = 1.0
-    return out
-
-
-def form_from(grid, degree, terms):
-    """Assemble a form from a {multi-index: field} mapping."""
-    out = InvariantForm(grid, degree)
-    for indices, values in terms.items():
-        indices = tuple(indices)
-        if indices not in INDEX_POS[degree]:
-            raise DegreeError(f"{indices} is not an increasing degree-{degree} multi-index")
-        out.coeffs[INDEX_POS[degree][indices]] += np.broadcast_to(values, (grid.n, grid.n))
-    grid.check_field(out.coeffs, "assembled form")
     return out
 
 

@@ -58,13 +58,13 @@ alpha = J (theta - (1/2) d log(u lam - p^2 - q^2)) in closed form from
 
 * form_algebra_record: the trace columns fiber_rhs_residual,
   fiber_fd_residual, mu_drift and lambda_rel_residual of a run from forms:
-  mu1_dot and mu2_dot by form_from, the fiber part lam mu1^mu2 and its
-  velocity by wedge, the drift of mu1 and mu2 by form subtraction and the
-  pairing g(mu1_dot, mu1) by inner_1forms.  The package evaluates their
+  mu1_dot and mu2_dot from their coefficients, the fiber part lam mu1^mu2
+  and its velocity by wedge, the drift of mu1 and mu2 by form subtraction
+  and the pairing g(mu1_dot, mu1) by inner_1forms.  The package evaluates their
   closed forms in the shift (a, b) = (q, p)/lam; the two agree bitwise.
 
 * form_route_ricci: the Bismut curvature package by form algebra, rho =
-  d J (theta - (1/2) d log D) from function_form(log D), exterior_d, apply_J
+  d J (theta - (1/2) d log D) from the 0-form log D, exterior_d, apply_J
   and form subtraction on the Lee form, and s = 2 (rho ^ omega) / (omega ^
   omega) from two wedges.  The package takes rho = d alpha on the flow's
   in-place alpha and s = -d/dt log D from the velocity; rho agrees bitwise
@@ -80,7 +80,7 @@ alpha = J (theta - (1/2) d log(u lam - p^2 - q^2)) in closed form from
   running maximum per item; the package draws the same states and runs the
   table identities.IDENTITIES over them in stacks of two, each item a
   maximum over a stack.  The calculus hygiene items are the package's own
-  (identities._calculus_items), so the two agree bitwise.
+  table entries on the "grid" and "forms" contexts, so the two agree bitwise.
 
 * left_invariant_curvature: for spatially constant states the whole
   geometry reduces to linear algebra on the 4-dimensional symmetry algebra
@@ -110,12 +110,12 @@ import numpy as np
 from ktflow.flow_engine import step
 from ktflow.hermitian_geometry import (_LEE_TERMS, CurvaturePackage, MetricState,
                                        bismut_torsion, flow_velocity, inner_1forms)
-from ktflow.identities import BatteryItem, _BatteryDraws, _calculus_items
+from ktflow.identities import (IDENTITIES, BatteryItem, _BatteryDraws, _calculus_contexts,
+                               _maxima)
 from ktflow.invariant_forms import (INDEX_POS, MULTI_INDEX, STRUCTURE_INDEX,
                                     STRUCTURE_PAIR, STRUCTURE_SIGN, V1, V2, BaseGrid,
                                     InvariantForm, _merge, apply_J, base_integral,
-                                    contract, coframe, exterior_d, form_from,
-                                    function_form, p11_projection,
+                                    contract, coframe, exterior_d, p11_projection,
                                     random_band_limited, wedge)
 from ktflow.vaisman_toolkit import (make_noncsc_vaisman, make_standard_vaisman,
                                     potential_residual)
@@ -411,8 +411,9 @@ def form_algebra_record(m0, cfg):
     for t, m in records:
         split = m.split
         da, db = m.velocity[:0:-1] * m.inv_lam
-        mu1_dot = form_from(m.grid, 1, {(0,): da, (1,): db})
-        mu2_dot = form_from(m.grid, 1, {(0,): -db, (1,): da})
+        zero = np.zeros_like(da)
+        mu1_dot = InvariantForm(m.grid, 1, np.stack((da, db, zero, zero)))
+        mu2_dot = InvariantForm(m.grid, 1, np.stack((-db, da, zero, zero)))
         fiber_vel = (wedge(mu1_dot, split.mu2) + wedge(split.mu1, mu2_dot)) * m.lam
         fiber = wedge(split.mu1, split.mu2) * m.lam
         fd = 0.0 if prev_fiber is None else (fiber - prev_fiber).max_abs() / (t - prev_t)
@@ -434,7 +435,7 @@ def form_route_ricci(m):
     s = 2 (rho ^ omega) / (omega ^ omega) as top-form coefficients.
     """
     theta = m.theta  # first: lee_form checks positivity before the log
-    log_det = function_form(m.grid, np.log(m.D))
+    log_det = InvariantForm(m.grid, 0, np.log(m.D)[None])
     rho = exterior_d(apply_J(theta - 0.5 * exterior_d(log_det)))
     omega = m.omega()
     s = (2.0 * _top_coefficient(wedge(rho, omega))
@@ -481,7 +482,8 @@ def _single_battery_states(grid, samples, seed):
 def per_state_battery(n=32, samples=50, seed=2024):
     """identities.identity_battery with every state visited on its own."""
     grid = BaseGrid(n)
-    items = _calculus_items(grid, seed)
+    calculus = [entry for entry in IDENTITIES if entry[2] in (("grid",), ("forms",))]
+    items = _maxima(calculus, _calculus_contexts(grid, seed), n)
     contraction = ratio1 = ratio2 = reass = chars = lee_def = 0.0
     lee = norm = torsion = potential = ricci = velocity = 0.0
     for family, m in _single_battery_states(grid, samples, seed):

@@ -11,7 +11,7 @@ mode turns any unexpected pass into a hard failure.
 import numpy as np
 import pytest
 
-from ktflow.cli_runner import emit_csv, emit_snapshot, load_snapshot, load_trace_csv
+from ktflow.cli_runner import emit_csv, emit_snapshot, load_snapshot
 from ktflow.flow_engine import (FlowConfig, conservation_monitors, run,
                                 sigma1_ode_residual_instant, step)
 from ktflow.hermitian_geometry import (MetricState, bismut_ricci, inner_1forms,
@@ -416,7 +416,7 @@ def test_criterion_9_spectral_exactness(grid, criterion):
 def test_criterion_9_round_trips(noncsc_trace, tmp_path, criterion):
     csv_path = tmp_path / "trace.csv"
     emit_csv(noncsc_trace, str(csv_path))
-    cols = load_trace_csv(str(csv_path))
+    cols = np.genfromtxt(csv_path, delimiter=",", names=True)
     csv_exact = all(np.array_equal(cols[name], col)
                     for name, col in noncsc_trace.columns.items())
     snap_path = tmp_path / "state.json"

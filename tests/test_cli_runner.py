@@ -15,7 +15,7 @@ import ktflow.hermitian_geometry as hermitian_geometry
 import ktflow.identities as identities
 import ktflow.invariant_forms as invariant_forms
 from ktflow.cli_runner import (ExperimentConfig, emit_csv, emit_snapshot,
-                               load_snapshot, load_trace_csv, main, parse_config,
+                               load_snapshot, main, parse_config,
                                run_experiment, serialize_config,
                                _apply_thread_env)
 from ktflow.errors import ConfigError, PositivityError
@@ -54,6 +54,24 @@ def test_serialize_parse_round_trip():
                            p0=0.125, q0=-0.25, dt=2e-5, t_end=1e-3,
                            seed=7, out_dir="somewhere")
     assert parse_config(serialize_config(cfg)) == cfg
+    cfg = ExperimentConfig(out_dir="runs/n32 eps=0.1")
+    assert parse_config(serialize_config(cfg)) == cfg
+
+
+@pytest.mark.parametrize("out_dir", ("/tmp/run#1", "/tmp/a\nn = 64", " x ", ""),
+                         ids=("hash", "newline", "whitespace", "empty"))
+def test_out_dir_that_a_config_cannot_hold_is_rejected(out_dir, capsys):
+    # each would parse back as another directory or fail to parse:
+    # "/tmp/run", a duplicate key 'n', "x" and an empty value
+    with pytest.raises(ConfigError, match="out_dir must be one nonempty line"):
+        ExperimentConfig(out_dir=out_dir)
+    assert main(["suite", "--out-dir", out_dir]) == 2
+    assert "out_dir must be one nonempty line" in capsys.readouterr().err
+
+
+def test_experiment_flow_defaults_match_flow_config():
+    # the seven flow fields and their defaults are declared in both classes
+    assert ExperimentConfig().flow_config() == FlowConfig()
 
 
 def test_parse_config_line_numbered_errors():
@@ -452,35 +470,10 @@ def test_csv_round_trip_bit_exact(tmp_path):
     tr = _short_trace()
     path = tmp_path / "trace.csv"
     emit_csv(tr, str(path))
-    cols = load_trace_csv(str(path))
+    cols = np.genfromtxt(path, delimiter=",", names=True)
+    assert cols.dtype.names == flow_engine.TRACE_COLUMNS
     for name, col in tr.columns.items():
         assert np.array_equal(cols[name], col), name
-
-
-def test_csv_header_check(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("a,b,c\n1,2,3\n")
-    with pytest.raises(ConfigError, match="unexpected trace columns"):
-        load_trace_csv(str(path))
-    with pytest.raises(ConfigError, match="cannot read"):
-        load_trace_csv(str(tmp_path / "absent.csv"))
-
-
-def test_csv_short_file_is_a_config_error(tmp_path):
-    tr = _short_trace()
-    path = tmp_path / "trace.csv"
-    emit_csv(tr, str(path))
-    header, first = path.read_text().splitlines()[:2]
-
-    path.write_text(header + "\n")
-    with pytest.raises(ConfigError, match=r"line 2: no data rows") as exc:
-        load_trace_csv(str(path))
-    assert str(path) in str(exc.value)
-
-    path.write_text(header + "\n" + first + "\n" + first.rsplit(",", 1)[0] + "\n")
-    with pytest.raises(ConfigError, match=r"line 3: \d+ values, expected") as exc:
-        load_trace_csv(str(path))
-    assert str(path) in str(exc.value)
 
 
 def test_snapshot_round_trip_bit_exact(tmp_path):

@@ -12,7 +12,7 @@ from ktflow.flow_engine import (FlowConfig, FlowTrace, TRACE_COLUMNS,
                                 sigma1_ode_residual_instant, step)
 from ktflow.hermitian_geometry import (MetricState, bismut_ricci,
                                        bismut_torsion, scalar_curvature)
-from ktflow.invariant_forms import (BaseGrid, exterior_d, form_from,
+from ktflow.invariant_forms import (BaseGrid, InvariantForm, basis_form, exterior_d,
                                     p11_projection, random_band_limited)
 from ktflow.vaisman_toolkit import (assess, make_noncsc_vaisman,
                                     make_standard_vaisman)
@@ -36,16 +36,13 @@ def test_coefficient_velocity_reconstruction(grid32, rng):
     vel, residual = coefficient_velocity(rhs)
     assert residual < 1e-12
     du, dlam, dp, dq = vel
-    rebuilt = form_from(grid32, 2, {
-        (0, 1): du, (2, 3): dlam,
-        (0, 2): dp, (1, 3): dp,
-        (0, 3): dq, (1, 2): -dq,
-    })
+    # e12, e13, e14, e23, e24, e34
+    rebuilt = InvariantForm(grid32, 2, np.stack((du, dp, dq, -dq, dp, dlam)))
     assert (rebuilt - rhs).max_abs() < 1e-12
 
 
 def test_coefficient_velocity_reports_broken_pairing(grid16):
-    bad = form_from(grid16, 2, {(0, 2): grid16.constant(1.0)})
+    bad = basis_form(grid16, (0, 2))
     _, residual = coefficient_velocity(bad)
     assert residual == 1.0
 
@@ -246,7 +243,7 @@ def test_flow_scan_budget(grid16, scanned_fields):
     #     come from the scanned state                           0/0
     #   1/1 + 5 x 4/12 = 21/61
     # (29/101 when each record's split scanned mu1 (1/4) and omega_check
-    # (1/6) by form_from; 91/296 when each velocity scanned (p, q, log D)
+    # (1/6) on construction; 91/296 when each velocity scanned (p, q, log D)
     # and alpha, the split its shift and the record its forms)
     m = make_noncsc_vaisman(grid16, 0.1)
     scanned_fields[:] = [0, 0]

@@ -11,8 +11,7 @@ from ktflow.hermitian_geometry import (MetricSplit, MetricState, bismut_ricci,
                                        metric_split)
 from ktflow.invariant_forms import (MULTI_INDEX, BaseGrid, InvariantForm,
                                     apply_J, base_integral, basis_form, coframe,
-                                    exterior_d, function_form,
-                                    random_band_limited, random_form, wedge)
+                                    exterior_d, random_band_limited, random_form, wedge)
 
 from oracles import (JMAT, contraction_split, expression_flow_velocity, homogeneous_scalar,
                      koszul_fd_lowered, left_invariant_curvature,
@@ -179,7 +178,7 @@ def test_lee_formula_with_varying_lam_converges_spectrally(rng):
         grid = BaseGrid(n)
         m = random_state(grid, np.random.default_rng(seed))
         sp = m.split
-        d_log_lam = exterior_d(function_form(grid, np.log(m.lam)))
+        d_log_lam = exterior_d(InvariantForm(grid, 0, np.log(m.lam)[None]))
         formula = sp.mu2 * (m.lam * sp.sigma1) - sp.mu1 * (m.lam * sp.sigma2)
         gaps.append((m.theta - formula - d_log_lam).max_abs())
     assert gaps[0] / gaps[1] > 100.0

@@ -7,8 +7,7 @@ from ktflow.errors import (DegreeError, GridError, NonBasicFormError,
 from ktflow.identities import _BatteryDraws
 from ktflow.invariant_forms import (LAPLACIAN, BaseGrid, InvariantForm, V1, V2,
                                     apply_J, base_integral, basis_form, coframe,
-                                    contract, exterior_d, form_from,
-                                    function_form, p11_projection,
+                                    contract, exterior_d, p11_projection,
                                     random_band_limited, random_form, wedge)
 
 from oracles import (direct_band_limited, partials_exterior_d,
@@ -73,7 +72,7 @@ def test_poisson_inverts_laplacian(grid32, rng):
 
 
 def test_form_coefficient_layout(grid8):
-    alpha = form_from(grid8, 2, {(0, 1): 2.0, (2, 3): -1.0})
+    alpha = 2.0 * basis_form(grid8, (0, 1)) - basis_form(grid8, (2, 3))
     assert np.all(alpha.coefficient(0, 1) == 2.0)
     assert np.all(alpha.coefficient(2, 3) == -1.0)
     # only increasing multi-indices name coefficients
@@ -147,7 +146,7 @@ def test_structure_equation(grid8):
 
 def test_exterior_d_on_functions(grid32):
     f = np.sin(2 * np.pi * grid32.xx)
-    df = exterior_d(function_form(grid32, f))
+    df = exterior_d(InvariantForm(grid32, 0, f[None]))
     assert np.max(np.abs(df.coefficient(0) - 2 * np.pi * np.cos(2 * np.pi * grid32.xx))) < 1e-12
     assert np.max(np.abs(df.coefficient(1))) < 1e-13
     assert df.coefficient(2).max() == 0.0 and df.coefficient(3).max() == 0.0
@@ -323,13 +322,6 @@ def test_integrals_are_per_state(grid16, rng):
     assert all(stacked[i, j] == grid16.integral(fields[i, j]) for i in range(2) for j in range(3))
     forms = InvariantForm(grid16, 2, np.concatenate((fields[:1], np.zeros((5, 3, 16, 16)))))
     assert base_integral(forms).tolist() == stacked[0].tolist()
-
-
-def test_form_from_rejects_nonfinite(grid8):
-    bad = np.ones((8, 8))
-    bad[0, 0] = np.nan
-    with pytest.raises(NonFiniteFieldError):
-        form_from(grid8, 1, {(0,): bad})
 
 
 # the generators random fields are drawn from: numpy's, in the tests and

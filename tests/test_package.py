@@ -1,7 +1,8 @@
 """The top-level package: exported names, the cost of `import ktflow` and of
 a battery run, the one route its spectral transforms take, the places it
 scans for NaN/Inf or spells out a one-state shape, no numpy.random, no
-module-level dict cache, and no import it does not read."""
+module-level dict cache, no import it does not read, and no public function
+that only the tests call."""
 
 import ast
 import json
@@ -13,13 +14,14 @@ import sys
 import numpy as np
 import pytest
 
+import ktflow
 from ktflow.cli_runner import SNAPSHOT_FORMAT, load_snapshot
 from ktflow.errors import NonFiniteFieldError
 from ktflow.hermitian_geometry import MetricState
-from ktflow.invariant_forms import (CONVENTIONS_VERSION, BaseGrid, InvariantForm,
-                                    coframe, form_from, function_form)
+from ktflow.invariant_forms import CONVENTIONS_VERSION, BaseGrid, InvariantForm, coframe
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 
 PROBE = """
 import sys
@@ -73,13 +75,13 @@ TRANSFORM_CALLERS = {"_forward": {"BaseGrid.partial_sums"},
 
 
 # The only callers of the NaN/Inf scan: the places where data enters.  A
-# state's four input fields and each new stage state; the public form
-# constructors; the grid's derivative and integral, and a form's scaling
-# field.  Config and snapshot loading reach it through MetricState.
-# Everything computed from checked data is not scanned again.
+# state's four input fields and each new stage state; the form constructor;
+# the grid's derivative and integral, and a form's scaling field.  Config
+# and snapshot loading reach it through MetricState.  Everything computed
+# from checked data is not scanned again.
 CHECK_SITES = {"MetricState.__post_init__", "MetricState.with_fields",
-               "InvariantForm.__init__", "InvariantForm.__mul__", "function_form",
-               "form_from", "BaseGrid.derivative", "BaseGrid.integral"}
+               "InvariantForm.__init__", "InvariantForm.__mul__",
+               "BaseGrid.derivative", "BaseGrid.integral"}
 
 
 # The only places that spell out a shape of one state's fields, such as
@@ -87,8 +89,7 @@ CHECK_SITES = {"MetricState.__post_init__", "MetricState.with_fields",
 # fields enter.  Every operation after them allocates from its operands'
 # shapes, so a stack of states (*stack, n, n) goes through it as one.
 SHAPE_SITES = {"BaseGrid.zeros", "BaseGrid.constant", "BaseGrid.check_field",
-               "function_form", "form_from", "MetricState.__post_init__",
-               "random_band_limited", "load_snapshot"}
+               "MetricState.__post_init__", "random_band_limited", "load_snapshot"}
 
 
 def _scan(tree, match):
@@ -429,6 +430,78 @@ def g():
                                                 (10, "wedge")]
 
 
+# Public library functions and classes that nothing outside the tests names
+# yet, each with the reason it stays.
+WAIVERS = {
+    "load_snapshot": "reads back what emit_snapshot writes; resuming a run from a "
+                     "final-state snapshot (ROADMAP item 8) will call it",
+}
+
+
+def _named(tree):
+    """Names a module reads, binds by import or calls as attributes, each
+    outside the top-level definition of the same name."""
+    found = set()
+    for statement in tree.body:
+        names = set()
+        for node in ast.walk(statement):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name.rpartition(".")[2])
+        names.discard(getattr(statement, "name", None))
+        found |= names
+    return found
+
+
+def _uncalled(library, others, exports):
+    """(module, line, name) of each public top-level function or class of the
+    library that no library module, other module or export names."""
+    named = set(exports).union(*map(_named, list(library.values()) + list(others)))
+    return [(module, node.lineno, node.name) for module, tree in library.items()
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and not node.name.startswith("_") and node.name not in named]
+
+
+def test_every_public_function_has_a_caller_or_a_waiver():
+    outside = sorted((ROOT / "demos").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+    assert outside
+    others = [ast.parse(path.read_text(), filename=str(path)) for path in outside]
+    uncalled = _uncalled(dict(_sources()), others, ktflow._EXPORTS)
+    stray = [f"{module}:{line} {name} has no caller outside the tests"
+             for module, line, name in uncalled if name not in WAIVERS]
+    assert not stray, stray
+    assert sorted(name for _, _, name in uncalled) == sorted(WAIVERS), "stale waiver"
+
+
+def test_caller_scan_sees_names_outside_their_definition():
+    library = {"forms.py": ast.parse("""
+def used():
+    return defined_later()
+def recursive(n):
+    return recursive(n - 1)
+class Lonely:
+    def copy(self):
+        return Lonely()
+def exported():
+    pass
+def _private():
+    pass
+def caller():
+    return used()
+def method_name():
+    pass
+def defined_later():
+    pass
+""")}
+    others = [ast.parse("from ktflow.forms import caller\nx.method_name()\n")]
+    assert _uncalled(library, others, {"exported"}) == [("forms.py", 4, "recursive"),
+                                                        ("forms.py", 6, "Lonely")]
+
+
 def _bad_field(grid):
     bad = np.ones((grid.n, grid.n))
     bad[1, 2] = np.nan
@@ -450,8 +523,6 @@ BOUNDARIES = {
         grid, 1.0, 1.0).with_fields(np.stack((np.ones_like(bad), bad, np.zeros_like(bad)))),
     "InvariantForm": lambda grid, bad, _: InvariantForm(grid, 1, np.stack((bad,) * 4)),
     "InvariantForm.__mul__": lambda grid, bad, _: coframe(grid, 0) * bad,
-    "function_form": lambda grid, bad, _: function_form(grid, bad),
-    "form_from": lambda grid, bad, _: form_from(grid, 2, {(0, 1): bad}),
     "BaseGrid.derivative": lambda grid, bad, _: grid.derivative(bad),
     "BaseGrid.integral": lambda grid, bad, _: grid.integral(bad),
     "load_snapshot": _bad_snapshot,
