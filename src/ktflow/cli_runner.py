@@ -245,7 +245,7 @@ def _write_verdict(verdict, path):
 
 def load_snapshot(path, grid=None):
     import numpy as np
-    from .errors import GridError
+    from .errors import GridError, NonFiniteFieldError
     from .hermitian_geometry import MetricState
     from .invariant_forms import CONVENTIONS_VERSION, BaseGrid
     try:
@@ -263,7 +263,7 @@ def load_snapshot(path, grid=None):
             f"this build has {CONVENTIONS_VERSION!r}"
         )
     n = payload.get("n")
-    if not isinstance(n, int):
+    if not isinstance(n, int) or isinstance(n, bool):
         raise ConfigError(f"snapshot {path!r} has no integer resolution n, got {n!r}")
     if grid is None:
         try:
@@ -283,7 +283,10 @@ def load_snapshot(path, grid=None):
             raise ConfigError(f"snapshot {path!r} field {key!r} has shape "
                               f"{values.shape}, expected ({n}, {n})")
         arrays.append(values)
-    return MetricState(grid, *arrays)
+    try:
+        return MetricState(grid, *arrays)
+    except NonFiniteFieldError as exc:
+        raise ConfigError(f"snapshot {path!r}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from ktflow.flow_engine import (FlowConfig, conservation_monitors, run,
 from ktflow.hermitian_geometry import (MetricState, bismut_ricci, inner_1forms,
                                        lee_form, metric_split)
 from ktflow.identities import identity_battery
-from ktflow.invariant_forms import BaseGrid, exterior_d
+from ktflow.invariant_forms import BaseGrid
 from ktflow.vaisman_toolkit import (assess, make_noncsc_vaisman,
                                     make_standard_vaisman, potential_residual)
 

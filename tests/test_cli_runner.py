@@ -578,8 +578,12 @@ def _snapshot_payload(tmp_path):
     (lambda p: json.dumps({k: v for k, v in p.items() if k != "n"}), "integer resolution"),
     (lambda p: json.dumps({**p, "n": 12}), "power of two"),
     (lambda p: json.dumps([p]), "not a state snapshot"),
+    (lambda p: json.dumps({**p, "u": [row if i != 2 else row[:3] + [float("nan")] + row[4:]
+                                      for i, row in enumerate(p["u"])]}),
+     r"coefficient u is non-finite at grid index \(2, 3\)"),
+    (lambda p: json.dumps({**p, "n": True}), "integer resolution n, got True"),
 ], ids=["1d-u", "short-lam", "ragged-p", "missing-q", "bad-json", "missing-n",
-        "bad-n", "top-level-list"])
+        "bad-n", "top-level-list", "nan-u", "boolean-n"])
 def test_snapshot_rejects_malformed_file(tmp_path, corrupt, match):
     path = tmp_path / "bad.json"
     path.write_text(corrupt(_snapshot_payload(tmp_path)))

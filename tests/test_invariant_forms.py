@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from ktflow import vaisman_toolkit
 from ktflow.errors import (DegreeError, GridError, NonBasicFormError,
                            NonFiniteFieldError)
+from ktflow.hermitian_geometry import _LEE_TERMS
 from ktflow.identities import _BatteryDraws
 from ktflow.invariant_forms import (LAPLACIAN, BaseGrid, InvariantForm, V1, V2,
                                     apply_J, base_integral, basis_form, coframe,
@@ -381,3 +384,48 @@ def test_spectral_operations_equal_nd_wrapper_forms(n):
             b = rfft2_band_limited(grid, np.random.default_rng(kmax), kmax=kmax,
                                    zero_mean=zero_mean)
             assert np.array_equal(a, b)
+
+
+# partial_sums runs in two complex work arrays owned by the grid: the
+# spectrum of its inputs and the sums it inverts.  They grow to the largest
+# call and are reused, so what a call returns must never live in them.
+
+def _in_work_arrays(grid, result):
+    return any(np.shares_memory(result, work) for work in grid._work_arrays)
+
+
+def test_partial_sums_results_share_no_memory_with_the_work_arrays(grid16, rng):
+    first = grid16.partial_sums(rng.normal(size=(3, 16, 16)), _LEE_TERMS)
+    kept = first.copy()
+    assert not _in_work_arrays(grid16, first)
+    later = (grid16.d11(rng.normal(size=(4, 3, 16, 16))),  # a larger stack
+             grid16.derivative(rng.normal(size=(16, 16))),  # a smaller one
+             grid16.partial_sums(rng.normal(size=(1, 2, 16, 16)), LAPLACIAN),
+             grid16.partial_sums(rng.normal(size=(3, 16, 16)), _LEE_TERMS))
+    assert np.array_equal(first, kept)
+    assert not any(_in_work_arrays(grid16, result) for result in later)
+
+
+def test_partial_sums_after_a_bigger_stack_equals_a_fresh_grid(rng):
+    used = BaseGrid(16)
+    used.d11(rng.normal(size=(4, 5, 16, 16)))
+    values = rng.normal(size=(3, 2, 16, 16))
+    for terms in (_LEE_TERMS, LAPLACIAN, vaisman_toolkit._SHIFT_TERMS):
+        assert np.array_equal(used.partial_sums(values, terms),
+                              BaseGrid(16).partial_sums(values, terms))
+
+
+def test_repeated_partial_sums_allocates_only_its_result():
+    # once a shape has been seen, the spectra live in the work arrays and a
+    # call allocates the real fields it returns and nothing of note besides
+    n = 64
+    grid = BaseGrid(n)
+    values = np.random.default_rng(n).normal(size=(3, n, n))
+    grid.partial_sums(values, _LEE_TERMS)
+    tracemalloc.start()
+    try:
+        result = grid.partial_sums(values, _LEE_TERMS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= result.nbytes + 4096, (peak, result.nbytes)

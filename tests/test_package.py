@@ -1,8 +1,9 @@
 """The top-level package: exported names, the cost of `import ktflow` and of
 a battery run, the one route its spectral transforms take, the places it
 scans for NaN/Inf or spells out a one-state shape, no numpy.random, no
-module-level dict cache, no import it does not read, and no public function
-that only the tests call."""
+module-level dict cache, no import that a module of the library, the tests
+or the demos does not read, and no public function that only the tests
+call."""
 
 import ast
 import json
@@ -16,7 +17,7 @@ import pytest
 
 import ktflow
 from ktflow.cli_runner import SNAPSHOT_FORMAT, load_snapshot
-from ktflow.errors import NonFiniteFieldError
+from ktflow.errors import ConfigError, NonFiniteFieldError
 from ktflow.hermitian_geometry import MetricState
 from ktflow.invariant_forms import CONVENTIONS_VERSION, BaseGrid, InvariantForm, coframe
 
@@ -155,10 +156,12 @@ def _fft_uses(tree):
     return [(scope, line) for scope, line, _ in _scan(tree, _fft_use)]
 
 
-def _sources():
-    sources = sorted((SRC / "ktflow").glob("*.py"))
+def _sources(*dirs):
+    """(path from the repo root, tree) of each module of the library, or of dirs."""
+    sources = [path for where in dirs or (SRC / "ktflow",) for path in sorted(where.glob("*.py"))]
     assert sources
-    return [(path.name, ast.parse(path.read_text(), filename=str(path))) for path in sources]
+    return [(str(path.relative_to(ROOT)), ast.parse(path.read_text(), filename=str(path)))
+            for path in sources]
 
 
 def test_transforms_go_through_grid_primitives():
@@ -405,7 +408,7 @@ def _unused_imports(tree):
 
 def test_no_unused_imports():
     stray = []
-    for name, tree in _sources():
+    for name, tree in _sources(SRC / "ktflow", ROOT / "tests", ROOT / "demos"):
         stray += [f"{name}:{line} imports {what} unused" for line, what in _unused_imports(tree)]
     assert not stray, stray
 
@@ -531,6 +534,9 @@ BOUNDARIES = {
 
 @pytest.mark.parametrize("boundary", BOUNDARIES)
 def test_each_boundary_rejects_nonfinite(boundary, tmp_path):
+    # a snapshot is outside input, so its non-finite value is a ConfigError
+    # that names the file, like every other malformed snapshot
     grid = BaseGrid(8)
-    with pytest.raises(NonFiniteFieldError, match=r"non-finite at grid index \(.*1, 2\)"):
+    error = ConfigError if boundary == "load_snapshot" else NonFiniteFieldError
+    with pytest.raises(error, match=r"non-finite at grid index \(.*1, 2\)"):
         BOUNDARIES[boundary](grid, _bad_field(grid), tmp_path)
