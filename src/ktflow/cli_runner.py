@@ -18,7 +18,7 @@ Recognized keys and defaults:
     variance_tol  1e-14       scalar-curvature constancy threshold
     exit_threshold 1e-9       defect level defining the exit time
     samples       50          randomized states in the identity battery
-    seed          2024        seed of the battery's random.Random draws
+    seed          2024        battery's random.Random seed, a non-negative integer
     out_dir       .           output directory: one line, no '#', no outer whitespace
 
 Flow presets write `<preset>_trace.csv` (header row, comma separated,
@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 import sys
 import time
@@ -55,6 +56,10 @@ def _parse_mode(text):
     if len(parts) != 2:
         raise ValueError(f"mode needs two comma-separated integers, got {text!r}")
     return (int(parts[0]), int(parts[1]))
+
+
+def _is_integer(value):
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -85,12 +90,15 @@ class ExperimentConfig:
             raise ConfigError(
                 f"unknown preset {self.preset!r}; choose one of {', '.join(PRESETS)}"
             )
+        for key in ("n", "samples", "seed"):
+            if not _is_integer(getattr(self, key)):
+                raise ConfigError(f"{key} must be an integer, got {getattr(self, key)!r}")
         n = self.n
         if n < 8 or (n & (n - 1)) != 0:
             raise ConfigError(f"n must be a power of two >= 8, got {n}")
         if not abs(self.epsilon) < 0.5:
             raise ConfigError(f"epsilon must satisfy |epsilon| < 0.5, got {self.epsilon}")
-        if min(self.mode) < 1:
+        if not all(map(_is_integer, self.mode)) or min(self.mode) < 1:
             raise ConfigError(f"mode entries must be positive integers, got {self.mode}")
         if not 2 * max(self.mode) < n:
             raise ConfigError(f"mode {self.mode} is not resolved: needs 2 max(mode) < n = {n}")
@@ -118,6 +126,9 @@ class ExperimentConfig:
             raise ConfigError(f"tol must satisfy 0 < tol < inf, got {self.tol}")
         if self.samples < 1:
             raise ConfigError(f"samples must be >= 1, got {self.samples}")
+        if self.seed < 0:
+            # random.Random seeds with |seed|: -5 would draw the states of 5
+            raise ConfigError(f"seed must be a non-negative integer, got {self.seed}")
         out = self.out_dir
         if not out or out != out.strip() or "#" in out or len(out.splitlines()) != 1:
             raise ConfigError(f"out_dir must be one nonempty line without '#' or"

@@ -35,6 +35,7 @@ No form is built for them: each is a closed form in mu_1's shift (a, b) =
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,8 +86,9 @@ class FlowConfig:
             raise ConfigError(f"t_end must be positive, got {self.t_end}")
         if not (0.0 < self.cfl_safety <= 0.5):
             raise ConfigError(f"cfl_safety must lie in (0, 0.5], got {self.cfl_safety}")
-        if int(self.record_every) < 1:
-            raise ConfigError(f"record_every must be >= 1, got {self.record_every}")
+        every = self.record_every
+        if isinstance(every, bool) or not isinstance(every, numbers.Integral) or every < 1:
+            raise ConfigError(f"record_every must be an integer >= 1, got {every!r}")
         for name in ("vaisman_tol", "variance_tol", "exit_threshold"):
             if not getattr(self, name) > 0:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")

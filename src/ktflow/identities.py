@@ -4,7 +4,7 @@ coframe calculus, the splitting, the Lee form and the Bismut curvature.
 IDENTITIES lists the items in output order as (name, bound, families,
 residual), the bound a number or a function of the resolution n.  An item's
 value is its largest residual over the contexts of its families: "grid"
-(once), "forms" (8 pairs of random forms), and stacks of two states of
+(once), "forms" (8 pairs of random forms), and stacks of four states of
 "general" (every field varies), "lam_const", "constant" (constant
 coefficients), "csc_seed" and "noncsc_seed" (the two seed families).  A
 stack goes through the calculus as one state, so its residual is bitwise
@@ -86,9 +86,15 @@ class _BatteryDraws:
         return self._rng.randrange(low, high)
 
 
-# states per stack in the battery: past 3 a run is bound by its transforms,
-# and 2 saves most of the per-call cost without adding memory
-_BATTERY_STACK = 2
+# states per stack in the battery.  Against stacks of 2, the CPU of a suite run
+# (fresh processes, 50 samples, two runs of 16 rounds) reads at n = 16, 32, 64:
+# 3 states 0.78-0.83, 0.92-0.93, 0.97-0.98; 4 states 0.73-0.76, 0.84-0.92,
+# 0.93-0.94; 5 states 0.64-0.70, 0.90-0.96, 0.99; 8 states 0.62-0.67,
+# 0.87-0.92, 0.99-1.00.  Past 4 at n = 32 the heap starts trimming (minor
+# faults 280-360 at 2, 850-1,630 at 4, 6,500-8,000 at 5) and the gain falls
+# away, so 4 is the best fixed size from n = 16 to 64.  The tracemalloc peak at
+# (32, 50) is 1.66, 2.10, 2.75, 3.34 and 4.65 MiB at 2, 3, 4, 5 and 8 states.
+_BATTERY_STACK = 4
 
 
 def _battery_fields(grid, samples, seed):
@@ -115,11 +121,12 @@ def _battery_fields(grid, samples, seed):
 
 
 def _battery_states(grid, samples, seed):
-    """(family, state) pairs, each state a stack of _BATTERY_STACK = 2 states.
+    """(family, state) pairs, each state a stack of up to _BATTERY_STACK = 4 states.
 
-    A family's states from _battery_fields are stacked in draw order, two
-    at a time, and a family with an odd count ends on a stack of one, so
-    the battery makes half the calls it would make state by state.
+    A family's states from _battery_fields are stacked in draw order, four
+    at a time, and a family whose count is not a multiple of four ends on
+    a stack of the 1 to 3 states left, so the battery makes about a
+    quarter of the state calls it would make state by state.
     """
     pending = {}
 

@@ -48,6 +48,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 
 import numpy as np
 
@@ -117,6 +118,8 @@ class BaseGrid:
     """
 
     def __init__(self, n):
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+            raise GridError(f"grid resolution must be an integer, got {n!r}")
         n = int(n)
         if n < 8 or (n & (n - 1)) != 0:
             raise GridError(f"grid resolution must be a power of two >= 8, got {n}")

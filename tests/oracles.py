@@ -78,7 +78,7 @@ alpha = J (theta - (1/2) d log(u lam - p^2 - q^2)) in closed form from
 * per_state_battery: the identity battery state by state, each state its
   own MetricState, drawn and visited in draw order, with one hand-written
   running maximum per item; the package draws the same states and runs the
-  table identities.IDENTITIES over them in stacks of two, each item a
+  table identities.IDENTITIES over them in stacks of four, each item a
   maximum over a stack.  The calculus hygiene items are the package's own
   table entries on the "grid" and "forms" contexts, so the two agree bitwise.
 

@@ -4,6 +4,9 @@ import io
 import itertools
 import json
 import os
+import pathlib
+import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -26,6 +29,8 @@ from ktflow.invariant_forms import CONVENTIONS_VERSION, BaseGrid, InvariantForm
 from ktflow.vaisman_toolkit import make_noncsc_vaisman, make_standard_vaisman
 
 from oracles import per_state_battery
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 def test_parse_config_defaults():
@@ -126,6 +131,28 @@ def test_config_named_constraints():
         ExperimentConfig(vaisman_tol=0.0)
 
 
+@pytest.mark.parametrize("key, value", (
+    ("n", 32.0), ("n", True), ("record_every", 2.5), ("samples", 2.5), ("seed", 1.5),
+    ("mode", (1.5, 1)),
+), ids=("n-float", "n-bool", "record_every", "samples", "seed", "mode"))
+def test_config_rejects_non_integers(key, value):
+    # a non-integral mode used to run as its truncation, and n = 32.0 raised
+    # a bare TypeError from n & (n - 1)
+    with pytest.raises(ConfigError, match=rf"{key}\b.*integer"):
+        ExperimentConfig(**{key: value})
+
+
+def test_negative_seed_is_a_config_error(tmp_path, capsys):
+    # random.Random seeds with |seed|, so -5 would draw the states of 5
+    with pytest.raises(ConfigError, match="seed must be a non-negative integer, got -5"):
+        ExperimentConfig(seed=-5)
+    cfgfile = tmp_path / "neg.cfg"
+    cfgfile.write_text(f"seed = -5\nn = 8\nsamples = 1\nout_dir = {tmp_path}\n")
+    assert main(["run", str(cfgfile)]) == 2
+    assert "seed must be a non-negative integer" in capsys.readouterr().err
+    assert not (tmp_path / "identity_battery.json").exists()
+
+
 def test_identity_battery_all_green():
     items = identity_battery(n=32, samples=6, seed=5)
     names = [item.name for item in items]
@@ -184,15 +211,48 @@ def test_identity_battery_transform_budget(transform_fields, transform_calls):
     # differentiated it 1/2, 449/600 when the split and theta
     # inverse-transformed both partials of every field they differentiate,
     # 502/1063 when exterior_d did too)
-    # Calls: the 12 states go through the state items in 6 stacks of two
-    # (general, lam_const, two of constants, csc and noncsc seeds), which
-    # saves 43 calls each way: 5 a state (split, theta, d mu1, d mu2,
-    # d omega), 2 a general state, 1 a potential and 4 a curvature.  The
-    # hygiene items and the draws are unchanged.  (130/192 state by state.)
+    # Calls: the 12 states go through the state items in 5 stacks of up to
+    # four (general 2, lam_const 2, constant 4, csc 2 and noncsc 2), so 7
+    # states share another's calls, which saves 49 calls each way: 5 a
+    # state (split, theta, d mu1, d mu2, d omega) 7 x 5 = 35, 2 a general
+    # state 1 x 2, 1 a potential (3 constant, 1 csc) 4 x 1 and 4 a
+    # curvature (1 csc, 1 noncsc) 2 x 4.  The hygiene items and the draws
+    # are unchanged.  (130/192 state by state; 87/149 in stacks of two,
+    # which saved 43.)
     items = identity_battery(n=16, samples=2, seed=5)
     assert all(item.ok for item in items)
     assert transform_fields == [433, 541]
-    assert transform_calls == [87, 149]
+    assert transform_calls == [81, 143]
+
+
+def test_identity_battery_memory_peak():
+    # tracemalloc peak of one battery after a warm-up call, by states per
+    # stack: 1.66, 2.10, 2.75, 3.34 and 4.65 MiB at 2, 3, 4, 5 and 8; a
+    # larger stack has to show that its memory is worth its time
+    identity_battery(32, 50, 21)
+    tracemalloc.start()
+    try:
+        identity_battery(32, 50, 21)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.0 * 2**20, peak / 2**20
+
+
+def test_readme_transform_call_counts(transform_calls):
+    # "At n = N with S samples and seed K it makes A/B forward/inverse
+    # transform calls instead of C/D": A/B the battery's counted calls, C/D
+    # those of the state-by-state oracle
+    text = " ".join((ROOT / "README.md").read_text().split())
+    found = re.search(r"At n = (\d+) with (\d+) samples and seed (\d+) it makes (\d+)/(\d+)"
+                      r" forward/inverse transform calls instead of (\d+)/(\d+)", text)
+    assert found, "README.md states no transform call counts"
+    n, samples, seed, *claimed = map(int, found.groups())
+    identity_battery(n, samples, seed)
+    counted = list(transform_calls)
+    transform_calls[:] = [0, 0]
+    per_state_battery(n, samples, seed)
+    assert claimed == counted + transform_calls
 
 
 def _battery_bytes(cfg, path):
@@ -203,11 +263,15 @@ def _battery_bytes(cfg, path):
 
 
 @pytest.mark.parametrize("n, samples, seeds", (
-    (8, 4, range(20)), (16, 3, (5,)), (32, 50, (21,)),
-), ids=("n8-seeds0-19", "n16-odd-count", "n32"))
+    (8, 4, range(20)), (16, 3, (5,)), (16, 5, (5,)), (16, 6, (5,)), (16, 7, (5,)),
+    (32, 50, (21,)),
+), ids=("n8-seeds0-19", "n16-odd-count", "n16-samples5", "n16-samples6", "n16-samples7",
+        "n32"))
 def test_identity_battery_matches_per_state_oracle(monkeypatch, tmp_path, n, samples, seeds):
-    # the stacks of two give every item and the verdict bytes of the states
-    # one by one; 3 samples end "general" and "lam_const" on a stack of one
+    # the stacks of four give every item and the verdict bytes of the states
+    # one by one; 3 samples make "general" and "lam_const" one stack of
+    # three, 5, 6 and 7 samples end them on a stack of 1, 2 and 3 after one
+    # of four, and n = 32 ends "constant" (6 states) on 4 + 2
     for seed in seeds:
         stacked = identity_battery(n, samples, seed)
         single = per_state_battery(n, samples, seed)

@@ -96,6 +96,8 @@ def test_flow_config_validation():
         FlowConfig(cfl_safety=0.6)
     with pytest.raises(ConfigError):
         FlowConfig(record_every=0)
+    with pytest.raises(ConfigError, match="record_every must be an integer"):
+        FlowConfig(record_every=2.5)
 
 
 @pytest.mark.parametrize("name", ("vaisman_tol", "variance_tol", "exit_threshold"))

@@ -24,6 +24,14 @@ def test_grid_rejects_bad_sizes():
             BaseGrid(n)
     assert BaseGrid(8).n == 8
     assert BaseGrid(256).h == 1.0 / 256
+    assert BaseGrid(np.int64(16)).n == 16
+
+
+@pytest.mark.parametrize("n", (32.7, 32.0, True), ids=("fraction", "integral-float", "bool"))
+def test_grid_rejects_non_integers(n):
+    # int(n) used to build BaseGrid(32.7) as n = 32 and read True as n = 1
+    with pytest.raises(GridError, match="must be an integer"):
+        BaseGrid(n)
 
 
 def test_grid_mesh_layout(grid8):
