@@ -30,8 +30,11 @@ prints one line per identity and writes `identity_battery.json`.
 Exit codes: 0 all assertions pass, 1 assertion failures, 2 config errors,
 3 numerical aborts (rejected step or non-finite state).
 
-The environment variable KTFLOW_THREADS caps the thread count of the grid
-kernels; it is read before the numerical modules are imported.
+The environment variable KTFLOW_THREADS sizes the BLAS and OpenMP thread
+pools numpy starts when it is imported (it sets OMP_NUM_THREADS,
+OPENBLAS_NUM_THREADS, MKL_NUM_THREADS and NUMEXPR_NUM_THREADS), so it is
+read before the numerical modules are imported.  The grid kernels, numpy's
+pocketfft transforms, start no thread.
 """
 
 from __future__ import annotations
@@ -93,11 +96,20 @@ class ExperimentConfig:
         for key in ("n", "samples", "seed"):
             if not _is_integer(getattr(self, key)):
                 raise ConfigError(f"{key} must be an integer, got {getattr(self, key)!r}")
+        for key in _FLOAT_KEYS:
+            value = getattr(self, key)
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or not math.isfinite(value)):
+                raise ConfigError(f"{key} must be a finite real number, got {value!r}")
+            # a float, which serialize_config writes by repr so that it parses back
+            object.__setattr__(self, key, float(value))
         n = self.n
         if n < 8 or (n & (n - 1)) != 0:
             raise ConfigError(f"n must be a power of two >= 8, got {n}")
         if not abs(self.epsilon) < 0.5:
             raise ConfigError(f"epsilon must satisfy |epsilon| < 0.5, got {self.epsilon}")
+        if not isinstance(self.mode, tuple) or len(self.mode) != 2:
+            raise ConfigError(f"mode must be a tuple of two integers, got {self.mode!r}")
         if not all(map(_is_integer, self.mode)) or min(self.mode) < 1:
             raise ConfigError(f"mode entries must be positive integers, got {self.mode}")
         if not 2 * max(self.mode) < n:
@@ -142,6 +154,7 @@ class ExperimentConfig:
 
 _CASTERS = {f.name: {"str": str, "int": int, "float": float, "tuple": _parse_mode}[f.type]
             for f in fields(ExperimentConfig)}
+_FLOAT_KEYS = tuple(key for key, cast in _CASTERS.items() if cast is float)
 
 
 def parse_config(text, strict=True):

@@ -176,14 +176,18 @@ def _cfl_bound(m, cfg):
     return cfg.cfl_safety * h2 * min(m.u_min, m.lam_min)
 
 
-def sigma1_ode_residual_instant(m, h=1e-5):
+_SIGMA1_RATE_STEP = 1e-5
+
+
+def sigma1_ode_residual_instant(m):
     """Pointwise residual of d/dt sigma_1 = sigma_1 s at the given state.
 
     The time derivative is taken along the exact flow velocity by a centered
-    difference in state space with increment h (time units), so the estimate
-    carries no time-integration error; h = 1e-5 balances the O(h^2)
-    truncation against roundoff at desk scale.
+    difference in state space with increment h = _SIGMA1_RATE_STEP (time
+    units), so the estimate carries no time-integration error; h = 1e-5
+    balances the O(h^2) truncation against roundoff at desk scale.
     """
+    h = _SIGMA1_RATE_STEP
     vel = m.velocity
     plus = _shifted(m, vel, h).split
     minus = _shifted(m, vel, -h).split

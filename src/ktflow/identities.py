@@ -4,12 +4,15 @@ coframe calculus, the splitting, the Lee form and the Bismut curvature.
 IDENTITIES lists the items in output order as (name, bound, families,
 residual), the bound a number or a function of the resolution n.  An item's
 value is its largest residual over the contexts of its families: "grid"
-(once), "forms" (8 pairs of random forms), and stacks of four states of
-"general" (every field varies), "lam_const", "constant" (constant
-coefficients), "csc_seed" and "noncsc_seed" (the two seed families).  A
-stack goes through the calculus as one state, so its residual is bitwise
-the largest of its states'.  Each identity is checked along a route other
-than the one the package computes it by.
+(once), "forms" (a pair of random forms for each of 9 pairs of degrees),
+and stacks of four states of "general" (every field varies), "lam_const",
+"constant" (constant coefficients), "csc_seed" and "noncsc_seed" (the two
+seed families).  A stack goes through the calculus as one state, so its
+residual is bitwise the largest of its states'.  Each identity is checked
+along a route other than the one the package computes it by.  The random
+states draw from random.Random(seed) and the forms from a stream of their
+own; the interpreter has loaded random before numpy, so a suite run never
+imports numpy.random.
 """
 
 from __future__ import annotations
@@ -46,60 +49,22 @@ class BatteryItem:
                 "bound": self.bound, "ok": self.ok}
 
 
-class _BatteryDraws:
-    """The numpy Generator calls the battery makes, over random.Random(seed).
-
-    normal(size=None) gives one standard normal, or an array of the shape
-    size; random() a uniform float in [0, 1); integers(low, high) an int in
-    [low, high).  The interpreter has loaded random before numpy, so a
-    suite run never imports numpy.random.
-    """
-
-    __slots__ = ("_rng",)
-
-    def __init__(self, seed):
-        self._rng = random.Random(seed)
-
-    def normal(self, size=None):
-        """One gauss() draw, or an array by Box-Muller in one randbytes call.
-
-        Each pair of 53-bit uniforms gives two normals in turn, so a call of
-        size 2k draws what k calls of size 2 draw.
-        """
-        if size is None:
-            return self._rng.gauss(0.0, 1.0)
-        count = size if isinstance(size, int) else math.prod(size)
-        pairs = (count + 1) // 2
-        bits = np.frombuffer(self._rng.randbytes(16 * pairs), dtype="<u8")
-        uniform = (bits >> 11) * 2.0 ** -53
-        radius = np.sqrt(-2.0 * np.log1p(-uniform[0::2]))
-        angle = 2.0 * math.pi * uniform[1::2]
-        normals = np.empty((pairs, 2))
-        np.multiply(radius, np.cos(angle), out=normals[:, 0])
-        np.multiply(radius, np.sin(angle), out=normals[:, 1])
-        return normals.ravel()[:count].reshape(size)
-
-    def random(self):
-        return self._rng.random()
-
-    def integers(self, low, high):
-        return self._rng.randrange(low, high)
-
-
 # states per stack in the battery.  Against stacks of 2, the CPU of a suite run
-# (fresh processes, 50 samples, two runs of 16 rounds) reads at n = 16, 32, 64:
+# (fresh processes, 50 samples, two runs of 16 rounds, measured on the former
+# draws through numpy-like calls) reads at n = 16, 32, 64:
 # 3 states 0.78-0.83, 0.92-0.93, 0.97-0.98; 4 states 0.73-0.76, 0.84-0.92,
 # 0.93-0.94; 5 states 0.64-0.70, 0.90-0.96, 0.99; 8 states 0.62-0.67,
 # 0.87-0.92, 0.99-1.00.  Past 4 at n = 32 the heap starts trimming (minor
 # faults 280-360 at 2, 850-1,630 at 4, 6,500-8,000 at 5) and the gain falls
-# away, so 4 is the best fixed size from n = 16 to 64.  The tracemalloc peak at
-# (32, 50) is 1.66, 2.10, 2.75, 3.34 and 4.65 MiB at 2, 3, 4, 5 and 8 states.
+# away, so 4 is the best fixed size from n = 16 to 64.  The tracemalloc peak of
+# identity_battery(32, 50, 21) is 1.65, 2.10, 2.75, 3.34 and 4.65 MiB at 2, 3,
+# 4, 5 and 8 states (re-measured on the rng.random() draws).
 _BATTERY_STACK = 4
 
 
 def _battery_fields(grid, samples, seed):
     """(family, (u, lam, p, q)) of each state: random states in draw order, then the seeds."""
-    rng = _BatteryDraws(seed)
+    rng = random.Random(seed)
     for _ in range(samples):
         u = 1.0 + 0.3 * random_band_limited(grid, rng)
         lam = 1.0 + 0.3 * random_band_limited(grid, rng)
@@ -108,8 +73,8 @@ def _battery_fields(grid, samples, seed):
         yield "general", (u, lam, p, q)
         yield "lam_const", (u, grid.constant(1.0 + 0.5 * rng.random()), p, q)
     for _ in range(max(4, samples // 8)):
-        u0 = math.exp(0.5 * rng.normal())
-        lam0 = math.exp(0.5 * rng.normal())
+        u0 = math.exp(0.5 * rng.gauss(0.0, 1.0))
+        lam0 = math.exp(0.5 * rng.gauss(0.0, 1.0))
         r = 0.8 * math.sqrt(u0 * lam0) * rng.random()
         ang = 2.0 * math.pi * rng.random()
         yield "constant", tuple(map(grid.constant, (u0, lam0, r * math.cos(ang),
@@ -144,18 +109,27 @@ def _battery_states(grid, samples, seed):
 
 _Pair = collections.namedtuple("_Pair", "a b")
 
+# the degrees (deg a, deg b) of the form pairs: every pair with d d a and
+# d(a ^ b) defined, deg a <= 2 and deg a + deg b <= 3, so that each
+# hygiene item sees every degree it can, whatever the draws
+_FORM_DEGREES = tuple((p, q) for p in range(3) for q in range(4 - p))
+
 
 def _calculus_contexts(grid, seed):
-    """("grid", grid), then ("forms", (a, b)) for 8 pairs from _BatteryDraws(seed + 1)."""
+    """("grid", grid), then ("forms", (a, b)) of random forms for each of _FORM_DEGREES.
+
+    They draw from random.Random(f"forms {seed}"), which seeds with the
+    string's bytes and their SHA-512, an integer of over 500 bits that no
+    practical state seed equals, so adjacent seeds' suites share no draws.
+    """
     yield "grid", grid
-    rng = _BatteryDraws(seed + 1)
+    rng = random.Random(f"forms {seed}")
     # products of two forms reach mode 2 kmax, kept below the Nyquist mode n/2
     # whose derivative symbols are zero: kmax 1 at n = 8, 2 from n = 16
     kmax = min(2, (grid.n // 2 - 1) // 2)
-    for _ in range(8):
-        a = random_form(grid, rng, int(rng.integers(0, 3)), kmax=kmax)
-        b = random_form(grid, rng, int(rng.integers(0, 4 - a.degree)), kmax=kmax)
-        yield "forms", _Pair(a, b)
+    for p, q in _FORM_DEGREES:
+        a = random_form(grid, rng, p, kmax=kmax)
+        yield "forms", _Pair(a, random_form(grid, rng, q, kmax=kmax))
 
 
 class _Stack:
@@ -240,14 +214,16 @@ IDENTITIES = (
                              + s.m.split.mu1 * (-s.m.lam * s.m.split.sigma2))).max_abs()),
     # |theta|^2 = lam (sigma1^2 + sigma2^2) on lam-constant states: theta and sigma are
     # first derivatives, and on the lam_const family the rounding gap grows about as n
-    # (the constant family stays near 1.4e-14), worst over seeds 0-99 2.8e-14, 3.2e-14,
-    # 7.5e-14, 1.7e-13, 4.4e-13, 1.1e-12 at n = 8..256; capped at the former fixed 1e-10
+    # (the constant family stays near 1.4e-14), worst over seeds 0-99 (50 samples)
+    # 2.8e-14, 3.2e-14, 7.5e-14, 1.6e-13, 4.0e-13, 9.9e-13 at n = 8..256, 16 to 30
+    # times below the bound; capped at the former fixed 1e-10
     ("lee norm identity", lambda n: min(6e-14 * n, 1e-10), _LAM_CONSTANT,
      lambda s: _peak(inner_1forms(s.m, s.m.theta, s.m.theta)
                      - s.m.lam * (s.m.split.sigma1 ** 2 + s.m.split.sigma2 ** 2))),
     # d H = -(lam_xx + lam_yy) e1^e2^e3^e4 for the torsion H = -J d omega, against
     # m.lam_laplacian: on |d H| up to about 80 the rounding gap grows about linearly
-    # in n, worst over seeds 0-99 5.7e-14, 1.3e-13, 3.1e-13, 7.2e-13, 1.5e-12 at n = 16..256
+    # in n, worst over seeds 0-99 (50 samples) 5.0e-14, 7.1e-14, 1.4e-13, 2.8e-13,
+    # 7.0e-13, 1.6e-12 at n = 8..256, at most 0.31 of the bound
     ("torsion closure", lambda n: 2e-14 * n, ("general",),
      lambda s: _peak(exterior_d(-1.0 * apply_J(s.d_omega)).coeffs[0] + s.m.lam_laplacian)),
     ("potential identity", 1e-12, ("constant", "csc_seed"), lambda s: potential_residual(s.m)),

@@ -546,46 +546,48 @@ def _band_table(kmax):
             np.concatenate((ky[upper], -ky[lower])), upper, lower)
 
 
-def random_band_limited(grid, rng, kmax=2, amplitude=1.0, zero_mean=False):
-    """Random smooth field from modes up to kmax per axis, scaled to max-abs.
+def random_band_limited(grid, rng, kmax=2):
+    """Random smooth field from modes up to kmax per axis, scaled to max-abs 1.
 
     The field is sum c cos(phase) + s sin(phase), phase = 2 pi (kx x + ky y),
     over kx = 0..kmax, ky = -kmax..kmax without the pairs kx = 0, ky <= 0,
-    plus a normal mean unless zero_mean.  Each mode draws (c, s) from the
-    generator in that loop order, then the mean is drawn; the sum is one
-    irfft2 of a half-spectrum holding n^2/2 (c - i s) at (kx, ky) for
-    ky >= 0 and its conjugate at (-kx, -ky) for ky <= 0 (both halves of the
-    ky = 0 column).  rng needs one method, normal(size=None), giving a
-    standard normal, or an array of them of shape size, as a numpy
-    Generator does.  Deterministic given the generator state; used by the
-    identity battery (whose draws come from random.Random) and the
-    randomized tests.
+    plus a normal mean.  Each mode in that loop order, and then the mean,
+    takes a pair of uniforms (u1, u2) from rng.random() and turns it by
+    Box-Muller into (c, s) = r (cos, sin)(2 pi u2), r = sqrt(-2 log(1 - u1));
+    the mean is the pair's c.  So rng needs one method, random(), which
+    random.Random and numpy Generators both have, and a field takes 2 (m + 1)
+    draws for its m modes (26 at kmax = 2).  The sum is one irfft2 of a
+    half-spectrum holding n^2/2 (c - i s) at (kx, ky) for ky >= 0 and its
+    conjugate at (-kx, -ky) for ky <= 0 (both halves of the ky = 0 column).
+    Deterministic given the generator state; used by the identity battery
+    and the randomized tests.
     """
     n = grid.n
     if not 0 <= 2 * kmax < n:
         raise GridError(f"kmax = {kmax} needs 0 <= 2 kmax < n = {n}")
     rows, cols, upper, lower = _band_table(kmax)
-    # one call yields the same numbers, in the same order, as one per mode
-    c, s = rng.normal(size=(upper.size, 2)).T
-    coef = 0.5 * n * n * (c - 1j * s)
+    uniform = np.array([rng.random() for _ in range(2 * upper.size + 2)])
+    radius = np.sqrt(-2.0 * np.log1p(-uniform[0::2]))
+    angle = 2.0 * math.pi * uniform[1::2]
+    c, s = radius * np.cos(angle), radius * np.sin(angle)
+    coef = 0.5 * n * n * (c[:-1] - 1j * s[:-1])
     spec = np.zeros((n, n // 2 + 1), dtype=complex)
     spec[rows, cols] = np.concatenate((coef[upper], coef[lower].conj()))
     field = grid._inverse(spec)
-    if not zero_mean:
-        field += rng.normal()
+    field += c[-1]
     peak = np.max(np.abs(field))
     if peak > 0:
-        field *= amplitude / peak
+        field /= peak
     return field
 
 
-def random_form(grid, rng, degree, kmax=2, amplitude=1.0):
+def random_form(grid, rng, degree, kmax=2):
     """Random band-limited invariant form of the given degree.
 
-    Each coefficient is one random_band_limited field, so rng needs only
-    normal(size=None) as there.
+    Each coefficient is one random_band_limited field, drawn in coefficient
+    order, so rng needs only random() as there.
     """
     out = InvariantForm(grid, degree)
     for i in range(NCOMP[degree]):
-        out.coeffs[i] = random_band_limited(grid, rng, kmax=kmax, amplitude=amplitude)
+        out.coeffs[i] = random_band_limited(grid, rng, kmax=kmax)
     return out

@@ -15,6 +15,7 @@ sigma_2 = 0 by a spectral Hodge solve, not approximately).
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,17 +102,19 @@ def make_noncsc_vaisman(grid, eps, mode=(1, 1)):
     pair of it with the symbols -ik_y inv_lap and ik_x inv_lap.  The
     remaining coefficient is then forced: u = w + a^2 + b^2, which keeps
     u lam - p^2 - q^2 = w exactly, so positivity needs |eps| < 1.  The
-    stricter |eps| < 1/2 bound leaves a uniform margin of 1/2.  The grid
-    must resolve the mode: 2 max(kx, ky) < n.
+    stricter |eps| < 1/2 bound leaves a uniform margin of 1/2.  The mode
+    is two integers >= 1 (a float or bool entry is rejected, not
+    truncated), and the grid must resolve it: 2 max(kx, ky) < n.
 
     For eps = 0 every correction vanishes identically and the output equals
     make_standard_vaisman(grid, 1.0) bit for bit.
     """
     if not abs(eps) < 0.5:
         raise PositivityError(f"|eps| must be < 1/2, got {eps}")
-    kx, ky = (int(k) for k in mode)
-    if kx < 1 or ky < 1:
-        raise ValueError(f"mode integers must be >= 1, got {mode}")
+    integral = (isinstance(k, numbers.Integral) and not isinstance(k, bool) for k in mode)
+    if len(mode) != 2 or not all(integral) or min(mode) < 1:
+        raise ValueError(f"mode must be two integers >= 1, got {mode!r}")
+    kx, ky = map(int, mode)
     if not 2 * max(kx, ky) < grid.n:
         raise GridError(f"mode {(kx, ky)} needs 2 max(mode) < n = {grid.n}")
     two_pi = 2.0 * np.pi

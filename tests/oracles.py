@@ -20,7 +20,9 @@ alpha = J (theta - (1/2) d log(u lam - p^2 - q^2)) in closed form from
 
 * direct_band_limited: the random fields of random_band_limited as a
   direct sum of cos/sin grid fields, one mode at a time, with the same
-  generator draws; the package synthesizes the same sum with one irfft2.
+  rng.random() draws, each pair made a normal pair by Box-Muller in scalar
+  math; the package makes all the pairs at once with numpy and synthesizes
+  the same sum with one irfft2.
 
 * rfft2_derivative, rfft2_d11, rfft2_shift and rfft2_band_limited: the
   spectral operations of BaseGrid, make_noncsc_vaisman's shift and
@@ -104,14 +106,14 @@ alpha = J (theta - (1/2) d log(u lam - p^2 - q^2)) in closed form from
 
 import itertools
 import math
+import random
 
 import numpy as np
 
 from ktflow.flow_engine import step
 from ktflow.hermitian_geometry import (_LEE_TERMS, CurvaturePackage, MetricState,
                                        bismut_torsion, flow_velocity, inner_1forms)
-from ktflow.identities import (IDENTITIES, BatteryItem, _BatteryDraws, _calculus_contexts,
-                               _maxima)
+from ktflow.identities import IDENTITIES, BatteryItem, _calculus_contexts, _maxima
 from ktflow.invariant_forms import (INDEX_POS, MULTI_INDEX, STRUCTURE_INDEX,
                                     STRUCTURE_PAIR, STRUCTURE_SIGN, V1, V2, BaseGrid,
                                     InvariantForm, _merge, apply_J, base_integral,
@@ -198,8 +200,17 @@ def wedge_lee_form(m):
     return InvariantForm(m.grid, 1, theta / _determinant(m))
 
 
-def direct_band_limited(grid, rng, kmax=2, amplitude=1.0, zero_mean=False):
-    """random_band_limited by summing each mode's cos/sin field on the grid."""
+def direct_band_limited(grid, rng, kmax=2):
+    """random_band_limited by summing each mode's cos/sin field on the grid.
+
+    Each mode's (c, s), and then the mean, come from two rng.random() calls
+    by Box-Muller in scalar math, one pair at a time.
+    """
+    def normal_pair():
+        radius = math.sqrt(-2.0 * math.log1p(-rng.random()))
+        angle = 2.0 * math.pi * rng.random()
+        return radius * math.cos(angle), radius * math.sin(angle)
+
     field = np.zeros((grid.n, grid.n))
     two_pi = 2.0 * np.pi
     for kx in range(0, kmax + 1):
@@ -207,14 +218,10 @@ def direct_band_limited(grid, rng, kmax=2, amplitude=1.0, zero_mean=False):
             if kx == 0 and ky <= 0:
                 continue
             phase = two_pi * (kx * grid.xx + ky * grid.yy)
-            c, s = rng.normal(size=2)
+            c, s = normal_pair()
             field += c * np.cos(phase) + s * np.sin(phase)
-    if not zero_mean:
-        field += rng.normal()
-    peak = np.max(np.abs(field))
-    if peak > 0:
-        field *= amplitude / peak
-    return field
+    field += normal_pair()[0]
+    return field / np.max(np.abs(field))
 
 
 def rfft2_derivative(grid, values):
@@ -248,26 +255,24 @@ def two_pair_laplacian(grid, values):
     return xx + yy
 
 
-def rfft2_band_limited(grid, rng, kmax=2, amplitude=1.0, zero_mean=False):
+def rfft2_band_limited(grid, rng, kmax=2):
     """random_band_limited with its half-spectrum synthesized by np.fft.irfft2."""
     n = grid.n
     kx, ky = np.meshgrid(np.arange(kmax + 1), np.arange(-kmax, kmax + 1), indexing="ij")
     keep = (kx > 0) | (ky > 0)
     kx, ky = kx[keep], ky[keep]
-    c, s = rng.normal(size=(kx.size, 2)).T
-    coef = 0.5 * n * n * (c - 1j * s)
+    uniform = np.array([rng.random() for _ in range(2 * kx.size + 2)]).reshape(-1, 2)
+    radius = np.sqrt(-2.0 * np.log1p(-uniform[:, 0]))
+    angle = 2.0 * math.pi * uniform[:, 1]
+    c, s = radius * np.cos(angle), radius * np.sin(angle)
+    coef = 0.5 * n * n * (c[:-1] - 1j * s[:-1])
     upper, lower = ky >= 0, ky <= 0
     spec = np.zeros((n, n // 2 + 1), dtype=complex)
     spec[np.concatenate((kx[upper], -kx[lower])),
          np.concatenate((ky[upper], -ky[lower]))] = np.concatenate(
              (coef[upper], coef[lower].conj()))
-    field = np.fft.irfft2(spec, s=(n, n))
-    if not zero_mean:
-        field += rng.normal()
-    peak = np.max(np.abs(field))
-    if peak > 0:
-        field *= amplitude / peak
-    return field
+    field = np.fft.irfft2(spec, s=(n, n)) + c[-1]
+    return field / np.max(np.abs(field))
 
 
 def partials_exterior_d(alpha):
@@ -458,7 +463,7 @@ def coefficient_velocity(rhs):
 
 def _single_battery_states(grid, samples, seed):
     """(family, state) pairs of the identity battery, one state each, in draw order."""
-    rng = _BatteryDraws(seed)
+    rng = random.Random(seed)
     for _ in range(samples):
         u = 1.0 + 0.3 * random_band_limited(grid, rng)
         lam = 1.0 + 0.3 * random_band_limited(grid, rng)
@@ -467,8 +472,8 @@ def _single_battery_states(grid, samples, seed):
         yield "general", MetricState(grid, u, lam, p, q)
         yield "lam_const", MetricState(grid, u, 1.0 + 0.5 * rng.random(), p, q)
     for _ in range(max(4, samples // 8)):
-        u0 = math.exp(0.5 * rng.normal())
-        lam0 = math.exp(0.5 * rng.normal())
+        u0 = math.exp(0.5 * rng.gauss(0.0, 1.0))
+        lam0 = math.exp(0.5 * rng.gauss(0.0, 1.0))
         r = 0.8 * math.sqrt(u0 * lam0) * rng.random()
         ang = 2.0 * math.pi * rng.random()
         yield "constant", MetricState.constant(grid, u0, lam0,

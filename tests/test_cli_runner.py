@@ -3,11 +3,13 @@
 import io
 import itertools
 import json
+import math
 import os
 import pathlib
+import random
 import re
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -142,6 +144,33 @@ def test_config_rejects_non_integers(key, value):
         ExperimentConfig(**{key: value})
 
 
+@pytest.mark.parametrize("key", [f.name for f in fields(ExperimentConfig) if f.type == "float"])
+def test_config_rejects_non_finite_or_non_real_floats(key):
+    # each used to be accepted (u0 = nan, scale = inf, dt = True, ...), and
+    # then the echoed config did not parse back; preset = stationary_csc
+    # with scale = inf ran into a bare NonFiniteFieldError
+    for value in (math.nan, math.inf, -math.inf, True, "0.1", 0.1j, None):
+        with pytest.raises(ConfigError, match=rf"^{key} must be a finite real number"):
+            ExperimentConfig(**{key: value})
+
+
+def test_config_with_real_numbers_parses_back():
+    # numpy's float64 repr is "np.float64(0.5)", which parse_config cannot read
+    cfg = ExperimentConfig(preset="custom", u0=2, lam0=np.float64(0.5), scale=3,
+                           dt=np.float32(1e-4))
+    assert parse_config(serialize_config(cfg)) == cfg
+
+
+@pytest.mark.parametrize("mode", ((1,), (1, 1, 1), (), [1, 1]),
+                         ids=("one", "three", "empty", "list"))
+def test_config_rejects_a_mode_that_is_not_a_pair(mode):
+    # (1,) raised IndexError while run_experiment echoed the config,
+    # (1, 1, 1) a ValueError in the seed, and [1, 1] left the frozen config
+    # unhashable
+    with pytest.raises(ConfigError, match="mode must be a tuple of two integers"):
+        ExperimentConfig(mode=mode)
+
+
 def test_negative_seed_is_a_config_error(tmp_path, capsys):
     # random.Random seeds with |seed|, so -5 would draw the states of 5
     with pytest.raises(ConfigError, match="seed must be a non-negative integer, got -5"):
@@ -186,10 +215,10 @@ def test_identity_battery_transform_budget(transform_fields, transform_calls):
     # n x n fields through BaseGrid._forward / _inverse.  exterior_d of
     # degree 0..3 moves 1/2, 4/5, 5/4, 2/1; derivative of s fields s/2s;
     # random_band_limited 0/1.
-    #   hygiene: exactness 1/2 + structure equation 4/5 + 8 random pairs
-    #     of degrees (2, 0), (1, 2), (0, 2), (1, 1), (0, 1), (0, 1),
-    #     (0, 3), (2, 0) (d a twice, d d a, d(a^b), d b, one inverse per
-    #     drawn coefficient)                                       = 137/199
+    #   hygiene: exactness 1/2 + structure equation 4/5 + a random pair
+    #     for each of the 9 degree pairs (p, q), p <= 2 and p + q <= 3
+    #     (d a twice, d d a, d(a^b), d b: 144/153; one inverse per
+    #     drawn coefficient: 28 + 31 = 59)                         = 149/219
     #   state draws: 8 random fields, 2 noncsc seeds (the shift
     #     (-psi_y, psi_x) 1/2)                                     =   2/12
     #   every state: split 2/2 (curl and divergence of the shift)
@@ -210,24 +239,51 @@ def test_identity_battery_transform_budget(transform_fields, transform_calls):
     # from two wedges; 449/552 when each seed solved for psi 1/1 and then
     # differentiated it 1/2, 449/600 when the split and theta
     # inverse-transformed both partials of every field they differentiate,
-    # 502/1063 when exterior_d did too)
-    # Calls: the 12 states go through the state items in 5 stacks of up to
-    # four (general 2, lam_const 2, constant 4, csc 2 and noncsc 2), so 7
-    # states share another's calls, which saves 49 calls each way: 5 a
-    # state (split, theta, d mu1, d mu2, d omega) 7 x 5 = 35, 2 a general
-    # state 1 x 2, 1 a potential (3 constant, 1 csc) 4 x 1 and 4 a
-    # curvature (1 csc, 1 noncsc) 2 x 4.  The hygiene items and the draws
-    # are unchanged.  (130/192 state by state; 87/149 in stacks of two,
-    # which saved 43.)
+    # 502/1063 when exterior_d did too; 433/541 when the forms drew 8
+    # pairs of random degrees from random.Random(seed + 1), with hygiene
+    # 137/199 on (2, 0), (1, 2), (0, 2), (1, 1), (0, 1), (0, 1), (0, 3),
+    # (2, 0))
+    # Calls: hygiene 2/2 on the grid and 5/5 a form pair, 45/45, plus one
+    # inverse a drawn coefficient, 59, = 47/106.  The 12 states go through
+    # the state items in 5 stacks of up to four (general 2, lam_const 2,
+    # constant 4, csc 2 and noncsc 2), 39/47 with their draws, so 7 states
+    # share another's calls, which saves 49 calls each way: 5 a state
+    # (split, theta, d mu1, d mu2, d omega) 7 x 5 = 35, 2 a general state
+    # 1 x 2, 1 a potential (3 constant, 1 csc) 4 x 1 and 4 a curvature
+    # (1 csc, 1 noncsc) 2 x 4.  (135/202 state by state; 81/143 with the 8
+    # pairs of random degrees, hygiene 42/96.)
     items = identity_battery(n=16, samples=2, seed=5)
     assert all(item.ok for item in items)
-    assert transform_fields == [433, 541]
-    assert transform_calls == [81, 143]
+    assert transform_fields == [445, 561]
+    assert transform_calls == [86, 153]
+
+
+def test_adjacent_battery_seeds_draw_from_disjoint_streams(monkeypatch):
+    # the seeds the battery hands random.Random at seed s and at s + 1 share
+    # none; the forms drew from random.Random(s + 1), which is where the
+    # states of seed s + 1 come from
+    handed = []
+
+    class Recording(random.Random):
+        def __init__(self, seed=None):
+            handed.append(seed)
+            super().__init__(seed)
+
+    monkeypatch.setattr(identities.random, "Random", Recording)
+
+    def seeds(seed):
+        handed.clear()
+        identity_battery(n=8, samples=1, seed=seed)
+        return set(handed)
+
+    for seed in (0, 5, 2024):
+        this, after = seeds(seed), seeds(seed + 1)
+        assert this and after and not this & after, (this, after)
 
 
 def test_identity_battery_memory_peak():
     # tracemalloc peak of one battery after a warm-up call, by states per
-    # stack: 1.66, 2.10, 2.75, 3.34 and 4.65 MiB at 2, 3, 4, 5 and 8; a
+    # stack: 1.65, 2.10, 2.75, 3.34 and 4.65 MiB at 2, 3, 4, 5 and 8; a
     # larger stack has to show that its memory is worth its time
     identity_battery(32, 50, 21)
     tracemalloc.start()
@@ -433,14 +489,18 @@ WAIVERS = {}
 @pytest.mark.parametrize("mutate, name", ITEM_MUTATIONS)
 def test_identity_battery_item_can_fail(monkeypatch, mutate, name):
     # each mutation leaves the battery able to finish, and the named item
-    # fails by far (it reads 0.506, 168, 1, 4.23, 3.98, 4.45, 3.66, 17.4,
-    # 17.4 and 65.1; the d11 sign reaches "transverse ricci" through s =
+    # fails by far (it reads 0.506, 161, 1, 4.74, 5.28, 4.33, 4.46, 17.4,
+    # 17.4 and 70.6; the d11 sign reaches "transverse ricci" through s =
     # -d/dt log D and "ricci (1,1) velocity" through m.velocity, and the
     # Laplacian's sign "torsion closure" through m.lam_laplacian).  The
-    # table signs of the other eight read 12.6, 15.9, 2, 0.876, 2.99, 2,
-    # 13.1 and 0.825: the wedge pair reaches "state reassembly" through
+    # table signs of the other eight read 12.6, 19.7, 2, 1.53, 3.73, 2,
+    # 16.9 and 0.825: the wedge pair reaches "state reassembly" through
     # lam mu1^mu2, the Lee pass's B sign "lee norm identity" through theta,
-    # and J's sign "potential identity" through d J theta
+    # and J's sign "potential identity" through d J theta.  d's sign on
+    # 1-forms shows in "exterior nilpotency" only through d d of a 0-form,
+    # and the wedge pair's e3^e4 in "leibniz rule" only where a 1-form
+    # meets a 1-form with an e3 or e4 part, so the form pairs cover every
+    # pair of degrees (identities._FORM_DEGREES) rather than drawing them
     mutate(monkeypatch)
     items = {item.name: item for item in identity_battery(n=16, samples=2, seed=5)}
     item = items[name]

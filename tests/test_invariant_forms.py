@@ -1,4 +1,7 @@
+import math
+import random
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -7,7 +10,6 @@ from ktflow import vaisman_toolkit
 from ktflow.errors import (DegreeError, GridError, NonBasicFormError,
                            NonFiniteFieldError)
 from ktflow.hermitian_geometry import _LEE_TERMS
-from ktflow.identities import _BatteryDraws
 from ktflow.invariant_forms import (LAPLACIAN, BaseGrid, InvariantForm, V1, V2,
                                     apply_J, base_integral, basis_form, coframe,
                                     contract, exterior_d, p11_projection,
@@ -75,7 +77,8 @@ def test_derivative_rejects_nonfinite(grid8):
 def test_poisson_inverts_laplacian(grid32, rng):
     # the Laplacian table of the inverse-Laplacian table returns rhs, and the
     # inverse Laplacian's zero mode is 0
-    rhs = random_band_limited(grid32, rng, kmax=3, zero_mean=True)
+    rhs = random_band_limited(grid32, rng, kmax=3)
+    rhs -= np.mean(rhs)
     sol = grid32.partial_sums(rhs[None], (((0, 1.0, ("inv_lap",)),),))
     lap = grid32.partial_sums(sol, LAPLACIAN)[0]
     assert np.max(np.abs(lap - rhs)) < 1e-11
@@ -336,8 +339,8 @@ def test_integrals_are_per_state(grid16, rng):
 
 
 # the generators random fields are drawn from: numpy's, in the tests and
-# demos, and the identity battery's draws over random.Random
-GENERATORS = (np.random.default_rng, _BatteryDraws)
+# demos, and random.Random, in the identity battery
+GENERATORS = (np.random.default_rng, random.Random)
 
 
 def test_random_band_limited_determinism(grid16):
@@ -346,24 +349,45 @@ def test_random_band_limited_determinism(grid16):
         b = random_band_limited(grid16, generator(12))
         assert np.array_equal(a, b)
         assert np.max(np.abs(a)) == pytest.approx(1.0)
-        c = random_band_limited(grid16, generator(12), zero_mean=True)
-        assert abs(np.mean(c)) < 1e-13
 
 
-@pytest.mark.parametrize("zero_mean", (False, True))
+def test_random_fields_draw_only_random():
+    # the draw contract: rng needs one method, random(); a field of m modes
+    # takes 2 (m + 1) draws, 26 at kmax = 2 (12 modes and the mean's pair)
+    # and 10 at kmax = 1, and a form one field per coefficient in order
+    grid = BaseGrid(16)
+    for kmax, draws in ((1, 10), (2, 26)):
+        only_random = types.SimpleNamespace(random=random.Random(3).random)
+        full = random.Random(3)
+        assert np.array_equal(random_band_limited(grid, only_random, kmax=kmax),
+                              random_band_limited(grid, full, kmax=kmax))
+        counted = random.Random(3)
+        for _ in range(draws):
+            counted.random()
+        assert full.random() == counted.random() == only_random.random()
+    for degree in range(5):
+        only_random = types.SimpleNamespace(random=random.Random(3).random)
+        full = random.Random(3)
+        a = random_form(grid, only_random, degree)
+        assert np.array_equal(a.coeffs, random_form(grid, full, degree).coeffs)
+        assert a.coeffs.shape == (math.comb(4, degree), 16, 16)
+        assert only_random.random() == full.random()
+
+
+@pytest.mark.parametrize("numpy_generator", (False, True))
 @pytest.mark.parametrize("kmax", (1, 2, 3))
 @pytest.mark.parametrize("n", (8, 16, 32, 64, 128))
-def test_random_band_limited_matches_direct_sum(n, kmax, zero_mean):
+def test_random_band_limited_matches_direct_sum(n, kmax, numpy_generator):
     # same draws, same field to rounding, and the generator ends in the same
-    # state (its next draw is equal)
+    # state (its next draw is equal), from numpy's generator or random.Random
     grid = BaseGrid(n)
-    for generator in GENERATORS:
-        for seed in range(20):
-            rng_a, rng_b = generator(seed), generator(seed)
-            a = random_band_limited(grid, rng_a, kmax=kmax, zero_mean=zero_mean)
-            b = direct_band_limited(grid, rng_b, kmax=kmax, zero_mean=zero_mean)
-            assert np.max(np.abs(a - b)) < 1e-13
-            assert rng_a.normal() == rng_b.normal()
+    generator = GENERATORS[0] if numpy_generator else GENERATORS[1]
+    for seed in range(20):
+        rng_a, rng_b = generator(seed), generator(seed)
+        a = random_band_limited(grid, rng_a, kmax=kmax)
+        b = direct_band_limited(grid, rng_b, kmax=kmax)
+        assert np.max(np.abs(a - b)) < 1e-13
+        assert rng_a.random() == rng_b.random()
 
 
 def test_random_band_limited_rejects_unresolved_modes(grid8):
@@ -386,11 +410,9 @@ def test_spectral_operations_equal_nd_wrapper_forms(n):
     assert np.array_equal(grid.partial_sums(rhs[None], vaisman_toolkit._SHIFT_TERMS),
                           rfft2_shift(grid, rhs))
     for kmax in (0, 1, 3, n // 2 - 1):
-        for zero_mean in (False, True):
-            a = random_band_limited(grid, np.random.default_rng(kmax), kmax=kmax,
-                                    zero_mean=zero_mean)
-            b = rfft2_band_limited(grid, np.random.default_rng(kmax), kmax=kmax,
-                                   zero_mean=zero_mean)
+        for generator in GENERATORS:
+            a = random_band_limited(grid, generator(kmax), kmax=kmax)
+            b = rfft2_band_limited(grid, generator(kmax), kmax=kmax)
             assert np.array_equal(a, b)
 
 

@@ -505,6 +505,98 @@ def defined_later():
                                                         ("forms.py", 6, "Lonely")]
 
 
+# Defaulted parameters of public library functions that no call outside the
+# tests passes, each with the reason it stays.
+DEFAULT_WAIVERS = {
+    ("load_snapshot", "grid"): "checks a snapshot against the grid of the run that reads "
+                               "it; resuming a run (ROADMAP item 8) will pass it, as it "
+                               "will call load_snapshot, which is waived above",
+}
+
+
+def _defaulted(library):
+    """(module, line, function, position, parameter) of each defaulted parameter
+    of a public top-level function, position None for a keyword-only one."""
+    found = []
+    for module, tree in library.items():
+        for node in tree.body:
+            if (not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    or node.name.startswith("_")):
+                continue
+            positional = node.args.posonlyargs + node.args.args
+            first = len(positional) - len(node.args.defaults)
+            found += [(module, node.lineno, node.name, i, arg.arg)
+                      for i, arg in enumerate(positional) if i >= first]
+            found += [(module, node.lineno, node.name, None, arg.arg)
+                      for arg, default in zip(node.args.kwonlyargs, node.args.kw_defaults)
+                      if default is not None]
+    return found
+
+
+def _passes(call, position, parameter):
+    """Whether a call passes the parameter: by keyword, by position, or through
+    a *args or **kwargs whose contents the scan cannot see."""
+    if any(keyword.arg in (parameter, None) for keyword in call.keywords):
+        return True
+    if position is None:
+        return False
+    return (len(call.args) > position
+            or any(isinstance(arg, ast.Starred) for arg in call.args))
+
+
+def _unpassed_defaults(library, others):
+    """(module, line, function, parameter) of each defaulted parameter of a
+    public library function that no call in the library or in others passes;
+    a call names the function by name or attribute."""
+    calls = {}
+    for tree in list(library.values()) + list(others):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    return [(module, line, function, parameter)
+            for module, line, function, position, parameter in _defaulted(library)
+            if not any(_passes(call, position, parameter) for call in calls.get(function, ()))]
+
+
+def test_every_default_is_passed_or_waived():
+    # a default that no caller changes is a constant written as a parameter
+    outside = sorted((ROOT / "demos").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+    others = [ast.parse(path.read_text(), filename=str(path)) for path in outside]
+    unpassed = _unpassed_defaults(dict(_sources()), others)
+    stray = [f"{module}:{line} {function}'s {parameter} is never passed outside the tests"
+             for module, line, function, parameter in unpassed
+             if (function, parameter) not in DEFAULT_WAIVERS]
+    assert not stray, stray
+    assert sorted((f, p) for _, _, f, p in unpassed) == sorted(DEFAULT_WAIVERS), "stale waiver"
+
+
+def test_default_scan_sees_keywords_positions_and_unpacking():
+    library = {"forms.py": ast.parse("""
+def by_keyword(a, kmax=2):
+    return by_position(a, 3) + by_keyword(a, kmax=1)
+def by_position(a, b=1, c=2):
+    return starred(*a) + double_starred(**a)
+def starred(a, b=1, *, c=2):
+    pass
+def double_starred(a, *, b=1):
+    pass
+def never(a, h=1e-5):
+    return x.keyword_only(a)
+def keyword_only(a, *, tol=1e-8):
+    pass
+def _private(a, b=1):
+    pass
+class Grid:
+    def method(self, b=1):
+        pass
+""")}
+    others = [ast.parse("x.keyword_only(1, 2)\n")]
+    assert _unpassed_defaults(library, others) == [
+        ("forms.py", 4, "by_position", "c"), ("forms.py", 6, "starred", "c"),
+        ("forms.py", 10, "never", "h"), ("forms.py", 12, "keyword_only", "tol")]
+
+
 def _bad_field(grid):
     bad = np.ones((grid.n, grid.n))
     bad[1, 2] = np.nan

@@ -87,6 +87,14 @@ def test_noncsc_seed_modes_and_bounds(grid32):
             make_noncsc_vaisman(grid32, bad)
 
 
+@pytest.mark.parametrize("mode", ((1.5, 1), (True, 1), (1, 1.0), (1,), (1, 1, 1)),
+                         ids=("fraction", "bool", "integral-float", "one", "three"))
+def test_noncsc_seed_rejects_a_mode_that_is_not_two_integers(grid16, mode):
+    # int(k) built (1.5, 1), (True, 1) and (1, 1.0) as the (1, 1) seed
+    with pytest.raises(ValueError, match="mode must be two integers"):
+        make_noncsc_vaisman(grid16, 0.1, mode)
+
+
 def test_noncsc_eps_zero_matches_standard_bitwise(grid16):
     a = make_noncsc_vaisman(grid16, 0.0)
     b = make_standard_vaisman(grid16, 1.0)
