@@ -80,18 +80,18 @@ class FlowConfig:
     exit_threshold: float = 1e-9    # defect level defining the exit time
 
     def __post_init__(self):
-        if not self.dt > 0:
-            raise ConfigError(f"dt must be positive, got {self.dt}")
-        if not self.t_end > 0:
-            raise ConfigError(f"t_end must be positive, got {self.t_end}")
+        for name in ("dt", "t_end", "vaisman_tol", "variance_tol", "exit_threshold"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ConfigError(f"{name} must be a real number, got {value!r}")
+            if not 0 < value < np.inf:
+                raise ConfigError(f"{name} must be {'finite' if value > 0 else 'positive'},"
+                                  f" got {value}")
         if not (0.0 < self.cfl_safety <= 0.5):
             raise ConfigError(f"cfl_safety must lie in (0, 0.5], got {self.cfl_safety}")
         every = self.record_every
         if isinstance(every, bool) or not isinstance(every, numbers.Integral) or every < 1:
             raise ConfigError(f"record_every must be an integer >= 1, got {every!r}")
-        for name in ("vaisman_tol", "variance_tol", "exit_threshold"):
-            if not getattr(self, name) > 0:
-                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
 
     def steps(self):
         """Number of steps; t_end must be a whole number of them to 1e-9 relative."""

@@ -12,7 +12,8 @@ residual is bitwise the largest of its states'.  Each identity is checked
 along a route other than the one the package computes it by.  The random
 states draw from random.Random(seed) and the forms from a stream of their
 own; the interpreter has loaded random before numpy, so a suite run never
-imports numpy.random.
+imports numpy.random.  A sample's four fields, and a form's coefficients,
+come from one random_band_limited call, one synthesis transform.
 """
 
 from __future__ import annotations
@@ -57,54 +58,48 @@ class BatteryItem:
 # 0.87-0.92, 0.99-1.00.  Past 4 at n = 32 the heap starts trimming (minor
 # faults 280-360 at 2, 850-1,630 at 4, 6,500-8,000 at 5) and the gain falls
 # away, so 4 is the best fixed size from n = 16 to 64.  The tracemalloc peak of
-# identity_battery(32, 50, 21) is 1.65, 2.10, 2.75, 3.34 and 4.65 MiB at 2, 3,
-# 4, 5 and 8 states (re-measured on the rng.random() draws).
+# identity_battery(32, 50, 21) is 1.72, 2.09, 2.74, 3.48 and 4.88 MiB at 2, 3,
+# 4, 5 and 8 states (re-measured with one synthesis transform a sample).
 _BATTERY_STACK = 4
-
-
-def _battery_fields(grid, samples, seed):
-    """(family, (u, lam, p, q)) of each state: random states in draw order, then the seeds."""
-    rng = random.Random(seed)
-    for _ in range(samples):
-        u = 1.0 + 0.3 * random_band_limited(grid, rng)
-        lam = 1.0 + 0.3 * random_band_limited(grid, rng)
-        p = 0.2 * random_band_limited(grid, rng)
-        q = 0.2 * random_band_limited(grid, rng)
-        yield "general", (u, lam, p, q)
-        yield "lam_const", (u, grid.constant(1.0 + 0.5 * rng.random()), p, q)
-    for _ in range(max(4, samples // 8)):
-        u0 = math.exp(0.5 * rng.gauss(0.0, 1.0))
-        lam0 = math.exp(0.5 * rng.gauss(0.0, 1.0))
-        r = 0.8 * math.sqrt(u0 * lam0) * rng.random()
-        ang = 2.0 * math.pi * rng.random()
-        yield "constant", tuple(map(grid.constant, (u0, lam0, r * math.cos(ang),
-                                                    r * math.sin(ang))))
-    seeds = [("csc_seed", make_standard_vaisman(grid, scale)) for scale in (1.0, 2.0)]
-    seeds += [("noncsc_seed", make_noncsc_vaisman(grid, 0.1, mode)) for mode in ((1, 1), (2, 1))]
-    for family, m in seeds:
-        yield family, (m.u, m.lam, m.p, m.q)
 
 
 def _battery_states(grid, samples, seed):
     """(family, state) pairs, each state a stack of up to _BATTERY_STACK = 4 states.
 
-    A family's states from _battery_fields are stacked in draw order, four
-    at a time, and a family whose count is not a multiple of four ends on
-    a stack of the 1 to 3 states left, so the battery makes about a
-    quarter of the state calls it would make state by state.
+    random.Random(seed) draws in the order of the state-by-state loop: per
+    sample one random_band_limited call of four fields, the u, lam, p and q
+    of a "general" state, then the lam of its "lam_const" twin; then the
+    "constant" states, as (size, 1, 1) values that MetricState broadcasts,
+    since a field stack kept here would add to the memory peak they set.
+    Each family is stacked in draw order, four at a time, the last stack
+    holding the 1 to 4 states left: about a quarter of the state calls of
+    the state-by-state loop, and one synthesis transform a sample.
     """
-    pending = {}
-
-    def stacked(family):
-        fields = zip(*pending.pop(family))
-        return family, MetricState(grid, *map(np.stack, fields))
-
-    for family, fields in _battery_fields(grid, samples, seed):
-        pending.setdefault(family, []).append(fields)
-        if len(pending[family]) == _BATTERY_STACK:
-            yield stacked(family)
-    while pending:
-        yield stacked(next(iter(pending)))
+    rng = random.Random(seed)
+    for start in range(0, samples, _BATTERY_STACK):
+        u, lam, p, q = grid.zeros(4, min(_BATTERY_STACK, samples - start))
+        lam_const = []
+        for i in range(len(u)):
+            fields = random_band_limited(grid, rng, lead=(4,))
+            u[i], lam[i] = 1.0 + 0.3 * fields[:2]
+            p[i], q[i] = 0.2 * fields[2:]
+            lam_const.append(1.0 + 0.5 * rng.random())
+        yield "general", MetricState(grid, u, lam, p, q)
+        yield "lam_const", MetricState(grid, u, np.array(lam_const)[:, None, None], p, q)
+    constant = max(4, samples // 8)
+    for start in range(0, constant, _BATTERY_STACK):
+        values = []
+        for _ in range(min(_BATTERY_STACK, constant - start)):
+            u0 = math.exp(0.5 * rng.gauss(0.0, 1.0))
+            lam0 = math.exp(0.5 * rng.gauss(0.0, 1.0))
+            r = 0.8 * math.sqrt(u0 * lam0) * rng.random()
+            ang = 2.0 * math.pi * rng.random()
+            values.append((u0, lam0, r * math.cos(ang), r * math.sin(ang)))
+        yield "constant", MetricState(grid, *np.array(values).T[..., None, None])
+    seeds = {"csc_seed": [make_standard_vaisman(grid, scale) for scale in (1.0, 2.0)],
+             "noncsc_seed": [make_noncsc_vaisman(grid, 0.1, mode) for mode in ((1, 1), (2, 1))]}
+    for family, ms in seeds.items():
+        yield family, MetricState(grid, *np.stack([(m.u, m.lam, m.p, m.q) for m in ms], 1))
 
 
 _Pair = collections.namedtuple("_Pair", "a b")

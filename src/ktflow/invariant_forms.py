@@ -29,11 +29,13 @@ the d(e3) part of d apply (i_in, sign, i_out) tables through _apply.
 
 Shapes: a field is (*stack, n, n) and a degree-k form's coefficients are
 (C(4, k), *stack, n, n), where the stack axes, if any, hold independent
-states.  Only the input constructors (BaseGrid.zeros and constant,
-random_band_limited) build a single (n, n) field; every operation
-allocates from its operands' shapes, so a stack of states goes through
-each call as one, and each slice of the result is bitwise the result of
-its state alone.  max_abs is a maximum over the stack, and
+states.  Only the input constructors spell out the (n, n) shape:
+BaseGrid.constant builds one field, and BaseGrid.zeros and
+random_band_limited take a leading shape (the latter draws its fields
+one after another and synthesizes them with one transform).  Every
+operation allocates from its operands' shapes, so a stack of states goes
+through each call as one, and each slice of the result is bitwise the
+result of its state alone.  max_abs is a maximum over the stack, and
 BaseGrid.integral integrates each state.  Forms enter the calculus through
 InvariantForm(grid, k, coeffs), basis_form (coframe is its degree-1 case)
 and random_form.
@@ -546,48 +548,51 @@ def _band_table(kmax):
             np.concatenate((ky[upper], -ky[lower])), upper, lower)
 
 
-def random_band_limited(grid, rng, kmax=2):
-    """Random smooth field from modes up to kmax per axis, scaled to max-abs 1.
+def random_band_limited(grid, rng, kmax=2, lead=()):
+    """Random smooth fields (*lead, n, n), lead a tuple, of modes up to kmax per axis.
 
-    The field is sum c cos(phase) + s sin(phase), phase = 2 pi (kx x + ky y),
+    A field is sum c cos(phase) + s sin(phase), phase = 2 pi (kx x + ky y),
     over kx = 0..kmax, ky = -kmax..kmax without the pairs kx = 0, ky <= 0,
-    plus a normal mean.  Each mode in that loop order, and then the mean,
-    takes a pair of uniforms (u1, u2) from rng.random() and turns it by
-    Box-Muller into (c, s) = r (cos, sin)(2 pi u2), r = sqrt(-2 log(1 - u1));
-    the mean is the pair's c.  So rng needs one method, random(), which
-    random.Random and numpy Generators both have, and a field takes 2 (m + 1)
-    draws for its m modes (26 at kmax = 2).  The sum is one irfft2 of a
-    half-spectrum holding n^2/2 (c - i s) at (kx, ky) for ky >= 0 and its
-    conjugate at (-kx, -ky) for ky <= 0 (both halves of the ky = 0 column).
+    plus a normal mean, scaled to max-abs 1.  Each mode in that loop order,
+    and then the mean, takes a pair of uniforms (u1, u2) from rng.random()
+    and turns it by Box-Muller into (c, s) = r (cos, sin)(2 pi u2),
+    r = sqrt(-2 log(1 - u1)); the mean is the pair's c.  So rng needs one
+    method, random(), which random.Random and numpy Generators both have,
+    and a field takes 2 (m + 1) draws for its m modes (26 at kmax = 2), the
+    fields one after another in C order of lead.  One irfft2 sums them all,
+    of half-spectra holding n^2/2 (c - i s) at (kx, ky) for ky >= 0 and its
+    conjugate at (-kx, -ky) for ky <= 0 (both halves of the ky = 0 column),
+    so each field is bitwise the one-field call's on its draws.
     Deterministic given the generator state; used by the identity battery
     and the randomized tests.
     """
     n = grid.n
+    if isinstance(kmax, bool) or not isinstance(kmax, numbers.Integral):
+        raise GridError(f"kmax must be an integer, got {kmax!r}")
     if not 0 <= 2 * kmax < n:
         raise GridError(f"kmax = {kmax} needs 0 <= 2 kmax < n = {n}")
-    rows, cols, upper, lower = _band_table(kmax)
-    uniform = np.array([rng.random() for _ in range(2 * upper.size + 2)])
-    radius = np.sqrt(-2.0 * np.log1p(-uniform[0::2]))
-    angle = 2.0 * math.pi * uniform[1::2]
+    rows, cols, upper, lower = _band_table(int(kmax))
+    draws = (2 * upper.size + 2) * math.prod(lead)
+    uniform = np.array([rng.random() for _ in range(draws)]).reshape(lead + (-1,))
+    radius = np.sqrt(-2.0 * np.log1p(-uniform[..., 0::2]))
+    angle = 2.0 * math.pi * uniform[..., 1::2]
     c, s = radius * np.cos(angle), radius * np.sin(angle)
-    coef = 0.5 * n * n * (c[:-1] - 1j * s[:-1])
-    spec = np.zeros((n, n // 2 + 1), dtype=complex)
-    spec[rows, cols] = np.concatenate((coef[upper], coef[lower].conj()))
-    field = grid._inverse(spec)
-    field += c[-1]
-    peak = np.max(np.abs(field))
-    if peak > 0:
-        field /= peak
-    return field
+    coef = 0.5 * n * n * (c[..., :-1] - 1j * s[..., :-1])
+    spec = np.zeros(lead + (n, n // 2 + 1), dtype=complex)
+    spec[..., rows, cols] = np.concatenate((coef[..., upper], coef[..., lower].conj()), axis=-1)
+    fields = grid._inverse(spec)
+    fields += c[..., -1:, None]
+    peak = np.max(np.abs(fields), axis=(-2, -1), keepdims=True)
+    return np.divide(fields, peak, out=fields, where=peak > 0)
 
 
 def random_form(grid, rng, degree, kmax=2):
     """Random band-limited invariant form of the given degree.
 
-    Each coefficient is one random_band_limited field, drawn in coefficient
-    order, so rng needs only random() as there.
+    Its coefficients are one random_band_limited call with lead (C(4, k),),
+    drawn in coefficient order, so rng needs only random() as there.
     """
-    out = InvariantForm(grid, degree)
-    for i in range(NCOMP[degree]):
-        out.coeffs[i] = random_band_limited(grid, rng, kmax=kmax)
-    return out
+    if degree not in MULTI_INDEX:
+        raise DegreeError(f"form degree must be in 0..4, got {degree}")
+    return InvariantForm._trusted(grid, int(degree),
+                                  random_band_limited(grid, rng, kmax, (NCOMP[degree],)))

@@ -106,8 +106,8 @@ def make_noncsc_vaisman(grid, eps, mode=(1, 1)):
     is two integers >= 1 (a float or bool entry is rejected, not
     truncated), and the grid must resolve it: 2 max(kx, ky) < n.
 
-    For eps = 0 every correction vanishes identically and the output equals
-    make_standard_vaisman(grid, 1.0) bit for bit.
+    For eps = 0 every correction vanishes and the output equals
+    make_standard_vaisman(grid, 1.0), though q holds one -0.0 for a 0.0.
     """
     if not abs(eps) < 0.5:
         raise PositivityError(f"|eps| must be < 1/2, got {eps}")

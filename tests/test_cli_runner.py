@@ -1,5 +1,6 @@
 """Config grammar, identity battery, emission formats, exit codes."""
 
+import collections
 import io
 import itertools
 import json
@@ -30,7 +31,7 @@ from ktflow.identities import identity_battery
 from ktflow.invariant_forms import CONVENTIONS_VERSION, BaseGrid, InvariantForm
 from ktflow.vaisman_toolkit import make_noncsc_vaisman, make_standard_vaisman
 
-from oracles import per_state_battery
+from oracles import _single_battery_states, per_state_battery
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -214,11 +215,11 @@ def test_identity_suite_passes_at_n8(tmp_path):
 def test_identity_battery_transform_budget(transform_fields, transform_calls):
     # n x n fields through BaseGrid._forward / _inverse.  exterior_d of
     # degree 0..3 moves 1/2, 4/5, 5/4, 2/1; derivative of s fields s/2s;
-    # random_band_limited 0/1.
+    # random_band_limited 0/1 per field drawn.
     #   hygiene: exactness 1/2 + structure equation 4/5 + a random pair
     #     for each of the 9 degree pairs (p, q), p <= 2 and p + q <= 3
-    #     (d a twice, d d a, d(a^b), d b: 144/153; one inverse per
-    #     drawn coefficient: 28 + 31 = 59)                         = 149/219
+    #     (d a twice, d d a, d(a^b), d b: 144/153; the fields of the
+    #     drawn coefficients: 28 + 31 = 59)                        = 149/219
     #   state draws: 8 random fields, 2 noncsc seeds (the shift
     #     (-psi_y, psi_x) 1/2)                                     =   2/12
     #   every state: split 2/2 (curl and divergence of the shift)
@@ -244,18 +245,19 @@ def test_identity_battery_transform_budget(transform_fields, transform_calls):
     # 137/199 on (2, 0), (1, 2), (0, 2), (1, 1), (0, 1), (0, 1), (0, 3),
     # (2, 0))
     # Calls: hygiene 2/2 on the grid and 5/5 a form pair, 45/45, plus one
-    # inverse a drawn coefficient, 59, = 47/106.  The 12 states go through
-    # the state items in 5 stacks of up to four (general 2, lam_const 2,
-    # constant 4, csc 2 and noncsc 2), 39/47 with their draws, so 7 states
-    # share another's calls, which saves 49 calls each way: 5 a state
+    # inverse a drawn form, 18, = 47/65.  The 12 states go through the state
+    # items in 5 stacks of up to four (general 2, lam_const 2, constant 4,
+    # csc 2 and noncsc 2), 39/41 with their draws, one inverse a sample, so
+    # 7 states share another's calls, which saves 49 calls each way: 5 a state
     # (split, theta, d mu1, d mu2, d omega) 7 x 5 = 35, 2 a general state
     # 1 x 2, 1 a potential (3 constant, 1 csc) 4 x 1 and 4 a curvature
-    # (1 csc, 1 noncsc) 2 x 4.  (135/202 state by state; 81/143 with the 8
-    # pairs of random degrees, hygiene 42/96.)
+    # (1 csc, 1 noncsc) 2 x 4.  (135/161 state by state; 86/153 when each
+    # drawn coefficient and field was an inverse of its own, 41 + 6 more;
+    # 81/143 with the 8 pairs of random degrees, hygiene 42/96.)
     items = identity_battery(n=16, samples=2, seed=5)
     assert all(item.ok for item in items)
     assert transform_fields == [445, 561]
-    assert transform_calls == [86, 153]
+    assert transform_calls == [86, 106]
 
 
 def test_adjacent_battery_seeds_draw_from_disjoint_streams(monkeypatch):
@@ -283,8 +285,9 @@ def test_adjacent_battery_seeds_draw_from_disjoint_streams(monkeypatch):
 
 def test_identity_battery_memory_peak():
     # tracemalloc peak of one battery after a warm-up call, by states per
-    # stack: 1.65, 2.10, 2.75, 3.34 and 4.65 MiB at 2, 3, 4, 5 and 8; a
-    # larger stack has to show that its memory is worth its time
+    # stack: 1.72, 2.09, 2.74, 3.48 and 4.88 MiB at 2, 3, 4, 5 and 8 (1.65,
+    # 2.10, 2.75, 3.34 and 4.65 when each field was a transform of its own);
+    # a larger stack has to show that its memory is worth its time
     identity_battery(32, 50, 21)
     tracemalloc.start()
     try:
@@ -311,6 +314,15 @@ def test_readme_transform_call_counts(transform_calls):
     assert claimed == counted + transform_calls
 
 
+def _family_states(states):
+    """Each family's states as the bytes of their (u, lam, p, q), a stack's in order."""
+    found = collections.defaultdict(list)
+    for family, m in states:
+        fields = np.stack((m.u, m.lam, m.p, m.q)).reshape(4, -1, m.grid.n ** 2)
+        found[family] += [fields[:, i].tobytes() for i in range(fields.shape[1])]
+    return found
+
+
 def _battery_bytes(cfg, path):
     # identity_battery.json as run_experiment writes it, less its wall_time
     assert run_experiment(cfg, stream=io.StringIO()) == 0
@@ -327,8 +339,12 @@ def test_identity_battery_matches_per_state_oracle(monkeypatch, tmp_path, n, sam
     # the stacks of four give every item and the verdict bytes of the states
     # one by one; 3 samples make "general" and "lam_const" one stack of
     # three, 5, 6 and 7 samples end them on a stack of 1, 2 and 3 after one
-    # of four, and n = 32 ends "constant" (6 states) on 4 + 2
+    # of four, and n = 32 ends "constant" (6 states) on 4 + 2; each stack's
+    # states are bitwise the oracle's, slice by slice
     for seed in seeds:
+        grid = BaseGrid(n)
+        assert (_family_states(identities._battery_states(grid, samples, seed))
+                == _family_states(_single_battery_states(grid, samples, seed))), seed
         stacked = identity_battery(n, samples, seed)
         single = per_state_battery(n, samples, seed)
         assert ([(i.name, i.value, i.bound) for i in stacked]

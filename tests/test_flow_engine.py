@@ -1,5 +1,7 @@
 """RK4 driver, trace diagnostics and guard rails."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -98,13 +100,22 @@ def test_flow_config_validation():
         FlowConfig(record_every=0)
     with pytest.raises(ConfigError, match="record_every must be an integer"):
         FlowConfig(record_every=2.5)
+    # a non-finite, bool or non-real time is named, not left to steps(), where
+    # an infinite t_end raised OverflowError and dt = True stepped by 1
+    for name, value, why in (("t_end", math.inf, "finite"), ("dt", math.inf, "finite"),
+                             ("dt", True, "a real number"), ("t_end", True, "a real number"),
+                             ("dt", "1e-4", "a real number")):
+        with pytest.raises(ConfigError, match=f"{name} must be {why}, got"):
+            FlowConfig(**{name: value})
 
 
 @pytest.mark.parametrize("name", ("vaisman_tol", "variance_tol", "exit_threshold"))
-@pytest.mark.parametrize("value", (0.0, -1.0, float("nan")))
+@pytest.mark.parametrize("value", (0.0, -1.0, float("nan"), float("inf"), True))
 def test_flow_config_rejects_nonpositive_tolerances(name, value):
-    # a FlowConfig built without an ExperimentConfig checks its own thresholds
-    with pytest.raises(ConfigError, match=f"{name} must be positive, got {value}"):
+    # a FlowConfig built without an ExperimentConfig checks its own thresholds:
+    # each a positive, finite real number that is not a bool
+    why = "a real number" if value is True else "finite" if value == math.inf else "positive"
+    with pytest.raises(ConfigError, match=f"{name} must be {why}, got {value}"):
         FlowConfig(**{name: value})
 
 

@@ -395,6 +395,31 @@ def test_random_band_limited_rejects_unresolved_modes(grid8):
         random_band_limited(grid8, np.random.default_rng(0), kmax=4)
 
 
+@pytest.mark.parametrize("kmax", (1.5, 2.0, True, "2"))
+def test_random_band_limited_rejects_a_kmax_that_is_not_an_integer(grid16, kmax):
+    # 1.5 and 2.0 failed inside numpy's indexing, and True ran as kmax = 1
+    with pytest.raises(GridError, match="kmax must be an integer"):
+        random_band_limited(grid16, random.Random(0), kmax=kmax)
+
+
+@pytest.mark.parametrize("numpy_generator", (False, True))
+@pytest.mark.parametrize("n", (8, 32))
+def test_random_band_limited_lead_is_one_field_call_after_another(n, numpy_generator):
+    # fields of shape (*lead, n, n) from one synthesis transform are bitwise
+    # the one-field calls on the same generator, in C order of lead, and the
+    # generator's next draw agrees afterwards
+    grid = BaseGrid(n)
+    generator = GENERATORS[0] if numpy_generator else GENERATORS[1]
+    for lead, kmax in (((1,), 1), ((4,), 2), ((2, 3), 3), ((6,), 1)):
+        for seed in range(5):
+            rng_a, rng_b = generator(seed), generator(seed)
+            fields = random_band_limited(grid, rng_a, kmax, lead)
+            assert fields.shape == lead + (n, n)
+            for field in fields.reshape(-1, n, n):
+                assert field.tobytes() == random_band_limited(grid, rng_b, kmax).tobytes()
+            assert rng_a.random() == rng_b.random()
+
+
 @pytest.mark.parametrize("n", (8, 16, 32, 64, 128))
 def test_spectral_operations_equal_nd_wrapper_forms(n):
     # the 1-D transform pairs are how numpy composes rfft2 / irfft2, so the
