@@ -30,11 +30,8 @@ prints one line per identity and writes `identity_battery.json`.
 Exit codes: 0 all assertions pass, 1 assertion failures, 2 config errors,
 3 numerical aborts (rejected step or non-finite state).
 
-The environment variable KTFLOW_THREADS sizes the BLAS and OpenMP thread
-pools numpy starts when it is imported (it sets OMP_NUM_THREADS,
-OPENBLAS_NUM_THREADS, MKL_NUM_THREADS and NUMEXPR_NUM_THREADS), so it is
-read before the numerical modules are imported.  The grid kernels, numpy's
-pocketfft transforms, start no thread.
+The runner reads no environment variable.  The grid kernels, numpy's
+pocketfft transforms, start no thread, and no computation calls BLAS.
 """
 
 from __future__ import annotations
@@ -47,7 +44,13 @@ import sys
 import time
 from dataclasses import dataclass, fields, replace
 
-from .errors import ConfigError, NumericalAbort, StepRejected
+import numpy as np
+
+from .errors import ConfigError, GridError, NonFiniteFieldError, NumericalAbort, StepRejected
+from .flow_engine import TRACE_COLUMNS, FlowConfig, conservation_monitors, run
+from .hermitian_geometry import DEGENERACY_TOL, MetricState
+from .invariant_forms import CONVENTIONS_VERSION, BaseGrid
+from .vaisman_toolkit import make_noncsc_vaisman, make_standard_vaisman
 
 PRESETS = ("identity_suite", "stationary_csc", "noncsc_vaisman", "custom")
 
@@ -126,7 +129,6 @@ class ExperimentConfig:
                 raise ConfigError(
                     f"custom preset violates 0 < u0*lam0 - p0^2 - q0^2 < inf (margin {margin})"
                 )
-            from .hermitian_geometry import DEGENERACY_TOL
             area = margin * (1.0 / self.lam0)   # w = D/lam as metric_split evaluates it
             if not DEGENERACY_TOL <= area < math.inf:
                 raise ConfigError(
@@ -142,13 +144,13 @@ class ExperimentConfig:
             # random.Random seeds with |seed|: -5 would draw the states of 5
             raise ConfigError(f"seed must be a non-negative integer, got {self.seed}")
         out = self.out_dir
-        if not out or out != out.strip() or "#" in out or len(out.splitlines()) != 1:
-            raise ConfigError(f"out_dir must be one nonempty line without '#' or"
+        if (not isinstance(out, str) or not out or out != out.strip() or "#" in out
+                or len(out.splitlines()) != 1):
+            raise ConfigError(f"out_dir must be one nonempty line (a str) without '#' or"
                               f" surrounding whitespace, got {out!r}")
 
     def flow_config(self):
         """The FlowConfig carried by this experiment; it validates its fields."""
-        from .flow_engine import FlowConfig
         return FlowConfig(**{f.name: getattr(self, f.name) for f in fields(FlowConfig)})
 
 
@@ -226,7 +228,6 @@ def _write_text(path, text, what):
 
 def emit_csv(trace, path):
     """Trace rows as CSV; 17 significant digits, so reload is bit-exact."""
-    from .flow_engine import TRACE_COLUMNS
     lines = [",".join(TRACE_COLUMNS)]
     lines += [",".join("%.17g" % x for x in row) for row in trace.rows()]
     _write_text(path, "\n".join(lines), "trace CSV")
@@ -238,7 +239,6 @@ def _json_matrix(values):
     Each distinct value, keyed by its bit pattern so that -0.0 and 0.0 stay
     apart, is formatted once by repr, json's format of a finite float.
     """
-    import numpy as np
     keys, index = np.unique(values.view(np.int64), return_inverse=True)
     texts = np.array([repr(x) for x in keys.view(float).tolist()], dtype=object)
     rows = texts[index.reshape(values.shape)].tolist()
@@ -253,7 +253,6 @@ def emit_snapshot(m, path):
     field a list of rows; a field is written through _json_matrix, so a
     final state with few distinct values formats few floats.
     """
-    from .invariant_forms import CONVENTIONS_VERSION
     m.grid.require_single(m.lam, "emit_snapshot")
     head = json.dumps({"format": SNAPSHOT_FORMAT, "conventions": CONVENTIONS_VERSION,
                        "n": m.grid.n})
@@ -268,10 +267,6 @@ def _write_verdict(verdict, path):
 
 
 def load_snapshot(path, grid=None):
-    import numpy as np
-    from .errors import GridError, NonFiniteFieldError
-    from .hermitian_geometry import MetricState
-    from .invariant_forms import CONVENTIONS_VERSION, BaseGrid
     try:
         with open(path) as fh:
             payload = json.load(fh)
@@ -300,12 +295,18 @@ def load_snapshot(path, grid=None):
     for key in ("u", "lam", "p", "q"):
         try:
             values = np.asarray(payload[key], dtype=float)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"snapshot {path!r} field {key!r} is missing or "
                               f"not a numeric array: {exc!r}") from exc
         if values.shape != (n, n):
             raise ConfigError(f"snapshot {path!r} field {key!r} has shape "
                               f"{values.shape}, expected ({n}, {n})")
+        # json reads true as a bool and "1.5" as a str, and float() takes both
+        bad = next(((i, j, x) for i, row in enumerate(payload[key])
+                    for j, x in enumerate(row) if type(x) not in (int, float)), None)
+        if bad is not None:
+            raise ConfigError(f"snapshot {path!r}: coefficient {key} is not a JSON number"
+                              f" at grid index {bad[:2]}, got {bad[2]!r}")
         arrays.append(values)
     try:
         return MetricState(grid, *arrays)
@@ -317,8 +318,6 @@ def load_snapshot(path, grid=None):
 # experiment driver
 
 def _seed_state(cfg, grid):
-    from .hermitian_geometry import MetricState
-    from .vaisman_toolkit import make_noncsc_vaisman, make_standard_vaisman
     if cfg.preset == "stationary_csc":
         return make_standard_vaisman(grid, cfg.scale)
     if cfg.preset == "noncsc_vaisman":
@@ -359,7 +358,7 @@ def run_experiment(cfg, stream=None):
         raise ConfigError(f"cannot create out_dir {cfg.out_dir!r}: {exc}") from exc
 
     if cfg.preset == "identity_suite":
-        from . import identities
+        from . import identities   # only this preset runs the battery
         items = identities.identity_battery(cfg.n, cfg.samples, cfg.seed)
         identities._print_battery(items, stream)
         verdict = {
@@ -373,9 +372,6 @@ def run_experiment(cfg, stream=None):
         _write_verdict(verdict, path)
         stream.write(f"wrote {path}\n")
         return 0 if verdict["ok"] else 1
-
-    from .flow_engine import conservation_monitors, run
-    from .invariant_forms import BaseGrid
 
     grid = BaseGrid(cfg.n)
     seed_state = _seed_state(cfg, grid)
@@ -418,23 +414,8 @@ def run_experiment(cfg, stream=None):
 # ---------------------------------------------------------------------------
 # entry point
 
-def _apply_thread_env():
-    raw = os.environ.get("KTFLOW_THREADS")
-    if raw is None:
-        return
-    try:
-        count = int(raw)
-        if count < 1:
-            raise ValueError
-    except ValueError:
-        raise ConfigError(f"KTFLOW_THREADS must be a positive integer, got {raw!r}")
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-        os.environ[var] = str(count)
-
-
 def _build_parser():
-    import argparse
+    import argparse   # a caller of run_experiment alone never loads it
     parser = argparse.ArgumentParser(
         prog="ktflow",
         description="invariant-metric flow laboratory (see module docs for the "
@@ -460,7 +441,6 @@ def _build_parser():
 
 def main(argv=None):
     try:
-        _apply_thread_env()
         args = _build_parser().parse_args(argv)
         if args.command == "suite":
             cfg = ExperimentConfig()

@@ -308,13 +308,6 @@ class InvariantForm:
         out.grid, out.degree, out.coeffs = grid, degree, coeffs
         return out
 
-    def coefficient(self, *indices):
-        """Coefficient field of the increasing multi-index (0-based)."""
-        key = tuple(indices)
-        if key not in INDEX_POS[self.degree]:
-            raise DegreeError(f"{key} is not an increasing degree-{self.degree} multi-index")
-        return self.coeffs[INDEX_POS[self.degree][key]]
-
     def max_abs(self):
         """Largest |coefficient| over every component, point and state."""
         if self.coeffs.size == 0:

@@ -178,7 +178,7 @@ def contraction_split(m):
     return {"mu1": mu1, "mu2": mu2, "omega_check": omega_check,
             "sigma1": _top_coefficient(wedge(exterior_d(mu1), mu_pair)) / denom,
             "sigma2": _top_coefficient(wedge(exterior_d(mu2), mu_pair)) / denom,
-            "w_check": omega_check.coefficient(0, 1).copy()}
+            "w_check": omega_check.coeffs[INDEX_POS[2][(0, 1)]].copy()}
 
 
 def wedge_lee_form(m):

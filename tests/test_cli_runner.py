@@ -5,7 +5,6 @@ import io
 import itertools
 import json
 import math
-import os
 import pathlib
 import random
 import re
@@ -22,8 +21,7 @@ import ktflow.identities as identities
 import ktflow.invariant_forms as invariant_forms
 from ktflow.cli_runner import (ExperimentConfig, emit_csv, emit_snapshot,
                                load_snapshot, main, parse_config,
-                               run_experiment, serialize_config,
-                               _apply_thread_env)
+                               run_experiment, serialize_config)
 from ktflow.errors import ConfigError, PositivityError
 from ktflow.flow_engine import FlowConfig, run
 from ktflow.hermitian_geometry import MetricState
@@ -66,15 +64,17 @@ def test_serialize_parse_round_trip():
     assert parse_config(serialize_config(cfg)) == cfg
 
 
-@pytest.mark.parametrize("out_dir", ("/tmp/run#1", "/tmp/a\nn = 64", " x ", ""),
-                         ids=("hash", "newline", "whitespace", "empty"))
+@pytest.mark.parametrize("out_dir", ("/tmp/run#1", "/tmp/a\nn = 64", " x ", "", 5, b"x"),
+                         ids=("hash", "newline", "whitespace", "empty", "int", "bytes"))
 def test_out_dir_that_a_config_cannot_hold_is_rejected(out_dir, capsys):
     # each would parse back as another directory or fail to parse:
-    # "/tmp/run", a duplicate key 'n', "x" and an empty value
+    # "/tmp/run", a duplicate key 'n', "x" and an empty value; the int and
+    # the bytes reach only the Python API, as the command line passes a str
     with pytest.raises(ConfigError, match="out_dir must be one nonempty line"):
         ExperimentConfig(out_dir=out_dir)
-    assert main(["suite", "--out-dir", out_dir]) == 2
-    assert "out_dir must be one nonempty line" in capsys.readouterr().err
+    if isinstance(out_dir, str):
+        assert main(["suite", "--out-dir", out_dir]) == 2
+        assert "out_dir must be one nonempty line" in capsys.readouterr().err
 
 
 def test_experiment_flow_defaults_match_flow_config():
@@ -722,8 +722,14 @@ def _snapshot_payload(tmp_path):
                                       for i, row in enumerate(p["u"])]}),
      r"coefficient u is non-finite at grid index \(2, 3\)"),
     (lambda p: json.dumps({**p, "n": True}), "integer resolution n, got True"),
+    (lambda p: json.dumps({**p, "u": [[True] + p["u"][0][1:]] + p["u"][1:]}),
+     r"coefficient u is not a JSON number at grid index \(0, 0\), got True"),
+    (lambda p: json.dumps({**p, "u": [["1.5"] + p["u"][0][1:]] + p["u"][1:]}),
+     r"coefficient u is not a JSON number at grid index \(0, 0\), got '1.5'"),
+    (lambda p: json.dumps({**p, "u": [[10**400] + p["u"][0][1:]] + p["u"][1:]}),
+     "field 'u' is missing or not a numeric array: OverflowError"),
 ], ids=["1d-u", "short-lam", "ragged-p", "missing-q", "bad-json", "missing-n",
-        "bad-n", "top-level-list", "nan-u", "boolean-n"])
+        "bad-n", "top-level-list", "nan-u", "boolean-n", "boolean-u", "string-u", "huge-u"])
 def test_snapshot_rejects_malformed_file(tmp_path, corrupt, match):
     path = tmp_path / "bad.json"
     path.write_text(corrupt(_snapshot_payload(tmp_path)))
@@ -921,16 +927,3 @@ def test_repeated_runs_emit_identical_bytes(tmp_path):
         outs.append(outdir)
     for name in ("noncsc_vaisman_trace.csv", "noncsc_vaisman_final_state.json"):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
-
-
-def test_thread_env(monkeypatch):
-    monkeypatch.setenv("KTFLOW_THREADS", "3")
-    _apply_thread_env()
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-        assert os.environ[var] == "3"
-    monkeypatch.setenv("KTFLOW_THREADS", "zero")
-    with pytest.raises(ConfigError):
-        _apply_thread_env()
-    monkeypatch.setenv("KTFLOW_THREADS", "0")
-    assert main(["suite"]) == 2

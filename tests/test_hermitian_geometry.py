@@ -9,7 +9,7 @@ from ktflow.hermitian_geometry import (MetricSplit, MetricState, bismut_ricci,
                                        bismut_torsion, characteristic_numbers,
                                        flow_velocity, inner_1forms, lee_form,
                                        metric_split)
-from ktflow.invariant_forms import (MULTI_INDEX, BaseGrid, InvariantForm,
+from ktflow.invariant_forms import (INDEX_POS, MULTI_INDEX, BaseGrid, InvariantForm,
                                     apply_J, base_integral, basis_form, coframe,
                                     exterior_d, random_band_limited, random_form, wedge)
 
@@ -70,12 +70,12 @@ def test_state_broadcast_and_nan_rejection(grid8):
 def test_omega_coefficients(grid8):
     m = MetricState.constant(grid8, 2.0, 3.0, 0.5, -0.25)
     om = m.omega()
-    assert np.all(om.coefficient(0, 1) == 2.0)
-    assert np.all(om.coefficient(2, 3) == 3.0)
-    assert np.all(om.coefficient(0, 2) == 0.5)
-    assert np.all(om.coefficient(1, 3) == 0.5)
-    assert np.all(om.coefficient(0, 3) == -0.25)
-    assert np.all(om.coefficient(1, 2) == 0.25)
+    assert np.all(om.coeffs[INDEX_POS[2][(0, 1)]] == 2.0)
+    assert np.all(om.coeffs[INDEX_POS[2][(2, 3)]] == 3.0)
+    assert np.all(om.coeffs[INDEX_POS[2][(0, 2)]] == 0.5)
+    assert np.all(om.coeffs[INDEX_POS[2][(1, 3)]] == 0.5)
+    assert np.all(om.coeffs[INDEX_POS[2][(0, 3)]] == -0.25)
+    assert np.all(om.coeffs[INDEX_POS[2][(1, 2)]] == 0.25)
     assert (apply_J(om) - om).max_abs() == 0.0
 
 
@@ -115,12 +115,12 @@ def test_split_shear_components(grid8):
     m = MetricState.constant(grid8, 2.0, 4.0, 0.6, -0.8)
     sp = metric_split(m)
     # mu1 = (q/lam) e1 + (p/lam) e2 + e3, mu2 its J image with e4
-    assert np.all(sp.mu1.coefficient(0) == -0.2)
-    assert np.all(sp.mu1.coefficient(1) == 0.15)
-    assert np.all(sp.mu1.coefficient(2) == 1.0)
-    assert np.all(sp.mu2.coefficient(0) == -0.15)
-    assert np.all(sp.mu2.coefficient(1) == -0.2)
-    assert np.all(sp.mu2.coefficient(3) == 1.0)
+    assert np.all(sp.mu1.coeffs[INDEX_POS[1][(0,)]] == -0.2)
+    assert np.all(sp.mu1.coeffs[INDEX_POS[1][(1,)]] == 0.15)
+    assert np.all(sp.mu1.coeffs[INDEX_POS[1][(2,)]] == 1.0)
+    assert np.all(sp.mu2.coeffs[INDEX_POS[1][(0,)]] == -0.15)
+    assert np.all(sp.mu2.coeffs[INDEX_POS[1][(1,)]] == -0.2)
+    assert np.all(sp.mu2.coeffs[INDEX_POS[1][(3,)]] == 1.0)
     assert (apply_J(sp.mu1) - sp.mu2).max_abs() < 1e-15
     assert np.all(np.abs(sp.w_check - (2.0 - 1.0 / 4.0)) < 1e-15)
 

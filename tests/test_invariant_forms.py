@@ -10,8 +10,8 @@ from ktflow import vaisman_toolkit
 from ktflow.errors import (DegreeError, GridError, NonBasicFormError,
                            NonFiniteFieldError)
 from ktflow.hermitian_geometry import _LEE_TERMS
-from ktflow.invariant_forms import (LAPLACIAN, BaseGrid, InvariantForm, V1, V2,
-                                    apply_J, base_integral, basis_form, coframe,
+from ktflow.invariant_forms import (INDEX_POS, LAPLACIAN, BaseGrid, InvariantForm,
+                                    V1, V2, apply_J, base_integral, basis_form, coframe,
                                     contract, exterior_d, p11_projection,
                                     random_band_limited, random_form, wedge)
 
@@ -87,11 +87,11 @@ def test_poisson_inverts_laplacian(grid32, rng):
 
 def test_form_coefficient_layout(grid8):
     alpha = 2.0 * basis_form(grid8, (0, 1)) - basis_form(grid8, (2, 3))
-    assert np.all(alpha.coefficient(0, 1) == 2.0)
-    assert np.all(alpha.coefficient(2, 3) == -1.0)
-    # only increasing multi-indices name coefficients
-    with pytest.raises(DegreeError):
-        alpha.coefficient(1, 0)
+    # coefficients follow the increasing multi-indices in lexicographic order
+    assert list(INDEX_POS[2].items()) == [((0, 1), 0), ((0, 2), 1), ((0, 3), 2),
+                                          ((1, 2), 3), ((1, 3), 4), ((2, 3), 5)]
+    assert np.all(alpha.coeffs[INDEX_POS[2][(0, 1)]] == 2.0)
+    assert np.all(alpha.coeffs[INDEX_POS[2][(2, 3)]] == -1.0)
     assert alpha.max_abs() == 2.0
 
 
@@ -102,7 +102,7 @@ def test_form_arithmetic_and_field_scaling(grid8):
     assert (s - b).max_abs() == 0.0
     field = 1.0 + grid8.xx
     scaled = a * field
-    assert np.all(scaled.coefficient(0, 2) == field)
+    assert np.all(scaled.coeffs[INDEX_POS[2][(0, 2)]] == field)
     assert (2.0 * a - a * 2.0).max_abs() == 0.0
     with pytest.raises(DegreeError):
         a + coframe(grid8, 0)
@@ -111,13 +111,13 @@ def test_form_arithmetic_and_field_scaling(grid8):
 def test_wedge_matches_hand_values(grid8):
     e = [coframe(grid8, i) for i in range(4)]
     w = wedge(e[0], e[1])
-    assert np.all(w.coefficient(0, 1) == 1.0)
+    assert np.all(w.coeffs[INDEX_POS[2][(0, 1)]] == 1.0)
     assert (wedge(e[1], e[0]) + w).max_abs() == 0.0
     top = wedge(wedge(e[0], e[1]), wedge(e[2], e[3]))
-    assert np.all(top.coefficient(0, 1, 2, 3) == 1.0)
+    assert np.all(top.coeffs[INDEX_POS[4][(0, 1, 2, 3)]] == 1.0)
     # e2^e1^e3 = -e1^e2^e3
     m = wedge(e[1], wedge(e[0], e[2]))
-    assert np.all(m.coefficient(0, 1, 2) == -1.0)
+    assert np.all(m.coeffs[INDEX_POS[3][(0, 1, 2)]] == -1.0)
 
 
 def test_wedge_graded_commutativity(grid16, rng):
@@ -161,9 +161,10 @@ def test_structure_equation(grid8):
 def test_exterior_d_on_functions(grid32):
     f = np.sin(2 * np.pi * grid32.xx)
     df = exterior_d(InvariantForm(grid32, 0, f[None]))
-    assert np.max(np.abs(df.coefficient(0) - 2 * np.pi * np.cos(2 * np.pi * grid32.xx))) < 1e-12
-    assert np.max(np.abs(df.coefficient(1))) < 1e-13
-    assert df.coefficient(2).max() == 0.0 and df.coefficient(3).max() == 0.0
+    dx, dy, d3, d4 = (df.coeffs[INDEX_POS[1][(i,)]] for i in range(4))
+    assert np.max(np.abs(dx - 2 * np.pi * np.cos(2 * np.pi * grid32.xx))) < 1e-12
+    assert np.max(np.abs(dy)) < 1e-13
+    assert d3.max() == 0.0 and d4.max() == 0.0
 
 
 def test_exterior_d_nilpotent(grid16, rng):
@@ -188,7 +189,7 @@ def test_exterior_d_structure_in_higher_degree(grid8):
     # d(f e3) picks up -f e1^e2 on constant f
     alpha = basis_form(grid8, (2,)) * 3.0
     d = exterior_d(alpha)
-    assert np.all(d.coefficient(0, 1) == -3.0)
+    assert np.all(d.coeffs[INDEX_POS[2][(0, 1)]] == -3.0)
     # d(e3^e4) = -e1^e2^e4
     d34 = exterior_d(basis_form(grid8, (2, 3)))
     assert (d34 + basis_form(grid8, (0, 1, 3))).max_abs() == 0.0
@@ -269,9 +270,9 @@ def test_p11_projection_properties(grid16, rng):
 
 def test_contract_table(grid8):
     e3, e4 = coframe(grid8, 2), coframe(grid8, 3)
-    assert np.all(contract(V1, e3).coefficient() == 1.0)
+    assert np.all(contract(V1, e3).coeffs[INDEX_POS[0][()]] == 1.0)
     assert contract(V1, e4).max_abs() == 0.0
-    assert np.all(contract(V2, e4).coefficient() == 1.0)
+    assert np.all(contract(V2, e4).coeffs[INDEX_POS[0][()]] == 1.0)
     assert contract(V1, coframe(grid8, 0)).max_abs() == 0.0
     # V1 into e3^e4 leaves e4; V2 into e3^e4 leaves -e3
     inner = contract(V1, basis_form(grid8, (2, 3)))

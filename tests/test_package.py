@@ -1,11 +1,12 @@
-"""The top-level package: exported names, the cost of `import ktflow` and of
-a battery run, the one route its spectral transforms take, the places it
-scans for NaN/Inf or spells out a one-state shape, no numpy.random, no
-module-level dict cache, no import that a module of the library, the tests
-or the demos does not read, and no public function that only the tests
-call."""
+"""The top-level package: the cost of `import ktflow` and of a battery
+run, the one route its spectral transforms take, the places it scans for
+NaN/Inf or spells out a one-state shape, no numpy.random, no module-level
+dict cache, no environment variable, no import that a module of the
+library, the tests or the demos does not read, and no public function or
+method that only the tests call."""
 
 import ast
+import collections
 import json
 import os
 import pathlib
@@ -15,7 +16,6 @@ import sys
 import numpy as np
 import pytest
 
-import ktflow
 from ktflow.cli_runner import SNAPSHOT_FORMAT, load_snapshot
 from ktflow.errors import ConfigError, NonFiniteFieldError
 from ktflow.hermitian_geometry import MetricState
@@ -28,18 +28,15 @@ PROBE = """
 import sys
 import ktflow
 assert "numpy" not in sys.modules, "import ktflow loaded numpy"
+import ktflow.errors
 assert ktflow.errors.KTError
 assert "numpy" not in sys.modules, "ktflow.errors loaded numpy"
-missing = [name for name in ktflow.__all__ if getattr(ktflow, name, None) is None]
-assert not missing, missing
 """
 
 
 BATTERY_PROBE = """
 import sys
-import ktflow
 from ktflow.identities import identity_battery
-assert ktflow.identity_battery is identity_battery, "the identities module shadows the export"
 assert all(item.ok for item in identity_battery(n=16, samples=2, seed=5))
 loaded = [name for name in ("numpy.random", "argparse") if name in sys.modules]
 assert not loaded, f"the identity battery loaded {loaded}"
@@ -54,7 +51,7 @@ def _run_probe(probe):
     assert result.returncode == 0, result.stderr
 
 
-def test_all_names_resolve_and_import_stays_light():
+def test_import_stays_light():
     _run_probe(PROBE)
 
 
@@ -274,6 +271,43 @@ def f(seed):
     assert found == [("", 2), ("", 3), ("", 4), ("", 5), ("f", 8), ("f", 8)]
 
 
+# os's names for the process environment
+ENVIRONMENT = {"environ", "environb", "getenv", "getenvb", "putenv", "unsetenv"}
+
+
+def _environment_use(node):
+    if isinstance(node, ast.Attribute) and node.attr in ENVIRONMENT:
+        return node.attr
+    if isinstance(node, ast.ImportFrom) and node.module == "os":
+        used = [alias.name for alias in node.names if alias.name in ENVIRONMENT]
+        return used[0] if used else None
+    return None
+
+
+def test_no_module_reads_or_sets_the_environment():
+    # a run is set by its config and its command line alone
+    stray = []
+    for name, tree in _sources():
+        stray += [f"{name}:{line} uses os.{what} in {scope or '<module>'}"
+                  for scope, line, what in _scan(tree, _environment_use)]
+    assert not stray, stray
+
+
+def test_environment_scan_sees_attributes_and_imports():
+    code = """
+import os
+from os import path, getenv as ge
+def f():
+    return os.environ.get("X"), os.getenv("Y"), os.path.join("a", "b")
+class Runner:
+    def start(self):
+        os.putenv("Z", "1")
+"""
+    found = [(scope, line, what) for scope, line, what in _scan(ast.parse(code), _environment_use)]
+    assert found == [("", 3, "getenv"), ("f", 5, "environ"), ("f", 5, "getenv"),
+                     ("Runner.start", 8, "putenv")]
+
+
 def test_finiteness_scans_only_where_data_enters():
     stray = []
     for name, tree in _sources():
@@ -442,38 +476,45 @@ WAIVERS = {
 
 
 def _named(tree):
-    """Names a module reads, binds by import or calls as attributes, each
-    outside the top-level definition of the same name."""
-    found = set()
-    for statement in tree.body:
-        names = set()
-        for node in ast.walk(statement):
-            if isinstance(node, ast.Name):
-                names.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                names.add(node.attr)
-            elif isinstance(node, ast.alias):
-                names.add(node.name.rpartition(".")[2])
-        names.discard(getattr(statement, "name", None))
-        found |= names
+    """How often a tree reads a name, binds it by import or calls it as an attribute."""
+    found = collections.Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            found[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            found[node.name.rpartition(".")[2]] += 1
     return found
 
 
+def _public_definitions(tree):
+    """(line, name, node) of each public top-level function or class, and of
+    each public method of a top-level class, named Class.method."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    for node in tree.body:
+        if isinstance(node, functions + (ast.ClassDef,)) and not node.name.startswith("_"):
+            yield node.lineno, node.name, node
+        if isinstance(node, ast.ClassDef):
+            yield from ((item.lineno, f"{node.name}.{item.name}", item) for item in node.body
+                        if isinstance(item, functions) and not item.name.startswith("_"))
+
+
 def _uncalled(library, others, exports):
-    """(module, line, name) of each public top-level function or class of the
-    library that no library module, other module or export names."""
-    named = set(exports).union(*map(_named, list(library.values()) + list(others)))
-    return [(module, node.lineno, node.name) for module, tree in library.items()
-            for node in tree.body
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-            and not node.name.startswith("_") and node.name not in named]
+    """(module, line, name) of each public definition of the library that no
+    library module, other module or export names outside the definition."""
+    named = sum(map(_named, list(library.values()) + list(others)),
+                collections.Counter(exports))
+    return [(module, line, name) for module, tree in library.items()
+            for line, name, node in _public_definitions(tree)
+            if named[node.name] <= _named(node)[node.name]]
 
 
 def test_every_public_function_has_a_caller_or_a_waiver():
     outside = sorted((ROOT / "demos").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
     assert outside
     others = [ast.parse(path.read_text(), filename=str(path)) for path in outside]
-    uncalled = _uncalled(dict(_sources()), others, ktflow._EXPORTS)
+    uncalled = _uncalled(dict(_sources()), others, ())
     stray = [f"{module}:{line} {name} has no caller outside the tests"
              for module, line, name in uncalled if name not in WAIVERS]
     assert not stray, stray
@@ -499,10 +540,21 @@ def method_name():
     pass
 def defined_later():
     pass
+class Grid:
+    def derivative(self):
+        return self.derivative()
+    def integral(self):
+        return self._mean()
+    def _mean(self):
+        return self.zeros()
+    def zeros(self):
+        pass
 """)}
-    others = [ast.parse("from ktflow.forms import caller\nx.method_name()\n")]
-    assert _uncalled(library, others, {"exported"}) == [("forms.py", 4, "recursive"),
-                                                        ("forms.py", 6, "Lonely")]
+    others = [ast.parse("from ktflow.forms import caller, Grid\n"
+                        "x.method_name()\nGrid().integral()\n")]
+    assert _uncalled(library, others, {"exported"}) == [
+        ("forms.py", 4, "recursive"), ("forms.py", 6, "Lonely"), ("forms.py", 7, "Lonely.copy"),
+        ("forms.py", 20, "Grid.derivative")]
 
 
 # Defaulted parameters of public library functions that no call outside the
