@@ -27,8 +27,13 @@ reloads it bit-exact), `<preset>_verdict.json` and
 `<preset>_final_state.json`.  The identity suite (ktflow.identities)
 prints one line per identity and writes `identity_battery.json`.
 
-Exit codes: 0 all assertions pass, 1 assertion failures, 2 config errors,
-3 numerical aborts (rejected step or non-finite state).
+`ktflow run CONFIG` runs a config file (read as UTF-8) and `ktflow suite`
+the default config, the identity battery; each takes one option,
+`--out-dir PATH`, which sets out_dir.  Every other setting lives in the
+config file, so any other option is a usage error.
+
+Exit codes: 0 all assertions pass, 1 assertion failures, 2 config or usage
+errors, 3 numerical aborts (rejected step or non-finite state).
 
 The runner reads no environment variable.  The grid kernels, numpy's
 pocketfft transforms, start no thread, and no computation calls BLAS.
@@ -79,14 +84,14 @@ class ExperimentConfig:
     lam0: float = 1.0
     p0: float = 0.0
     q0: float = 0.0
-    dt: float = 1e-4
-    t_end: float = 0.1
-    record_every: int = 2
-    cfl_safety: float = 0.2
+    dt: float = FlowConfig.dt
+    t_end: float = FlowConfig.t_end
+    record_every: int = FlowConfig.record_every
+    cfl_safety: float = FlowConfig.cfl_safety
     tol: float = 1e-7
-    vaisman_tol: float = 1e-8
-    variance_tol: float = 1e-14
-    exit_threshold: float = 1e-9
+    vaisman_tol: float = FlowConfig.vaisman_tol
+    variance_tol: float = FlowConfig.variance_tol
+    exit_threshold: float = FlowConfig.exit_threshold
     samples: int = 50
     seed: int = 2024
     out_dir: str = "."
@@ -144,10 +149,11 @@ class ExperimentConfig:
             # random.Random seeds with |seed|: -5 would draw the states of 5
             raise ConfigError(f"seed must be a non-negative integer, got {self.seed}")
         out = self.out_dir
+        # a NUL byte, which no path can hold, fails os.makedirs with a ValueError
         if (not isinstance(out, str) or not out or out != out.strip() or "#" in out
-                or len(out.splitlines()) != 1):
-            raise ConfigError(f"out_dir must be one nonempty line (a str) without '#' or"
-                              f" surrounding whitespace, got {out!r}")
+                or "\0" in out or len(out.splitlines()) != 1):
+            raise ConfigError(f"out_dir must be one nonempty line (a str) without '#', NUL"
+                              f" or surrounding whitespace, got {out!r}")
 
     def flow_config(self):
         """The FlowConfig carried by this experiment; it validates its fields."""
@@ -159,12 +165,12 @@ _CASTERS = {f.name: {"str": str, "int": int, "float": float, "tuple": _parse_mod
 _FLOAT_KEYS = tuple(key for key, cast in _CASTERS.items() if cast is float)
 
 
-def parse_config(text, strict=True):
+def parse_config(text):
     """Parse `key = value` lines into an ExperimentConfig.
 
-    Unknown keys are rejected in strict mode (warned about otherwise);
-    malformed lines, duplicates and nan/inf report their line number;
-    constraint violations come back as ConfigError with the named constraint.
+    Unknown keys, malformed lines, duplicates and nan/inf report their line
+    number; constraint violations come back as ConfigError with the named
+    constraint.
     """
     values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -177,10 +183,7 @@ def parse_config(text, strict=True):
         key = key.strip()
         value = value.strip()
         if key not in _CASTERS:
-            if strict:
-                raise ConfigError(f"line {lineno}: unknown key {key!r}")
-            print(f"warning: line {lineno}: ignoring unknown key {key!r}", file=sys.stderr)
-            continue
+            raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in values:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         if not value:
@@ -261,8 +264,10 @@ def emit_snapshot(m, path):
     _write_text(path, head[:-1] + body + "}", "snapshot")
 
 
-def _write_verdict(verdict, path):
-    """Verdict dictionary as indented JSON."""
+def _write_verdict(cfg, path, started, **entries):
+    """The run's verdict as indented JSON: preset, config, entries in order, wall_time."""
+    verdict = {"preset": cfg.preset, "config": serialize_config(cfg), **entries,
+               "wall_time": time.perf_counter() - started}
     _write_text(path, json.dumps(verdict, indent=1), "verdict")
 
 
@@ -361,17 +366,12 @@ def run_experiment(cfg, stream=None):
         from . import identities   # only this preset runs the battery
         items = identities.identity_battery(cfg.n, cfg.samples, cfg.seed)
         identities._print_battery(items, stream)
-        verdict = {
-            "preset": cfg.preset,
-            "config": serialize_config(cfg),
-            "items": [item.as_dict() for item in items],
-            "ok": all(item.ok for item in items),
-            "wall_time": time.perf_counter() - started,
-        }
+        passed = all(item.ok for item in items)
         path = os.path.join(cfg.out_dir, "identity_battery.json")
-        _write_verdict(verdict, path)
+        _write_verdict(cfg, path, started, items=[item.as_dict() for item in items],
+                       ok=passed)
         stream.write(f"wrote {path}\n")
-        return 0 if verdict["ok"] else 1
+        return 0 if passed else 1
 
     grid = BaseGrid(cfg.n)
     seed_state = _seed_state(cfg, grid)
@@ -381,10 +381,8 @@ def run_experiment(cfg, stream=None):
         trace = run(seed_state, flow_cfg)
     except (StepRejected, NumericalAbort) as exc:
         stream.write(f"numerical abort at t={exc.t}: {exc}\n")
-        verdict = {"preset": cfg.preset, "config": serialize_config(cfg),
-                   "ok": False, "aborted": True, "reason": str(exc),
-                   "t": exc.t, "wall_time": time.perf_counter() - started}
-        _write_verdict(verdict, base + "_verdict.json")
+        _write_verdict(cfg, base + "_verdict.json", started,
+                       ok=False, aborted=True, reason=str(exc), t=exc.t)
         return 3
 
     monitors = conservation_monitors(trace)
@@ -393,22 +391,16 @@ def run_experiment(cfg, stream=None):
     checks = _flow_assertions(cfg, monitors)
     for name, ok, detail in checks:
         stream.write(f"{'PASS' if ok else 'FAIL'}  {name}: {detail}\n")
-    verdict = {
-        "preset": cfg.preset,
-        "config": serialize_config(cfg),
-        "monitors": monitors,
-        "assertions": [{"name": n_, "ok": bool(ok), "detail": d}
-                       for n_, ok, d in checks],
-        "ok": all(ok for _, ok, _ in checks),
-        "trace_rows": len(trace),
-        "wall_time": time.perf_counter() - started,
-    }
-    _write_verdict(verdict, base + "_verdict.json")
+    passed = all(ok for _, ok, _ in checks)
+    _write_verdict(cfg, base + "_verdict.json", started, monitors=monitors,
+                   assertions=[{"name": n_, "ok": bool(ok), "detail": d}
+                               for n_, ok, d in checks],
+                   ok=passed, trace_rows=len(trace))
     stream.write(f"stays_vaisman: {monitors['stays_vaisman']}"
                  f"   exit_time: {monitors['exit_time']}\n")
     stream.write(f"wrote {base}_trace.csv, {base}_verdict.json, "
                  f"{base}_final_state.json\n")
-    return 0 if verdict["ok"] else 1
+    return 0 if passed else 1
 
 
 # ---------------------------------------------------------------------------
@@ -421,21 +413,11 @@ def _build_parser():
         description="invariant-metric flow laboratory (see module docs for the "
                     "config grammar)")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--out-dir", default=None, help="output directory override")
-        p.add_argument("--tol", type=float, default=None,
-                       help="pluriclosed-preserved assertion bound override")
-        p.add_argument("--strict", action=argparse.BooleanOptionalAction,
-                       default=True,
-                       help="reject unknown config keys (default on)")
-
     run_p = sub.add_parser("run", help="run the experiment described by a config file")
     run_p.add_argument("config", help="path to a key = value config file")
-    common(run_p)
-
     suite_p = sub.add_parser("suite", help="identity battery with default settings")
-    common(suite_p)
+    for p in (run_p, suite_p):
+        p.add_argument("--out-dir", default=None, help="output directory override")
     return parser
 
 
@@ -446,18 +428,13 @@ def main(argv=None):
             cfg = ExperimentConfig()
         else:
             try:
-                with open(args.config) as fh:
+                with open(args.config, encoding="utf-8") as fh:
                     text = fh.read()
-            except OSError as exc:
+            except (OSError, UnicodeDecodeError) as exc:
                 raise ConfigError(f"cannot read config {args.config!r}: {exc}") from exc
-            cfg = parse_config(text, strict=args.strict)
-        overrides = {}
+            cfg = parse_config(text)
         if args.out_dir is not None:
-            overrides["out_dir"] = args.out_dir
-        if args.tol is not None:
-            overrides["tol"] = args.tol
-        if overrides:
-            cfg = replace(cfg, **overrides)
+            cfg = replace(cfg, out_dir=args.out_dir)
         return run_experiment(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -95,7 +95,10 @@ class FlowConfig:
 
     def steps(self):
         """Number of steps; t_end must be a whole number of them to 1e-9 relative."""
-        n = int(round(self.t_end / self.dt))
+        ratio = self.t_end / self.dt
+        if not ratio < np.inf:
+            raise ConfigError(f"t_end / dt overflows: t_end = {self.t_end}, dt = {self.dt}")
+        n = int(round(ratio))
         if n < 1:
             raise ConfigError("t_end shorter than one time step")
         if abs(n * self.dt - self.t_end) > 1e-9 * n * self.dt:

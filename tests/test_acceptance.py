@@ -61,7 +61,7 @@ def all_monitors(csc_trace, csc2_trace, noncsc_trace):
 
 @pytest.fixture(scope="module")
 def battery():
-    return identity_battery()     # n = 32, 50 samples
+    return identity_battery(32, 50, 2024)     # the suite's defaults
 
 
 # RK4 ladder of criterion 9; the last rung is the reference solution

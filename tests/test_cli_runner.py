@@ -1,5 +1,6 @@
 """Config grammar, identity battery, emission formats, exit codes."""
 
+import argparse
 import collections
 import io
 import itertools
@@ -64,12 +65,14 @@ def test_serialize_parse_round_trip():
     assert parse_config(serialize_config(cfg)) == cfg
 
 
-@pytest.mark.parametrize("out_dir", ("/tmp/run#1", "/tmp/a\nn = 64", " x ", "", 5, b"x"),
-                         ids=("hash", "newline", "whitespace", "empty", "int", "bytes"))
+@pytest.mark.parametrize("out_dir", ("/tmp/run#1", "/tmp/a\nn = 64", " x ", "", 5, b"x",
+                                     "/tmp/a\0b"),
+                         ids=("hash", "newline", "whitespace", "empty", "int", "bytes", "nul"))
 def test_out_dir_that_a_config_cannot_hold_is_rejected(out_dir, capsys):
     # each would parse back as another directory or fail to parse:
     # "/tmp/run", a duplicate key 'n', "x" and an empty value; the int and
-    # the bytes reach only the Python API, as the command line passes a str
+    # the bytes reach only the Python API, as the command line passes a str;
+    # a NUL byte passed before and failed os.makedirs with a ValueError
     with pytest.raises(ConfigError, match="out_dir must be one nonempty line"):
         ExperimentConfig(out_dir=out_dir)
     if isinstance(out_dir, str):
@@ -78,7 +81,8 @@ def test_out_dir_that_a_config_cannot_hold_is_rejected(out_dir, capsys):
 
 
 def test_experiment_flow_defaults_match_flow_config():
-    # the seven flow fields and their defaults are declared in both classes
+    # ExperimentConfig takes its seven flow defaults from FlowConfig's, so the
+    # two stay equal unless a default is written out again in ExperimentConfig
     assert ExperimentConfig().flow_config() == FlowConfig()
 
 
@@ -95,12 +99,6 @@ def test_parse_config_line_numbered_errors():
         parse_config("mode = 1\n")
     with pytest.raises(ConfigError, match="line 2: bad value for 'n'"):
         parse_config("# c\nn = eight\n")
-
-
-def test_parse_config_non_strict_warns(capsys):
-    cfg = parse_config("nn = 32\nn = 16\n", strict=False)
-    assert cfg.n == 16
-    assert "ignoring unknown key 'nn'" in capsys.readouterr().err
 
 
 def test_config_named_constraints():
@@ -600,6 +598,22 @@ def test_lee_norm_identity_bound_can_fail(n):
     assert 10 * item.value < item.bound < 1000 * item.value, (item.value, item.bound)
 
 
+@pytest.mark.parametrize("n", (8, 512))
+def test_derivative_exactness_bound_can_fail(monkeypatch, n):
+    # the item's one residual (a fixed input) reads 3.6e-15 at n = 8 and
+    # 1.66e-12 at n = 512, where the fixed 1e-12 failed it on working code;
+    # the bound keeps 1e-12 up to n = 256.  Computed from the item's own
+    # residual, as a whole battery at n = 512 takes 7 s and 780 MiB
+    (bound, residual), = [(bound, residual) for name, bound, _, residual
+                          in identities.IDENTITIES if name == "spectral derivative exactness"]
+    assert [bound(k) for k in (8, 16, 32, 64, 128, 256)] == [1e-12] * 6
+    assert bound(n) == max(1e-12, 3.9e-15 * n)
+    grid = BaseGrid(n)
+    assert residual(grid) < bound(n)
+    _flipped_gradient_sign(monkeypatch)
+    assert residual(grid) > bound(n)
+
+
 def _short_trace(n=16):
     grid = BaseGrid(n)
     m = make_noncsc_vaisman(grid, 0.1)
@@ -748,7 +762,7 @@ def test_run_experiment_identity_suite(tmp_path, capsys):
     assert verdict["ok"] and verdict["preset"] == "identity_suite"
 
 
-def test_main_exit_codes(tmp_path):
+def test_main_exit_codes(tmp_path, capsys):
     # 2: unreadable config, unknown key, bad value
     assert main(["run", str(tmp_path / "absent.cfg")]) == 2
     bad = tmp_path / "bad.cfg"
@@ -756,6 +770,14 @@ def test_main_exit_codes(tmp_path):
     assert main(["run", str(bad)]) == 2
     bad.write_text("n = 7\n")
     assert main(["run", str(bad)]) == 2
+    # 2, not a traceback: a Latin-1 comment is no UTF-8, and an out_dir
+    # with a NUL byte failed os.makedirs with a ValueError
+    bad.write_bytes(b"# Gr\xf6\xdfe\nsamples = 4\n")
+    assert main(["run", str(bad)]) == 2
+    assert capsys.readouterr().err.startswith("config error: cannot read config")
+    bad.write_text("samples = 4\nout_dir = a\0b\n")
+    assert main(["run", str(bad)]) == 2
+    assert "out_dir must be one nonempty line" in capsys.readouterr().err
 
     # 3: time step above the parabolic bound aborts before stepping
     cfl = tmp_path / "cfl.cfg"
@@ -777,18 +799,6 @@ def test_main_exit_codes(tmp_path):
     assert "leaves vaisman" in failed
 
 
-def test_main_rejects_infinite_tol_override(tmp_path, capsys):
-    # 2: with --tol inf "pluriclosed preserved" could not fail, and the echoed
-    # tol = inf did not parse back; a config file's tol = inf was already 2
-    cfgfile = tmp_path / "tol.cfg"
-    cfgfile.write_text("preset = stationary_csc\nn = 16\ndt = 1e-4\nt_end = 4e-4\n"
-                       f"out_dir = {tmp_path}\n")
-    assert main(["run", str(cfgfile), "--tol", "inf"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("config error") and "tol" in err, err
-    assert not list(tmp_path.glob("stationary_csc_*"))
-
-
 def test_main_rejects_fractional_step_count(tmp_path, capsys):
     # 2: t_end = 3.4 dt ran 3 steps and exited 0 while the time-grid check
     # was absolute (1e-9 * steps)
@@ -797,6 +807,18 @@ def test_main_rejects_fractional_step_count(tmp_path, capsys):
                        f"record_every = 1\nout_dir = {tmp_path}\n")
     assert main(["run", str(cfgfile)]) == 2
     assert "not an integer number of steps" in capsys.readouterr().err
+    assert not list(tmp_path.glob("stationary_csc_*"))
+
+
+@pytest.mark.parametrize("dt, t_end", ((5e-324, 1.0), (1e-300, 1e10)))
+def test_main_rejects_overflowing_step_count(tmp_path, capsys, dt, t_end):
+    # 2: t_end / dt overflows to inf, whose round raised a bare OverflowError
+    # (exit 1, a traceback)
+    cfgfile = tmp_path / "overflow.cfg"
+    cfgfile.write_text(f"preset = stationary_csc\nn = 8\ndt = {dt!r}\nt_end = {t_end!r}\n"
+                       f"out_dir = {tmp_path}\n")
+    assert main(["run", str(cfgfile)]) == 2
+    assert f"t_end / dt overflows: t_end = {t_end}, dt = {dt}" in capsys.readouterr().err
     assert not list(tmp_path.glob("stationary_csc_*"))
 
 
@@ -908,12 +930,37 @@ def test_main_run_healthy_flow_and_overrides(tmp_path):
     assert verdict["monitors"]["exit_time"] is not None
 
 
-def test_main_strict_flag(tmp_path, capsys):
-    cfgfile = tmp_path / "loose.cfg"
-    cfgfile.write_text(f"mystery = 1\nsamples = 4\nout_dir = {tmp_path}\n")
-    assert main(["run", str(cfgfile)]) == 2
-    assert main(["run", str(cfgfile), "--no-strict"]) == 0
-    assert "ignoring unknown key" in capsys.readouterr().err
+@pytest.mark.parametrize("command", ("run", "suite"))
+@pytest.mark.parametrize("flag", (("--tol", "1e-3"), ("--strict",), ("--no-strict",)),
+                         ids=("tol", "strict", "no-strict"))
+def test_settings_other_than_out_dir_are_usage_errors(tmp_path, capsys, command, flag):
+    # tol and the unknown-key rule live in the config file alone; argparse
+    # exits 2 before anything runs, where `suite --tol 5 --no-strict` exited 0
+    cfgfile = tmp_path / "suite.cfg"
+    cfgfile.write_text(f"samples = 4\nout_dir = {tmp_path}\n")
+    args = [command, str(cfgfile)] if command == "run" else [command]
+    with pytest.raises(SystemExit) as exit_:
+        main(args + ["--out-dir", str(tmp_path), *flag])
+    assert exit_.value.code == 2
+    assert "unrecognized arguments: " + " ".join(flag) in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.json"))
+
+
+def _defined_options():
+    """The options the run and suite subcommands define, less -h/--help."""
+    parser = cli_runner._build_parser()
+    subcommands, = (action.choices for action in parser._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    return {option for sub in subcommands.values() for action in sub._actions
+            for option in action.option_strings if option not in ("-h", "--help")}
+
+
+def test_readme_flags_name_the_parser_options():
+    # README's "Flags:" paragraph, up to its blank line, names each option
+    # that _build_parser defines and no other
+    readme = (ROOT / "README.md").read_text()
+    paragraph = readme[readme.index("\nFlags: "):].split("\n\n", 1)[0]
+    assert set(re.findall(r"--[a-z][a-z-]*", paragraph)) == _defined_options()
 
 
 def test_repeated_runs_emit_identical_bytes(tmp_path):
