@@ -12,7 +12,9 @@ state shares m0's lam array and lam data, 1/lam, min lam, the lam partials
 and the Laplacian (MetricState.with_fields), and a stage moves 7/7
 forward/inverse fields in two transform pairs.  A stage state is one axpy
 on the (u, p, q) stack, and it computes D and its minima once for the
-positivity guard, the velocity and the step bound.
+positivity guard, the velocity and the step bound; it allocates only what
+outlives it, its upq and D, theta and the velocity.  The RK4 sum, and then
+the new state's (u, p, q), go into k2's buffer.
 Classical RK4 with a parabolic step bound keeps the integrator auditable
 at desk scale.  Positivity is enforced, never restored: a step that leaves
 the positive cone is rejected, and non-finite values abort the run.
@@ -134,9 +136,12 @@ def flow_rhs(m):
     return m.velocity
 
 
-def _shifted(m, vel, factor):
-    """m moved by factor * vel, one axpy on its (u, p, q) stack; it shares m's lam data."""
-    upq = np.multiply(factor, vel)
+def _shifted(m, vel, factor, out=None):
+    """m moved by factor * vel, one axpy on its (u, p, q) stack; it shares m's lam data.
+
+    The new stack is written into out, which the state keeps, or a fresh array.
+    """
+    upq = np.multiply(factor, vel, out=out)
     try:
         return m.with_fields(np.add(m.upq, upq, out=upq))
     except NonFiniteFieldError as exc:
@@ -154,11 +159,14 @@ def step(m, dt):
         k2 = flow_rhs(_shifted(m, k1, 0.5 * dt))
         k3 = flow_rhs(_shifted(m, k2, 0.5 * dt))
         k4 = flow_rhs(_shifted(m, k3, dt))
-        incr = np.add(k2, k3)           # k1 + 2 (k2 + k3) + k4, in one buffer
+        # k1 + 2 (k2 + k3) + k4, and then the new state's (u, p, q), in k2,
+        # whose stage state is gone; k1 is m's cached velocity, which the
+        # trace shares, and is never written
+        incr = np.add(k2, k3, out=k2)
         np.multiply(2.0, incr, out=incr)
         np.add(k1, incr, out=incr)
         incr += k4
-        out = _shifted(m, incr, dt / 6.0)
+        out = _shifted(m, incr, dt / 6.0, incr)
     except PositivityError as exc:
         margin = m.positivity_margin()
         raise StepRejected(

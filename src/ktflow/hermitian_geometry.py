@@ -36,7 +36,8 @@ and the minima of u, lam and D; the lam data m.inv_lam, m.lam_partials and
 m.lam_laplacian; m.theta = lee_form(m), m.split = metric_split(m),
 m.curvature = bismut_ricci(m), m.velocity = flow_velocity(m) and
 m.s = scalar_curvature(m).  Each transforms only the partial sums it reads
-(BaseGrid.partial_sums) and fills preallocated arrays in place.  The
+(BaseGrid.partial_sums) and fills preallocated arrays in place; the
+velocity's intermediates are rows of the grid's real work array.  The
 velocity reads m.lam_partials and leaves its theta as m.theta, and the
 curvature takes d of the velocity's alpha, leaves -d11 of that alpha as
 m.velocity if the state has none, and reads m.s.  A state that
@@ -250,14 +251,26 @@ class MetricSplit:
     """Splitting of a state, omega = lam mu1^mu2 + omega_check.
 
     omega_check = w_check e1^e2; lam and theta are the state's m.lam, m.theta.
+    mu2 = J mu1 and the 6-row omega_check are built on first use, from
+    mu1 and w_check: the flow's trace reads only mu1's shift, sigma1,
+    sigma2 and w_check.  A split made by dataclasses.replace with another
+    mu1 has the mu2 of that mu1.
     """
 
     mu1: InvariantForm
-    mu2: InvariantForm
-    omega_check: InvariantForm
     sigma1: np.ndarray
     sigma2: np.ndarray
     w_check: np.ndarray
+
+    @cached_property
+    def mu2(self):
+        return apply_J(self.mu1)
+
+    @cached_property
+    def omega_check(self):
+        coeffs = np.zeros((6,) + self.w_check.shape)   # w e1^e2
+        coeffs[0] = self.w_check
+        return InvariantForm._trusted(self.mu1.grid, 2, coeffs)
 
 
 def _shift_and_area(m):
@@ -290,26 +303,21 @@ def metric_split(m):
     curl, div = m.grid.partial_sums(shift, _SPLIT_TERMS)
     mu1 = np.zeros((4,) + w.shape)   # a e1 + b e2 + e3
     mu1[:2], mu1[2] = shift, 1.0
-    omega_check = np.zeros((6,) + w.shape)   # w e1^e2
-    omega_check[0] = w
-    mu1 = InvariantForm._trusted(m.grid, 1, mu1)
-    return MetricSplit(mu1=mu1, mu2=apply_J(mu1),
-                       omega_check=InvariantForm._trusted(m.grid, 2, omega_check),
+    return MetricSplit(mu1=InvariantForm._trusted(m.grid, 1, mu1),
                        sigma1=(curl - 1.0) / w, sigma2=div / w, w_check=w)
 
 
-def _lee_coefficients(m, lam_partials, A, B, D):
+def _lee_coefficients(m, lam_partials, A, B, D, scratch):
     """theta's coefficients (4, *stack, n, n) from (lam_x, lam_y), A, B + lam and D.
 
     B arrives as B + lam and is overwritten with B; each coefficient is
-    summed left to right in one row of the result, through one scratch field.
+    summed left to right in one row of the result, through the field scratch.
     """
     u, lam, p, q = m.u, m.lam, m.p, m.q
     lam_x, lam_y = lam_partials
     B -= lam
     theta = np.empty((4,) + A.shape)
     t1, t2, t3, t4 = theta
-    scratch = np.empty_like(A)
     np.multiply(u, lam_x, out=t1)   # u lam_x - p B + q A
     t1 -= np.multiply(p, B, out=scratch)
     t1 += np.multiply(q, A, out=scratch)
@@ -336,7 +344,7 @@ def lee_form(m):
     """
     m.require_positive()
     A, B, lam_x, lam_y = m.grid.partial_sums(np.stack((m.p, m.q, m.lam)), _LEE_TERMS)
-    theta = _lee_coefficients(m, (lam_x, lam_y), A, B, m.D)
+    theta = _lee_coefficients(m, (lam_x, lam_y), A, B, m.D, np.empty_like(A))
     return InvariantForm._trusted(m.grid, 1, theta)
 
 
@@ -368,7 +376,7 @@ def bismut_ricci(m):
     and, unless the state has one, m.velocity: 12/14 forward/inverse
     fields with lam's partials.
     """
-    alpha = _flow_alpha(m)
+    alpha = _flow_alpha(m)   # in the grid's real work array: both reads come first
     rho = exterior_d(InvariantForm._trusted(m.grid, 1, alpha))
     if "velocity" not in m.__dict__:
         m.__dict__["velocity"] = _velocity_from_alpha(m, alpha)
@@ -379,17 +387,24 @@ def _flow_alpha(m):
     """alpha = J (theta - (1/2) d log D), leaving theta as m.theta.
 
     Returns the 1-form coefficients (-b2, b1, -t4, t3) of J b for
-    b = theta - (1/2) d log D; its partial sums are freed on return.
+    b = theta - (1/2) d log D.  Only theta is allocated: everything else
+    lives in 12 rows of the grid's real work array, (*stack, n, n) each,
+    the stacked (p, q, log D), their four partial sums (A, B + lam,
+    (log D)_x, (log D)_y), alpha and the Lee scratch row.  All but alpha's
+    rows are free again on return, and alpha's once the caller has read
+    it: flow_velocity takes d11 of it, bismut_ricci d and then d11.  It is
+    a view that the grid's next _flow_alpha overwrites, so a caller reads
+    it before it computes another velocity, and no result keeps it.
     """
     m.require_positive()  # first: positivity before the log
-    fields = np.empty_like(m.upq)
+    work = m.grid._work(2, (12,) + m.D.shape)
+    fields, sums, alpha, scratch = work[:3], work[3:7], work[7:11], work[11]
     fields[:2] = m.upq[1:]
     np.log(m.D, out=fields[2])
-    A, B, log_x, log_y = m.grid.partial_sums(fields, _LEE_TERMS)
-    theta = _lee_coefficients(m, m.lam_partials, A, B, m.D)
+    A, B, log_x, log_y = m.grid.partial_sums(fields, _LEE_TERMS, sums)
+    theta = _lee_coefficients(m, m.lam_partials, A, B, m.D, scratch)
     m.__dict__.setdefault("theta", InvariantForm._trusted(m.grid, 1, theta))
     t1, t2, t3, t4 = theta
-    alpha = np.empty_like(theta)
     minus_b2, b1, minus_t4, _ = alpha
     np.multiply(0.5, log_y, out=minus_b2)   # b2 = t2 - (1/2) (log D)_y
     np.subtract(t2, minus_b2, out=minus_b2)
@@ -408,7 +423,10 @@ def flow_velocity(m):
     m.theta (equal to lee_form(m) bitwise), and alpha = J (theta - (1/2)
     d log D); one more gives -rho^(1,1) = -(d alpha)^(1,1) (BaseGrid.d11),
     whose e3^e4 coefficient, lam's velocity, vanishes identically.  That is
-    7/7 forward/inverse fields.
+    7/7 forward/inverse fields.  Everything between them lives in the
+    grid's work arrays (_flow_alpha), so once the grid has served a state
+    of this shape the call allocates theta and the velocity it returns,
+    besides D and the lam data if the state has not computed them.
     """
     return _velocity_from_alpha(m, _flow_alpha(m))
 

@@ -19,7 +19,8 @@ BaseGrid.partial_sums over a table of (field, factor, symbol) terms: an
 rfft2, sums of products with cached symbols (partials, the Laplacian, its
 inverse), an irfft2, each transform called as its two 1-D transforms.  The
 spectra live in two complex work arrays that the grid owns and reuses, so
-a call allocates only the real fields it returns.  An exterior derivative
+a call allocates only the real fields it returns, and nothing when its
+caller hands it an out array for them.  An exterior derivative
 moves 1/2, 4/5, 5/4 and 2/1 forward/inverse fields for degrees 0 to 3:
 only the coefficients and components with a base partial.
 
@@ -110,13 +111,18 @@ class BaseGrid:
 
     Every transform pair runs in two complex work arrays that the grid
     owns: array 0 holds the spectrum of partial_sums' inputs, array 1 its
-    sums plus one scratch row.  Each grows to the largest call the grid
-    has served and never shrinks, so a grid retains 16 n (n/2 + 1) bytes
-    (8.5 KiB at n = 32, 33 KiB at n = 64) per field of its largest
-    forward transform and per row of its largest sums; a suite run at
-    n = 32 keeps 10 and 12 rows, 187 KiB.  Views are cached per shape, so
-    a call whose shape has been seen allocates no complex array.  The
-    arrays make a grid unsafe to share between threads.
+    sums plus one scratch row.  A third, real work array holds the
+    intermediates of the flow's velocity (hermitian_geometry._flow_alpha),
+    12 rows of (*stack, n, n) fields.  Each grows to the largest call the
+    grid has served and never shrinks, so a grid retains 16 n (n/2 + 1)
+    bytes (8.5 KiB at n = 32, 33 KiB at n = 64) per field of its largest
+    forward transform and per row of its largest sums, and 8 n^2 bytes
+    (8 and 32 KiB) per real row.  A flow keeps 4, 6 and 12 rows: 181 KiB
+    at n = 32 and 714 KiB at n = 64.  A suite run, whose stacks hold up
+    to four states, keeps 20, 24 and 24 rows: 566 KiB at n = 32 and
+    2220 KiB at n = 64.  Views are cached per shape, so a call whose
+    shape has been seen allocates no work array.  The arrays make a grid
+    unsafe to share between threads.
     """
 
     def __init__(self, n):
@@ -139,8 +145,9 @@ class BaseGrid:
         ky[0, -1] = 0.0  # the y Nyquist mode is the last rfft column
         self._factors = {"ik_x": 1j * kx, "ik_y": 1j * ky, "inv_lap": inv_lap}
         self._symbol_tables = {}
-        self._work_arrays = [np.empty(0, dtype=complex), np.empty(0, dtype=complex)]
-        self._views = ({}, {})
+        self._work_arrays = [np.empty(0, dtype=complex), np.empty(0, dtype=complex),
+                             np.empty(0)]
+        self._views = ({}, {}, {})
 
     def __repr__(self):
         return f"BaseGrid(n={self.n})"
@@ -169,7 +176,7 @@ class BaseGrid:
         return values
 
     def _work(self, which, shape):
-        """View of complex work array 0 or 1 with the given shape, cached per shape.
+        """View of work array 0 or 1 (complex) or 2 (real) of the given shape, cached per shape.
 
         An array grows to the largest size asked of it and never shrinks;
         growing it drops its cached views, so none keeps the old array alive.
@@ -179,7 +186,7 @@ class BaseGrid:
         if view is None:
             size = math.prod(shape)
             if self._work_arrays[which].size < size:
-                self._work_arrays[which] = np.empty(size, dtype=complex)
+                self._work_arrays[which] = np.empty(size, self._work_arrays[which].dtype)
                 views.clear()
             view = views[shape] = self._work_arrays[which][:size].reshape(shape)
         return view
@@ -196,14 +203,15 @@ class BaseGrid:
         np.fft.rfft(values, out=spec)
         return np.fft.fft(spec, axis=-2, out=spec)
 
-    def _inverse(self, spec):
+    def _inverse(self, spec, out=None):
         """irfft2 back to (n, n) fields, composed of its two 1-D calls as numpy does.
 
         Consumes spec, in partial_sums a view of work array 1: the axis -2
-        pass writes into it.  Only the real fields the irfft allocates
-        leave the call.
+        pass writes into it.  The irfft writes the real fields into out, a
+        float array of shape spec.shape[:-1] + (n,), or allocates them if
+        out is None; they are bitwise the same either way.
         """
-        return np.fft.irfft(np.fft.ifft(spec, axis=-2, out=spec), self.n)
+        return np.fft.irfft(np.fft.ifft(spec, axis=-2, out=spec), self.n, out=out)
 
     def _symbols(self, terms):
         """terms with each (factor, names) as factor times the named factors, cached."""
@@ -214,26 +222,29 @@ class BaseGrid:
                 for j, factor, names in row) for row in terms)
         return table
 
-    def partial_sums(self, values, terms):
+    def partial_sums(self, values, terms, out=None):
         """Sums of spectral multiples of stacked fields, from one transform pair.
 
         Output i sums factor times symbol applied to values[field] over the
         (field, factor, symbol) in terms[i]; callers check their input.  The
         spectrum of the inputs is work array 0 and the sums, plus one
         scratch row, are work array 1 (see the class docstring for what the
-        grid retains), so once a shape has been seen a call allocates only
-        the real fields it returns, which share no memory with the work
-        arrays.  No spectrum leaves the call: a caller that needs one copies
-        it.  Not for use from two threads on one grid.
+        grid retains).  The real fields go into out, a float array of shape
+        (len(terms), *values.shape[1:]) that must not overlap values, and
+        out is returned; with out None they are allocated, and once a shape
+        has been seen that is all the call allocates.  A result shares no
+        memory with the complex work arrays, and no spectrum leaves the
+        call: a caller that needs one copies it.  Not for use from two
+        threads on one grid.
         """
         spec = self._forward(values)
         work = self._work(1, (len(terms) + 1,) + spec.shape[1:])
-        out, scratch = work[:-1], work[-1]
-        for acc, ((j, symbol), *rest) in zip(out, self._symbols(terms)):
+        sums, scratch = work[:-1], work[-1]
+        for acc, ((j, symbol), *rest) in zip(sums, self._symbols(terms)):
             np.multiply(spec[j], symbol, out=acc)
             for j, symbol in rest:
                 acc += np.multiply(spec[j], symbol, out=scratch)
-        return self._inverse(out)
+        return self._inverse(sums, out)
 
     def derivative(self, values):
         """Both spectral base partials (d/dx, d/dy) from one real transform.
@@ -404,7 +415,8 @@ def _d_tables(k):
     times a base partial of coefficient first + j.  The coefficients with a
     partial (no e1^e2) are a lexicographic tail and the components they
     reach a head.
-    struct holds (i_in, sign, i_out) of the d(e3) part, d(e3) ^ the e3 contraction.
+    struct holds (i_in, sign, i_out) of the d(e3) part, d(e3) ^ the e3
+    contraction; every i_out lies in that head.
     """
     spectral = [[] for _ in MULTI_INDEX[k + 1]]
     for i_in, idx in enumerate(MULTI_INDEX[k]):
@@ -440,10 +452,10 @@ def _zeros(grid, degree, shape):
     return InvariantForm._trusted(grid, degree, np.zeros((NCOMP[degree],) + shape))
 
 
-def _apply(table, alpha, out):
-    """Add sign * alpha's coefficient i_in to out's i_out, in table order."""
+def _apply(table, coeffs, out):
+    """Add sign * coeffs[i_in] to out[i_out], in table order; returns out."""
     for i_in, sign, i_out in table:
-        out.coeffs[i_out] += sign * alpha.coeffs[i_in]
+        out[i_out] += sign * coeffs[i_in]
     return out
 
 
@@ -461,20 +473,38 @@ def wedge(alpha, beta):
     return out
 
 
-def exterior_d(alpha):
-    """Exterior derivative: spectral base part plus the d(e3) structure part.
+def _check_d_degree(alpha):
+    if alpha.degree >= 4:
+        raise DegreeError("exterior derivative of a 4-form is not represented")
+
+
+def _d_head(alpha, out=None):
+    """The head of d alpha's coefficients, the components with a base partial.
 
     The base part is summed per output component in spectral space, between
     one forward transform of the coefficients that have a partial and one
-    inverse transform of the components that receive one (see _d_tables).
+    inverse transform of the components that receive one, into out's head
+    if out is given; then the d(e3) structure part is added (see
+    _d_tables).  Every later component of d alpha is zero.
     """
-    k = alpha.degree
-    if k >= 4:
-        raise DegreeError("exterior derivative of a 4-form is not represented")
-    first, spectral, struct = _d_tables(k)
-    out = _zeros(alpha.grid, k + 1, alpha.coeffs.shape[1:])
-    out.coeffs[:len(spectral)] = alpha.grid.partial_sums(alpha.coeffs[first:], spectral)
-    return _apply(struct, alpha, out)
+    first, spectral, struct = _d_tables(alpha.degree)
+    head = alpha.grid.partial_sums(alpha.coeffs[first:], spectral,
+                                   None if out is None else out[:len(spectral)])
+    return _apply(struct, alpha.coeffs, head)
+
+
+def exterior_d(alpha):
+    """Exterior derivative: spectral base part plus the d(e3) structure part (_d_head)."""
+    _check_d_degree(alpha)
+    out = _zeros(alpha.grid, alpha.degree + 1, alpha.coeffs.shape[1:])
+    _d_head(alpha, out.coeffs)
+    return out
+
+
+def max_abs_d(alpha):
+    """exterior_d(alpha).max_abs(), from the head of d alpha alone."""
+    _check_d_degree(alpha)
+    return float(np.max(np.abs(_d_head(alpha))))
 
 
 def apply_J(alpha):
@@ -486,7 +516,8 @@ def apply_J(alpha):
     cancel against the coframe transport.
     """
     out = _zeros(alpha.grid, alpha.degree, alpha.coeffs.shape[1:])
-    return _apply(_j_table(alpha.degree), alpha, out)
+    _apply(_j_table(alpha.degree), alpha.coeffs, out.coeffs)
+    return out
 
 
 def p11_projection(beta):
@@ -503,7 +534,9 @@ def contract(vertical, alpha):
     if alpha.degree == 0:
         raise DegreeError("cannot contract a 0-form")
     table = _contract_table(alpha.degree, VERTICAL_COFRAME_INDEX[vertical])
-    return _apply(table, alpha, _zeros(alpha.grid, alpha.degree - 1, alpha.coeffs.shape[1:]))
+    out = _zeros(alpha.grid, alpha.degree - 1, alpha.coeffs.shape[1:])
+    _apply(table, alpha.coeffs, out.coeffs)
+    return out
 
 
 BASIC_TOL = 1e-12

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import GridError, PositivityError
 from .hermitian_geometry import MetricState, inner_1forms
-from .invariant_forms import DX, DY, apply_J, exterior_d, wedge
+from .invariant_forms import DX, DY, apply_J, exterior_d, max_abs_d, wedge
 
 
 @dataclass(frozen=True)
@@ -45,12 +45,13 @@ def assess(m, tol=1e-8):
 
     d H = -(lam_xx + lam_yy) e1^e2^e3^e4 for the torsion H of any state, so
     the pluriclosed defect needs lam's Laplacian only, m.lam_laplacian, which
-    the states of a flow share; s is the flow's s = -d/dt log D, m.s.  One
+    the states of a flow share; s is the flow's s = -d/dt log D, m.s; and
+    max |d theta| is read from the nonzero head of d theta (max_abs_d).  One
     state only: its variances would pool a stack, which raises GridError.
     """
     m.grid.require_single(m.lam, "assess")
     split = m.split
-    lck = exterior_d(m.theta).max_abs()
+    lck = max_abs_d(m.theta)
     vaisman = _variance(m.lam) + _variance(split.sigma1) + _variance(split.sigma2)
     return DefectReport(
         pluriclosed_defect=float(np.max(np.abs(m.lam_laplacian))),

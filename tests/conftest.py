@@ -29,9 +29,9 @@ def _count_transforms(monkeypatch, size):
     counts = [0, 0]
 
     def counted(which, transform):
-        def wrapped(grid, values):
+        def wrapped(grid, values, *out):
             counts[which] += size(values)
-            return transform(grid, values)
+            return transform(grid, values, *out)
         return wrapped
 
     monkeypatch.setattr(BaseGrid, "_forward", counted(0, BaseGrid._forward))

@@ -963,6 +963,39 @@ def test_readme_flags_name_the_parser_options():
     assert set(re.findall(r"--[a-z][a-z-]*", paragraph)) == _defined_options()
 
 
+def _docstring_key_table():
+    """{key: default text} from the cli_runner docstring's table of keys and defaults.
+
+    A row starts with k key names and then their k defaults (k is 4 on the
+    u0 lam0 p0 q0 row); preset's "default" is the first of its choices.
+    """
+    doc = cli_runner.__doc__
+    table = doc[doc.index("Recognized keys and defaults:\n"):].split("\n\n", 2)[1]
+    names = {f.name for f in fields(ExperimentConfig)}
+    found = {}
+    for line in table.splitlines():
+        words = line.split()
+        k = next(i for i, word in enumerate(words) if word not in names)
+        assert k > 0, line
+        for key, text in zip(words[:k], words[k:2 * k]):
+            assert key not in found, key
+            found[key] = text
+    return found
+
+
+def test_docstring_key_table_matches_the_config_defaults():
+    # the config grammar's reference lists every ExperimentConfig key once,
+    # with its default as parse_config reads it, and preset's choices
+    table = _docstring_key_table()
+    defaults = ExperimentConfig()
+    assert list(table) == [f.name for f in fields(ExperimentConfig)]
+    assert len(table) == 20
+    for key, text in table.items():
+        assert cli_runner._CASTERS[key](text) == getattr(defaults, key), key
+    row, = (line for line in cli_runner.__doc__.splitlines() if line.split()[:1] == ["preset"])
+    assert row.split()[1::2] == list(cli_runner.PRESETS)
+
+
 def test_repeated_runs_emit_identical_bytes(tmp_path):
     outs = []
     for sub in ("a", "b"):

@@ -1,12 +1,14 @@
 """RK4 driver, trace diagnostics and guard rails."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import ktflow.flow_engine as flow_engine
 import ktflow.hermitian_geometry as hermitian_geometry
+import ktflow.identities as identities
 from ktflow.errors import (ConfigError, DegenerateTransverseError, KTError,
                            NumericalAbort, StepRejected)
 from ktflow.flow_engine import (FlowConfig, FlowTrace, TRACE_COLUMNS,
@@ -245,6 +247,63 @@ def test_rk4_step_scans_only_its_stage_states(grid16, scanned_fields):
     scanned_fields[:] = [0, 0]
     step(m, 1e-4)
     assert scanned_fields == [4, 12]
+
+
+def test_step_leaves_the_start_velocity_bitwise(grid16):
+    # k1 is m.velocity, which the trace record shares; the RK4 sum goes into k2
+    rng = np.random.default_rng(3)
+    for m in (make_noncsc_vaisman(grid16, 0.1), _varying_lam_state(grid16, rng)):
+        k1 = m.velocity
+        kept = k1.copy()
+        out = step(m, 1e-4)
+        assert m.velocity is k1 and k1.tobytes() == kept.tobytes()
+        assert not np.shares_memory(out.upq, k1)
+
+
+def test_warm_rk4_step_allocates_only_what_its_states_keep():
+    # tracemalloc peak of one step at n = 64 after a warm-up step, in n x n
+    # fields of 32 KiB.  The peak comes as stage 4 ends, when k2 and k3 (3
+    # fields each) and the stage-4 state's upq (3), D (1), theta (4) and
+    # velocity k4 (3) are alive: 17 fields.  Everything else of a stage, the
+    # (p, q, log D) stack, its partial sums, alpha and the Lee scratch row,
+    # is in the grid's work arrays, and the RK4 sum goes into k2; the slack
+    # is for small objects.  (25.1 fields, 823 KB, when each velocity
+    # allocated its intermediates and the sum a buffer of its own.)
+    n = 64
+    field = 8 * n * n
+    m = make_noncsc_vaisman(BaseGrid(n), 0.1)
+    step(m, 1e-5)
+    tracemalloc.start()
+    try:
+        out = step(m, 1e-5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 17 * field + 8192, peak / field
+    assert out.positivity_margin() > 0.0
+
+
+def test_flow_after_a_battery_equals_a_fresh_grid_flow(monkeypatch):
+    # the battery leaves the grid's work arrays grown by its stacks (the
+    # real one by the curvature of its two seed stacks of two states) and
+    # views of their shapes cached; a flow on that grid is bitwise the flow
+    # on a grid of its own
+    grid = BaseGrid(16)
+    monkeypatch.setattr(identities, "BaseGrid", lambda n: grid)
+    assert all(item.ok for item in identities.identity_battery(16, 6, 5))
+    assert grid._work_arrays[2].size == 12 * 2 * 16 * 16
+    cfg = FlowConfig(dt=1e-4, t_end=6e-4, record_every=2)
+    used, fresh = (run(make_noncsc_vaisman(g, 0.1, (2, 1)), cfg) for g in (grid, BaseGrid(16)))
+    for name in TRACE_COLUMNS:
+        assert used.column(name).tobytes() == fresh.column(name).tobytes(), name
+    assert used.final_state.upq.tobytes() == fresh.final_state.upq.tobytes()
+
+
+def test_record_builds_neither_mu2_nor_omega_check(grid16):
+    # the trace reads mu1's shift, sigma1, sigma2 and w_check of each split
+    trace = run(make_noncsc_vaisman(grid16, 0.1), FlowConfig(dt=1e-4, t_end=4e-4))
+    split = vars(trace.final_state)["split"]
+    assert "mu2" not in vars(split) and "omega_check" not in vars(split)
 
 
 def test_flow_scan_budget(grid16, scanned_fields):

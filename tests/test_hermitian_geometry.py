@@ -1,4 +1,4 @@
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -139,6 +139,20 @@ def test_split_identities_random(grid32, rng):
             assert (apply_J(dmu) - dmu).max_abs() < 1e-12
 
 
+def test_split_builds_mu2_and_omega_check_on_first_use(grid16, rng):
+    # mu2 = J mu1 and omega_check = w_check e1^e2, once each; a split that
+    # replace() gives another mu1 has that mu1's mu2
+    sp = metric_split(random_state(grid16, rng))
+    assert "mu2" not in vars(sp) and "omega_check" not in vars(sp)
+    assert np.array_equal(sp.mu2.coeffs, apply_J(sp.mu1).coeffs)
+    expected = np.zeros((6, 16, 16))
+    expected[0] = sp.w_check
+    assert np.array_equal(sp.omega_check.coeffs, expected)
+    assert sp.mu2 is sp.mu2 and sp.omega_check is sp.omega_check
+    swapped = replace(sp, mu1=InvariantForm(grid16, 1, sp.mu1.coeffs[[1, 0, 2, 3]]))
+    assert np.array_equal(swapped.mu2.coeffs, apply_J(swapped.mu1).coeffs)
+
+
 def test_split_rejects_degenerate_transverse(grid8):
     ones = np.ones((8, 8))
     thin = MetricState(grid8, ones, ones, np.sqrt(1.0 - 1e-13) * ones, 0.0 * ones)
@@ -195,11 +209,14 @@ def test_closed_forms_match_oracles(rng):
             m = random_state(grid, rng)
             assert (lee_form(m) - wedge_lee_form(m)).max_abs() < 1e-13
             sp, ref = metric_split(m), contraction_split(m)
-            for field in fields(MetricSplit):
-                gap = getattr(sp, field.name) - ref[field.name]
+            # every field and the two forms built on first use
+            names = [field.name for field in fields(MetricSplit)] + ["mu2", "omega_check"]
+            assert sorted(names) == sorted(ref)
+            for name in names:
+                gap = getattr(sp, name) - ref[name]
                 if isinstance(gap, InvariantForm):
                     gap = gap.coeffs
-                assert np.max(np.abs(gap)) < 1e-13, field.name
+                assert np.max(np.abs(gap)) < 1e-13, name
             alpha, beta = random_form(grid, rng, 1), random_form(grid, rng, 1)
             g_inv = np.linalg.inv(metric_tensor(m))
             expected = np.einsum("ixy,xyij,jxy->xy", alpha.coeffs, g_inv, beta.coeffs)

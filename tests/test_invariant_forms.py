@@ -6,13 +6,13 @@ import types
 import numpy as np
 import pytest
 
-from ktflow import vaisman_toolkit
+from ktflow import invariant_forms, vaisman_toolkit
 from ktflow.errors import (DegreeError, GridError, NonBasicFormError,
                            NonFiniteFieldError)
 from ktflow.hermitian_geometry import _LEE_TERMS
-from ktflow.invariant_forms import (INDEX_POS, LAPLACIAN, BaseGrid, InvariantForm,
+from ktflow.invariant_forms import (INDEX_POS, LAPLACIAN, NCOMP, BaseGrid, InvariantForm,
                                     V1, V2, apply_J, base_integral, basis_form, coframe,
-                                    contract, exterior_d, p11_projection,
+                                    contract, exterior_d, max_abs_d, p11_projection,
                                     random_band_limited, random_form, wedge)
 
 from oracles import (direct_band_limited, partials_exterior_d,
@@ -220,8 +220,25 @@ def test_exterior_d_transforms_only_used_fields(grid16, rng, transform_fields, d
 
 
 def test_exterior_d_top_degree_rejected(grid8):
-    with pytest.raises(DegreeError):
-        exterior_d(basis_form(grid8, (0, 1, 2, 3)))
+    for d in (exterior_d, max_abs_d):
+        with pytest.raises(DegreeError):
+            d(basis_form(grid8, (0, 1, 2, 3)))
+
+
+@pytest.mark.parametrize("degree", (0, 1, 2, 3))
+def test_max_abs_d_equals_the_max_of_exterior_d_bitwise(grid16, degree):
+    # on one state and on a stack; a constant 50 added to the coefficients
+    # that d(e3) reads makes that part carry the maximum
+    struct = invariant_forms._d_tables(degree)[2]
+    for seed, lead in ((0, ()), (1, (3,))):
+        coeffs = random_band_limited(grid16, np.random.default_rng(seed),
+                                     lead=(NCOMP[degree],) + lead)
+        for shift in (0.0, 50.0):
+            for i_in, _, _ in struct:
+                coeffs[i_in] += shift
+            alpha = InvariantForm(grid16, degree, coeffs)
+            assert max_abs_d(alpha) == exterior_d(alpha).max_abs() > 0.0
+        assert degree in (0, 3) or max_abs_d(alpha) > 49.0
 
 
 def test_apply_J_coframe_table(grid8):
@@ -469,6 +486,19 @@ def test_partial_sums_after_a_bigger_stack_equals_a_fresh_grid(rng):
     for terms in (_LEE_TERMS, LAPLACIAN, vaisman_toolkit._SHIFT_TERMS):
         assert np.array_equal(used.partial_sums(values, terms),
                               BaseGrid(16).partial_sums(values, terms))
+
+
+def test_partial_sums_into_out_returns_out_bitwise(rng):
+    # out may be rows of a larger array, as the flow's real work array is
+    grid = BaseGrid(32)
+    values = rng.normal(size=(3, 2, 32, 32))
+    for terms in (_LEE_TERMS, LAPLACIAN, vaisman_toolkit._SHIFT_TERMS):
+        expected = grid.partial_sums(values, terms)
+        buf = np.full((len(terms) + 2, 2, 32, 32), np.nan)
+        out = buf[1:-1]
+        assert grid.partial_sums(values, terms, out) is out
+        assert out.tobytes() == expected.tobytes()
+        assert np.isnan(buf[0]).all() and np.isnan(buf[-1]).all()
 
 
 def test_repeated_partial_sums_allocates_only_its_result():
