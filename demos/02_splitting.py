@@ -8,6 +8,7 @@ enough to break every predicate in the report.
 
 import numpy as np
 
+from ktflow.flow_engine import FlowConfig
 from ktflow.hermitian_geometry import MetricState, metric_split
 from ktflow.invariant_forms import BaseGrid, base_integral, exterior_d
 from ktflow.vaisman_toolkit import assess, make_noncsc_vaisman, make_standard_vaisman
@@ -25,8 +26,9 @@ def show(name, m):
     print(f"  transverse class integral = {base_integral(split.omega_check):+.6f}")
     print(f"  pluriclosed_defect = {rep.pluriclosed_defect:.3e}"
           f"   lck_defect = {rep.lck_defect:.3e}")
-    print(f"  vaisman_defect = {rep.vaisman_defect:.3e}"
-          f"   Var(s) = {rep.s_variance:.3e}   is_vaisman = {rep.is_vaisman}")
+    tol = FlowConfig.vaisman_tol
+    print(f"  vaisman_defect = {rep.vaisman_defect:.3e}   Var(s) = {rep.s_variance:.3e}")
+    print(f"  Vaisman (vaisman_defect < vaisman_tol = {tol:.0e}): {rep.vaisman_defect < tol}")
 
 
 def main():

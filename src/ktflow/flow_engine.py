@@ -7,9 +7,9 @@ the base only, so -rho^(1,1) has no e3^e4 term: lam is frozen by
 construction, and the flow is a parabolic system for (u, p, q) on the base
 grid.  Its velocity is a closed form (hermitian_geometry.flow_velocity),
 cached on each state as m.velocity, which the trace records share with the
-next step's first stage.  lam passes through bitwise, so every later
-state shares m0's lam array and lam data, 1/lam, min lam, the lam partials
-and the Laplacian (MetricState.with_fields), and a stage moves 7/7
+next step's first stage.  lam passes through bitwise, so every state of a
+run shares m0's lam array and one set of lam data, 1/lam, min lam, the lam
+partials and the Laplacian (MetricState.with_fields), and a stage moves 7/7
 forward/inverse fields in two transform pairs.  A stage state is one axpy
 on the (u, p, q) stack, and it computes D and its minima once for the
 positivity guard, the velocity and the step bound; it allocates only what
@@ -37,6 +37,7 @@ No form is built for them: each is a closed form in mu_1's shift (a, b) =
 
 from __future__ import annotations
 
+import copy
 import numbers
 from dataclasses import dataclass
 
@@ -69,9 +70,14 @@ TRACE_COLUMNS = (
 )
 
 
+# 500x the longest flow planned (a rigid run to t = 1 at n = 64, about 20,000
+# steps); the tests run at most 1000 steps and the demos 100
+MAX_STEPS = 10_000_000
+
+
 @dataclass(frozen=True)
 class FlowConfig:
-    """Integration parameters and tolerance knobs for one run."""
+    """Integration parameters of one run, and the thresholds that read its defects."""
 
     dt: float = 1e-4
     t_end: float = 0.1
@@ -96,11 +102,14 @@ class FlowConfig:
             raise ConfigError(f"record_every must be an integer >= 1, got {every!r}")
 
     def steps(self):
-        """Number of steps; t_end must be a whole number of them to 1e-9 relative."""
+        """Number of steps, at most MAX_STEPS; t_end is a whole number of them to 1e-9 relative."""
         ratio = self.t_end / self.dt
         if not ratio < np.inf:
             raise ConfigError(f"t_end / dt overflows: t_end = {self.t_end}, dt = {self.dt}")
         n = int(round(ratio))
+        if n > MAX_STEPS:
+            raise ConfigError(f"t_end = {self.t_end} at dt = {self.dt} is {n} steps,"
+                              f" more than MAX_STEPS = {MAX_STEPS}")
         if n < 1:
             raise ConfigError("t_end shorter than one time step")
         if abs(n * self.dt - self.t_end) > 1e-9 * n * self.dt:
@@ -124,11 +133,6 @@ class FlowTrace:
 
     def column(self, name):
         return self.columns[name]
-
-    def rows(self):
-        data = [self.columns[name] for name in TRACE_COLUMNS]
-        for i in range(len(self)):
-            yield tuple(float(col[i]) for col in data)
 
 
 def flow_rhs(m):
@@ -223,27 +227,27 @@ def run(m0, cfg):
     defined.  Exceptions from step() propagate with the failure time filled
     in, and a record whose transverse area w = D/lam falls below
     DEGENERACY_TOL aborts the run (NumericalAbort) at its time.  m0 is one
-    state; a stack of states raises GridError.
+    state; a stack of states raises GridError.  m0 is left as given: the
+    run starts from a shallow copy, which caches what the run derives.
     """
     m0.grid.require_single(m0.lam, "run")
-    m0.require_positive()
+    state = copy.copy(m0)
+    state.require_positive()
     steps = cfg.steps()
     n_records = steps // cfg.record_every + (1 if steps % cfg.record_every else 0)
     if n_records + 1 < 3:
         raise ConfigError("run too short: fewer than 3 trace records")
 
     columns = {name: [] for name in TRACE_COLUMNS}
-    state = m0
     t = 0.0
-    shift0 = _split_at(m0, t).mu1.coeffs[:2]
-    prev_fiber = None
-    prev_t = None
+    shift0 = _split_at(state, t).mu1.coeffs[:2].copy()
+    prev_fiber = prev_t = None
 
     def record(m, t_now):
         nonlocal prev_fiber, prev_t
         split = _split_at(m, t_now)
         vel = m.velocity  # first: it leaves m.theta for assess
-        report = assess(m, cfg.vaisman_tol)
+        report = assess(m)
         # mu1 = a e1 + b e2 + e3 and mu2 = -b e1 + a e2 + e4 move with (da, db)
         # = (q', p')/lam, since lam' = 0; lam mu1^mu2 is (lam (a^2 + b^2), lam b,
         # lam a, lam) on e12, e13 = e24, e14 = -e23, e34, moving with
@@ -261,11 +265,11 @@ def run(m0, cfg):
         row = {
             "t": t_now,
             "lambda_mean": float(np.mean(m.lam)),
-            "lambda_var": float(np.var(m.lam)),
+            "lambda_var": report.lambda_variance,
             "sigma1_mean": float(np.mean(split.sigma1)),
-            "sigma1_var": float(np.var(split.sigma1)),
+            "sigma1_var": report.sigma1_variance,
             "sigma2_mean": float(np.mean(split.sigma2)),
-            "sigma2_var": float(np.var(split.sigma2)),
+            "sigma2_var": report.sigma2_variance,
             "s_mean": float(np.mean(m.s)),
             "s_var": report.s_variance,
             "pluriclosed_defect": report.pluriclosed_defect,
@@ -328,9 +332,7 @@ def conservation_monitors(trace):
                      float(np.max(np.abs(cols["char_2"] - cols["char_2"][0]))))
     vaisman_rows = cols["vaisman_defect"] < cfg.vaisman_tol
     def vaisman_max(name):
-        if not np.any(vaisman_rows):
-            return None
-        return float(np.max(cols[name][vaisman_rows]))
+        return float(np.max(cols[name][vaisman_rows])) if np.any(vaisman_rows) else None
     max_defect = float(np.max(cols["vaisman_defect"]))
     stays = bool(max_defect < cfg.vaisman_tol and cols["s_var"][0] < cfg.variance_tol)
     above = np.nonzero(cols["vaisman_defect"] > cfg.exit_threshold)[0]

@@ -8,9 +8,9 @@ The characterization used throughout: an invariant metric state is
 
 and within the Vaisman states, constancy of the curvature scalar s separates
 the rigid seeds (flow keeps the Vaisman property) from the ones that leave.
-The defect report quantifies each predicate; seeds for both regimes are
-constructed exactly (the non-constant-s family has sigma_1 = -1 and
-sigma_2 = 0 by a spectral Hodge solve, not approximately).
+The defect report measures each predicate, and FlowConfig's thresholds
+decide; seeds for both regimes are constructed exactly (the non-constant-s
+family has sigma_1 = -1 and sigma_2 = 0 by a spectral Hodge solve).
 """
 
 from __future__ import annotations
@@ -27,39 +27,35 @@ from .invariant_forms import DX, DY, apply_J, exterior_d, max_abs_d, wedge
 
 @dataclass(frozen=True)
 class DefectReport:
-    """Nonnegative defect functionals of one metric state."""
+    """Nonnegative defect functionals of one metric state; FlowConfig's thresholds read them."""
 
     pluriclosed_defect: float    # max |d H| = max |lam_xx + lam_yy|
     lck_defect: float            # max |d theta|
-    vaisman_defect: float        # Var(lam) + Var(sigma1) + Var(sigma2)
+    lambda_variance: float       # Var(lam)
+    sigma1_variance: float       # Var(sigma1)
+    sigma2_variance: float       # Var(sigma2)
     s_variance: float            # Var(s): the constant-curvature defect
-    is_vaisman: bool
+
+    @property
+    def vaisman_defect(self):
+        """Var(lam) + Var(sigma1) + Var(sigma2), summed in that order."""
+        return self.lambda_variance + self.sigma1_variance + self.sigma2_variance
 
 
-def _variance(field):
-    return float(np.var(field))
-
-
-def assess(m, tol=1e-8):
+def assess(m):
     """Defect report of a metric state, from its cached split, Lee form and scalar.
 
-    d H = -(lam_xx + lam_yy) e1^e2^e3^e4 for the torsion H of any state, so
-    the pluriclosed defect needs lam's Laplacian only, m.lam_laplacian, which
-    the states of a flow share; s is the flow's s = -d/dt log D, m.s; and
-    max |d theta| is read from the nonzero head of d theta (max_abs_d).  One
-    state only: its variances would pool a stack, which raises GridError.
+    It takes no threshold: FlowConfig's decide.  d H = -(lam_xx + lam_yy)
+    e1^e2^e3^e4 for the torsion H of any state, so the pluriclosed defect
+    needs lam's Laplacian only, m.lam_laplacian, which the states of a flow
+    share; s is the flow's s = -d/dt log D, m.s; and max |d theta| is read
+    from the nonzero head of d theta (max_abs_d).  One state only: its
+    variances would pool a stack, which raises GridError.
     """
     m.grid.require_single(m.lam, "assess")
     split = m.split
-    lck = max_abs_d(m.theta)
-    vaisman = _variance(m.lam) + _variance(split.sigma1) + _variance(split.sigma2)
-    return DefectReport(
-        pluriclosed_defect=float(np.max(np.abs(m.lam_laplacian))),
-        lck_defect=float(lck),
-        vaisman_defect=float(vaisman),
-        s_variance=_variance(m.s),
-        is_vaisman=bool(vaisman < tol),
-    )
+    return DefectReport(float(np.max(np.abs(m.lam_laplacian))), float(max_abs_d(m.theta)),
+                        *(float(np.var(f)) for f in (m.lam, split.sigma1, split.sigma2, m.s)))
 
 
 def potential_residual(m):

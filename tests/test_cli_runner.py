@@ -154,9 +154,11 @@ def test_config_rejects_non_finite_or_non_real_floats(key):
 
 
 def test_config_with_real_numbers_parses_back():
-    # numpy's float64 repr is "np.float64(0.5)", which parse_config cannot read
+    # numpy's float64 repr is "np.float64(0.5)", which parse_config cannot read;
+    # t_end is a whole number of the float32 steps, as a config's must be
+    dt = np.float32(1e-4)
     cfg = ExperimentConfig(preset="custom", u0=2, lam0=np.float64(0.5), scale=3,
-                           dt=np.float32(1e-4))
+                           dt=dt, t_end=dt * 1024)
     assert parse_config(serialize_config(cfg)) == cfg
 
 
@@ -620,6 +622,78 @@ def _short_trace(n=16):
     return run(m, FlowConfig(dt=1e-4, t_end=5e-4, record_every=1))
 
 
+def _frozen_flow(monkeypatch):
+    # every stage velocity reads zero, so the state never moves
+    monkeypatch.setattr(flow_engine, "flow_rhs", lambda m: np.zeros_like(m.upq))
+
+
+def _bumped_flow(monkeypatch):
+    # the stage velocity's du gains sin(2 pi x), so u, and with it sigma1,
+    # varies in space
+    true_rhs = flow_engine.flow_rhs
+    monkeypatch.setattr(flow_engine, "flow_rhs", lambda m: true_rhs(m) + np.stack(
+        (np.sin(2.0 * np.pi * m.grid.xx), m.grid.zeros(), m.grid.zeros())))
+
+
+def _unweighted_characteristic_numbers(monkeypatch):
+    # the trace's characteristic numbers drop the area w_check: mean(sigma_i)
+    # moves with u, where mean(sigma_i w_check) does not
+    monkeypatch.setattr(flow_engine, "characteristic_numbers", lambda split: (
+        float(np.mean(split.sigma1)), float(np.mean(split.sigma2))))
+
+
+FLOW_RUNS = {
+    "stationary_csc": "preset = stationary_csc\nn = 16\ndt = 1e-4\nt_end = 1e-3\n",
+    "noncsc_vaisman": ("preset = noncsc_vaisman\nn = 32\nepsilon = 0.1\nmode = 2,1\n"
+                       "dt = 1e-4\nt_end = 2e-3\n"),
+}
+
+FLOW_MUTATIONS = (
+    pytest.param(_bumped_flow, "stationary_csc", "stays vaisman", id="bumped-flow"),
+    pytest.param(_frozen_flow, "noncsc_vaisman", "leaves vaisman", id="frozen-flow"),
+    pytest.param(_frozen_flow, "noncsc_vaisman", "exit time recorded", id="frozen-flow-exit"),
+    pytest.param(_unweighted_characteristic_numbers, "stationary_csc",
+                 "characteristic numbers conserved", id="unweighted-characteristic-numbers"),
+)
+
+# flow assertions with no mutation in FLOW_MUTATIONS, each with the reason
+# none exists
+FLOW_WAIVERS = {
+    "pluriclosed preserved": "lam is frozen by construction and every preset seed has a "
+                             "constant lam, whose max |lap lam| reads exactly 0.0; every "
+                             "symbol of a Laplacian table vanishes on the zero mode, so no "
+                             "table mutation moves it either (ROADMAP item 4)",
+}
+
+
+@pytest.mark.parametrize("mutate, preset, name", FLOW_MUTATIONS)
+def test_flow_assertion_can_fail(tmp_path, monkeypatch, mutate, preset, name):
+    # each mutation leaves the run able to finish, and the named check fails;
+    # the frozen flow passed "leaves vaisman" while the check read the seed's
+    # Var(s) ("PASS  leaves vaisman: max defect 1.154e-32")
+    mutate(monkeypatch)
+    stream = io.StringIO()
+    assert run_experiment(parse_config(FLOW_RUNS[preset] + f"out_dir = {tmp_path}\n"),
+                          stream) == 1
+    assert re.search(rf"^FAIL  {name}: ", stream.getvalue(), re.M), stream.getvalue()
+    verdict = json.loads((tmp_path / f"{preset}_verdict.json").read_text())
+    assert {a["name"]: a["ok"] for a in verdict["assertions"]}[name] is False
+
+
+def test_every_flow_assertion_has_a_mutation_or_a_waiver():
+    monitors = {"stays_vaisman": True, "max_vaisman_defect": 0.0, "exit_time": None,
+                "max_pluriclosed_defect": 0.0, "char_drift_rate": 0.0}
+    names = {name for preset in cli_runner.PRESETS if preset != "identity_suite"
+             for name, _, _ in cli_runner._flow_assertions(ExperimentConfig(preset=preset),
+                                                           monitors)}
+    assert len(names) == 5
+    mutated = {case.values[2] for case in FLOW_MUTATIONS}
+    assert mutated <= names, mutated - names
+    assert not mutated & set(FLOW_WAIVERS), mutated & set(FLOW_WAIVERS)
+    assert all(isinstance(reason, str) and reason.strip() for reason in FLOW_WAIVERS.values())
+    assert [name for name in sorted(names) if name not in mutated | set(FLOW_WAIVERS)] == []
+
+
 def test_csv_round_trip_bit_exact(tmp_path):
     tr = _short_trace()
     path = tmp_path / "trace.csv"
@@ -808,6 +882,17 @@ def test_main_rejects_fractional_step_count(tmp_path, capsys):
     assert main(["run", str(cfgfile)]) == 2
     assert "not an integer number of steps" in capsys.readouterr().err
     assert not list(tmp_path.glob("stationary_csc_*"))
+
+
+@pytest.mark.parametrize("preset", ("identity_suite", "stationary_csc", "noncsc_vaisman"))
+def test_config_rejects_a_runaway_step_count(preset):
+    # 1e19 steps passed every check, so `ktflow run` started a flow that
+    # could not finish; the config is refused before any step
+    message = "t_end = 0.1 at dt = 1e-20 is 10000000000000002048 steps, more than MAX_STEPS"
+    with pytest.raises(ConfigError, match=message):
+        parse_config(f"preset = {preset}\ndt = 1e-20\nt_end = 0.1\n")
+    with pytest.raises(ConfigError, match=message):
+        ExperimentConfig(preset=preset, dt=1e-20, t_end=0.1)
 
 
 @pytest.mark.parametrize("dt, t_end", ((5e-324, 1.0), (1e-300, 1e10)))

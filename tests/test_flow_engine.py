@@ -166,9 +166,18 @@ def test_run_rejects_bad_time_grid(grid16):
     (1e-4, 0.01, 100),      # demos
     (2e-5, 1e-3, 50),
     (1e-10, 3e-10, 3),
+    (1.0, 1e7, flow_engine.MAX_STEPS),
 ))
 def test_time_grid_accepts_whole_step_counts(dt, t_end, steps):
     assert FlowConfig(dt=dt, t_end=t_end).steps() == steps
+
+
+def test_step_count_above_max_steps_is_rejected():
+    # FlowConfig(dt=1e-20, t_end=0.1).steps() returned 10000000000000002048
+    assert flow_engine.MAX_STEPS >= 100 * 20_000   # a rigid run to t = 1 at n = 64
+    with pytest.raises(ConfigError, match=r"^t_end = 10000001.0 at dt = 1.0 is 10000001 steps,"
+                                          r" more than MAX_STEPS = 10000000$"):
+        FlowConfig(dt=1.0, t_end=float(flow_engine.MAX_STEPS + 1)).steps()
 
 
 def test_run_enforces_parabolic_bound(grid32):
@@ -445,8 +454,20 @@ def test_run_trace_structure(grid32):
         col = tr.column(name)
         assert col.shape == t.shape
         assert np.all(np.isfinite(col))
-    rows = list(tr.rows())
-    assert len(rows) == 4 and len(rows[0]) == len(TRACE_COLUMNS)
+    assert tuple(tr.columns) == TRACE_COLUMNS
+
+
+def test_run_leaves_its_seed_as_given(grid32):
+    # the run cached its velocity, theta, split and s on the seed, and the
+    # start shift kept a view of the seed's 4-row mu1: 0.63 MiB that a held
+    # seed kept after a rigid run at n = 64
+    m = make_noncsc_vaisman(grid32, 0.1)
+    before = dict(m.__dict__)
+    trace = run(m, FlowConfig(dt=1e-4, t_end=5e-4))
+    assert trace.initial_state is m
+    assert not {"velocity", "theta", "split", "s", "D"} & m.__dict__.keys()
+    assert m.__dict__.keys() == before.keys()
+    assert all(m.__dict__[key] is value for key, value in before.items())
 
 
 def test_csc_run_tracks_closed_form(grid32):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ktflow.errors import GridError, PositivityError
+from ktflow.flow_engine import FlowConfig
 from ktflow.hermitian_geometry import MetricState, metric_split
 from ktflow.invariant_forms import BaseGrid, base_integral
 from ktflow.vaisman_toolkit import (assess, make_noncsc_vaisman, make_standard_vaisman,
@@ -27,7 +28,7 @@ def test_standard_seed_is_rigid_vaisman(grid32):
     for scale in (1.0, 0.5, 3.0):
         m = make_standard_vaisman(grid32, scale)
         rep = assess(m)
-        assert rep.is_vaisman
+        assert rep.vaisman_defect < FlowConfig.vaisman_tol
         assert rep.pluriclosed_defect < 1e-13
         assert rep.lck_defect < 1e-13
         assert rep.vaisman_defect < 1e-26
@@ -51,7 +52,7 @@ def test_noncsc_seed_exact_splitting(grid32):
 
 def test_noncsc_seed_is_nonrigid_vaisman(grid32):
     rep = assess(make_noncsc_vaisman(grid32, 0.1))
-    assert rep.is_vaisman
+    assert rep.vaisman_defect < FlowConfig.vaisman_tol
     assert rep.vaisman_defect < 1e-14
     assert rep.pluriclosed_defect < 1e-10
     assert rep.lck_defect < 1e-10
@@ -69,7 +70,7 @@ def test_noncsc_seed_s_variance_scales_with_eps(grid32):
 def test_noncsc_seed_modes_and_bounds(grid32):
     for mode in ((2, 1), (1, 3), (2, 2)):
         rep = assess(make_noncsc_vaisman(grid32, 0.1, mode=mode))
-        assert rep.is_vaisman
+        assert rep.vaisman_defect < FlowConfig.vaisman_tol
         assert rep.s_variance > 1e-7
     with pytest.raises(ValueError):
         make_noncsc_vaisman(grid32, 0.1, mode=(0, 1))
@@ -109,7 +110,7 @@ def test_defects_respond_to_each_breakage(grid32):
                             grid32.zeros(), grid32.zeros())
     rep = assess(rough_lam)
     assert rep.pluriclosed_defect > 1e-3
-    assert not rep.is_vaisman
+    assert rep.vaisman_defect >= FlowConfig.vaisman_tol
     # rough u with constant lam: pluriclosed but sigma_1 = -1/u varies
     rough_u = MetricState(grid32, 1.0 + bump, grid32.constant(1.0),
                           grid32.zeros(), grid32.zeros())
@@ -117,7 +118,21 @@ def test_defects_respond_to_each_breakage(grid32):
     assert rep.pluriclosed_defect < 1e-10
     assert rep.lck_defect > 1e-4
     assert rep.vaisman_defect > 1e-4
-    assert not rep.is_vaisman
+    assert rep.vaisman_defect >= FlowConfig.vaisman_tol
+
+
+def test_report_carries_the_three_variances_of_the_vaisman_defect(grid32):
+    # the trace's lambda_var, sigma1_var and sigma2_var columns are these
+    # fields, and vaisman_defect is their sum in that order, bitwise
+    two_pi = 2.0 * np.pi
+    bump = 0.2 * np.sin(two_pi * grid32.xx) * np.sin(two_pi * grid32.yy)
+    m = MetricState(grid32, 1.0 + bump, 1.0 - 0.5 * bump, 0.1 * bump, grid32.zeros())
+    rep = assess(m)
+    split = metric_split(m)
+    variances = (rep.lambda_variance, rep.sigma1_variance, rep.sigma2_variance)
+    assert variances == (np.var(m.lam), np.var(split.sigma1), np.var(split.sigma2))
+    assert all(v > 1e-6 for v in variances)
+    assert rep.vaisman_defect == variances[0] + variances[1] + variances[2]
 
 
 def test_basic_class_nontriviality(grid32):
