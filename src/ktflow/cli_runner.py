@@ -140,7 +140,7 @@ class ExperimentConfig:
                     f"custom preset has a degenerate transverse area u0 - (p0^2 + q0^2)/lam0"
                     f" = {area:.3e}, outside [{DEGENERACY_TOL:.0e}, inf)"
                 )
-        self.flow_config().steps()
+        self.flow_config().records()
         if not 0 < self.tol < math.inf:
             raise ConfigError(f"tol must satisfy 0 < tol < inf, got {self.tol}")
         if self.samples < 1:

@@ -9,7 +9,8 @@ grid.  Its velocity is a closed form (hermitian_geometry.flow_velocity),
 cached on each state as m.velocity, which the trace records share with the
 next step's first stage.  lam passes through bitwise, so every state of a
 run shares m0's lam array and one set of lam data, 1/lam, min lam, the lam
-partials and the Laplacian (MetricState.with_fields), and a stage moves 7/7
+partials and the Laplacian, and the trace's constants of lam, its mean,
+variance and max |lap lam| (MetricState.with_fields), and a stage moves 7/7
 forward/inverse fields in two transform pairs.  A stage state is one axpy
 on the (u, p, q) stack, and it computes D and its minima once for the
 positivity guard, the velocity and the step bound; it allocates only what
@@ -22,8 +23,8 @@ the positive cone is rejected, and non-finite values abort the run.
 Two identities put the record path on the same velocity: the curvature
 scalar is s = -d/dt log D (m.s, read once per record), and the torsion
 derivative is d H = -(lam_xx + lam_yy) e1^e2^e3^e4, so the pluriclosed
-defect is a measured max |lap lam| from the shared Laplacian: a record
-moves 6/7 fields, the split and d theta.
+defect is a measured max |lap lam|, taken once per run: a record moves 6/7
+fields, the split and d theta, and reads its means and variances from assess.
 
 Each recorded row carries the conservation diagnostics that the splitting
 calculus predicts: the fiber part of the state velocity (exactly zero at
@@ -117,6 +118,13 @@ class FlowConfig:
                 f"t_end = {self.t_end} is not an integer number of steps of dt = {self.dt}"
             )
         return n
+
+    def records(self):
+        """Number of trace records, at t = 0, every record_every steps and at t_end; at least 3."""
+        records = 1 + -(-self.steps() // self.record_every)
+        if records < 3:
+            raise ConfigError(f"run too short: {records} trace records, fewer than 3")
+        return records
 
 
 @dataclass
@@ -233,10 +241,8 @@ def run(m0, cfg):
     m0.grid.require_single(m0.lam, "run")
     state = copy.copy(m0)
     state.require_positive()
+    cfg.records()
     steps = cfg.steps()
-    n_records = steps // cfg.record_every + (1 if steps % cfg.record_every else 0)
-    if n_records + 1 < 3:
-        raise ConfigError("run too short: fewer than 3 trace records")
 
     columns = {name: [] for name in TRACE_COLUMNS}
     t = 0.0
@@ -253,9 +259,12 @@ def run(m0, cfg):
         # lam a, lam) on e12, e13 = e24, e14 = -e23, e34, moving with
         # (2 (a da + b db) lam, db lam, da lam)
         a, b = shift = split.mu1.coeffs[:2]
-        da, db = vel[:0:-1] * m.inv_lam
-        fiber_vel = np.stack((2.0 * (da * a + db * b) * m.lam, db * m.lam, da * m.lam))
-        fiber = np.stack(((a * a + b * b) * m.lam, b * m.lam, a * m.lam))  # lam is frozen
+        da, db = rate = vel[:0:-1] * m.inv_lam
+        fiber_vel, fiber = np.empty((3,) + a.shape), np.empty((3,) + a.shape)  # lam is frozen
+        np.multiply(2.0 * (da * a + db * b), m.lam, out=fiber_vel[0])
+        np.multiply(rate[::-1], m.lam, out=fiber_vel[1:])
+        np.multiply(a * a + b * b, m.lam, out=fiber[0])
+        np.multiply(shift[::-1], m.lam, out=fiber[1:])
         if prev_fiber is None:
             fd = 0.0  # first record has no predecessor
         else:
@@ -264,13 +273,13 @@ def run(m0, cfg):
         char1, char2 = characteristic_numbers(split)
         row = {
             "t": t_now,
-            "lambda_mean": float(np.mean(m.lam)),
+            "lambda_mean": report.lambda_mean,
             "lambda_var": report.lambda_variance,
-            "sigma1_mean": float(np.mean(split.sigma1)),
+            "sigma1_mean": report.sigma1_mean,
             "sigma1_var": report.sigma1_variance,
-            "sigma2_mean": float(np.mean(split.sigma2)),
+            "sigma2_mean": report.sigma2_mean,
             "sigma2_var": report.sigma2_variance,
-            "s_mean": float(np.mean(m.s)),
+            "s_mean": report.s_mean,
             "s_var": report.s_variance,
             "pluriclosed_defect": report.pluriclosed_defect,
             "lck_defect": report.lck_defect,

@@ -32,8 +32,9 @@ and the snapshot take one state and raise GridError on a stack.  A state
 keeps (u, p, q) as the rows of one read-only (3, *stack, n, n) array,
 m.upq, beside a read-only lam.  Its derived data is a property of the
 state, computed once on first access: the Pfaffian m.D = u lam - p^2 - q^2
-and the minima of u, lam and D; the lam data m.inv_lam, m.lam_partials and
-m.lam_laplacian; m.theta = lee_form(m), m.split = metric_split(m),
+and the minima of u, lam and D; the lam data m.inv_lam, m.lam_partials,
+m.lam_laplacian, m.lam_moments = (mean, variance) and m.lam_laplacian_max
+= max |lap lam|; m.theta = lee_form(m), m.split = metric_split(m),
 m.curvature = bismut_ricci(m), m.velocity = flow_velocity(m) and
 m.s = scalar_curvature(m).  Each transforms only the partial sums it reads
 (BaseGrid.partial_sums) and fills preallocated arrays in place; the
@@ -104,12 +105,21 @@ DEGENERACY_TOL = 1e-12
 
 # state data that depends on lam alone, handed from a state to the states
 # with_fields builds on it, as far as the state has computed it
-_LAM_DATA = ("lam_min", "inv_lam", "lam_partials", "lam_laplacian")
+_LAM_DATA = ("lam_min", "inv_lam", "lam_partials", "lam_laplacian", "lam_moments",
+             "lam_laplacian_max")
 
 
 def _read_only(values):
     values.setflags(write=False)
     return values
+
+
+def mean_and_variance(values):
+    """float(np.mean(values)), float(np.var(values)): numpy's reductions, without its wrappers."""
+    size = values.size
+    mean = np.add.reduce(values, axis=None) / size
+    centred = np.subtract(values, mean)
+    return float(mean), float(np.add.reduce(np.square(centred, out=centred), axis=None) / size)
 
 
 @dataclass(frozen=True, eq=False)
@@ -224,6 +234,16 @@ class MetricState:
     def lam_laplacian(self):
         """lam_xx + lam_yy, from one transform pair on lam (1/1 fields)."""
         return _read_only(self.grid.partial_sums(self.lam[None], LAPLACIAN)[0])
+
+    @cached_property
+    def lam_moments(self):
+        """(mean, variance) of lam, by mean_and_variance."""
+        return mean_and_variance(self.lam)
+
+    @cached_property
+    def lam_laplacian_max(self):
+        """max |lam_xx + lam_yy|, a float."""
+        return float(np.max(np.abs(self.lam_laplacian)))
 
     @cached_property
     def theta(self):

@@ -101,13 +101,14 @@ class BaseGrid:
     Resolution must be a power of two and at least 8 so that spectral
     derivatives have a clean Nyquist convention and transforms stay fast.
     Every spectral operation is one partial_sums call: _forward (rfft2 of
-    the trailing axes), products with symbols in one half-width layout (kx
-    over the full first axis, ky >= 0 over the n/2 + 1 columns), _inverse.
-    A symbol multiplies named factors of one table built here, so their
-    conventions are decided once.  ik_x and ik_y are 0 on their axis's
-    Nyquist mode, which carries no usable odd-derivative information (DX +
-    DX drops it too); inv_lap is 1 / -(kx^2 + ky^2) of the full wave
-    numbers with a zero mode of 0, the zero-mean inverse Laplacian.
+    the trailing axes), same-shape products with symbols of the half
+    spectrum's shape (kx over the n rows, ky >= 0 over n/2 + 1 columns),
+    _inverse.  A symbol, kept once per (factor, names), multiplies named
+    factors of one table built here, so their conventions are decided once.
+    ik_x and ik_y are 0 on their axis's Nyquist mode, which carries no
+    usable odd-derivative information (DX + DX drops it too); inv_lap is
+    1 / -(kx^2 + ky^2) of the full wave numbers with a zero mode of 0, the
+    zero-mean inverse Laplacian.
 
     Every transform pair runs in two complex work arrays that the grid
     owns: array 0 holds the spectrum of partial_sums' inputs, array 1 its
@@ -120,9 +121,11 @@ class BaseGrid:
     (8 and 32 KiB) per real row.  A flow keeps 4, 6 and 12 rows: 181 KiB
     at n = 32 and 714 KiB at n = 64.  A suite run, whose stacks hold up
     to four states, keeps 20, 24 and 24 rows: 566 KiB at n = 32 and
-    2220 KiB at n = 64.  Views are cached per shape, so a call whose
-    shape has been seen allocates no work array.  The arrays make a grid
-    unsafe to share between threads.
+    2220 KiB at n = 64.  Each complex symbol takes 16 n (n/2 + 1) bytes as
+    well: a rigid flow keeps 9, an eps-seed flow and a suite 11, 94 KiB
+    at n = 32 and 363 KiB at n = 64.  Views are cached per shape, so a call
+    whose shape has been seen allocates no work array.  The arrays make a
+    grid unsafe to share between threads.
     """
 
     def __init__(self, n):
@@ -143,7 +146,10 @@ class BaseGrid:
         inv_lap[0, 0] = 0.0
         kx[n // 2] = 0.0
         ky[0, -1] = 0.0  # the y Nyquist mode is the last rfft column
-        self._factors = {"ik_x": 1j * kx, "ik_y": 1j * ky, "inv_lap": inv_lap}
+        ik_x, ik_y = np.zeros((2,) + lap.shape, dtype=complex)  # real parts +0.0
+        ik_x.imag, ik_y.imag = kx, ky
+        self._factors = {"ik_x": ik_x, "ik_y": ik_y, "inv_lap": inv_lap}
+        self._symbol_arrays = {}
         self._symbol_tables = {}
         self._work_arrays = [np.empty(0, dtype=complex), np.empty(0, dtype=complex),
                              np.empty(0)]
@@ -218,9 +224,17 @@ class BaseGrid:
         table = self._symbol_tables.get(terms)
         if table is None:
             table = self._symbol_tables[terms] = tuple(tuple(
-                (j, math.prod((self._factors[name] for name in names), start=factor))
-                for j, factor, names in row) for row in terms)
+                (j, self._symbol(factor, names)) for j, factor, names in row) for row in terms)
         return table
+
+    def _symbol(self, factor, names):
+        """factor times the named factors, one array per (factor, names)."""
+        if factor == 1.0 and len(names) == 1:   # zeros are +0.0: 1.0 * f is bitwise f
+            return self._factors[names[0]]
+        if (factor, names) not in self._symbol_arrays:
+            self._symbol_arrays[factor, names] = math.prod(
+                (self._factors[name] for name in names), start=factor)
+        return self._symbol_arrays[factor, names]
 
     def partial_sums(self, values, terms, out=None):
         """Sums of spectral multiples of stacked fields, from one transform pair.
@@ -504,7 +518,8 @@ def exterior_d(alpha):
 def max_abs_d(alpha):
     """exterior_d(alpha).max_abs(), from the head of d alpha alone."""
     _check_d_degree(alpha)
-    return float(np.max(np.abs(_d_head(alpha))))
+    head = _d_head(alpha)
+    return float(np.max(np.abs(head, out=head)))
 
 
 def apply_J(alpha):

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridError, PositivityError
-from .hermitian_geometry import MetricState, inner_1forms
+from .hermitian_geometry import MetricState, inner_1forms, mean_and_variance
 from .invariant_forms import DX, DY, apply_J, exterior_d, max_abs_d, wedge
 
 
@@ -35,6 +35,10 @@ class DefectReport:
     sigma1_variance: float       # Var(sigma1)
     sigma2_variance: float       # Var(sigma2)
     s_variance: float            # Var(s): the constant-curvature defect
+    lambda_mean: float           # the means beside the variances, for the flow's trace
+    sigma1_mean: float
+    sigma2_mean: float
+    s_mean: float
 
     @property
     def vaisman_defect(self):
@@ -47,15 +51,16 @@ def assess(m):
 
     It takes no threshold: FlowConfig's decide.  d H = -(lam_xx + lam_yy)
     e1^e2^e3^e4 for the torsion H of any state, so the pluriclosed defect
-    needs lam's Laplacian only, m.lam_laplacian, which the states of a flow
-    share; s is the flow's s = -d/dt log D, m.s; and max |d theta| is read
-    from the nonzero head of d theta (max_abs_d).  One state only: its
-    variances would pool a stack, which raises GridError.
+    is m.lam_laplacian_max and lam's (mean, variance) m.lam_moments, lam
+    data that the states of a flow share; s is the flow's s = -d/dt log D,
+    m.s, and sigma1, sigma2 and s go through mean_and_variance; max |d theta|
+    is read from the nonzero head of d theta (max_abs_d).  One state only:
+    its variances would pool a stack, which raises GridError.
     """
     m.grid.require_single(m.lam, "assess")
-    split = m.split
-    return DefectReport(float(np.max(np.abs(m.lam_laplacian))), float(max_abs_d(m.theta)),
-                        *(float(np.var(f)) for f in (m.lam, split.sigma1, split.sigma2, m.s)))
+    means, variances = zip(m.lam_moments, *map(mean_and_variance,
+                                               (m.split.sigma1, m.split.sigma2, m.s)))
+    return DefectReport(m.lam_laplacian_max, max_abs_d(m.theta), *variances, *means)
 
 
 def potential_residual(m):

@@ -48,11 +48,17 @@ alpha = J (theta - (1/2) d log(u lam - p^2 - q^2)) in closed form from
   inverts only those, and the velocity reads the state's cached lam
   partials.
 
+* broadcast_partial_sums: BaseGrid.partial_sums with each symbol formed
+  per call from the factors in the broadcast layout, ik_x (n, 1) and ik_y
+  (1, n/2 + 1) (broadcast_factors); the package keeps one (n, n/2 + 1)
+  array per symbol, so each product is a same-shape ufunc on the same
+  values, and the two agree bitwise.
+
 * expression_flow_velocity: flow_velocity with every intermediate a fresh
-  array from a numpy expression: theta and alpha by np.stack, each symbol
-  formed per call, d11 as rfft2_d11.  The package fills preallocated
-  arrays in place with the same operands in the same order, so the two
-  agree bitwise.
+  array from a numpy expression: theta and alpha by np.stack, the partial
+  sums by broadcast_partial_sums, d11 as rfft2_d11.  The package fills
+  preallocated arrays in place with the same operands in the same order,
+  so the two agree bitwise.
 
 * fresh_state_rk4_step: one RK4 step whose stage states are each built by
   MetricState(...) and so validate and differentiate lam afresh; the package
@@ -347,14 +353,26 @@ def partials_flow_velocity(m):
     return -m.grid.d11(np.stack((-b2, b1, -t4, t3)))
 
 
-def _expression_partial_sums(grid, values, terms):
-    """BaseGrid.partial_sums with each symbol and product formed per call."""
+def broadcast_factors(grid):
+    """The grid's factors with ik_x as (n, 1) and ik_y as (1, n/2 + 1), views of its own."""
+    factors = dict(grid._factors)
+    factors["ik_x"], factors["ik_y"] = factors["ik_x"][:, :1], factors["ik_y"][:1]
+    return factors
+
+
+def broadcast_partial_sums(grid, values, terms):
+    """BaseGrid.partial_sums with each symbol and product formed per call.
+
+    The symbols are products of broadcast_factors, so every product with a
+    partial broadcasts a column or a row over the half-spectrum.
+    """
     spec = grid._forward(values)
     out = np.empty((len(terms),) + spec.shape[1:], dtype=complex)
+    factors = broadcast_factors(grid)
 
     def symbol(factor, names):
         for name in names:
-            factor = factor * grid._factors[name]
+            factor = factor * factors[name]
         return factor
 
     for acc, ((j, factor, names), *rest) in zip(out, terms):
@@ -374,7 +392,7 @@ def expression_flow_velocity(m):
     """
     D = _determinant(m)
     fields = np.stack((m.p, m.q, np.log(D)))
-    A, B, log_x, log_y = _expression_partial_sums(m.grid, fields, _LEE_TERMS)
+    A, B, log_x, log_y = broadcast_partial_sums(m.grid, fields, _LEE_TERMS)
     theta = _expression_lee_coefficients(m, m.grid.derivative(m.lam), A, B, D)
     t1, t2, t3, t4 = theta
     b1 = t1 - 0.5 * log_x

@@ -30,7 +30,7 @@ from ktflow.identities import identity_battery
 from ktflow.invariant_forms import CONVENTIONS_VERSION, BaseGrid, InvariantForm
 from ktflow.vaisman_toolkit import make_noncsc_vaisman, make_standard_vaisman
 
-from oracles import _single_battery_states, per_state_battery
+from oracles import _single_battery_states, broadcast_factors, per_state_battery
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -882,6 +882,46 @@ def test_main_rejects_fractional_step_count(tmp_path, capsys):
     assert main(["run", str(cfgfile)]) == 2
     assert "not an integer number of steps" in capsys.readouterr().err
     assert not list(tmp_path.glob("stationary_csc_*"))
+
+
+def test_noncsc_flow_on_broadcast_factors_is_byte_identical(tmp_path, monkeypatch):
+    # the grid's ik_x and ik_y patched back to (n, 1) and (1, n/2 + 1), so
+    # every symbol broadcasts in its products: trace and snapshot unchanged
+    def outputs(out_dir):
+        cfg = ExperimentConfig(preset="noncsc_vaisman", n=16, epsilon=0.15, mode=(1, 2),
+                               t_end=4e-3, out_dir=str(out_dir))
+        assert run_experiment(cfg, io.StringIO()) == 0
+        return [(out_dir / f"noncsc_vaisman_{name}").read_bytes()
+                for name in ("trace.csv", "final_state.json")]
+
+    expected = outputs(tmp_path / "half_spectrum")
+    true_init = BaseGrid.__init__
+
+    def broadcast_init(grid, n):
+        true_init(grid, n)
+        grid._factors = broadcast_factors(grid)
+
+    monkeypatch.setattr(BaseGrid, "__init__", broadcast_init)
+    assert BaseGrid(16)._symbols(invariant_forms._D11)[1][0][1].shape == (16, 1)
+    assert outputs(tmp_path / "broadcast") == expected
+
+
+def test_flow_too_short_for_three_records_is_refused_at_parse(tmp_path, capsys):
+    # 2 steps with a record every 2 give 2 records: the config was accepted,
+    # and `ktflow run` echoed it and made out_dir before the flow refused it
+    out_dir = tmp_path / "out"
+    text = (f"preset = stationary_csc\nn = 16\ndt = 1e-4\nt_end = 2e-4\nrecord_every = 2\n"
+            f"out_dir = {out_dir}\n")
+    with pytest.raises(ConfigError, match="run too short: 2 trace records, fewer than 3"):
+        parse_config(text)
+    cfgfile = tmp_path / "short.cfg"
+    cfgfile.write_text(text)
+    assert main(["run", str(cfgfile)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "run too short" in captured.err
+    assert not out_dir.exists()
+    assert FlowConfig(dt=1e-4, t_end=3e-4, record_every=2).records() == 3
 
 
 @pytest.mark.parametrize("preset", ("identity_suite", "stationary_csc", "noncsc_vaisman"))

@@ -386,30 +386,30 @@ def _stale_handover(monkeypatch, key):
     # with_fields hands every new state zeros in place of the lam data `key`
     true_with_fields = MetricState.with_fields
 
+    def zeros(value):
+        if isinstance(value, tuple):
+            return (0.0,) * len(value)
+        return 0.0 if isinstance(value, float) else np.zeros_like(value)
+
     def stale(m, upq):
         out = true_with_fields(m, upq)
-        out.__dict__[key] = np.zeros_like(getattr(m, key))
+        out.__dict__[key] = zeros(getattr(m, key))
         return out
 
     monkeypatch.setattr(MetricState, "with_fields", stale)
 
 
-def test_stale_lam_partials_handover_is_seen(monkeypatch):
-    # handing over zero lam partials breaks the bitwise match above
-    _stale_handover(monkeypatch, "lam_partials")
-    grid = BaseGrid(16)
-    m = _varying_lam_state(grid, np.random.default_rng(0))
-    dt = 0.05 * grid.h ** 2
-    got, expected = step(m, dt), fresh_state_rk4_step(m, dt)
-    assert np.max(np.abs(got.u - expected.u)) > 1e-8
+def _short_varying_lam_run():
+    # five steps of a varying-lam state at n = 16, a record after each
+    m = _varying_lam_state(BaseGrid(16), np.random.default_rng(3))
+    return run(m, FlowConfig(dt=1e-4, t_end=5e-4, record_every=1))
 
 
-def _lam_laplacian_run(grid):
-    # pluriclosed defects of a varying-lam run, and max |lap lam| of fresh
+def _lam_laplacian_run():
+    # pluriclosed defects of the short run, and max |lap lam| of fresh
     # states built from its first and last fields
-    m = _varying_lam_state(grid, np.random.default_rng(3))
-    trace = run(m, FlowConfig(dt=1e-4, t_end=5e-4, record_every=1))
-    fresh = [assess(MetricState(grid, s.u, s.lam, s.p, s.q)).pluriclosed_defect
+    trace = _short_varying_lam_run()
+    fresh = [assess(MetricState(s.grid, s.u, s.lam, s.p, s.q)).pluriclosed_defect
              for s in (trace.initial_state, trace.final_state)]
     return trace.column("pluriclosed_defect"), fresh
 
@@ -417,17 +417,84 @@ def _lam_laplacian_run(grid):
 def test_run_shares_lam_laplacian():
     # every record reads the laplacian of the run's first state; a fresh
     # state's is bitwise the same, and lam is frozen
-    defects, fresh = _lam_laplacian_run(BaseGrid(16))
+    defects, fresh = _lam_laplacian_run()
     assert fresh[0] == fresh[1] > 0.1
     assert np.all(defects == fresh[0])
 
 
-def test_stale_lam_laplacian_handover_is_seen(monkeypatch):
-    # handing over a zero laplacian zeroes every defect after the first record
-    _stale_handover(monkeypatch, "lam_laplacian")
-    defects, fresh = _lam_laplacian_run(BaseGrid(16))
+def _stale_lam_min_is_seen():
+    # a zero min lam fails the first stage state's positivity check
+    with pytest.raises(StepRejected, match="positivity violated: lam = 0.000000e"):
+        _short_varying_lam_run()
+
+
+def _stale_inv_lam_is_seen():
+    # a zero 1/lam makes the transverse area D/lam zero at the second record
+    with pytest.raises(NumericalAbort, match="degenerate transverse area at t = 0.000100"):
+        _short_varying_lam_run()
+
+
+def _stale_lam_partials_is_seen():
+    # handing over zero lam partials breaks the bitwise match of
+    # test_step_equals_fresh_state_rk4_bitwise
+    grid = BaseGrid(16)
+    m = _varying_lam_state(grid, np.random.default_rng(0))
+    dt = 0.05 * grid.h ** 2
+    got, expected = step(m, dt), fresh_state_rk4_step(m, dt)
+    assert np.max(np.abs(got.u - expected.u)) > 1e-8
+
+
+def _stale_lam_moments_is_seen():
+    # lam's mean and variance read 0 in every record after the first
+    trace = _short_varying_lam_run()
+    for name in ("lambda_mean", "lambda_var"):
+        column = trace.column(name)
+        assert column[0] > 1e-3 and np.all(column[1:] == 0.0), name
+
+
+def _stale_lam_laplacian_max_is_seen():
+    # handing over a zero max |lap lam| zeroes every defect after the first record
+    defects, fresh = _lam_laplacian_run()
     assert defects[0] == fresh[0] > 0.1
     assert np.all(defects[1:] == 0.0)
+
+
+# every entry of _LAM_DATA that a step or a trace column reads, with a
+# check that a stale handover of it fails; and the entries that none reads
+# on a later state, whose stale handover leaves the trace as it was
+STALE_CASES = {
+    "lam_min": _stale_lam_min_is_seen,
+    "inv_lam": _stale_inv_lam_is_seen,
+    "lam_partials": _stale_lam_partials_is_seen,
+    "lam_moments": _stale_lam_moments_is_seen,
+    "lam_laplacian_max": _stale_lam_laplacian_max_is_seen,
+}
+STALE_WAIVERS = {
+    "lam_laplacian": "read through lam_laplacian_max alone, which the record at t = 0"
+                     " takes on the run's first state before any with_fields",
+}
+
+
+def test_every_lam_datum_has_a_stale_case_or_a_waiver():
+    assert not set(STALE_CASES) & set(STALE_WAIVERS)
+    assert set(STALE_CASES) | set(STALE_WAIVERS) == set(hermitian_geometry._LAM_DATA)
+
+
+@pytest.mark.parametrize("key", sorted(STALE_CASES))
+def test_stale_lam_data_handover_is_seen(monkeypatch, key):
+    _stale_handover(monkeypatch, key)
+    STALE_CASES[key]()
+
+
+@pytest.mark.parametrize("key", sorted(STALE_WAIVERS))
+def test_waived_stale_lam_data_handover_leaves_the_trace(monkeypatch, key):
+    # a waiver holds only while no later state reads the datum
+    expected = _short_varying_lam_run()
+    _stale_handover(monkeypatch, key)
+    got = _short_varying_lam_run()
+    for name in TRACE_COLUMNS:
+        assert got.column(name).tobytes() == expected.column(name).tobytes(), name
+    assert got.final_state.upq.tobytes() == expected.final_state.upq.tobytes()
 
 
 def test_run_aborts_on_degenerate_transverse_area(grid16):

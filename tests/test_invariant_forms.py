@@ -6,7 +6,7 @@ import types
 import numpy as np
 import pytest
 
-from ktflow import invariant_forms, vaisman_toolkit
+from ktflow import hermitian_geometry, invariant_forms, vaisman_toolkit
 from ktflow.errors import (DegreeError, GridError, NonBasicFormError,
                            NonFiniteFieldError)
 from ktflow.hermitian_geometry import _LEE_TERMS
@@ -15,8 +15,8 @@ from ktflow.invariant_forms import (INDEX_POS, LAPLACIAN, NCOMP, BaseGrid, Invar
                                     contract, exterior_d, max_abs_d, p11_projection,
                                     random_band_limited, random_form, wedge)
 
-from oracles import (direct_band_limited, partials_exterior_d,
-                     rfft2_band_limited, rfft2_d11, rfft2_derivative,
+from oracles import (broadcast_factors, broadcast_partial_sums, direct_band_limited,
+                     partials_exterior_d, rfft2_band_limited, rfft2_d11, rfft2_derivative,
                      rfft2_shift)
 
 
@@ -457,6 +457,62 @@ def test_spectral_operations_equal_nd_wrapper_forms(n):
             a = random_band_limited(grid, generator(kmax), kmax=kmax)
             b = rfft2_band_limited(grid, generator(kmax), kmax=kmax)
             assert np.array_equal(a, b)
+
+
+# every term table of the package: the gradient, the Laplacian, d11, the
+# split, the Lee form, the eps-seed's shift and d on each degree
+TERM_TABLES = (invariant_forms._GRADIENT, LAPLACIAN, invariant_forms._D11,
+               hermitian_geometry._SPLIT_TERMS, _LEE_TERMS, vaisman_toolkit._SHIFT_TERMS,
+               *(invariant_forms._d_tables(k)[1] for k in range(4)))
+
+
+@pytest.mark.parametrize("n", (8, 16, 32, 64))
+def test_symbols_are_half_spectrum_arrays_one_per_factor_and_names(n):
+    # each symbol is a scalar or a C-contiguous (n, n/2 + 1) array, one per
+    # distinct (factor, names), with 1.0 times one factor that factor; its
+    # values are the product of the broadcast factors, bitwise
+    grid = BaseGrid(n)
+    half = (n, n // 2 + 1)
+    factors = broadcast_factors(grid)
+    symbols = {}
+    for terms in TERM_TABLES:
+        for row, symbol_row in zip(terms, grid._symbols(terms), strict=True):
+            for (j, factor, names), (j_symbol, symbol) in zip(row, symbol_row, strict=True):
+                assert j_symbol == j
+                assert symbols.setdefault((factor, names), symbol) is symbol
+                expected = math.prod((factors[name] for name in names), start=factor)
+                assert np.broadcast_to(expected, np.shape(symbol)).tobytes() == \
+                    np.asarray(symbol).tobytes()
+    for value in (*grid._factors.values(), *symbols.values()):
+        assert np.isscalar(value) or (value.shape == half and value.flags.c_contiguous)
+    arrays = [value for value in symbols.values() if not np.isscalar(value)]
+    assert len({id(value) for value in arrays}) == len(arrays)
+    assert all(symbols[1.0, (name,)] is grid._factors[name] for name in ("ik_x", "ik_y"))
+    assert len(grid._symbol_arrays) == len(symbols) - 2
+
+
+@pytest.mark.parametrize("n", (8, 16, 32, 64))
+def test_partial_sums_equal_the_broadcast_products_bitwise(n):
+    # stacked inputs through every table, against symbols of (n, 1) and
+    # (1, n/2 + 1) factors broadcast in each product
+    grid = BaseGrid(n)
+    rng = np.random.default_rng(n)
+    for terms in TERM_TABLES:
+        rows = 1 + max(j for row in terms for j, _, _ in row)
+        values = rng.normal(size=(rows, 2, n, n))
+        assert grid.partial_sums(values, terms).tobytes() == \
+            broadcast_partial_sums(grid, values, terms).tobytes()
+
+
+def test_mean_and_variance_are_numpys_bitwise(rng):
+    # random, constant and signed-zero fields, one state and a stack
+    for n in (8, 16, 32, 64):
+        for values in (rng.normal(size=(n, n)), 1e3 * rng.normal(size=(3, n, n)) + 7.0,
+                       np.full((n, n), 0.1), np.full((n, n), -0.0),
+                       np.where(rng.random((n, n)) < 0.5, -0.0, 0.0)):
+            mean, variance = hermitian_geometry.mean_and_variance(values)
+            assert mean.hex() == float(np.mean(values)).hex()
+            assert variance.hex() == float(np.var(values)).hex()
 
 
 # partial_sums runs in two complex work arrays owned by the grid: the
