@@ -54,6 +54,7 @@ from .errors import (
     StepRejected,
 )
 from .hermitian_geometry import MetricState, characteristic_numbers
+from .invariant_forms import largest
 from .vaisman_toolkit import assess
 
 TRACE_COLUMNS = (
@@ -215,7 +216,7 @@ def sigma1_ode_residual_instant(m):
     plus = _shifted(m, vel, h).split
     minus = _shifted(m, vel, -h).split
     rate = (plus.sigma1 - minus.sigma1) / (2.0 * h)
-    return float(np.max(np.abs(rate - m.split.sigma1 * m.s)))
+    return largest(np.abs(rate - m.split.sigma1 * m.s))
 
 
 def _split_at(m, t):
@@ -268,7 +269,7 @@ def run(m0, cfg):
         if prev_fiber is None:
             fd = 0.0  # first record has no predecessor
         else:
-            fd = float(np.max(np.abs(fiber - prev_fiber))) / (t_now - prev_t)
+            fd = largest(np.abs(fiber - prev_fiber)) / (t_now - prev_t)
         prev_fiber, prev_t = fiber, t_now
         char1, char2 = characteristic_numbers(split)
         row = {
@@ -286,9 +287,9 @@ def run(m0, cfg):
             "vaisman_defect": report.vaisman_defect,
             "char_1": char1,
             "char_2": char2,
-            "fiber_rhs_residual": float(np.max(np.abs(fiber_vel))),
+            "fiber_rhs_residual": largest(np.abs(fiber_vel)),
             "fiber_fd_residual": fd,
-            "mu_drift": float(np.max(np.abs(shift - shift0))),
+            "mu_drift": largest(np.abs(shift - shift0)),
             "sigma1_ode_residual": 0.0,   # filled in a post-pass
             # mu1 is g-orthogonal to the horizontal mu1_dot, and lam' = 0
             "lambda_rel_residual": 0.0,
@@ -337,12 +338,12 @@ def conservation_monitors(trace):
     cfg = trace.config
     cols = trace.columns
     duration = float(cols["t"][-1] - cols["t"][0])
-    char_drift = max(float(np.max(np.abs(cols["char_1"] - cols["char_1"][0]))),
-                     float(np.max(np.abs(cols["char_2"] - cols["char_2"][0]))))
+    char_drift = max(largest(np.abs(cols["char_1"] - cols["char_1"][0])),
+                     largest(np.abs(cols["char_2"] - cols["char_2"][0])))
     vaisman_rows = cols["vaisman_defect"] < cfg.vaisman_tol
     def vaisman_max(name):
-        return float(np.max(cols[name][vaisman_rows])) if np.any(vaisman_rows) else None
-    max_defect = float(np.max(cols["vaisman_defect"]))
+        return largest(cols[name][vaisman_rows]) if np.logical_or.reduce(vaisman_rows) else None
+    max_defect = largest(cols["vaisman_defect"])
     stays = bool(max_defect < cfg.vaisman_tol and cols["s_var"][0] < cfg.variance_tol)
     above = np.nonzero(cols["vaisman_defect"] > cfg.exit_threshold)[0]
     exit_time = float(cols["t"][above[0]]) if above.size else None
@@ -351,10 +352,10 @@ def conservation_monitors(trace):
         "duration": duration,
         "char_drift_rate": char_drift / duration,
         "max_vaisman_defect": max_defect,
-        "max_pluriclosed_defect": float(np.max(cols["pluriclosed_defect"])),
-        "max_lck_defect": float(np.max(cols["lck_defect"])),
-        "max_mu_drift": float(np.max(cols["mu_drift"])),
-        "max_fiber_fd_residual": float(np.max(cols["fiber_fd_residual"])),
+        "max_pluriclosed_defect": largest(cols["pluriclosed_defect"]),
+        "max_lck_defect": largest(cols["lck_defect"]),
+        "max_mu_drift": largest(cols["mu_drift"]),
+        "max_fiber_fd_residual": largest(cols["fiber_fd_residual"]),
         "fiber_rhs_residual_at_vaisman": vaisman_max("fiber_rhs_residual"),
         "sigma1_ode_residual_at_vaisman": vaisman_max("sigma1_ode_residual"),
         "lambda_rel_residual_at_vaisman": vaisman_max("lambda_rel_residual"),

@@ -98,7 +98,11 @@ from .invariant_forms import (
     InvariantForm,
     apply_J,
     exterior_d,
+    largest,
+    mean,
+    mean_and_variance,
     p11_projection,
+    smallest,
 )
 
 DEGENERACY_TOL = 1e-12
@@ -112,14 +116,6 @@ _LAM_DATA = ("lam_min", "inv_lam", "lam_partials", "lam_laplacian", "lam_moments
 def _read_only(values):
     values.setflags(write=False)
     return values
-
-
-def mean_and_variance(values):
-    """float(np.mean(values)), float(np.var(values)): numpy's reductions, without its wrappers."""
-    size = values.size
-    mean = np.add.reduce(values, axis=None) / size
-    centred = np.subtract(values, mean)
-    return float(mean), float(np.add.reduce(np.square(centred, out=centred), axis=None) / size)
 
 
 @dataclass(frozen=True, eq=False)
@@ -191,15 +187,15 @@ class MetricState:
 
     @cached_property
     def u_min(self):
-        return float(self.u.min())
+        return smallest(self.u)
 
     @cached_property
     def lam_min(self):
-        return float(self.lam.min())
+        return smallest(self.lam)
 
     @cached_property
     def D_min(self):
-        return float(self.D.min())
+        return smallest(self.D)
 
     def positivity_margin(self):
         """Smallest of min(u), min(lam), min(u lam - p^2 - q^2)."""
@@ -216,10 +212,8 @@ class MetricState:
                 )
 
     def max_difference(self, other):
-        return float(max(np.max(np.abs(self.u - other.u)),
-                         np.max(np.abs(self.lam - other.lam)),
-                         np.max(np.abs(self.p - other.p)),
-                         np.max(np.abs(self.q - other.q))))
+        return max(largest(np.abs(self.u - other.u)), largest(np.abs(self.lam - other.lam)),
+                   largest(np.abs(self.p - other.p)), largest(np.abs(self.q - other.q)))
 
     @cached_property
     def inv_lam(self):
@@ -243,7 +237,7 @@ class MetricState:
     @cached_property
     def lam_laplacian_max(self):
         """max |lam_xx + lam_yy|, a float."""
-        return float(np.max(np.abs(self.lam_laplacian)))
+        return largest(np.abs(self.lam_laplacian))
 
     @cached_property
     def theta(self):
@@ -315,7 +309,7 @@ def metric_split(m):
     """
     m.require_positive()
     shift, w = _shift_and_area(m)
-    worst = float(np.min(w))
+    worst = smallest(w)
     if worst < DEGENERACY_TOL:
         raise DegenerateTransverseError(
             f"transverse area coefficient {worst:.3e} below {DEGENERACY_TOL:.0e}"
@@ -476,8 +470,7 @@ def characteristic_numbers(split):
     GridError.
     """
     split.mu1.grid.require_single(split.w_check, "characteristic_numbers")
-    return (float(np.mean(split.sigma1 * split.w_check)),
-            float(np.mean(split.sigma2 * split.w_check)))
+    return mean(split.sigma1 * split.w_check), mean(split.sigma2 * split.w_check)
 
 
 def inner_1forms(m, alpha, beta):

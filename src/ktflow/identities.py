@@ -4,21 +4,21 @@ coframe calculus, the splitting, the Lee form and the Bismut curvature.
 IDENTITIES lists the items in output order as (name, bound, families,
 residual), the bound a number or a function of the resolution n.  An item's
 value is its largest residual over the contexts of its families: "grid"
-(once), "forms" (a pair of random forms for each of 9 pairs of degrees),
-and stacks of four states of "general" (every field varies), "lam_const",
-"constant" (constant coefficients), "csc_seed" and "noncsc_seed" (the two
-seed families).  A stack goes through the calculus as one state, so its
-residual is bitwise the largest of its states'.  Each identity is checked
-along a route other than the one the package computes it by.  The random
-states draw from random.Random(seed) and the forms from a stream of their
-own; the interpreter has loaded random before numpy, so a suite run never
-imports numpy.random.  A sample's four fields, and a form's coefficients,
+(once), "forms" (a pair of random forms for each of 9 pairs of degrees,
+each form differentiated once), and stacks of four states of "general"
+(every field varies), "lam_const", "constant" (constant coefficients),
+"csc_seed" and "noncsc_seed" (the two seed families).  A stack goes
+through the calculus as one state, so its residual is bitwise the largest
+of its states'.  Each identity is checked along a route other than the one
+the package computes it by.  The random states draw from
+random.Random(seed) and the forms from a stream of their own; the
+interpreter has loaded random before numpy, so a suite run never imports
+numpy.random.  A sample's four fields, and a form's coefficients,
 come from one random_band_limited call, one synthesis transform.
 """
 
 from __future__ import annotations
 
-import collections
 import itertools
 import math
 import random
@@ -28,7 +28,7 @@ import numpy as np
 
 from .hermitian_geometry import MetricState, inner_1forms
 from .invariant_forms import (V1, V2, BaseGrid, apply_J, base_integral, basis_form,
-                              coframe, contract, exterior_d, random_band_limited,
+                              coframe, contract, exterior_d, largest, random_band_limited,
                               random_form, wedge)
 from .vaisman_toolkit import make_noncsc_vaisman, make_standard_vaisman, potential_residual
 
@@ -102,7 +102,20 @@ def _battery_states(grid, samples, seed):
         yield family, MetricState(grid, *np.stack([(m.u, m.lam, m.p, m.q) for m in ms], 1))
 
 
-_Pair = collections.namedtuple("_Pair", "a b")
+class _Pair:
+    """A pair of random forms, a and b, and their exterior derivatives, taken once."""
+
+    def __init__(self, a, b):
+        self.a, self.b = a, b
+
+    @cached_property
+    def da(self):
+        return exterior_d(self.a)
+
+    @cached_property
+    def db(self):
+        return exterior_d(self.b)
+
 
 # the degrees (deg a, deg b) of the form pairs: every pair with d d a and
 # d(a ^ b) defined, deg a <= 2 and deg a + deg b <= 3, so that each
@@ -147,7 +160,7 @@ class _Stack:
 
 
 def _peak(values):
-    return float(np.max(np.abs(values)))
+    return largest(np.abs(values))
 
 
 def _worst(*residuals):
@@ -180,11 +193,10 @@ IDENTITIES = (
      _derivative_exactness),
     ("structure equation", 1e-14, ("grid",),
      lambda grid: (exterior_d(coframe(grid, 2)) + basis_form(grid, (0, 1))).max_abs()),
-    ("exterior nilpotency", 1e-10, ("forms",), lambda f: exterior_d(exterior_d(f.a)).max_abs()),
+    ("exterior nilpotency", 1e-10, ("forms",), lambda f: exterior_d(f.da).max_abs()),
     ("leibniz rule", 1e-10, ("forms",),
      lambda f: (exterior_d(wedge(f.a, f.b))
-                - (wedge(exterior_d(f.a), f.b)
-                   + wedge(f.a, exterior_d(f.b)) * (-1.0) ** f.a.degree)).max_abs()),
+                - (wedge(f.da, f.b) + wedge(f.a, f.db) * (-1.0) ** f.a.degree)).max_abs()),
     ("complex structure squares", 1e-14, ("forms",),
      lambda f: (apply_J(apply_J(f.a)) - f.a * (-1.0) ** f.a.degree).max_abs()),
     ("wedge graded symmetry", 1e-14, ("forms",),

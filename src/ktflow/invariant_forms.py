@@ -25,8 +25,16 @@ moves 1/2, 4/5, 5/4 and 2/1 forward/inverse fields for degrees 0 to 3:
 only the coefficients and components with a base partial.
 
 The coframe operations are tables over multi-index positions, built once
-per key (functools.cache), every sign from _merge; J, the contractions and
-the d(e3) part of d apply (i_in, sign, i_out) tables through _apply.
+per key (functools.cache), every sign +-1.0 from _merge; J, the contractions
+and the d(e3) part of d apply (i_in, sign, i_out) tables through _apply.
+_apply and wedge apply each sign by adding or subtracting the term rather
+than multiplying by it, which is bitwise the product: in IEEE arithmetic
+a - b is a + (-b), and (-a) * b is -(a * b).
+
+The scalar reductions of the package, here and in the modules above, call
+numpy's ufuncs directly through largest, smallest, mean and
+mean_and_variance, each bitwise the numpy function it names without
+numpy's Python wrapper.
 
 Shapes: a field is (*stack, n, n) and a degree-k form's coefficients are
 (C(4, k), *stack, n, n), where the stack axes, if any, hold independent
@@ -93,6 +101,28 @@ LAPLACIAN = (((0, 1.0, DX + DX), (0, 1.0, DY + DY)),)
 _D11 = (((1, 1.0, DX), (0, -1.0, DY), (2, -1.0, ())),
         ((2, 0.5, DX), (3, 0.5, DY)),
         ((3, 0.5, DX), (2, -0.5, DY)))
+
+
+def largest(values):
+    """float(np.max(values)) bitwise: np.maximum.reduce without numpy's wrapper."""
+    return float(np.maximum.reduce(values, axis=None))
+
+
+def smallest(values):
+    """float(np.min(values)) bitwise: np.minimum.reduce without numpy's wrapper."""
+    return float(np.minimum.reduce(values, axis=None))
+
+
+def mean(values):
+    """float(np.mean(values)) bitwise: np.add.reduce over the size, without numpy's wrapper."""
+    return float(np.add.reduce(values, axis=None) / values.size)
+
+
+def mean_and_variance(values):
+    """float(np.mean(values)), float(np.var(values)) bitwise: the mean, then the centred square."""
+    average = mean(values)
+    centred = np.subtract(values, average)
+    return average, float(np.add.reduce(np.square(centred, out=centred), axis=None) / values.size)
 
 
 class BaseGrid:
@@ -176,7 +206,7 @@ class BaseGrid:
             raise GridError(
                 f"{what} has shape {values.shape}, expected trailing ({self.n}, {self.n})"
             )
-        if not np.all(np.isfinite(values)):
+        if not np.logical_and.reduce(np.isfinite(values), axis=None):   # np.all, unwrapped
             bad = tuple(np.argwhere(~np.isfinite(values))[0].tolist())
             raise NonFiniteFieldError(f"{what} is non-finite at grid index {bad}")
         return values
@@ -285,8 +315,8 @@ class BaseGrid:
         One field gives a float, a (*stack, n, n) stack an array of shape stack.
         """
         values = self.check_field(values, "integrand")
-        mean = np.mean(values, axis=(-2, -1))
-        return float(mean) if mean.ndim == 0 else mean
+        average = np.add.reduce(values, axis=(-2, -1)) / (self.n * self.n)   # np.mean, unwrapped
+        return float(average) if average.ndim == 0 else average
 
     def require_single(self, values, what):
         """Raise GridError unless values are one (n, n) field, not a stack of states.
@@ -337,7 +367,7 @@ class InvariantForm:
         """Largest |coefficient| over every component, point and state."""
         if self.coeffs.size == 0:
             return 0.0
-        return float(np.max(np.abs(self.coeffs)))
+        return largest(np.abs(self.coeffs))
 
     def _check_compatible(self, other):
         if not isinstance(other, InvariantForm):
@@ -467,9 +497,12 @@ def _zeros(grid, degree, shape):
 
 
 def _apply(table, coeffs, out):
-    """Add sign * coeffs[i_in] to out[i_out], in table order; returns out."""
+    """Add sign * coeffs[i_in] to out[i_out] in table order, by += or -=; returns out."""
     for i_in, sign, i_out in table:
-        out[i_out] += sign * coeffs[i_in]
+        if sign > 0:
+            out[i_out] += coeffs[i_in]
+        else:
+            out[i_out] -= coeffs[i_in]
     return out
 
 
@@ -483,7 +516,10 @@ def wedge(alpha, beta):
     out = _zeros(alpha.grid, p + q,
                  np.broadcast_shapes(alpha.coeffs.shape[1:], beta.coeffs.shape[1:]))
     for ia, ib, sign, i_out in _wedge_table(p, q):
-        out.coeffs[i_out] += sign * alpha.coeffs[ia] * beta.coeffs[ib]
+        if sign > 0:
+            out.coeffs[i_out] += alpha.coeffs[ia] * beta.coeffs[ib]
+        else:
+            out.coeffs[i_out] -= alpha.coeffs[ia] * beta.coeffs[ib]
     return out
 
 
@@ -519,7 +555,7 @@ def max_abs_d(alpha):
     """exterior_d(alpha).max_abs(), from the head of d alpha alone."""
     _check_d_degree(alpha)
     head = _d_head(alpha)
-    return float(np.max(np.abs(head, out=head)))
+    return largest(np.abs(head, out=head))
 
 
 def apply_J(alpha):
@@ -567,7 +603,7 @@ def base_integral(beta):
     """
     if beta.degree != 2:
         raise DegreeError(f"base integral needs degree 2, got {beta.degree}")
-    worst = float(np.max(np.abs(beta.coeffs[1:])))
+    worst = largest(np.abs(beta.coeffs[1:]))
     if not worst <= BASIC_TOL:
         raise NonBasicFormError(
             f"form is not basic: max |vertical contraction| = {worst:.3e} > {BASIC_TOL:.0e}"
@@ -623,7 +659,7 @@ def random_band_limited(grid, rng, kmax=2, lead=()):
     spec[..., rows, cols] = np.concatenate((coef[..., upper], coef[..., lower].conj()), axis=-1)
     fields = grid._inverse(spec)
     fields += c[..., -1:, None]
-    peak = np.max(np.abs(fields), axis=(-2, -1), keepdims=True)
+    peak = np.maximum.reduce(np.abs(fields), axis=(-2, -1), keepdims=True)   # np.max, unwrapped
     return np.divide(fields, peak, out=fields, where=peak > 0)
 
 

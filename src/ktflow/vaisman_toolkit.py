@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridError, PositivityError
-from .hermitian_geometry import MetricState, inner_1forms, mean_and_variance
-from .invariant_forms import DX, DY, apply_J, exterior_d, max_abs_d, wedge
+from .hermitian_geometry import MetricState, inner_1forms
+from .invariant_forms import DX, DY, apply_J, exterior_d, max_abs_d, mean, mean_and_variance, wedge
 
 
 @dataclass(frozen=True)
@@ -123,9 +123,9 @@ def make_noncsc_vaisman(grid, eps, mode=(1, 1)):
     oscillation = np.sin(two_pi * kx * grid.xx) * np.sin(two_pi * ky * grid.yy)
     w = 1.0 + eps * oscillation
     rhs = -eps * oscillation                     # = 1 - w
-    mean = abs(float(np.mean(rhs)))
-    if mean > 1e-13:
-        raise ValueError(f"shift system incompatible: mean {mean:.3e} != 0")
+    offset = abs(mean(rhs))
+    if offset > 1e-13:
+        raise ValueError(f"shift system incompatible: mean {offset:.3e} != 0")
     # mu_1 components (a, b) against e1, e2 translate to q = lam a, p = lam b
     q, p = grid.partial_sums(rhs[None], _SHIFT_TERMS)
     return MetricState(grid, w + q * q + p * p, grid.constant(1.0), p, q)

@@ -40,6 +40,12 @@ alpha = J (theta - (1/2) d log(u lam - p^2 - q^2)) in closed form from
   sums each output component in spectral space and inverts only the
   components that receive a derivative term.
 
+* signed_apply and signed_wedge: the coframe tables of J, the
+  contractions, d(e3) and the wedge product applied by multiplying each
+  term by its sign, out[i] += sign * x and out[i] += sign * a * b; the
+  package adds or subtracts the term as its sign says, which is bitwise
+  the product for the signs +-1.0 that the tables hold.
+
 * partials_metric_split, partials_lee_form and partials_flow_velocity: the
   split, the Lee form and the flow velocity from both base partials of
   every field they differentiate, combined on the grid (4, 6 and 8 inverse
@@ -120,11 +126,11 @@ from ktflow.flow_engine import step
 from ktflow.hermitian_geometry import (_LEE_TERMS, CurvaturePackage, MetricState,
                                        bismut_torsion, flow_velocity, inner_1forms)
 from ktflow.identities import IDENTITIES, BatteryItem, _calculus_contexts, _maxima
-from ktflow.invariant_forms import (INDEX_POS, MULTI_INDEX, STRUCTURE_INDEX,
+from ktflow.invariant_forms import (INDEX_POS, MULTI_INDEX, NCOMP, STRUCTURE_INDEX,
                                     STRUCTURE_PAIR, STRUCTURE_SIGN, V1, V2, BaseGrid,
-                                    InvariantForm, _merge, apply_J, base_integral,
-                                    contract, coframe, exterior_d, p11_projection,
-                                    random_band_limited, wedge)
+                                    InvariantForm, _merge, _wedge_table, apply_J,
+                                    base_integral, contract, coframe, exterior_d,
+                                    p11_projection, random_band_limited, wedge)
 from ktflow.vaisman_toolkit import (make_noncsc_vaisman, make_standard_vaisman,
                                     potential_residual)
 
@@ -303,6 +309,23 @@ def partials_exterior_d(alpha):
                 factor = ((-1.0) ** pos) * STRUCTURE_SIGN * sign
                 out.coeffs[INDEX_POS[k + 1][merged]] += factor * alpha.coeffs[i_in]
     return out
+
+
+def signed_apply(table, coeffs, out):
+    """Add sign * coeffs[i_in] to out[i_out] for each (i_in, sign, i_out) of table."""
+    for i_in, sign, i_out in table:
+        out[i_out] += sign * coeffs[i_in]
+    return out
+
+
+def signed_wedge(alpha, beta):
+    """wedge(alpha, beta) with each term sign * a * b added to its component."""
+    p, q = alpha.degree, beta.degree
+    shape = np.broadcast_shapes(alpha.coeffs.shape[1:], beta.coeffs.shape[1:])
+    out = np.zeros((NCOMP[p + q],) + shape)
+    for ia, ib, sign, i_out in _wedge_table(p, q):
+        out[i_out] += sign * alpha.coeffs[ia] * beta.coeffs[ib]
+    return InvariantForm._trusted(alpha.grid, p + q, out)
 
 
 def _determinant(m):

@@ -218,8 +218,9 @@ def test_identity_battery_transform_budget(transform_fields, transform_calls):
     # random_band_limited 0/1 per field drawn.
     #   hygiene: exactness 1/2 + structure equation 4/5 + a random pair
     #     for each of the 9 degree pairs (p, q), p <= 2 and p + q <= 3
-    #     (d a twice, d d a, d(a^b), d b: 144/153; the fields of the
-    #     drawn coefficients: 28 + 31 = 59)                        = 149/219
+    #     (d a once, shared by nilpotency and the Leibniz rule, d d a,
+    #     d(a^b), d b: 118/122; the fields of the drawn coefficients:
+    #     28 + 31 = 59)                                            = 123/188
     #   state draws: 8 random fields, 2 noncsc seeds (the shift
     #     (-psi_y, psi_x) 1/2)                                     =   2/12
     #   every state: split 2/2 (curl and divergence of the shift)
@@ -233,7 +234,9 @@ def test_identity_battery_transform_budget(transform_fields, transform_calls):
     #                                                              =  12/14
     #   csc_seed     2 x (18/20 + potential 4/5 + curvature 12/14) =  68/78
     #   noncsc_seed  2 x (18/20 + curvature 12/14)                 =  60/68
-    # (453/557 when "ricci closedness" took d rho 5/4 on each seed state;
+    # (445/561 when each pair took d a twice, once for nilpotency and once
+    # for the Leibniz rule, hygiene 149/219 and 144/153 a pair set;
+    # 453/557 when "ricci closedness" took d rho 5/4 on each seed state;
     # 487/594 with numpy's draws, when the curvature built alpha a second
     # time for s and d H ran on the lam-constant families; 447/550 when the
     # curvature took d J (theta - (1/2) d log D) by form algebra, 5/7, and s
@@ -244,8 +247,8 @@ def test_identity_battery_transform_budget(transform_fields, transform_calls):
     # pairs of random degrees from random.Random(seed + 1), with hygiene
     # 137/199 on (2, 0), (1, 2), (0, 2), (1, 1), (0, 1), (0, 1), (0, 3),
     # (2, 0))
-    # Calls: hygiene 2/2 on the grid and 5/5 a form pair, 45/45, plus one
-    # inverse a drawn form, 18, = 47/65.  The 12 states go through the state
+    # Calls: hygiene 2/2 on the grid and 4/4 a form pair, 36/36, plus one
+    # inverse a drawn form, 18, = 38/56.  The 12 states go through the state
     # items in 5 stacks of up to four (general 2, lam_const 2, constant 4,
     # csc 2 and noncsc 2), 39/41 with their draws, one inverse a sample, so
     # 7 states share another's calls, which saves 49 calls each way: 5 a state
@@ -253,11 +256,12 @@ def test_identity_battery_transform_budget(transform_fields, transform_calls):
     # 1 x 2, 1 a potential (3 constant, 1 csc) 4 x 1 and 4 a curvature
     # (1 csc, 1 noncsc) 2 x 4.  (135/161 state by state; 86/153 when each
     # drawn coefficient and field was an inverse of its own, 41 + 6 more;
-    # 81/143 with the 8 pairs of random degrees, hygiene 42/96.)
+    # 81/143 with the 8 pairs of random degrees, hygiene 42/96; 86/106 when
+    # each pair took d a twice, hygiene 47/65.)
     items = identity_battery(n=16, samples=2, seed=5)
     assert all(item.ok for item in items)
-    assert transform_fields == [445, 561]
-    assert transform_calls == [86, 106]
+    assert transform_fields == [419, 530]
+    assert transform_calls == [77, 97]
 
 
 def test_adjacent_battery_seeds_draw_from_disjoint_streams(monkeypatch):

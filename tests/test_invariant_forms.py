@@ -17,7 +17,7 @@ from ktflow.invariant_forms import (INDEX_POS, LAPLACIAN, NCOMP, BaseGrid, Invar
 
 from oracles import (broadcast_factors, broadcast_partial_sums, direct_band_limited,
                      partials_exterior_d, rfft2_band_limited, rfft2_d11, rfft2_derivative,
-                     rfft2_shift)
+                     rfft2_shift, signed_apply, signed_wedge)
 
 
 def test_grid_rejects_bad_sizes():
@@ -510,9 +510,98 @@ def test_mean_and_variance_are_numpys_bitwise(rng):
         for values in (rng.normal(size=(n, n)), 1e3 * rng.normal(size=(3, n, n)) + 7.0,
                        np.full((n, n), 0.1), np.full((n, n), -0.0),
                        np.where(rng.random((n, n)) < 0.5, -0.0, 0.0)):
-            mean, variance = hermitian_geometry.mean_and_variance(values)
+            mean, variance = invariant_forms.mean_and_variance(values)
             assert mean.hex() == float(np.mean(values)).hex()
             assert variance.hex() == float(np.var(values)).hex()
+
+
+def test_reduction_helpers_are_numpys_bitwise(rng):
+    # largest, smallest and mean against the numpy functions they replace,
+    # on random, signed-zero and NaN fields, one state and a stack, and the
+    # grid's integral against np.mean over the grid axes
+    for n in (8, 16, 32, 64):
+        nan = rng.normal(size=(2, n, n))
+        nan[1, 3, n - 1] = np.nan
+        grid = BaseGrid(n)
+        for values in (rng.normal(size=(n, n)), 1e3 * rng.normal(size=(3, n, n)) + 7.0,
+                       np.where(rng.random((n, n)) < 0.5, -0.0, 0.0), nan):
+            for helper, numpy_function in ((invariant_forms.largest, np.max),
+                                           (invariant_forms.smallest, np.min),
+                                           (invariant_forms.mean, np.mean)):
+                assert helper(values).hex() == float(numpy_function(values)).hex()
+            if not np.isnan(values).any():   # the integral scans its input
+                assert np.asarray(grid.integral(values)).tobytes() == \
+                    np.mean(values, axis=(-2, -1)).tobytes()
+
+
+# _apply and wedge add or subtract each table term as its sign says; the
+# oracles multiply the sign in, which is bitwise the same only for signs
+# that are exactly +-1.0
+
+def _table_signs():
+    """(table, sign) of every entry of the wedge, J, contraction and d(e3) tables."""
+    for p in range(5):
+        for q in range(5 - p):
+            for _, _, sign, _ in invariant_forms._wedge_table(p, q):
+                yield f"wedge {p, q}", sign
+    for k in range(5):
+        for _, sign, _ in invariant_forms._j_table(k):
+            yield f"J {k}", sign
+    for k in range(1, 5):
+        for ci in range(4):
+            for _, sign, _ in invariant_forms._contract_table(k, ci):
+                yield f"contract {k, ci}", sign
+    for k in range(4):
+        for _, sign, _ in invariant_forms._d_tables(k)[2]:
+            yield f"d(e3) {k}", sign
+
+
+def test_every_table_sign_is_exactly_plus_or_minus_one():
+    signs = list(_table_signs())
+    assert {table.split()[0] for table, _ in signs} == {"wedge", "J", "contract", "d(e3)"}
+    bad = [(table, sign) for table, sign in signs
+           if not (isinstance(sign, float) and sign in (1.0, -1.0))]
+    assert not bad, bad
+
+
+def _test_coefficients(rng, degree, lead, kind, n):
+    values = rng.normal(size=(NCOMP[degree],) + lead + (n, n))
+    if kind == "signed zeros":
+        values = np.where(abs(values) > 1.5, values, np.copysign(0.0, values))
+    elif kind == "nan":
+        values.flat[rng.integers(values.size)] = np.nan
+    return values
+
+
+@pytest.mark.parametrize("kind", ["random", "signed zeros", "nan"])
+def test_signed_tables_equal_the_multiplying_reference_bytewise(monkeypatch, grid8, kind):
+    # every degree, stacked (2, n, n) forms and, for wedge, a stack against
+    # one state; the NaN is one entry of each form
+    rng = np.random.default_rng(len(kind))
+
+    def form(degree, lead):
+        coeffs = _test_coefficients(rng, degree, lead, kind, grid8.n)
+        return InvariantForm._trusted(grid8, degree, coeffs)
+
+    def reference(op, *args):
+        with monkeypatch.context() as patch:
+            patch.setattr(invariant_forms, "_apply", signed_apply)
+            return op(*args)
+
+    def same(x, y):
+        return x.degree == y.degree and x.coeffs.shape == y.coeffs.shape and \
+            x.coeffs.tobytes() == y.coeffs.tobytes()
+
+    for p in range(5):
+        a = form(p, (2,))
+        for q in range(5 - p):
+            for b in (form(q, (2,)), form(q, ())):
+                assert same(wedge(a, b), signed_wedge(a, b)), (p, q, b.coeffs.shape)
+        assert same(apply_J(a), reference(apply_J, a)), p
+        for vertical in (V1, V2) if p else ():
+            assert same(contract(vertical, a), reference(contract, vertical, a)), (p, vertical)
+        if p < 4:
+            assert same(exterior_d(a), reference(exterior_d, a)), p
 
 
 # partial_sums runs in two complex work arrays owned by the grid: the

@@ -1,9 +1,9 @@
 """The top-level package: the cost of `import ktflow` and of a battery
 run, the one route its spectral transforms take, the places it scans for
-NaN/Inf or spells out a one-state shape, no numpy.random, no module-level
-dict cache, no environment variable, no import that a module of the
-library, the tests or the demos does not read, and no public function or
-method that only the tests call."""
+NaN/Inf or spells out a one-state shape, no numpy.random, no numpy
+reduction wrapper, no module-level dict cache, no environment variable,
+no import that a module of the library, the tests or the demos does not
+read, and no public function or method that only the tests call."""
 
 import ast
 import collections
@@ -328,6 +328,47 @@ check_field(x)
     found = [(scope, what) for scope, _, what in _scan(ast.parse(code), _check_call)]
     assert found == [("MetricState.__post_init__", "check_field"), ("lee_form", "check_field")]
     assert [scope for scope, _ in found if scope not in CHECK_SITES] == ["lee_form"]
+
+
+# numpy's reduction functions and array methods that go through its Python
+# wrappers (numpy/_core/fromnumeric.py, _methods.py) before the ufunc's
+# reduce.  The library calls the reduce itself, through invariant_forms'
+# largest, smallest, mean and mean_and_variance or directly.
+NUMPY_REDUCTIONS = {"max", "min", "amax", "amin", "mean", "all", "any", "sum", "var", "std"}
+ARRAY_REDUCTIONS = {"max", "min", "mean", "sum", "all", "any", "var", "std"}
+
+
+def _reduction_wrapper(node):
+    if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+        return None
+    owner, name = node.func.value, node.func.attr
+    if isinstance(owner, ast.Name) and owner.id in ("np", "numpy"):
+        return f"np.{name}" if name in NUMPY_REDUCTIONS else None
+    return f".{name}()" if name in ARRAY_REDUCTIONS else None
+
+
+def test_no_numpy_reduction_wrappers():
+    # each wrapper costs a few microseconds a call before the same reduce,
+    # and one suite run reduces about a thousand times
+    stray = []
+    for name, tree in _sources():
+        stray += [f"{name}:{line} calls {what} in {scope or '<module>'}"
+                  for scope, line, what in _scan(tree, _reduction_wrapper)]
+    assert not stray, stray
+
+
+def test_reduction_scan_sees_functions_and_methods():
+    code = """
+import numpy
+def peak(x, m):
+    a = np.max(np.abs(x)) + numpy.mean(x, axis=0) + np.all(np.isfinite(x))
+    b = x.min() + m.lam.sum(axis=0) + max(a, 1.0) + math.prod(x.shape)
+    return np.maximum.reduce(x, axis=None), np.add.reduce(x) / x.size, np.abs(x).any()
+"""
+    found = [(scope, line, what) for scope, line, what
+             in _scan(ast.parse(code), _reduction_wrapper)]
+    assert found == [("peak", 4, "np.max"), ("peak", 4, "np.mean"), ("peak", 4, "np.all"),
+                     ("peak", 5, ".min()"), ("peak", 5, ".sum()"), ("peak", 6, ".any()")]
 
 
 def _dict_value(node):
