@@ -16,9 +16,9 @@ on the (u, p, q) stack, and it computes D and its minima once for the
 positivity guard, the velocity and the step bound; it allocates only what
 outlives it, its upq and D, theta and the velocity.  The RK4 sum, and then
 the new state's (u, p, q), go into k2's buffer.
-Classical RK4 with a parabolic step bound keeps the integrator auditable
-at desk scale.  Positivity is enforced, never restored: a step that leaves
-the positive cone is rejected, and non-finite values abort the run.
+Classical RK4 keeps the integrator auditable at desk scale.  states(m0, cfg)
+yields a run's states; it rejects a step beyond the parabolic bound or the
+positive cone, never restoring it, and aborts on NaN/Inf.  run records them.
 
 Two identities put the record path on the same velocity: the curvature
 scalar is s = -d/dt log D (m.s, read once per record), and the torsion
@@ -33,7 +33,7 @@ forms, drift of the characteristic numbers, the mean-sigma_1 logarithmic
 ODE residual |d/dt mean(sigma_1) - mean(sigma_1) mean(s)|, and the pairing
 residual |g(d/dt mu_1, mu_1) + lam'/(2 lam^2)|, which is 0 by construction.
 No form is built for them: each is a closed form in mu_1's shift (a, b) =
-(q, p)/lam and its rate (q', p')/lam (see record).
+(q, p)/lam and its rate (q', p')/lam (see _record).
 """
 
 from __future__ import annotations
@@ -144,11 +144,6 @@ class FlowTrace:
         return self.columns[name]
 
 
-def flow_rhs(m):
-    """Velocity (du, dp, dq)/dt of the flow at a state; lam is frozen."""
-    return m.velocity
-
-
 def _shifted(m, vel, factor, out=None):
     """m moved by factor * vel, one axpy on its (u, p, q) stack; it shares m's lam data.
 
@@ -165,13 +160,13 @@ def step(m, dt):
     """One classical RK4 step; rejects positivity loss, aborts on NaN/Inf.
 
     The caller is responsible for keeping dt within the parabolic bound;
-    run() enforces it per step.
+    states() enforces it before each step.
     """
     try:
-        k1 = flow_rhs(m)
-        k2 = flow_rhs(_shifted(m, k1, 0.5 * dt))
-        k3 = flow_rhs(_shifted(m, k2, 0.5 * dt))
-        k4 = flow_rhs(_shifted(m, k3, dt))
+        k1 = m.velocity
+        k2 = _shifted(m, k1, 0.5 * dt).velocity
+        k3 = _shifted(m, k2, 0.5 * dt).velocity
+        k4 = _shifted(m, k3, dt).velocity
         # k1 + 2 (k2 + k3) + k4, and then the new state's (u, p, q), in k2,
         # whose stage state is gone; k1 is m's cached velocity, which the
         # trace shares, and is never written
@@ -195,11 +190,6 @@ def step(m, dt):
     return out
 
 
-def _cfl_bound(m, cfg):
-    h2 = m.grid.h * m.grid.h
-    return cfg.cfl_safety * h2 * min(m.u_min, m.lam_min)
-
-
 _SIGMA1_RATE_STEP = 1e-5
 
 
@@ -219,102 +209,107 @@ def sigma1_ode_residual_instant(m):
     return largest(np.abs(rate - m.split.sigma1 * m.s))
 
 
-def _split_at(m, t):
-    """m.split, where a degenerate transverse area aborts the run at time t."""
-    try:
-        return m.split
-    except DegenerateTransverseError as exc:
-        raise NumericalAbort(f"degenerate transverse area at t = {t:.6f}: {exc}",
-                             t=t) from exc
+def states(m0, cfg):
+    """Yield (k, t, state), t = k dt, from k = 0 to cfg.steps(), each state before the next.
 
-
-def run(m0, cfg):
-    """Integrate to t_end, recording diagnostics every record_every steps.
-
-    The final partial block is always recorded; a run must produce at least
-    three records so that the centered time differences in the trace are
-    defined.  Exceptions from step() propagate with the failure time filled
-    in, and a record whose transverse area w = D/lam falls below
-    DEGENERACY_TOL aborts the run (NumericalAbort) at its time.  m0 is one
-    state; a stack of states raises GridError.  m0 is left as given: the
-    run starts from a shallow copy, which caches what the run derives.
+    m0 is one positive state (a stack raises GridError), left as given: the
+    stream starts from a shallow copy.  A consumer reads state k before step
+    k + 1 runs, so the velocity it caches there is that step's k1.  Each
+    step must keep the parabolic bound; a rejection or abort carries its t.
     """
     m0.grid.require_single(m0.lam, "run")
     state = copy.copy(m0)
     state.require_positive()
-    cfg.records()
     steps = cfg.steps()
-
-    columns = {name: [] for name in TRACE_COLUMNS}
     t = 0.0
-    shift0 = _split_at(state, t).mu1.coeffs[:2].copy()
-    prev_fiber = prev_t = None
-
-    def record(m, t_now):
-        nonlocal prev_fiber, prev_t
-        split = _split_at(m, t_now)
-        vel = m.velocity  # first: it leaves m.theta for assess
-        report = assess(m)
-        # mu1 = a e1 + b e2 + e3 and mu2 = -b e1 + a e2 + e4 move with (da, db)
-        # = (q', p')/lam, since lam' = 0; lam mu1^mu2 is (lam (a^2 + b^2), lam b,
-        # lam a, lam) on e12, e13 = e24, e14 = -e23, e34, moving with
-        # (2 (a da + b db) lam, db lam, da lam)
-        a, b = shift = split.mu1.coeffs[:2]
-        da, db = rate = vel[:0:-1] * m.inv_lam
-        fiber_vel, fiber = np.empty((3,) + a.shape), np.empty((3,) + a.shape)  # lam is frozen
-        np.multiply(2.0 * (da * a + db * b), m.lam, out=fiber_vel[0])
-        np.multiply(rate[::-1], m.lam, out=fiber_vel[1:])
-        np.multiply(a * a + b * b, m.lam, out=fiber[0])
-        np.multiply(shift[::-1], m.lam, out=fiber[1:])
-        if prev_fiber is None:
-            fd = 0.0  # first record has no predecessor
-        else:
-            fd = largest(np.abs(fiber - prev_fiber)) / (t_now - prev_t)
-        prev_fiber, prev_t = fiber, t_now
-        char1, char2 = characteristic_numbers(split)
-        row = {
-            "t": t_now,
-            "lambda_mean": report.lambda_mean,
-            "lambda_var": report.lambda_variance,
-            "sigma1_mean": report.sigma1_mean,
-            "sigma1_var": report.sigma1_variance,
-            "sigma2_mean": report.sigma2_mean,
-            "sigma2_var": report.sigma2_variance,
-            "s_mean": report.s_mean,
-            "s_var": report.s_variance,
-            "pluriclosed_defect": report.pluriclosed_defect,
-            "lck_defect": report.lck_defect,
-            "vaisman_defect": report.vaisman_defect,
-            "char_1": char1,
-            "char_2": char2,
-            "fiber_rhs_residual": largest(np.abs(fiber_vel)),
-            "fiber_fd_residual": fd,
-            "mu_drift": largest(np.abs(shift - shift0)),
-            "sigma1_ode_residual": 0.0,   # filled in a post-pass
-            # mu1 is g-orthogonal to the horizontal mu1_dot, and lam' = 0
-            "lambda_rel_residual": 0.0,
-            "positivity_margin": m.positivity_margin(),
-        }
-        for name in TRACE_COLUMNS:
-            columns[name].append(row[name])
-
-    record(state, t)
+    yield 0, t, state
     for k in range(1, steps + 1):
-        bound = _cfl_bound(state, cfg)
+        bound = cfg.cfl_safety * (state.grid.h * state.grid.h) * min(state.u_min, state.lam_min)
         if cfg.dt > bound:
-            raise StepRejected(
-                f"dt = {cfg.dt:.3e} exceeds the parabolic bound {bound:.3e} at t = {t:.6f}",
-                margin=state.positivity_margin(),
-                t=t,
-            )
+            raise StepRejected(f"dt = {cfg.dt:.3e} exceeds the parabolic bound {bound:.3e}"
+                               f" at t = {t:.6f}", margin=state.positivity_margin(), t=t)
         try:
             state = step(state, cfg.dt)
         except (StepRejected, NumericalAbort) as exc:
             exc.t = t
             raise
         t = k * cfg.dt
+        yield k, t, state
+
+
+def _record(m, t, prev):
+    """Trace row of state m at time t after the previous row, None at t = 0.
+
+    Besides the columns, a row keeps lam mu1^mu2's fiber part and the first
+    row's mu1 shift, shift0, for the next.  A transverse area w = D/lam
+    below DEGENERACY_TOL aborts the run at t.
+    """
+    try:
+        split = m.split
+    except DegenerateTransverseError as exc:
+        raise NumericalAbort(f"degenerate transverse area at t = {t:.6f}: {exc}",
+                             t=t) from exc
+    vel = m.velocity  # first: it leaves m.theta for assess
+    report = assess(m)
+    # mu1 = a e1 + b e2 + e3 and mu2 = -b e1 + a e2 + e4 move with (da, db)
+    # = (q', p')/lam, since lam' = 0; lam mu1^mu2 is (lam (a^2 + b^2), lam b,
+    # lam a, lam) on e12, e13 = e24, e14 = -e23, e34, moving with
+    # (2 (a da + b db) lam, db lam, da lam)
+    a, b = shift = split.mu1.coeffs[:2]
+    shift0 = shift.copy() if prev is None else prev["shift0"]
+    da, db = rate = vel[:0:-1] * m.inv_lam
+    fiber_vel, fiber = np.empty((3,) + a.shape), np.empty((3,) + a.shape)  # lam is frozen
+    np.multiply(2.0 * (da * a + db * b), m.lam, out=fiber_vel[0])
+    np.multiply(rate[::-1], m.lam, out=fiber_vel[1:])
+    np.multiply(a * a + b * b, m.lam, out=fiber[0])
+    np.multiply(shift[::-1], m.lam, out=fiber[1:])
+    char1, char2 = characteristic_numbers(split)
+    return {
+        "t": t,
+        "lambda_mean": report.lambda_mean,
+        "lambda_var": report.lambda_variance,
+        "sigma1_mean": report.sigma1_mean,
+        "sigma1_var": report.sigma1_variance,
+        "sigma2_mean": report.sigma2_mean,
+        "sigma2_var": report.sigma2_variance,
+        "s_mean": report.s_mean,
+        "s_var": report.s_variance,
+        "pluriclosed_defect": report.pluriclosed_defect,
+        "lck_defect": report.lck_defect,
+        "vaisman_defect": report.vaisman_defect,
+        "char_1": char1,
+        "char_2": char2,
+        "fiber_rhs_residual": largest(np.abs(fiber_vel)),
+        "fiber_fd_residual": (0.0 if prev is None else
+                              largest(np.abs(fiber - prev["fiber"])) / (t - prev["t"])),
+        "mu_drift": largest(np.abs(shift - shift0)),
+        "sigma1_ode_residual": 0.0,   # filled in by run's post-pass
+        # mu1 is g-orthogonal to the horizontal mu1_dot, and lam' = 0
+        "lambda_rel_residual": 0.0,
+        "positivity_margin": m.positivity_margin(),
+        "shift0": shift0,
+        "fiber": fiber,
+    }
+
+
+def run(m0, cfg):
+    """Integrate to t_end by states(m0, cfg), recording every record_every steps.
+
+    The final partial block is always recorded; a run must produce at least
+    three records so that the centered time differences in the trace are
+    defined, which is checked after states has checked m0.
+    """
+    stream = states(m0, cfg)
+    _, t, state = next(stream)
+    cfg.records()
+    steps = cfg.steps()
+    prev = _record(state, t, None)
+    columns = {name: [prev[name]] for name in TRACE_COLUMNS}
+    for k, t, state in stream:
         if k % cfg.record_every == 0 or k == steps:
-            record(state, t)
+            prev = _record(state, t, prev)
+            for name in TRACE_COLUMNS:
+                columns[name].append(prev[name])
 
     arrays = {name: np.asarray(vals) for name, vals in columns.items()}
     times = arrays["t"]

@@ -627,16 +627,18 @@ def _short_trace(n=16):
 
 
 def _frozen_flow(monkeypatch):
-    # every stage velocity reads zero, so the state never moves
-    monkeypatch.setattr(flow_engine, "flow_rhs", lambda m: np.zeros_like(m.upq))
+    # every velocity, of a stage or a record, reads zero: the state never
+    # moves, and each record's s = -d/dt log D reads zero
+    monkeypatch.setattr(hermitian_geometry, "flow_velocity", lambda m: np.zeros_like(m.upq))
 
 
 def _bumped_flow(monkeypatch):
-    # the stage velocity's du gains sin(2 pi x), so u, and with it sigma1,
-    # varies in space
-    true_rhs = flow_engine.flow_rhs
-    monkeypatch.setattr(flow_engine, "flow_rhs", lambda m: true_rhs(m) + np.stack(
-        (np.sin(2.0 * np.pi * m.grid.xx), m.grid.zeros(), m.grid.zeros())))
+    # every velocity's du gains sin(2 pi x), so u, and with it sigma1,
+    # varies in space, and each record's s follows the bumped velocity
+    true_velocity = hermitian_geometry.flow_velocity
+    monkeypatch.setattr(hermitian_geometry, "flow_velocity", lambda m: true_velocity(m)
+                        + np.stack((np.sin(2.0 * np.pi * m.grid.xx), m.grid.zeros(),
+                                    m.grid.zeros())))
 
 
 def _unweighted_characteristic_numbers(monkeypatch):
@@ -958,14 +960,14 @@ def test_positivity_error_names_plain_grid_point(tmp_path, monkeypatch):
 
     # 3: a kick at (3, 5) takes u negative in the first stage state, and the
     # rejected step's verdict names the point
-    true_rhs = flow_engine.flow_rhs
+    true_velocity = hermitian_geometry.flow_velocity
 
     def kicked(m):
-        vel = np.array(true_rhs(m))
+        vel = np.array(true_velocity(m))
         vel[0, 3, 5] -= 1e6
         return vel
 
-    monkeypatch.setattr(flow_engine, "flow_rhs", kicked)
+    monkeypatch.setattr(hermitian_geometry, "flow_velocity", kicked)
     cfgfile = tmp_path / "kicked.cfg"
     cfgfile.write_text("preset = custom\nn = 8\ndt = 1e-4\nt_end = 5e-4\n"
                        f"record_every = 1\nout_dir = {tmp_path}\n")

@@ -9,11 +9,11 @@ import pytest
 import ktflow.flow_engine as flow_engine
 import ktflow.hermitian_geometry as hermitian_geometry
 import ktflow.identities as identities
-from ktflow.errors import (ConfigError, DegenerateTransverseError, KTError,
-                           NumericalAbort, StepRejected)
+from ktflow.errors import (ConfigError, DegenerateTransverseError, GridError, KTError,
+                           NumericalAbort, PositivityError, StepRejected)
 from ktflow.flow_engine import (FlowConfig, FlowTrace, TRACE_COLUMNS,
-                                conservation_monitors, flow_rhs, run,
-                                sigma1_ode_residual_instant, step)
+                                conservation_monitors, run,
+                                sigma1_ode_residual_instant, states, step)
 from ktflow.hermitian_geometry import (MetricState, bismut_ricci,
                                        bismut_torsion, scalar_curvature)
 from ktflow.invariant_forms import (BaseGrid, InvariantForm, basis_form, exterior_d,
@@ -27,11 +27,11 @@ from oracles import (coefficient_velocity, form_algebra_record, form_route_ricci
 
 def test_flow_rhs_standard(grid16):
     m = make_standard_vaisman(grid16, 1.0)
-    assert flow_rhs(m).shape == (3, 16, 16)
-    assert np.max(np.abs(flow_rhs(m) - np.array([1.0, 0.0, 0.0])[:, None, None])) == 0.0
+    assert m.velocity.shape == (3, 16, 16)
+    assert np.max(np.abs(m.velocity - np.array([1.0, 0.0, 0.0])[:, None, None])) == 0.0
     # scale 2: rho = s omega_check = -(1/4)(2 e1^e2)
     m2 = make_standard_vaisman(grid16, 2.0)
-    assert np.max(np.abs(flow_rhs(m2) - np.array([0.5, 0.0, 0.0])[:, None, None])) < 1e-14
+    assert np.max(np.abs(m2.velocity - np.array([0.5, 0.0, 0.0])[:, None, None])) < 1e-14
 
 
 def test_coefficient_velocity_reconstruction(grid32, rng):
@@ -142,7 +142,7 @@ def test_step_rejects_positivity_loss(grid32):
 def test_step_aborts_on_nonfinite_velocity(grid16, monkeypatch):
     m = make_standard_vaisman(grid16, 1.0)
     bad = np.full((3, grid16.n, grid16.n), np.nan)
-    monkeypatch.setattr(flow_engine, "flow_rhs", lambda state: bad)
+    monkeypatch.setattr(hermitian_geometry, "flow_velocity", lambda state: bad)
     with pytest.raises(NumericalAbort):
         step(m, 1e-4)
 
@@ -191,18 +191,79 @@ def test_run_enforces_parabolic_bound(grid32):
 def test_run_abort_carries_failure_time(grid16, monkeypatch):
     m = make_standard_vaisman(grid16, 1.0)
     calls = {"k": 0}
-    true_velocity = flow_engine.flow_rhs
+    true_velocity = hermitian_geometry.flow_velocity
 
     def flaky(state):
+        # calls 1-9 are the velocities of records 0, 1 and 2 and the stages
+        # 2-4 of steps 1 and 2 (each k1 is its record's); call 10 is the
+        # third step's k2
         calls["k"] += 1
-        if calls["k"] > 8:   # fail inside the third step
+        if calls["k"] > 9:
             return np.full((3, grid16.n, grid16.n), np.inf)
         return true_velocity(state)
 
-    monkeypatch.setattr(flow_engine, "flow_rhs", flaky)
+    monkeypatch.setattr(hermitian_geometry, "flow_velocity", flaky)
     with pytest.raises(NumericalAbort) as info:
         run(m, FlowConfig(dt=1e-4, t_end=1e-3, record_every=1))
     assert info.value.t == pytest.approx(2e-4)
+
+
+def test_states_yields_each_step_at_k_dt(grid16):
+    # steps + 1 triples from a copy of the seed; state k is bitwise step(state k - 1, dt),
+    # and t is k dt, which a running sum of dt misses from k = 7
+    m = make_noncsc_vaisman(grid16, 0.1)
+    cfg = FlowConfig(dt=1e-4, t_end=1e-3)
+    triples = list(states(m, cfg))
+    assert [k for k, _, _ in triples] == list(range(cfg.steps() + 1)) == list(range(11))
+    assert all(type(t) is float and t == k * cfg.dt for k, t, _ in triples)
+    assert triples[0][2] is not m and triples[0][2].upq.tobytes() == m.upq.tobytes()
+    for (_, _, previous), (_, _, state) in zip(triples, triples[1:]):
+        assert state.upq.tobytes() == step(previous, cfg.dt).upq.tobytes()
+
+
+def test_states_bound_rejection_mid_run_carries_its_time(grid16, monkeypatch):
+    # du = -4500 drains u from 1 to 0.55 and 0.1; the bound 0.2 h^2 min(u, lam)
+    # then reads 7.8e-5 < dt, so the third step is refused at t = 2e-4
+    monkeypatch.setattr(hermitian_geometry, "flow_velocity", lambda m: np.stack(
+        (np.full_like(m.u, -4500.0), m.grid.zeros(), m.grid.zeros())))
+    yielded = []
+    with pytest.raises(StepRejected, match="exceeds the parabolic bound 7.8") as info:
+        for k, t, state in states(make_standard_vaisman(grid16, 1.0),
+                                  FlowConfig(dt=1e-4, t_end=1e-3)):
+            yielded.append((k, t))
+    assert yielded == [(0, 0.0), (1, 1e-4), (2, 2e-4)]
+    assert info.value.t == 2e-4 and info.value.margin == pytest.approx(0.1)
+
+
+def test_states_stopped_early_leaves_the_seed_bare(grid16):
+    # the consumer's records cache on the stream's copy, never on the seed
+    m = make_noncsc_vaisman(grid16, 0.1)
+    before = dict(m.__dict__)
+    stream = states(m, FlowConfig(dt=1e-4, t_end=1e-3))
+    for k, t, state in stream:
+        assess(state)
+        if k == 2:
+            break
+    stream.close()
+    assert not {"velocity", "theta", "split", "s", "D"} & m.__dict__.keys()
+    assert m.__dict__.keys() == before.keys()
+    assert all(m.__dict__[key] is value for key, value in before.items())
+
+
+@pytest.mark.parametrize("stack, positive, short, error, message", (
+    (True, False, True, GridError, "run takes one state"),
+    (False, False, True, PositivityError, r"positivity violated: u\*lam - p\^2"),
+    (False, True, True, ConfigError, "run too short: 2 trace records"),
+    (True, True, False, GridError, "run takes one state"),
+    (False, False, False, PositivityError, r"positivity violated: u\*lam - p\^2"),
+))
+def test_run_checks_the_seed_before_the_config(stack, positive, short, error, message):
+    # a stack, then a seed off the positive cone, then a run of two records:
+    # states checks the seed before run checks the config
+    u = np.ones((2, 1, 1)) if stack else 1.0
+    m = MetricState(BaseGrid(8), u, 1.0, 0.0 if positive else 2.0, 0.0)
+    with pytest.raises(error, match=message):
+        run(m, FlowConfig(dt=1e-4, t_end=2e-4 if short else 5e-4, record_every=2))
 
 
 def test_run_computes_each_state_geometry_once(grid16, monkeypatch):
