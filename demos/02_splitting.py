@@ -27,7 +27,7 @@ def show(name, m):
     print(f"  pluriclosed_defect = {rep.pluriclosed_defect:.3e}"
           f"   lck_defect = {rep.lck_defect:.3e}")
     tol = FlowConfig.vaisman_tol
-    print(f"  vaisman_defect = {rep.vaisman_defect:.3e}   Var(s) = {rep.s_variance:.3e}")
+    print(f"  vaisman_defect = {rep.vaisman_defect:.3e}   Var(s) = {rep.s_var:.3e}")
     print(f"  Vaisman (vaisman_defect < vaisman_tol = {tol:.0e}): {rep.vaisman_defect < tol}")
 
 

@@ -289,12 +289,7 @@ def load_snapshot(path, grid=None):
     n = payload.get("n")
     if not isinstance(n, int) or isinstance(n, bool):
         raise ConfigError(f"snapshot {path!r} has no integer resolution n, got {n!r}")
-    if grid is None:
-        try:
-            grid = BaseGrid(n)
-        except GridError as exc:
-            raise ConfigError(f"snapshot {path!r}: {exc}") from exc
-    elif grid.n != n:
+    if grid is not None and grid.n != n:
         raise ConfigError(f"snapshot resolution {n} does not match grid n={grid.n}")
     arrays = []
     for key in ("u", "lam", "p", "q"):
@@ -313,6 +308,11 @@ def load_snapshot(path, grid=None):
             raise ConfigError(f"snapshot {path!r}: coefficient {key} is not a JSON number"
                               f" at grid index {bad[:2]}, got {bad[2]!r}")
         arrays.append(values)
+    if grid is None:   # after the fields, whose shapes bound n by the file's size
+        try:
+            grid = BaseGrid(n)
+        except GridError as exc:
+            raise ConfigError(f"snapshot {path!r}: {exc}") from exc
     try:
         return MetricState(grid, *arrays)
     except NonFiniteFieldError as exc:

@@ -217,7 +217,7 @@ def states(m0, cfg):
     k + 1 runs, so the velocity it caches there is that step's k1.  Each
     step must keep the parabolic bound; a rejection or abort carries its t.
     """
-    m0.grid.require_single(m0.lam, "run")
+    m0.grid.require_single(m0.lam, "states")
     state = copy.copy(m0)
     state.require_positive()
     steps = cfg.steps()
@@ -266,16 +266,7 @@ def _record(m, t, prev):
     char1, char2 = characteristic_numbers(split)
     return {
         "t": t,
-        "lambda_mean": report.lambda_mean,
-        "lambda_var": report.lambda_variance,
-        "sigma1_mean": report.sigma1_mean,
-        "sigma1_var": report.sigma1_variance,
-        "sigma2_mean": report.sigma2_mean,
-        "sigma2_var": report.sigma2_variance,
-        "s_mean": report.s_mean,
-        "s_var": report.s_variance,
-        "pluriclosed_defect": report.pluriclosed_defect,
-        "lck_defect": report.lck_defect,
+        **vars(report),
         "vaisman_defect": report.vaisman_defect,
         "char_1": char1,
         "char_2": char2,
@@ -297,8 +288,9 @@ def run(m0, cfg):
 
     The final partial block is always recorded; a run must produce at least
     three records so that the centered time differences in the trace are
-    defined, which is checked after states has checked m0.
+    defined, which is checked after run and states have checked m0.
     """
+    m0.grid.require_single(m0.lam, "run")
     stream = states(m0, cfg)
     _, t, state = next(stream)
     cfg.records()

@@ -523,39 +523,23 @@ def wedge(alpha, beta):
     return out
 
 
-def _check_d_degree(alpha):
-    if alpha.degree >= 4:
-        raise DegreeError("exterior derivative of a 4-form is not represented")
+def exterior_d(alpha):
+    """Exterior derivative: spectral base part plus the d(e3) structure part.
 
-
-def _d_head(alpha, out=None):
-    """The head of d alpha's coefficients, the components with a base partial.
-
-    The base part is summed per output component in spectral space, between
-    one forward transform of the coefficients that have a partial and one
-    inverse transform of the components that receive one, into out's head
-    if out is given; then the d(e3) structure part is added (see
+    The components with a base partial are a head of d alpha's
+    coefficients: they are summed per output component in spectral space,
+    between one forward transform of the coefficients that have a partial
+    and one inverse transform of the components that receive one, into
+    the result's head; then the d(e3) structure part is added there (see
     _d_tables).  Every later component of d alpha is zero.
     """
-    first, spectral, struct = _d_tables(alpha.degree)
-    head = alpha.grid.partial_sums(alpha.coeffs[first:], spectral,
-                                   None if out is None else out[:len(spectral)])
-    return _apply(struct, alpha.coeffs, head)
-
-
-def exterior_d(alpha):
-    """Exterior derivative: spectral base part plus the d(e3) structure part (_d_head)."""
-    _check_d_degree(alpha)
+    if alpha.degree >= 4:
+        raise DegreeError("exterior derivative of a 4-form is not represented")
     out = _zeros(alpha.grid, alpha.degree + 1, alpha.coeffs.shape[1:])
-    _d_head(alpha, out.coeffs)
+    first, spectral, struct = _d_tables(alpha.degree)
+    head = alpha.grid.partial_sums(alpha.coeffs[first:], spectral, out.coeffs[:len(spectral)])
+    _apply(struct, alpha.coeffs, head)
     return out
-
-
-def max_abs_d(alpha):
-    """exterior_d(alpha).max_abs(), from the head of d alpha alone."""
-    _check_d_degree(alpha)
-    head = _d_head(alpha)
-    return largest(np.abs(head, out=head))
 
 
 def apply_J(alpha):

@@ -22,20 +22,20 @@ import numpy as np
 
 from .errors import GridError, PositivityError
 from .hermitian_geometry import MetricState, inner_1forms
-from .invariant_forms import DX, DY, apply_J, exterior_d, max_abs_d, mean, mean_and_variance, wedge
+from .invariant_forms import DX, DY, apply_J, exterior_d, mean, mean_and_variance, wedge
 
 
 @dataclass(frozen=True)
 class DefectReport:
-    """Nonnegative defect functionals of one metric state; FlowConfig's thresholds read them."""
+    """Nonnegative defect functionals of one metric state, each named as its trace column."""
 
     pluriclosed_defect: float    # max |d H| = max |lam_xx + lam_yy|
     lck_defect: float            # max |d theta|
-    lambda_variance: float       # Var(lam)
-    sigma1_variance: float       # Var(sigma1)
-    sigma2_variance: float       # Var(sigma2)
-    s_variance: float            # Var(s): the constant-curvature defect
-    lambda_mean: float           # the means beside the variances, for the flow's trace
+    lambda_var: float            # Var(lam)
+    sigma1_var: float            # Var(sigma1)
+    sigma2_var: float            # Var(sigma2)
+    s_var: float                 # Var(s): the constant-curvature defect
+    lambda_mean: float           # the means beside the variances
     sigma1_mean: float
     sigma2_mean: float
     s_mean: float
@@ -43,7 +43,7 @@ class DefectReport:
     @property
     def vaisman_defect(self):
         """Var(lam) + Var(sigma1) + Var(sigma2), summed in that order."""
-        return self.lambda_variance + self.sigma1_variance + self.sigma2_variance
+        return self.lambda_var + self.sigma1_var + self.sigma2_var
 
 
 def assess(m):
@@ -54,13 +54,13 @@ def assess(m):
     is m.lam_laplacian_max and lam's (mean, variance) m.lam_moments, lam
     data that the states of a flow share; s is the flow's s = -d/dt log D,
     m.s, and sigma1, sigma2 and s go through mean_and_variance; max |d theta|
-    is read from the nonzero head of d theta (max_abs_d).  One state only:
+    is exterior_d(m.theta).max_abs(), 4/5 transform fields.  One state only:
     its variances would pool a stack, which raises GridError.
     """
     m.grid.require_single(m.lam, "assess")
     means, variances = zip(m.lam_moments, *map(mean_and_variance,
                                                (m.split.sigma1, m.split.sigma2, m.s)))
-    return DefectReport(m.lam_laplacian_max, max_abs_d(m.theta), *variances, *means)
+    return DefectReport(m.lam_laplacian_max, exterior_d(m.theta).max_abs(), *variances, *means)
 
 
 def potential_residual(m):

@@ -810,7 +810,12 @@ def _snapshot_payload(tmp_path):
     (lambda p: json.dumps({k: v for k, v in p.items() if k != "q"}), "field 'q' is missing"),
     (lambda p: json.dumps(p)[:-5], "not valid JSON"),
     (lambda p: json.dumps({k: v for k, v in p.items() if k != "n"}), "integer resolution"),
-    (lambda p: json.dumps({**p, "n": 12}), "power of two"),
+    # fields of the file's n, so that n itself is what fails
+    (lambda p: json.dumps({**p, "n": 12, **dict.fromkeys("u lam p q".split(), [[1.0] * 12] * 12)}),
+     "power of two"),
+    # the fields are checked before a grid of n is built: numpy cannot allocate one
+    (lambda p: json.dumps({**p, "n": 2**62, **dict.fromkeys("u lam p q".split(), [[1.0]])}),
+     r"field 'u' has shape \(1, 1\), expected \(4611686018427387904, 4611686018427387904\)"),
     (lambda p: json.dumps([p]), "not a state snapshot"),
     (lambda p: json.dumps({**p, "u": [row if i != 2 else row[:3] + [float("nan")] + row[4:]
                                       for i, row in enumerate(p["u"])]}),
@@ -823,7 +828,8 @@ def _snapshot_payload(tmp_path):
     (lambda p: json.dumps({**p, "u": [[10**400] + p["u"][0][1:]] + p["u"][1:]}),
      "field 'u' is missing or not a numeric array: OverflowError"),
 ], ids=["1d-u", "short-lam", "ragged-p", "missing-q", "bad-json", "missing-n",
-        "bad-n", "top-level-list", "nan-u", "boolean-n", "boolean-u", "string-u", "huge-u"])
+        "bad-n", "unallocatable-n", "top-level-list", "nan-u", "boolean-n", "boolean-u",
+        "string-u", "huge-u"])
 def test_snapshot_rejects_malformed_file(tmp_path, corrupt, match):
     path = tmp_path / "bad.json"
     path.write_text(corrupt(_snapshot_payload(tmp_path)))

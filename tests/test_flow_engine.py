@@ -1,5 +1,6 @@
 """RK4 driver, trace diagnostics and guard rails."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -18,7 +19,7 @@ from ktflow.hermitian_geometry import (MetricState, bismut_ricci,
                                        bismut_torsion, scalar_curvature)
 from ktflow.invariant_forms import (BaseGrid, InvariantForm, basis_form, exterior_d,
                                     p11_projection, random_band_limited)
-from ktflow.vaisman_toolkit import (assess, make_noncsc_vaisman,
+from ktflow.vaisman_toolkit import (DefectReport, assess, make_noncsc_vaisman,
                                     make_standard_vaisman)
 
 from oracles import (coefficient_velocity, form_algebra_record, form_route_ricci,
@@ -264,6 +265,25 @@ def test_run_checks_the_seed_before_the_config(stack, positive, short, error, me
     m = MetricState(BaseGrid(8), u, 1.0, 0.0 if positive else 2.0, 0.0)
     with pytest.raises(error, match=message):
         run(m, FlowConfig(dt=1e-4, t_end=2e-4 if short else 5e-4, record_every=2))
+
+
+def test_states_names_itself_when_it_refuses_a_stack():
+    m = MetricState(BaseGrid(8), np.ones((2, 1, 1)), 1.0, 0.0, 0.0)
+    message = r"^states takes one state, got fields of shape \(2, 8, 8\)$"
+    with pytest.raises(GridError, match=message):
+        next(states(m, FlowConfig(dt=1e-4, t_end=5e-4)))
+
+
+def test_report_and_trace_share_one_vocabulary(grid16):
+    # each defect of assess is recorded in the trace column of its name, and
+    # the last row is bitwise assess of the final state rebuilt from its fields
+    names = [field.name for field in dataclasses.fields(DefectReport)] + ["vaisman_defect"]
+    assert set(names) <= set(TRACE_COLUMNS)
+    trace = run(make_noncsc_vaisman(grid16, 0.1), FlowConfig(dt=1e-4, t_end=1e-3))
+    final = trace.final_state
+    report = assess(MetricState(grid16, final.u, final.lam, final.p, final.q))
+    for name in names:
+        assert float(trace.column(name)[-1]).hex() == float(getattr(report, name)).hex(), name
 
 
 def test_run_computes_each_state_geometry_once(grid16, monkeypatch):

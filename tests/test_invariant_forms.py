@@ -12,7 +12,7 @@ from ktflow.errors import (DegreeError, GridError, NonBasicFormError,
 from ktflow.hermitian_geometry import _LEE_TERMS
 from ktflow.invariant_forms import (INDEX_POS, LAPLACIAN, NCOMP, BaseGrid, InvariantForm,
                                     V1, V2, apply_J, base_integral, basis_form, coframe,
-                                    contract, exterior_d, max_abs_d, p11_projection,
+                                    contract, exterior_d, p11_projection,
                                     random_band_limited, random_form, wedge)
 
 from oracles import (broadcast_factors, broadcast_partial_sums, direct_band_limited,
@@ -220,25 +220,8 @@ def test_exterior_d_transforms_only_used_fields(grid16, rng, transform_fields, d
 
 
 def test_exterior_d_top_degree_rejected(grid8):
-    for d in (exterior_d, max_abs_d):
-        with pytest.raises(DegreeError):
-            d(basis_form(grid8, (0, 1, 2, 3)))
-
-
-@pytest.mark.parametrize("degree", (0, 1, 2, 3))
-def test_max_abs_d_equals_the_max_of_exterior_d_bitwise(grid16, degree):
-    # on one state and on a stack; a constant 50 added to the coefficients
-    # that d(e3) reads makes that part carry the maximum
-    struct = invariant_forms._d_tables(degree)[2]
-    for seed, lead in ((0, ()), (1, (3,))):
-        coeffs = random_band_limited(grid16, np.random.default_rng(seed),
-                                     lead=(NCOMP[degree],) + lead)
-        for shift in (0.0, 50.0):
-            for i_in, _, _ in struct:
-                coeffs[i_in] += shift
-            alpha = InvariantForm(grid16, degree, coeffs)
-            assert max_abs_d(alpha) == exterior_d(alpha).max_abs() > 0.0
-        assert degree in (0, 3) or max_abs_d(alpha) > 49.0
+    with pytest.raises(DegreeError):
+        exterior_d(basis_form(grid8, (0, 1, 2, 3)))
 
 
 def test_apply_J_coframe_table(grid8):

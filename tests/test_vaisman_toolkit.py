@@ -32,7 +32,7 @@ def test_standard_seed_is_rigid_vaisman(grid32):
         assert rep.pluriclosed_defect < 1e-13
         assert rep.lck_defect < 1e-13
         assert rep.vaisman_defect < 1e-26
-        assert rep.s_variance < 1e-26
+        assert rep.s_var < 1e-26
         assert potential_residual(m) < 1e-12
 
 
@@ -57,13 +57,13 @@ def test_noncsc_seed_is_nonrigid_vaisman(grid32):
     assert rep.pluriclosed_defect < 1e-10
     assert rep.lck_defect < 1e-10
     # the whole point of the seed: the curvature scalar is not constant
-    assert rep.s_variance > 1e-6
+    assert rep.s_var > 1e-6
 
 
 def test_noncsc_seed_s_variance_scales_with_eps(grid32):
     # quadratic leading order in eps
-    v1 = assess(make_noncsc_vaisman(grid32, 0.05)).s_variance
-    v2 = assess(make_noncsc_vaisman(grid32, 0.1)).s_variance
+    v1 = assess(make_noncsc_vaisman(grid32, 0.05)).s_var
+    v2 = assess(make_noncsc_vaisman(grid32, 0.1)).s_var
     assert 3.0 < v2 / v1 < 5.5
 
 
@@ -71,7 +71,7 @@ def test_noncsc_seed_modes_and_bounds(grid32):
     for mode in ((2, 1), (1, 3), (2, 2)):
         rep = assess(make_noncsc_vaisman(grid32, 0.1, mode=mode))
         assert rep.vaisman_defect < FlowConfig.vaisman_tol
-        assert rep.s_variance > 1e-7
+        assert rep.s_var > 1e-7
     with pytest.raises(ValueError):
         make_noncsc_vaisman(grid32, 0.1, mode=(0, 1))
     with pytest.raises(ValueError):
@@ -129,7 +129,7 @@ def test_report_carries_the_three_variances_of_the_vaisman_defect(grid32):
     m = MetricState(grid32, 1.0 + bump, 1.0 - 0.5 * bump, 0.1 * bump, grid32.zeros())
     rep = assess(m)
     split = metric_split(m)
-    variances = (rep.lambda_variance, rep.sigma1_variance, rep.sigma2_variance)
+    variances = (rep.lambda_var, rep.sigma1_var, rep.sigma2_var)
     assert variances == (np.var(m.lam), np.var(split.sigma1), np.var(split.sigma2))
     assert all(v > 1e-6 for v in variances)
     assert rep.vaisman_defect == variances[0] + variances[1] + variances[2]
