@@ -4,10 +4,10 @@ Config files are plain text, one `key = value` per line, `#` comments.
 Recognized keys and defaults:
 
     preset        identity_suite | stationary_csc | noncsc_vaisman | custom
-    n             32          grid resolution, power of two >= 8
+    n             32          grid resolution, power of two in [8, MAX_N = 4096]
     epsilon       0.1         non-CSC seed amplitude, |epsilon| < 0.5
     mode          1,1         non-CSC seed wave numbers, positive, 2 max(mode) < n
-    scale         1.0         base area of the standard seed
+    scale         1.0         base area of the standard seed, >= DEGENERACY_TOL (1e-12)
     u0 lam0 p0 q0 1 1 0 0     custom preset: constant coefficient fields
     dt            1e-4        time step
     t_end         0.1         final time, at most MAX_STEPS (1e7) whole steps
@@ -60,6 +60,7 @@ from .vaisman_toolkit import make_noncsc_vaisman, make_standard_vaisman
 PRESETS = ("identity_suite", "stationary_csc", "noncsc_vaisman", "custom")
 
 SNAPSHOT_FORMAT = "ktflow-state"
+MAX_N = 4096   # twice the largest grid the repo runs (n = 2048); a field there is 32 MiB
 
 
 def _parse_mode(text):
@@ -114,6 +115,8 @@ class ExperimentConfig:
         n = self.n
         if n < 8 or (n & (n - 1)) != 0:
             raise ConfigError(f"n must be a power of two >= 8, got {n}")
+        if n > MAX_N:
+            raise ConfigError(f"n = {n} is above MAX_N = {MAX_N}")
         if not abs(self.epsilon) < 0.5:
             raise ConfigError(f"epsilon must satisfy |epsilon| < 0.5, got {self.epsilon}")
         if not isinstance(self.mode, tuple) or len(self.mode) != 2:
@@ -122,8 +125,9 @@ class ExperimentConfig:
             raise ConfigError(f"mode entries must be positive integers, got {self.mode}")
         if not 2 * max(self.mode) < n:
             raise ConfigError(f"mode {self.mode} is not resolved: needs 2 max(mode) < n = {n}")
-        if not self.scale > 0:
-            raise ConfigError(f"scale must be positive, got {self.scale}")
+        if not self.scale >= DEGENERACY_TOL:   # the standard seed's transverse area
+            raise ConfigError(f"scale must be >= DEGENERACY_TOL = {DEGENERACY_TOL:.0e},"
+                              f" got {self.scale}")
         if self.preset == "custom":
             if not (self.u0 > 0 and self.lam0 > 0):
                 raise ConfigError(

@@ -8,17 +8,16 @@ construction, and the flow is a parabolic system for (u, p, q) on the base
 grid.  Its velocity is a closed form (hermitian_geometry.flow_velocity),
 cached on each state as m.velocity, which the trace records share with the
 next step's first stage.  lam passes through bitwise, so every state of a
-run shares m0's lam array and one set of lam data, 1/lam, min lam, the lam
-partials and the Laplacian, and the trace's constants of lam, its mean,
-variance and max |lap lam| (MetricState.with_fields), and a stage moves 7/7
-forward/inverse fields in two transform pairs.  A stage state is one axpy
-on the (u, p, q) stack, and it computes D and its minima once for the
-positivity guard, the velocity and the step bound; it allocates only what
-outlives it, its upq and D, theta and the velocity.  The RK4 sum, and then
-the new state's (u, p, q), go into k2's buffer.
-Classical RK4 keeps the integrator auditable at desk scale.  states(m0, cfg)
-yields a run's states; it rejects a step beyond the parabolic bound or the
-positive cone, never restoring it, and aborts on NaN/Inf.  run records them.
+run holds m0's lam_data (MetricState.with_fields) and each lam datum is
+computed once per run; a stage moves 7/7 forward/inverse fields in two
+transform pairs.  A stage state is one axpy on the (u, p, q) stack, and it
+computes D and its minima once for the positivity guard, the velocity and
+the step bound; it allocates only what outlives it, its upq and D, theta
+and the velocity.  The RK4 sum, and then the new state's (u, p, q), go
+into k2's buffer.  Classical RK4 keeps the integrator auditable at desk
+scale.  states(m0, cfg) yields a run's states; it rejects a step beyond the
+parabolic bound or the positive cone, never restoring it, and aborts on
+NaN/Inf.  run records them.
 
 Two identities put the record path on the same velocity: the curvature
 scalar is s = -d/dt log D (m.s, read once per record), and the torsion
@@ -90,7 +89,7 @@ class FlowConfig:
     exit_threshold: float = 1e-9    # defect level defining the exit time
 
     def __post_init__(self):
-        for name in ("dt", "t_end", "vaisman_tol", "variance_tol", "exit_threshold"):
+        for name in ("dt", "t_end", "cfl_safety", "vaisman_tol", "variance_tol", "exit_threshold"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise ConfigError(f"{name} must be a real number, got {value!r}")
@@ -145,10 +144,7 @@ class FlowTrace:
 
 
 def _shifted(m, vel, factor, out=None):
-    """m moved by factor * vel, one axpy on its (u, p, q) stack; it shares m's lam data.
-
-    The new stack is written into out, which the state keeps, or a fresh array.
-    """
+    """m moved by factor * vel, one axpy on its (u, p, q) stack into out or a fresh array."""
     upq = np.multiply(factor, vel, out=out)
     try:
         return m.with_fields(np.add(m.upq, upq, out=upq))
@@ -212,19 +208,21 @@ def sigma1_ode_residual_instant(m):
 def states(m0, cfg):
     """Yield (k, t, state), t = k dt, from k = 0 to cfg.steps(), each state before the next.
 
-    m0 is one positive state (a stack raises GridError), left as given: the
-    stream starts from a shallow copy.  A consumer reads state k before step
-    k + 1 runs, so the velocity it caches there is that step's k1.  Each
-    step must keep the parabolic bound; a rejection or abort carries its t.
+    m0 is one positive state (a stack raises GridError).  The stream starts
+    from a shallow copy, so m0's own caches stay bare; its lam_data, which
+    every state holds, may not.  A consumer reads state k before step k + 1
+    runs, so the velocity it caches there is that step's k1.  Each step must
+    keep the parabolic bound; a rejection or abort carries its t.
     """
     m0.grid.require_single(m0.lam, "states")
     state = copy.copy(m0)
     state.require_positive()
     steps = cfg.steps()
+    h_squared = state.grid.h * state.grid.h
     t = 0.0
     yield 0, t, state
     for k in range(1, steps + 1):
-        bound = cfg.cfl_safety * (state.grid.h * state.grid.h) * min(state.u_min, state.lam_min)
+        bound = cfg.cfl_safety * h_squared * min(state.u_min, state.lam_data.min)
         if cfg.dt > bound:
             raise StepRejected(f"dt = {cfg.dt:.3e} exceeds the parabolic bound {bound:.3e}"
                                f" at t = {t:.6f}", margin=state.positivity_margin(), t=t)
@@ -257,7 +255,7 @@ def _record(m, t, prev):
     # (2 (a da + b db) lam, db lam, da lam)
     a, b = shift = split.mu1.coeffs[:2]
     shift0 = shift.copy() if prev is None else prev["shift0"]
-    da, db = rate = vel[:0:-1] * m.inv_lam
+    da, db = rate = vel[:0:-1] * m.lam_data.inv
     fiber_vel, fiber = np.empty((3,) + a.shape), np.empty((3,) + a.shape)  # lam is frozen
     np.multiply(2.0 * (da * a + db * b), m.lam, out=fiber_vel[0])
     np.multiply(rate[::-1], m.lam, out=fiber_vel[1:])

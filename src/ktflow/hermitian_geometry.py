@@ -30,23 +30,21 @@ of a result bitwise the result of its state alone (the shape rule of
 invariant_forms).  The flow, the defect report, the characteristic numbers
 and the snapshot take one state and raise GridError on a stack.  A state
 keeps (u, p, q) as the rows of one read-only (3, *stack, n, n) array,
-m.upq, beside a read-only lam.  Its derived data is a property of the
-state, computed once on first access: the Pfaffian m.D = u lam - p^2 - q^2
-and the minima of u, lam and D; the lam data m.inv_lam, m.lam_partials,
-m.lam_laplacian, m.lam_moments = (mean, variance) and m.lam_laplacian_max
-= max |lap lam|; m.theta = lee_form(m), m.split = metric_split(m),
-m.curvature = bismut_ricci(m), m.velocity = flow_velocity(m) and
-m.s = scalar_curvature(m).  Each transforms only the partial sums it reads
-(BaseGrid.partial_sums) and fills preallocated arrays in place; the
-velocity's intermediates are rows of the grid's real work array.  The
-velocity reads m.lam_partials and leaves its theta as m.theta, and the
-curvature takes d of the velocity's alpha, leaves -d11 of that alpha as
-m.velocity if the state has none, and reads m.s.  A state that
-m.with_fields(upq) builds on m shares m's lam array and the lam data m has
-computed.  The torsion 3-form is not part of the curvature package;
-bismut_torsion(m) computes it on demand.  MetricState and m.with_fields
-scan their input fields for NaN/Inf; the velocity and the Lee form, derived
-from a scanned state, are not.
+m.upq, and lam in m.lam_data, a LamData that owns a read-only lam and its
+minimum, 1/lam, partials, Laplacian, (mean, variance) and max |lap lam|.
+These and the state's own data are computed once, on first access: the
+Pfaffian m.D = u lam - p^2 - q^2 and the minima of u and D, m.theta =
+lee_form(m), m.split = metric_split(m), m.curvature = bismut_ricci(m),
+m.velocity = flow_velocity(m) and m.s = scalar_curvature(m).  Each
+transforms only the partial sums it reads (BaseGrid.partial_sums) and fills
+preallocated arrays in place; the velocity's intermediates are rows of the
+grid's real work array.  The velocity reads lam's partials and leaves its
+theta as m.theta, and the curvature takes d of the velocity's alpha, leaves
+-d11 of that alpha as m.velocity if the state has none, and reads m.s.  The
+torsion 3-form is not part of the curvature package; bismut_torsion(m)
+computes it on demand.  MetricState and m.with_fields scan their input
+fields for NaN/Inf; the velocity and the Lee form, derived from a scanned
+state, are not.
 
 Sign conventions, fixed once and verified by the test oracles:
 
@@ -76,11 +74,11 @@ With these choices the standard state (u = lam = 1, p = q = 0) has
 rho = -e1^e2 and s = -1; it is a constant-curvature state but not a
 Bismut-Ricci-flat one, and the flow in flow_engine expands its base.
 
-The flow d omega/dt = -rho^(1,1) needs only part of this.  The
-coefficients of alpha depend on the base only, so rho has no e3^e4 term:
-lam is frozen by construction, and flow_velocity returns (du, dp, dq)/dt
-with no 2-form built.  On every state d H = -(lam_xx + lam_yy)
-e1^e2^e3^e4.
+The flow d omega/dt = -rho^(1,1) needs only part of this.  alpha's
+coefficients depend on the base only, so rho has no e3^e4 term: lam is
+frozen, the states of a flow share one lam_data (m.with_fields), and
+flow_velocity returns (du, dp, dq)/dt with no 2-form built.  On every state
+d H = -(lam_xx + lam_yy) e1^e2^e3^e4.
 """
 
 from __future__ import annotations
@@ -107,15 +105,44 @@ from .invariant_forms import (
 
 DEGENERACY_TOL = 1e-12
 
-# state data that depends on lam alone, handed from a state to the states
-# with_fields builds on it, as far as the state has computed it
-_LAM_DATA = ("lam_min", "inv_lam", "lam_partials", "lam_laplacian", "lam_moments",
-             "lam_laplacian_max")
-
 
 def _read_only(values):
     values.setflags(write=False)
     return values
+
+
+@dataclass(frozen=True, eq=False)
+class LamData:
+    """A read-only lam and its data, each computed once, on first use."""
+
+    grid: object
+    lam: np.ndarray
+
+    @cached_property
+    def min(self):
+        return smallest(self.lam)
+
+    @cached_property
+    def inv(self):
+        return _read_only(1.0 / self.lam)
+
+    @cached_property
+    def partials(self):
+        """(lam_x, lam_y) stacked (2, *stack, n, n), from one transform pair (1/2 fields)."""
+        return _read_only(self.grid.derivative(self.lam))
+
+    @cached_property
+    def laplacian(self):
+        """lam_xx + lam_yy, from one transform pair on lam (1/1 fields)."""
+        return _read_only(self.grid.partial_sums(self.lam[None], LAPLACIAN)[0])
+
+    @cached_property
+    def moments(self):
+        return mean_and_variance(self.lam)
+
+    @cached_property
+    def laplacian_max(self):
+        return largest(np.abs(self.laplacian))
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,9 +152,8 @@ class MetricState:
     The four fields broadcast to one shape (*stack, n, n); with leading
     axes the state is a stack of states, and its minima and positivity
     checks cover every state.  u, p and q are the rows of one read-only
-    (3, *stack, n, n) array, m.upq, and lam is read-only too, so the cached
-    D, minima, lam data (1/lam, partials, Laplacian) and geometry describe
-    the fields they came from.
+    (3, *stack, n, n) array, m.upq, and lam, in m.lam_data, is read-only
+    too, so the cached data describe the fields they came from.
     """
 
     grid: object
@@ -148,7 +174,8 @@ class MetricState:
         u, lam, p, q = (self.grid.check_field(np.broadcast_to(f, shape),
                                               f"metric coefficient {name}")
                         for f, name in zip(fields, names))
-        self.__dict__["lam"] = _read_only(lam.copy())
+        lam_data = LamData(self.grid, _read_only(lam.copy()))
+        self.__dict__.update(lam=lam_data.lam, lam_data=lam_data)
         self._set_stack(np.stack((u, p, q)))
 
     def _set_stack(self, upq):
@@ -156,17 +183,14 @@ class MetricState:
         self.__dict__.update(upq=upq, u=upq[0], p=upq[1], q=upq[2])
 
     def with_fields(self, upq):
-        """State with the (u, p, q) stack upq on this state's lam and lam data.
+        """State with the (u, p, q) stack upq on this state's lam_data object.
 
         upq is a fresh (3, *stack, n, n) array: it is checked once and kept, not
-        copied.  The new state shares the lam array and whatever lam data
-        this state has computed (_LAM_DATA).
+        copied.  Both states hold one LamData, so they share every lam datum.
         """
         upq = self.grid.check_field(upq, "metric coefficients (u, p, q)")
         out = object.__new__(MetricState)
-        out.__dict__.update({key: self.__dict__[key] for key in _LAM_DATA
-                             if key in self.__dict__})
-        out.__dict__.update(grid=self.grid, lam=self.lam)
+        out.__dict__.update(grid=self.grid, lam=self.lam, lam_data=self.lam_data)
         out._set_stack(upq)
         return out
 
@@ -190,22 +214,18 @@ class MetricState:
         return smallest(self.u)
 
     @cached_property
-    def lam_min(self):
-        return smallest(self.lam)
-
-    @cached_property
     def D_min(self):
         return smallest(self.D)
 
     def positivity_margin(self):
         """Smallest of min(u), min(lam), min(u lam - p^2 - q^2)."""
-        return float(min(self.u_min, self.lam_min, self.D_min))
+        return float(min(self.u_min, self.lam_data.min, self.D_min))
 
     def require_positive(self):
-        for name, key in (("u", "u"), ("lam", "lam"), ("u*lam - p^2 - q^2", "D")):
-            worst = getattr(self, key + "_min")
+        for name, values, worst in (("u", self.u, self.u_min),
+                                    ("lam", self.lam, self.lam_data.min),
+                                    ("u*lam - p^2 - q^2", self.D, self.D_min)):
             if not worst > 0.0:
-                values = getattr(self, key)
                 bad = tuple(map(int, np.unravel_index(np.argmin(values), values.shape)))
                 raise PositivityError(
                     f"positivity violated: {name} = {worst:.6e} at grid point {bad}"
@@ -214,30 +234,6 @@ class MetricState:
     def max_difference(self, other):
         return max(largest(np.abs(self.u - other.u)), largest(np.abs(self.lam - other.lam)),
                    largest(np.abs(self.p - other.p)), largest(np.abs(self.q - other.q)))
-
-    @cached_property
-    def inv_lam(self):
-        return _read_only(1.0 / self.lam)
-
-    @cached_property
-    def lam_partials(self):
-        """(lam_x, lam_y) stacked (2, *stack, n, n), from one transform pair (1/2 fields)."""
-        return _read_only(self.grid.derivative(self.lam))
-
-    @cached_property
-    def lam_laplacian(self):
-        """lam_xx + lam_yy, from one transform pair on lam (1/1 fields)."""
-        return _read_only(self.grid.partial_sums(self.lam[None], LAPLACIAN)[0])
-
-    @cached_property
-    def lam_moments(self):
-        """(mean, variance) of lam, by mean_and_variance."""
-        return mean_and_variance(self.lam)
-
-    @cached_property
-    def lam_laplacian_max(self):
-        """max |lam_xx + lam_yy|, a float."""
-        return largest(np.abs(self.lam_laplacian))
 
     @cached_property
     def theta(self):
@@ -289,7 +285,7 @@ class MetricSplit:
 
 def _shift_and_area(m):
     """Shift (a, b) = (q/lam, p/lam) of mu1, stacked (2, *stack, n, n), and area w = D/lam."""
-    return m.upq[:0:-1] * m.inv_lam, m.D * m.inv_lam
+    return m.upq[:0:-1] * m.lam_data.inv, m.D * m.lam_data.inv
 
 
 # (field, factor, symbol) terms of BaseGrid.partial_sums: curl b_x - a_y and
@@ -416,7 +412,7 @@ def _flow_alpha(m):
     fields[:2] = m.upq[1:]
     np.log(m.D, out=fields[2])
     A, B, log_x, log_y = m.grid.partial_sums(fields, _LEE_TERMS, sums)
-    theta = _lee_coefficients(m, m.lam_partials, A, B, m.D, scratch)
+    theta = _lee_coefficients(m, m.lam_data.partials, A, B, m.D, scratch)
     m.__dict__.setdefault("theta", InvariantForm._trusted(m.grid, 1, theta))
     t1, t2, t3, t4 = theta
     minus_b2, b1, minus_t4, _ = alpha
@@ -433,14 +429,14 @@ def _flow_alpha(m):
 def flow_velocity(m):
     """Velocity (du, dp, dq)/dt of d omega/dt = -rho^(1,1), stacked (3, *stack, n, n).
 
-    A transform pair of (p, q, log D) and m.lam_partials give theta, left as
+    A transform pair of (p, q, log D) and lam's partials give theta, left as
     m.theta (equal to lee_form(m) bitwise), and alpha = J (theta - (1/2)
     d log D); one more gives -rho^(1,1) = -(d alpha)^(1,1) (BaseGrid.d11),
     whose e3^e4 coefficient, lam's velocity, vanishes identically.  That is
     7/7 forward/inverse fields.  Everything between them lives in the
     grid's work arrays (_flow_alpha), so once the grid has served a state
     of this shape the call allocates theta and the velocity it returns,
-    besides D and the lam data if the state has not computed them.
+    besides D and the lam data if no state on its lam_data has computed them.
     """
     return _velocity_from_alpha(m, _flow_alpha(m))
 

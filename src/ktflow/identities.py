@@ -209,8 +209,8 @@ IDENTITIES = (
                 - wedge(f.b, f.a) * (-1.0) ** (f.a.degree * f.b.degree)).max_abs()),
     # the closed-form split against mu1 = -(1/lam) V2 . omega, mu2 = (1/lam) V1 . omega
     ("connection forms by contraction", 1e-12, _STATES,
-     lambda s: _worst((s.m.split.mu1 + contract(V2, s.omega) * s.m.inv_lam).max_abs(),
-                      (s.m.split.mu2 - contract(V1, s.omega) * s.m.inv_lam).max_abs())),
+     lambda s: _worst((s.m.split.mu1 + contract(V2, s.omega) * s.m.lam_data.inv).max_abs(),
+                      (s.m.split.mu2 - contract(V1, s.omega) * s.m.lam_data.inv).max_abs())),
     # d(mu_i) = sigma_i omega_check = sigma_i w_check e1^e2 with exterior_d
     ("first curvature ratio", 1e-12, _STATES,
      lambda s: _on_e12(s.d_mu[0], s.m.split.w_check * s.m.split.sigma1)),
@@ -237,11 +237,11 @@ IDENTITIES = (
      lambda s: _peak(inner_1forms(s.m, s.m.theta, s.m.theta)
                      - s.m.lam * (s.m.split.sigma1 ** 2 + s.m.split.sigma2 ** 2))),
     # d H = -(lam_xx + lam_yy) e1^e2^e3^e4 for the torsion H = -J d omega, against
-    # m.lam_laplacian: on |d H| up to about 80 the rounding gap grows about linearly
+    # m.lam_data.laplacian: on |d H| up to about 80 the rounding gap grows about linearly
     # in n, worst over seeds 0-99 (50 samples) 5.0e-14, 7.1e-14, 1.4e-13, 2.8e-13,
     # 7.0e-13, 1.6e-12 at n = 8..256, at most 0.31 of the bound
     ("torsion closure", lambda n: 2e-14 * n, ("general",),
-     lambda s: _peak(exterior_d(-1.0 * apply_J(s.d_omega)).coeffs[0] + s.m.lam_laplacian)),
+     lambda s: _peak(exterior_d(-1.0 * apply_J(s.d_omega)).coeffs[0] + s.m.lam_data.laplacian)),
     ("potential identity", 1e-12, ("constant", "csc_seed"), lambda s: potential_residual(s.m)),
     # rho = s omega_check; rho and s are second derivatives, and the seeds do not depend on
     # the battery's seed: 9.9e-16, 4.6e-15, 2.0e-14, 1.3e-13, 4.4e-13, 2.3e-12 at n = 8..256

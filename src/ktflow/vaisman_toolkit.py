@@ -50,17 +50,18 @@ def assess(m):
     """Defect report of a metric state, from its cached split, Lee form and scalar.
 
     It takes no threshold: FlowConfig's decide.  d H = -(lam_xx + lam_yy)
-    e1^e2^e3^e4 for the torsion H of any state, so the pluriclosed defect
-    is m.lam_laplacian_max and lam's (mean, variance) m.lam_moments, lam
-    data that the states of a flow share; s is the flow's s = -d/dt log D,
-    m.s, and sigma1, sigma2 and s go through mean_and_variance; max |d theta|
-    is exterior_d(m.theta).max_abs(), 4/5 transform fields.  One state only:
-    its variances would pool a stack, which raises GridError.
+    e1^e2^e3^e4 for the torsion H of any state, so the pluriclosed defect is
+    m.lam_data.laplacian_max and lam's (mean, variance) m.lam_data.moments,
+    which the states of a flow share; s is the flow's s = -d/dt log D, m.s,
+    and sigma1, sigma2 and s go through mean_and_variance; max |d theta| is
+    exterior_d(m.theta).max_abs(), 4/5 transform fields.  One state only: its
+    variances would pool a stack, which raises GridError.
     """
     m.grid.require_single(m.lam, "assess")
-    means, variances = zip(m.lam_moments, *map(mean_and_variance,
-                                               (m.split.sigma1, m.split.sigma2, m.s)))
-    return DefectReport(m.lam_laplacian_max, exterior_d(m.theta).max_abs(), *variances, *means)
+    lam = m.lam_data
+    means, variances = zip(lam.moments, *map(mean_and_variance,
+                                             (m.split.sigma1, m.split.sigma2, m.s)))
+    return DefectReport(lam.laplacian_max, exterior_d(m.theta).max_abs(), *variances, *means)
 
 
 def potential_residual(m):

@@ -68,7 +68,8 @@ alpha = J (theta - (1/2) d log(u lam - p^2 - q^2)) in closed form from
 
 * fresh_state_rk4_step: one RK4 step whose stage states are each built by
   MetricState(...) and so validate and differentiate lam afresh; the package
-  hands the start state's lam array and lam partials to every stage state.
+  hands the start state's lam_data object, lam and its partials, to every
+  stage state.
 
 * form_algebra_record: the trace columns fiber_rhs_residual,
   fiber_fd_residual, mu_drift and lambda_rel_residual of a run from forms:
@@ -456,7 +457,7 @@ def form_algebra_record(m0, cfg):
     prev_fiber = prev_t = None
     for t, m in records:
         split = m.split
-        da, db = m.velocity[:0:-1] * m.inv_lam
+        da, db = m.velocity[:0:-1] * m.lam_data.inv
         zero = np.zeros_like(da)
         mu1_dot = InvariantForm(m.grid, 1, np.stack((da, db, zero, zero)))
         mu2_dot = InvariantForm(m.grid, 1, np.stack((-db, da, zero, zero)))
@@ -550,7 +551,7 @@ def per_state_battery(n=32, samples=50, seed=2024):
         lee_def = max(lee_def, (wedge(theta, omega) - d_omega).max_abs())
         if family == "general":
             d_torsion = exterior_d(-1.0 * apply_J(d_omega)).coeffs[0]
-            torsion = max(torsion, float(np.max(np.abs(d_torsion + m.lam_laplacian))))
+            torsion = max(torsion, float(np.max(np.abs(d_torsion + m.lam_data.laplacian))))
             continue
         formula = sp.mu2 * (m.lam * sp.sigma1) + sp.mu1 * (-m.lam * sp.sigma2)
         lee = max(lee, (theta - formula).max_abs())

@@ -512,7 +512,7 @@ def test_identity_battery_item_can_fail(monkeypatch, mutate, name):
     # fails by far (it reads 0.506, 161, 1, 4.74, 5.28, 4.33, 4.46, 17.4,
     # 17.4 and 70.6; the d11 sign reaches "transverse ricci" through s =
     # -d/dt log D and "ricci (1,1) velocity" through m.velocity, and the
-    # Laplacian's sign "torsion closure" through m.lam_laplacian).  The
+    # Laplacian's sign "torsion closure" through m.lam_data.laplacian).  The
     # table signs of the other eight read 12.6, 19.7, 2, 1.53, 3.73, 2,
     # 16.9 and 0.825: the wedge pair reaches "state reassembly" through
     # lam mu1^mu2, the Lee pass's B sign "lee norm identity" through theta,
@@ -934,6 +934,39 @@ def test_flow_too_short_for_three_records_is_refused_at_parse(tmp_path, capsys):
     assert "run too short" in captured.err
     assert not out_dir.exists()
     assert FlowConfig(dt=1e-4, t_end=3e-4, record_every=2).records() == 3
+
+
+@pytest.mark.parametrize("n", (2**62, 8192))   # 8192 is twice MAX_N
+def test_grid_above_max_n_is_refused_at_parse(tmp_path, capsys, n):
+    # n = 2**62 parsed, and `ktflow run` ended in numpy's "array is too big"
+    # from BaseGrid(n), a traceback; no grid of either size is built here
+    out_dir = tmp_path / "out"
+    text = f"preset = noncsc_vaisman\nn = {n}\nout_dir = {out_dir}\n"
+    with pytest.raises(ConfigError, match=f"n = {n} is above MAX_N = 4096"):
+        parse_config(text)
+    cfgfile = tmp_path / "huge.cfg"
+    cfgfile.write_text(text)
+    assert main(["run", str(cfgfile)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "is above MAX_N" in captured.err
+    assert not out_dir.exists()
+
+
+def test_degenerate_standard_seed_is_refused_at_parse(tmp_path, capsys):
+    # scale is the standard seed's transverse area: 1e-13 exited 3, a
+    # numerical abort at t = 0 with an aborted verdict, where the same area
+    # through the custom preset is a config error
+    out_dir = tmp_path / "out"
+    text = f"preset = stationary_csc\nn = 8\nscale = 1e-13\nout_dir = {out_dir}\n"
+    cfgfile = tmp_path / "thin.cfg"
+    cfgfile.write_text(text)
+    assert main(["run", str(cfgfile)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must be >= DEGENERACY_TOL = 1e-12, got 1e-13" in captured.err
+    assert not out_dir.exists()
+    assert parse_config(text.replace("1e-13", "1e-12")).scale == 1e-12
 
 
 @pytest.mark.parametrize("preset", ("identity_suite", "stationary_csc", "noncsc_vaisman"))

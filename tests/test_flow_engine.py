@@ -107,7 +107,9 @@ def test_flow_config_validation():
     # an infinite t_end raised OverflowError and dt = True stepped by 1
     for name, value, why in (("t_end", math.inf, "finite"), ("dt", math.inf, "finite"),
                              ("dt", True, "a real number"), ("t_end", True, "a real number"),
-                             ("dt", "1e-4", "a real number")):
+                             ("dt", "1e-4", "a real number"),
+                             ("cfl_safety", "0.2", "a real number"),
+                             ("cfl_safety", True, "a real number")):
         with pytest.raises(ConfigError, match=f"{name} must be {why}, got"):
             FlowConfig(**{name: value})
 
@@ -463,119 +465,38 @@ def test_step_equals_fresh_state_rk4_bitwise(n):
             assert np.array_equal(getattr(got, name), getattr(expected, name)), name
 
 
-def _stale_handover(monkeypatch, key):
-    # with_fields hands every new state zeros in place of the lam data `key`
-    true_with_fields = MetricState.with_fields
-
-    def zeros(value):
-        if isinstance(value, tuple):
-            return (0.0,) * len(value)
-        return 0.0 if isinstance(value, float) else np.zeros_like(value)
-
-    def stale(m, upq):
-        out = true_with_fields(m, upq)
-        out.__dict__[key] = zeros(getattr(m, key))
-        return out
-
-    monkeypatch.setattr(MetricState, "with_fields", stale)
-
-
-def _short_varying_lam_run():
-    # five steps of a varying-lam state at n = 16, a record after each
+def test_run_shares_lam_laplacian():
+    # five steps of a varying-lam state at n = 16, a record after each: every
+    # record reads the laplacian of the run's first state; a fresh state's is
+    # bitwise the same, and lam is frozen
     m = _varying_lam_state(BaseGrid(16), np.random.default_rng(3))
-    return run(m, FlowConfig(dt=1e-4, t_end=5e-4, record_every=1))
-
-
-def _lam_laplacian_run():
-    # pluriclosed defects of the short run, and max |lap lam| of fresh
-    # states built from its first and last fields
-    trace = _short_varying_lam_run()
+    trace = run(m, FlowConfig(dt=1e-4, t_end=5e-4, record_every=1))
     fresh = [assess(MetricState(s.grid, s.u, s.lam, s.p, s.q)).pluriclosed_defect
              for s in (trace.initial_state, trace.final_state)]
-    return trace.column("pluriclosed_defect"), fresh
-
-
-def test_run_shares_lam_laplacian():
-    # every record reads the laplacian of the run's first state; a fresh
-    # state's is bitwise the same, and lam is frozen
-    defects, fresh = _lam_laplacian_run()
     assert fresh[0] == fresh[1] > 0.1
-    assert np.all(defects == fresh[0])
+    assert np.all(trace.column("pluriclosed_defect") == fresh[0])
 
 
-def _stale_lam_min_is_seen():
-    # a zero min lam fails the first stage state's positivity check
-    with pytest.raises(StepRejected, match="positivity violated: lam = 0.000000e"):
-        _short_varying_lam_run()
+def test_every_state_of_a_run_holds_the_seeds_lam_data(monkeypatch):
+    # each state states() yields and each RK4 stage state holds m0's one
+    # LamData, which computes a lam datum once for the run; the seed's own
+    # caches stay bare
+    m0 = _varying_lam_state(BaseGrid(16), np.random.default_rng(3))
+    true_velocity = hermitian_geometry.flow_velocity
+    differentiated = []
 
+    def recording(m):
+        differentiated.append(m)
+        return true_velocity(m)
 
-def _stale_inv_lam_is_seen():
-    # a zero 1/lam makes the transverse area D/lam zero at the second record
-    with pytest.raises(NumericalAbort, match="degenerate transverse area at t = 0.000100"):
-        _short_varying_lam_run()
-
-
-def _stale_lam_partials_is_seen():
-    # handing over zero lam partials breaks the bitwise match of
-    # test_step_equals_fresh_state_rk4_bitwise
-    grid = BaseGrid(16)
-    m = _varying_lam_state(grid, np.random.default_rng(0))
-    dt = 0.05 * grid.h ** 2
-    got, expected = step(m, dt), fresh_state_rk4_step(m, dt)
-    assert np.max(np.abs(got.u - expected.u)) > 1e-8
-
-
-def _stale_lam_moments_is_seen():
-    # lam's mean and variance read 0 in every record after the first
-    trace = _short_varying_lam_run()
-    for name in ("lambda_mean", "lambda_var"):
-        column = trace.column(name)
-        assert column[0] > 1e-3 and np.all(column[1:] == 0.0), name
-
-
-def _stale_lam_laplacian_max_is_seen():
-    # handing over a zero max |lap lam| zeroes every defect after the first record
-    defects, fresh = _lam_laplacian_run()
-    assert defects[0] == fresh[0] > 0.1
-    assert np.all(defects[1:] == 0.0)
-
-
-# every entry of _LAM_DATA that a step or a trace column reads, with a
-# check that a stale handover of it fails; and the entries that none reads
-# on a later state, whose stale handover leaves the trace as it was
-STALE_CASES = {
-    "lam_min": _stale_lam_min_is_seen,
-    "inv_lam": _stale_inv_lam_is_seen,
-    "lam_partials": _stale_lam_partials_is_seen,
-    "lam_moments": _stale_lam_moments_is_seen,
-    "lam_laplacian_max": _stale_lam_laplacian_max_is_seen,
-}
-STALE_WAIVERS = {
-    "lam_laplacian": "read through lam_laplacian_max alone, which the record at t = 0"
-                     " takes on the run's first state before any with_fields",
-}
-
-
-def test_every_lam_datum_has_a_stale_case_or_a_waiver():
-    assert not set(STALE_CASES) & set(STALE_WAIVERS)
-    assert set(STALE_CASES) | set(STALE_WAIVERS) == set(hermitian_geometry._LAM_DATA)
-
-
-@pytest.mark.parametrize("key", sorted(STALE_CASES))
-def test_stale_lam_data_handover_is_seen(monkeypatch, key):
-    _stale_handover(monkeypatch, key)
-    STALE_CASES[key]()
-
-
-@pytest.mark.parametrize("key", sorted(STALE_WAIVERS))
-def test_waived_stale_lam_data_handover_leaves_the_trace(monkeypatch, key):
-    # a waiver holds only while no later state reads the datum
-    expected = _short_varying_lam_run()
-    _stale_handover(monkeypatch, key)
-    got = _short_varying_lam_run()
-    for name in TRACE_COLUMNS:
-        assert got.column(name).tobytes() == expected.column(name).tobytes(), name
-    assert got.final_state.upq.tobytes() == expected.final_state.upq.tobytes()
+    monkeypatch.setattr(hermitian_geometry, "flow_velocity", recording)
+    yielded = [state for _, _, state in states(m0, FlowConfig(dt=1e-4, t_end=5e-4))]
+    assert len(yielded) == 6 and len(differentiated) == 5 * 4   # k1 to k4 of 5 steps
+    assert m0.lam_data.lam is m0.lam
+    for state in yielded + differentiated:
+        assert state.lam_data is m0.lam_data and state.lam is m0.lam
+    assert {"min", "partials"} <= vars(m0.lam_data).keys()
+    assert not {"velocity", "D", "u_min"} & vars(m0).keys()
 
 
 def test_run_aborts_on_degenerate_transverse_area(grid16):

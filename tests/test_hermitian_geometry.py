@@ -247,7 +247,7 @@ def test_lam_laplacian_matches_two_pair_oracle(n):
     for seed in range(5):
         m = random_state(grid, np.random.default_rng(seed))
         ref = two_pair_laplacian(grid, m.lam)
-        assert np.max(np.abs(m.lam_laplacian - ref)) <= 1e-14 * np.max(np.abs(ref))
+        assert np.max(np.abs(m.lam_data.laplacian - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize("n", (8, 16, 32, 64, 128))
@@ -262,22 +262,22 @@ def test_velocity_equals_expression_oracle_bitwise(n):
 
 def test_state_arrays_are_read_only(grid16, rng):
     # the (u, p, q) stack, D and the lam data, on a state and on one that
-    # with_fields builds on it, which shares the lam data computed so far
+    # with_fields builds on it, which holds the same lam_data object
     m = random_state(grid16, rng)
-    m.velocity, m.split, m.lam_laplacian
+    m.velocity, m.split, m.lam_data.laplacian
     moved = m.with_fields(m.upq + 1e-3 * m.velocity)
     assert not {"D", "u_min", "velocity", "split"} & set(vars(moved))
+    assert moved.lam_data is m.lam_data and moved.lam is m.lam is m.lam_data.lam
     for state in (m, moved):
         assert state.upq.shape == (3, 16, 16)
         assert all(np.shares_memory(row, state.upq) for row in (state.u, state.p, state.q))
-        for name in ("upq", "u", "p", "q", "lam", "D", "inv_lam", "lam_partials",
-                     "lam_laplacian"):
-            values = getattr(state, name)
-            assert not values.flags.writeable, name
-            with pytest.raises(ValueError):
-                values[..., 0, 0] = 0.0
-    for name in ("lam", "lam_min", "inv_lam", "lam_partials", "lam_laplacian"):
-        assert getattr(moved, name) is getattr(m, name), name
+        for owner, names in ((state, ("upq", "u", "p", "q", "lam", "D")),
+                             (state.lam_data, ("inv", "partials", "laplacian"))):
+            for name in names:
+                values = getattr(owner, name)
+                assert not values.flags.writeable, name
+                with pytest.raises(ValueError):
+                    values[..., 0, 0] = 0.0
 
 
 @pytest.mark.parametrize("n", (8, 16, 32, 64, 128))

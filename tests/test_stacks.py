@@ -53,7 +53,7 @@ def _split_arrays(sp):
 CASES = {
     "partial_sums": lambda m, f: (m.grid.partial_sums(np.stack((m.p, m.q, m.lam)), _LEE_TERMS),),
     "derivative": lambda m, f: (m.grid.derivative(m.upq),),
-    "lam_laplacian": lambda m, f: (m.lam_laplacian,),
+    "lam_laplacian": lambda m, f: (m.lam_data.laplacian,),
     "exterior_d": lambda m, f: tuple(exterior_d(f[k]).coeffs for k in range(4)),
     "wedge": lambda m, f: tuple(wedge(f[p], f[q]).coeffs
                                 for p in range(5) for q in range(5 - p)),
