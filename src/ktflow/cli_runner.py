@@ -13,7 +13,7 @@ Recognized keys and defaults:
     t_end         0.1         final time, at most MAX_STEPS (1e7) whole steps
     record_every  2           steps between trace records
     cfl_safety    0.2         parabolic step-bound factor, in (0, 0.5]
-    tol           1e-7        flow's pluriclosed-preserved bound, in (0, inf)
+    tol           1e-7        no run-time gate: "pluriclosed preserved" holds by construction
     vaisman_tol   1e-8        constancy threshold for Vaisman instants
     variance_tol  1e-14       scalar-curvature constancy threshold
     exit_threshold 1e-9       defect level defining the exit time

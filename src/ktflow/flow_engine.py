@@ -1,43 +1,32 @@
 """Method-of-lines integration of the metric flow d/dt omega = -rho^(1,1).
 
-The right-hand side is the J-invariant part of the Bismut Ricci form with a
-minus sign.  On invariant states rho = d alpha with alpha = J(theta -
-(1/2) d log D), D = u lam - p^2 - q^2, and alpha's coefficients depend on
-the base only, so -rho^(1,1) has no e3^e4 term: lam is frozen by
-construction, and the flow is a parabolic system for (u, p, q) on the base
-grid.  Its velocity is a closed form (hermitian_geometry.flow_velocity),
-cached on each state as m.velocity, which the trace records share with the
-next step's first stage.  lam passes through bitwise, so every state of a
-run holds m0's lam_data (MetricState.with_fields) and each lam datum is
-computed once per run; a stage moves 7/7 forward/inverse fields in two
-transform pairs.  A stage state is one axpy on the (u, p, q) stack, and it
-computes D and its minima once for the positivity guard, the velocity and
-the step bound; it allocates only what outlives it, its upq and D, theta
-and the velocity.  The RK4 sum, and then the new state's (u, p, q), go
-into k2's buffer.  Classical RK4 keeps the integrator auditable at desk
-scale.  states(m0, cfg) yields a run's states; it rejects a step beyond the
-parabolic bound or the positive cone, never restoring it, and aborts on
-NaN/Inf.  run records them.
-
-Two identities put the record path on the same velocity: the curvature
-scalar is s = -d/dt log D (m.s, read once per record), and the torsion
-derivative is d H = -(lam_xx + lam_yy) e1^e2^e3^e4, so the pluriclosed
-defect is a measured max |lap lam|, taken once per run: a record moves 6/7
-fields, the split and d theta, and reads its means and variances from assess.
-
-Each recorded row carries the conservation diagnostics that the splitting
-calculus predicts: the fiber part of the state velocity (exactly zero at
-instants where lam, sigma_1, sigma_2 are constant), drift of the connection
-forms, drift of the characteristic numbers, the mean-sigma_1 logarithmic
-ODE residual |d/dt mean(sigma_1) - mean(sigma_1) mean(s)|, and the pairing
-residual |g(d/dt mu_1, mu_1) + lam'/(2 lam^2)|, which is 0 by construction.
-No form is built for them: each is a closed form in mu_1's shift (a, b) =
-(q, p)/lam and its rate (q', p')/lam (see _record).
+rho = d alpha with alpha = J(theta - (1/2) d log D), D = u lam - p^2 - q^2,
+so lam is frozen, and on the flow's pluriclosed seeds, of one lam value
+lam0, the flow is three fields (the hermitian_geometry docstring derives
+it): dw/dt = lam0 (sigma1^2 + sigma2^2) w + (1/2) lap log w and df_i/dt =
+(1/2) lap sigma_i, with w = D/lam0 and f_i = sigma_i w.  states(m0, cfg)
+converts the seed once and steps the stacked (w, f1, f2) by classical RK4
+(step): a stage is one transform pair, 3/3 fields, in the grid's work
+arrays, and a step allocates only its new stack.  It rejects a step beyond
+the parabolic bound or the positive cone w > 0 and aborts on NaN/Inf.  A
+state goes back to (u, p, q) on m0's lam_data only where one is read, at a
+record, at the end and for a rejection's margin: one Helmholtz pair, 2/2
+fields (_state).  run records the states: the velocity (flow_velocity, 7/7
+fields), s = -d/dt log D, the split and d theta (6/7), and max |lap lam| =
+max |d H| once per run.  Each row carries the conservation diagnostics of
+the splitting calculus: the fiber part of the state velocity (zero where
+lam, sigma_1 and sigma_2 are constant), the drift of the connection forms
+and of the characteristic numbers, the mean-sigma_1 ODE residual |d/dt
+mean(sigma_1) - mean(sigma_1) mean(s)| and the pairing residual
+|g(d/dt mu_1, mu_1) + lam'/(2 lam^2)|, 0 by construction; no form is built
+for them, each is a closed form in mu_1's shift (a, b) = (q, p)/lam and its
+rate (q', p')/lam (see _record).
 """
 
 from __future__ import annotations
 
 import copy
+import functools
 import numbers
 from dataclasses import dataclass
 
@@ -53,7 +42,7 @@ from .errors import (
     StepRejected,
 )
 from .hermitian_geometry import MetricState, characteristic_numbers
-from .invariant_forms import largest
+from .invariant_forms import DX, DY, largest, smallest
 from .vaisman_toolkit import assess
 
 TRACE_COLUMNS = (
@@ -69,6 +58,14 @@ TRACE_COLUMNS = (
     "sigma1_ode_residual", "lambda_rel_residual",
     "positivity_margin",
 )
+
+
+# (field, factor, symbol) terms of BaseGrid.partial_sums: lap of (log w,
+# sigma1, sigma2) on lam's Laplacian symbols; mu1's shift a = phi_x - psi_y,
+# b = phi_y + psi_x from its curl and divergence (f1 + 1, f2) = (lap psi, lap phi)
+_LAPLACIANS = tuple(((j, 1.0, DX + DX), (j, 1.0, DY + DY)) for j in range(3))
+_HELMHOLTZ_TERMS = (((1, 1.0, DX + ("inv_lap",)), (0, -1.0, DY + ("inv_lap",))),
+                    ((1, 1.0, DY + ("inv_lap",)), (0, 1.0, DX + ("inv_lap",))))
 
 
 # 500x the longest flow planned (a rigid run to t = 1 at n = 64, about 20,000
@@ -143,110 +140,133 @@ class FlowTrace:
         return self.columns[name]
 
 
-def _shifted(m, vel, factor, out=None):
-    """m moved by factor * vel, one axpy on its (u, p, q) stack into out or a fresh array."""
-    upq = np.multiply(factor, vel, out=out)
+def _fields(m, what):
+    """lam0, the stacked (w, f1, f2) = (w, sigma1 w, sigma2 w) and mu1's mean shift of m."""
+    lam0, high = m.lam_data.min, largest(m.lam)
+    if high != lam0:
+        raise ConfigError(f"{what} takes a seed of one lam value, a pluriclosed seed;"
+                          f" lam spreads over [{lam0!r}, {high!r}], by {high - lam0:.3e}")
+    split = _split(m, 0.0)
+    w = split.w_check
+    shift0 = np.add.reduce(split.mu1.coeffs[:2], axis=(1, 2), keepdims=True) / w.size
+    return lam0, np.stack((w, split.sigma1 * w, split.sigma2 * w)), shift0
+
+
+def _state(seed, fields, lam0, shift0):
+    """The state of (w, f1, f2) on the seed's lam, by one Helmholtz pair (2/2 fields)."""
+    curl_div = fields[1:].copy()
+    curl_div[0] += 1.0
+    a, b = seed.grid.partial_sums(curl_div, _HELMHOLTZ_TERMS) + shift0
+    return seed.with_fields(np.stack((fields[0] + lam0 * (a * a + b * b), lam0 * b, lam0 * a)))
+
+
+def _rates(grid, fields, lam0, out):
+    """(dw, df1, df2)/dt of (w, f1, f2) into out, 3/3 fields; log w, sigma_i in work rows 0-2."""
+    w = fields[0]
+    work = grid._work(2, fields.shape)
+    np.log(w, out=work[0])
+    sigmas = np.divide(fields[1:], w, out=work[1:])
+    grid.partial_sums(work, _LAPLACIANS, out)
+    out *= 0.5   # exact: bitwise the sums of half symbols
+    forcing = np.add(*np.square(sigmas, out=sigmas), out=sigmas[0])
+    forcing *= w
+    forcing *= lam0
+    out[0] += forcing
+    return out
+
+
+def step(grid, fields, lam0, dt):
+    """One classical RK4 step of the stacked (w, f1, f2), into a fresh (3, n, n) array.
+
+    k1 to k4 and the stage stack are rows 3 to 17 of the grid's real work array.  NaN/Inf
+    raises NumericalAbort, a stage w <= 0 PositivityError; the caller keeps the bound.
+    """
+    k1, k2, k3, k4, stage = grid._work(2, (6,) + fields.shape)[1:]   # first: it may grow
     try:
-        return m.with_fields(np.add(m.upq, upq, out=upq))
+        _rates(grid, fields, lam0, k1)
+        for rate, factor, out in ((k1, 0.5 * dt, k2), (k2, 0.5 * dt, k3), (k3, dt, k4)):
+            np.multiply(factor, rate, out=stage)
+            stage += fields
+            w = grid.check_field(stage, "stage fields (w, f1, f2)")[0]
+            if not smallest(w) > 0.0:
+                bad = tuple(map(int, np.unravel_index(np.argmin(w), w.shape)))
+                raise PositivityError(f"w = {smallest(w):.6e} at grid point {bad}")
+            _rates(grid, stage, lam0, out)
+        k2 += k3   # k1 + 2 (k2 + k3) + k4 in k2, then the new stack
+        k2 *= 2.0
+        k2 += k1
+        k2 += k4
+        np.multiply(dt / 6.0, k2, out=k2)
+        return grid.check_field(np.add(k2, fields), "stepped fields (w, f1, f2)")
     except NonFiniteFieldError as exc:
         raise NumericalAbort(f"non-finite state during a step: {exc}") from exc
 
 
-def step(m, dt):
-    """One classical RK4 step; rejects positivity loss, aborts on NaN/Inf.
-
-    The caller is responsible for keeping dt within the parabolic bound;
-    states() enforces it before each step.
-    """
-    try:
-        k1 = m.velocity
-        k2 = _shifted(m, k1, 0.5 * dt).velocity
-        k3 = _shifted(m, k2, 0.5 * dt).velocity
-        k4 = _shifted(m, k3, dt).velocity
-        # k1 + 2 (k2 + k3) + k4, and then the new state's (u, p, q), in k2,
-        # whose stage state is gone; k1 is m's cached velocity, which the
-        # trace shares, and is never written
-        incr = np.add(k2, k3, out=k2)
-        np.multiply(2.0, incr, out=incr)
-        np.add(k1, incr, out=incr)
-        incr += k4
-        out = _shifted(m, incr, dt / 6.0, incr)
-    except PositivityError as exc:
-        margin = m.positivity_margin()
-        raise StepRejected(
-            f"step dt={dt:.3e} rejected, positivity lost in a stage: {exc}",
-            margin=margin,
-        ) from exc
-    margin = out.positivity_margin()
-    if not margin > 0.0:
-        raise StepRejected(
-            f"step dt={dt:.3e} rejected, positivity margin {margin:.3e}",
-            margin=margin,
-        )
-    return out
-
-
-_SIGMA1_RATE_STEP = 1e-5
-
-
 def sigma1_ode_residual_instant(m):
-    """Pointwise residual of d/dt sigma_1 = sigma_1 s at the given state.
-
-    The time derivative is taken along the exact flow velocity by a centered
-    difference in state space with increment h = _SIGMA1_RATE_STEP (time
-    units), so the estimate carries no time-integration error; h = 1e-5
-    balances the O(h^2) truncation against roundoff at desk scale.
-    """
-    h = _SIGMA1_RATE_STEP
-    vel = m.velocity
-    plus = _shifted(m, vel, h).split
-    minus = _shifted(m, vel, -h).split
-    rate = (plus.sigma1 - minus.sigma1) / (2.0 * h)
-    return largest(np.abs(rate - m.split.sigma1 * m.s))
+    """max |d sigma1/dt - sigma1 s| at a state of one lam value, by the exact rates."""
+    lam0, fields, _ = _fields(m, "sigma1_ode_residual_instant")
+    dw, df1, _ = _rates(m.grid, fields, lam0, np.empty_like(fields))
+    return largest(np.abs((df1 - m.split.sigma1 * dw) / fields[0] - m.split.sigma1 * m.s))
 
 
 def states(m0, cfg):
-    """Yield (k, t, state), t = k dt, from k = 0 to cfg.steps(), each state before the next.
+    """Yield (k, t, state), t = k dt, from k = 0 to cfg.steps(); state() builds state k.
 
-    m0 is one positive state (a stack raises GridError).  The stream starts
-    from a shallow copy, so m0's own caches stay bare; its lam_data, which
-    every state holds, may not.  A consumer reads state k before step k + 1
-    runs, so the velocity it caches there is that step's k1.  Each step must
-    keep the parabolic bound; a rejection or abort carries its t.
+    m0 is one positive state of one lam value.  State 0 is a shallow copy of m0, whose own
+    caches stay bare; state k > 0 is built from a stack of its own on first call.  Each step
+    must keep the parabolic bound; a rejection or abort carries its t.
     """
     m0.grid.require_single(m0.lam, "states")
-    state = copy.copy(m0)
-    state.require_positive()
-    steps = cfg.steps()
-    h_squared = state.grid.h * state.grid.h
+    state = functools.cache(functools.partial(copy.copy, m0))
+    seed = state()
+    seed.require_positive()
+    lam0, fields, shift0 = _fields(seed, "states")
+    grid, steps, w_min = seed.grid, cfg.steps(), smallest(fields[0])
+    h_squared = grid.h * grid.h
     t = 0.0
     yield 0, t, state
     for k in range(1, steps + 1):
-        bound = cfg.cfl_safety * h_squared * min(state.u_min, state.lam_data.min)
-        if cfg.dt > bound:
-            raise StepRejected(f"dt = {cfg.dt:.3e} exceeds the parabolic bound {bound:.3e}"
-                               f" at t = {t:.6f}", margin=state.positivity_margin(), t=t)
+        # u >= w, so a dt within the bound of w is within the bound of u
+        if cfg.dt > cfg.cfl_safety * h_squared * min(w_min, lam0):
+            bound = cfg.cfl_safety * h_squared * min(state().u_min, lam0)
+            if cfg.dt > bound:
+                raise StepRejected(f"dt = {cfg.dt:.3e} exceeds the parabolic bound"
+                                   f" {bound:.3e} at t = {t:.6f}",
+                                   margin=state().positivity_margin(), t=t)
         try:
-            state = step(state, cfg.dt)
-        except (StepRejected, NumericalAbort) as exc:
+            fields = step(grid, fields, lam0, cfg.dt)
+        except PositivityError as exc:
+            raise StepRejected(f"step dt={cfg.dt:.3e} rejected, positivity lost in a stage:"
+                               f" {exc}", margin=state().positivity_margin(), t=t) from exc
+        except NumericalAbort as exc:
             exc.t = t
             raise
+        state = functools.cache(functools.partial(_state, seed, fields, lam0, shift0))
+        w_min = smallest(fields[0])
+        if not w_min > 0.0:
+            margin = state().positivity_margin()
+            raise StepRejected(f"step dt={cfg.dt:.3e} rejected, positivity margin"
+                               f" {margin:.3e}", margin=margin, t=t)
         t = k * cfg.dt
         yield k, t, state
+
+
+def _split(m, t):
+    """m.split; a transverse area w = D/lam below DEGENERACY_TOL aborts the run at t."""
+    try:
+        return m.split
+    except DegenerateTransverseError as exc:
+        raise NumericalAbort(f"degenerate transverse area at t = {t:.6f}: {exc}",
+                             t=t) from exc
 
 
 def _record(m, t, prev):
     """Trace row of state m at time t after the previous row, None at t = 0.
 
     Besides the columns, a row keeps lam mu1^mu2's fiber part and the first
-    row's mu1 shift, shift0, for the next.  A transverse area w = D/lam
-    below DEGENERACY_TOL aborts the run at t.
+    row's mu1 shift, shift0, for the next.
     """
-    try:
-        split = m.split
-    except DegenerateTransverseError as exc:
-        raise NumericalAbort(f"degenerate transverse area at t = {t:.6f}: {exc}",
-                             t=t) from exc
+    split = _split(m, t)
     vel = m.velocity  # first: it leaves m.theta for assess
     report = assess(m)
     # mu1 = a e1 + b e2 + e3 and mu2 = -b e1 + a e2 + e4 move with (da, db)
@@ -293,11 +313,11 @@ def run(m0, cfg):
     _, t, state = next(stream)
     cfg.records()
     steps = cfg.steps()
-    prev = _record(state, t, None)
+    prev = _record(state(), t, None)
     columns = {name: [prev[name]] for name in TRACE_COLUMNS}
     for k, t, state in stream:
         if k % cfg.record_every == 0 or k == steps:
-            prev = _record(state, t, prev)
+            prev = _record(state(), t, prev)
             for name in TRACE_COLUMNS:
                 columns[name].append(prev[name])
 
@@ -307,7 +327,7 @@ def run(m0, cfg):
     arrays["sigma1_ode_residual"] = np.abs(
         sigma1_rate - arrays["sigma1_mean"] * arrays["s_mean"]
     )
-    return FlowTrace(config=cfg, columns=arrays, final_state=state, initial_state=m0)
+    return FlowTrace(config=cfg, columns=arrays, final_state=state(), initial_state=m0)
 
 
 def conservation_monitors(trace):

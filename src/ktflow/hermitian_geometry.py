@@ -78,7 +78,23 @@ The flow d omega/dt = -rho^(1,1) needs only part of this.  alpha's
 coefficients depend on the base only, so rho has no e3^e4 term: lam is
 frozen, the states of a flow share one lam_data (m.with_fields), and
 flow_velocity returns (du, dp, dq)/dt with no 2-form built.  On every state
-d H = -(lam_xx + lam_yy) e1^e2^e3^e4.
+d H = -(lam_xx + lam_yy) e1^e2^e3^e4, so the flow's pluriclosed seeds have
+lam = lam0 constant, and there it is three fields, w and f_i = sigma_i w.
+With f1 = b_x - a_y - 1 and f2 = a_x + b_y, A = -lam0 f2 and B = lam0 f1,
+so theta = lam0 (-b sigma1 - a sigma2, a sigma1 - b sigma2, -sigma2,
+sigma1), and -d11 of alpha = (-b2, b1, -t4, t3), b = theta - (1/2) d log D,
+is dp/dt = lam0 (sigma1_x + sigma2_y)/2, dq/dt = lam0 (sigma2_x - sigma1_y)/2
+and du/dt = -(t1_x + t2_y) - t4 + (1/2) lap log w.  So (da, db) = (dq,
+dp)/lam0 has mean 0, curl df1/dt = (1/2) lap sigma1 and divergence df2/dt =
+(1/2) lap sigma2, and t1_x + t2_y = -lam0 (sigma1 (f1 + 1) + sigma2 f2 +
+2 (a da + b db)) with w = u - lam0 (a^2 + b^2) gives
+
+    dw/dt = lam0 (sigma1^2 + sigma2^2) w + (1/2) lap log w ,
+
+2D Ricci flow of w (dx^2 + dy^2) at half speed plus a forcing.  Back from
+(w, f1, f2): (a, b) = (a0 + phi_x - psi_y, b0 + phi_y + psi_x) for the mean
+shift (a0, b0), lap psi = f1 + 1 and lap phi = f2 (inv_lap), and u = w +
+lam0 (a^2 + b^2), p = lam0 b, q = lam0 a.  flow_engine steps these fields.
 """
 
 from __future__ import annotations
@@ -185,9 +201,13 @@ class MetricState:
     def with_fields(self, upq):
         """State with the (u, p, q) stack upq on this state's lam_data object.
 
-        upq is a fresh (3, *stack, n, n) array: it is checked once and kept, not
-        copied.  Both states hold one LamData, so they share every lam datum.
+        upq is a fresh array of shape (3,) + lam's: its shape and values are
+        checked once and it is kept, not copied.  Both states hold one
+        LamData, so they share every lam datum.
         """
+        if np.shape(upq) != (3,) + self.lam.shape:
+            raise GridError(f"metric coefficients (u, p, q) have shape {np.shape(upq)},"
+                            f" expected {(3,) + self.lam.shape}")
         upq = self.grid.check_field(upq, "metric coefficients (u, p, q)")
         out = object.__new__(MetricState)
         out.__dict__.update(grid=self.grid, lam=self.lam, lam_data=self.lam_data)

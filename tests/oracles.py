@@ -66,10 +66,23 @@ alpha = J (theta - (1/2) d log(u lam - p^2 - q^2)) in closed form from
   preallocated arrays in place with the same operands in the same order,
   so the two agree bitwise.
 
-* fresh_state_rk4_step: one RK4 step whose stage states are each built by
-  MetricState(...) and so validate and differentiate lam afresh; the package
-  hands the start state's lam_data object, lam and its partials, to every
-  stage state.
+* upq_rk4_step: the reference route of the flow, classical RK4 on (u, p, q)
+  with a state and its flow_velocity per stage, 7/7 transform fields; the
+  package steps the three fields (w, f1, f2) of a state of one lam value,
+  3/3 fields a stage, and agrees with it to rounding.
+
+* three_field_velocity, three_field_split and three_field_state: the
+  three-field system from the (u, p, q) side.  The rates (dw, df1, df2) come
+  from flow_velocity's (du, dp, dq), dw = du - 2 (p dp + q dq)/lam0, df1 =
+  (dp_x - dq_y)/lam0 and df2 = (dq_x + dp_y)/lam0; the fields from the
+  partials of the shift; and the inverse map from phi and psi by
+  np.fft.rfft2.  The package takes (1/2) lap of (log w, sigma1, sigma2) in
+  one transform pair, reads the fields from the split and goes back by one
+  Helmholtz pair of partial_sums.
+
+* fresh_array_rk4_step: flow_engine.step with every intermediate a fresh
+  array from a numpy expression; the package fills the grid's work rows in
+  place with the same operands in the same order, so the two agree bitwise.
 
 * form_algebra_record: the trace columns fiber_rhs_residual,
   fiber_fd_residual, mu_drift and lambda_rel_residual of a run from forms:
@@ -123,7 +136,7 @@ import random
 
 import numpy as np
 
-from ktflow.flow_engine import step
+from ktflow.flow_engine import _LAPLACIANS, states
 from ktflow.hermitian_geometry import (_LEE_TERMS, CurvaturePackage, MetricState,
                                        bismut_torsion, flow_velocity, inner_1forms)
 from ktflow.identities import IDENTITIES, BatteryItem, _calculus_contexts, _maxima
@@ -424,33 +437,92 @@ def expression_flow_velocity(m):
     return -rfft2_d11(m.grid, np.stack((-b2, b1, -t4, t3)))
 
 
-def fresh_state_rk4_step(m, dt):
-    """flow_engine.step with each stage state built fresh by MetricState(...)."""
-    def shifted(k, factor):
-        return MetricState(m.grid, m.u + factor * k[0], m.lam,
-                           m.p + factor * k[1], m.q + factor * k[2])
+def upq_rk4_step(m, dt):
+    """One classical RK4 step of (u, p, q) on flow_velocity: the flow's route before (w, f1, f2).
 
-    k1 = flow_velocity(MetricState(m.grid, m.u, m.lam, m.p, m.q))
-    k2 = flow_velocity(shifted(k1, 0.5 * dt))
-    k3 = flow_velocity(shifted(k2, 0.5 * dt))
-    k4 = flow_velocity(shifted(k3, dt))
+    Each stage is a state m.with_fields(m.upq + factor k) and its velocity,
+    7/7 transform fields; the sum is (k1 + 2 (k2 + k3)) + k4.
+    """
+    def shifted(k, factor):
+        return m.with_fields(m.upq + factor * k)
+
+    k1 = m.velocity
+    k2 = shifted(k1, 0.5 * dt).velocity
+    k3 = shifted(k2, 0.5 * dt).velocity
+    k4 = shifted(k3, dt).velocity
     return shifted(k1 + 2.0 * (k2 + k3) + k4, dt / 6.0)
+
+
+def three_field_velocity(m):
+    """(dw, df1, df2)/dt of a state of one lam value, from its flow velocity (du, dp, dq).
+
+    w = u - (p^2 + q^2)/lam0 and (f1, f2) = (b_x - a_y - 1, a_x + b_y) for
+    the shift (a, b) = (q, p)/lam0, so dw = du - 2 (p dp + q dq)/lam0,
+    df1 = (dp_x - dq_y)/lam0 and df2 = (dq_x + dp_y)/lam0, the partials
+    through np.fft.rfft2 (rfft2_derivative).
+    """
+    lam0 = float(m.lam[0, 0])
+    du, dp, dq = flow_velocity(MetricState(m.grid, m.u, m.lam, m.p, m.q))
+    (dp_x, dq_x), (dp_y, dq_y) = rfft2_derivative(m.grid, np.stack((dp, dq)))
+    return np.stack((du - 2.0 * (m.p * dp + m.q * dq) / lam0,
+                     (dp_x - dq_y) / lam0, (dq_x + dp_y) / lam0))
+
+
+def three_field_split(m):
+    """(w, f1, f2) of a state of one lam value, f from the partials of the shift."""
+    lam0 = float(m.lam[0, 0])
+    a, b = m.q / lam0, m.p / lam0
+    (a_x, b_x), (a_y, b_y) = rfft2_derivative(m.grid, np.stack((a, b)))
+    return np.stack((m.u - (a * a + b * b) * lam0, b_x - a_y - 1.0, a_x + b_y))
+
+
+def three_field_state(grid, lam0, fields, mean_shift):
+    """The state of (w, f1, f2) on lam = lam0: the inverse map through np.fft.rfft2.
+
+    psi and phi solve lap psi = f1 + 1 and lap phi = f2 with zero mean, the
+    shift is (a, b) = (phi_x - psi_y, phi_y + psi_x) + mean_shift, and then
+    u = w + lam0 (a^2 + b^2), p = lam0 b and q = lam0 a.
+    """
+    w, f1, f2 = fields
+    ikx, iky, inv_lap = (grid._factors[name] for name in ("ik_x", "ik_y", "inv_lap"))
+    psi, phi = np.fft.rfft2(np.stack((f1 + 1.0, f2))) * inv_lap
+    a, b = np.fft.irfft2(np.stack((ikx * phi - iky * psi, iky * phi + ikx * psi)),
+                         s=(grid.n, grid.n))
+    a, b = a + mean_shift[0], b + mean_shift[1]
+    return MetricState(grid, w + lam0 * (a * a + b * b), lam0, lam0 * b, lam0 * a)
+
+
+def fresh_array_rk4_step(grid, fields, lam0, dt):
+    """flow_engine.step with every intermediate a fresh array, as numpy expressions.
+
+    The rates take 0.5 lap of (log w, f1/w, f2/w) by broadcast_partial_sums
+    and add ((sigma1^2 + sigma2^2) w) lam0 to dw; a stage is fields + factor k
+    and the step fields + (dt/6) (k1 + 2 (k2 + k3) + k4), the same operands in
+    the same order as the package, which fills preallocated arrays in place.
+    """
+    def rates(x):
+        sigma = x[1:] / x[0]
+        k = 0.5 * broadcast_partial_sums(grid, np.stack((np.log(x[0]), *sigma)), _LAPLACIANS)
+        k[0] += (sigma[0] ** 2 + sigma[1] ** 2) * x[0] * lam0
+        return k
+
+    k1 = rates(fields)
+    k2 = rates(0.5 * dt * k1 + fields)
+    k3 = rates(0.5 * dt * k2 + fields)
+    k4 = rates(dt * k3 + fields)
+    return dt / 6.0 * (k1 + 2.0 * (k2 + k3) + k4) + fields
 
 
 def form_algebra_record(m0, cfg):
     """Record monitors of run(m0, cfg) from form algebra, as column arrays.
 
-    The states are stepped here on run's record schedule (steps are
-    deterministic, so they are run's states).  At each, mu1 = (q/lam) e1 +
+    The states come from flow_engine.states on run's record schedule (steps
+    are deterministic, so they are run's states).  At each, mu1 = (q/lam) e1 +
     (p/lam) e2 + e3 and mu2 = J mu1 move with (q', p')/lam, since lam' = 0.
     """
     steps = cfg.steps()
-    records = [(0.0, m0)]
-    m = m0
-    for k in range(1, steps + 1):
-        m = step(m, cfg.dt)
-        if k % cfg.record_every == 0 or k == steps:
-            records.append((k * cfg.dt, m))
+    records = [(t, state()) for k, t, state in states(m0, cfg)
+               if k % cfg.record_every == 0 or k in (0, steps)]
     columns = {name: [] for name in ("fiber_rhs_residual", "fiber_fd_residual",
                                      "mu_drift", "lambda_rel_residual")}
     initial = m0.split

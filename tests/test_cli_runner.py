@@ -627,18 +627,25 @@ def _short_trace(n=16):
 
 
 def _frozen_flow(monkeypatch):
-    # every velocity, of a stage or a record, reads zero: the state never
-    # moves, and each record's s = -d/dt log D reads zero
-    monkeypatch.setattr(hermitian_geometry, "flow_velocity", lambda m: np.zeros_like(m.upq))
+    # every stage's rates (dw, df1, df2) read zero: the fields never move,
+    # so sigma1 = f1/w keeps the seed's constant -1
+    def frozen(grid, fields, lam0, out):
+        out.fill(0.0)
+        return out
+
+    monkeypatch.setattr(flow_engine, "_rates", frozen)
 
 
 def _bumped_flow(monkeypatch):
-    # every velocity's du gains sin(2 pi x), so u, and with it sigma1,
-    # varies in space, and each record's s follows the bumped velocity
-    true_velocity = hermitian_geometry.flow_velocity
-    monkeypatch.setattr(hermitian_geometry, "flow_velocity", lambda m: true_velocity(m)
-                        + np.stack((np.sin(2.0 * np.pi * m.grid.xx), m.grid.zeros(),
-                                    m.grid.zeros())))
+    # every stage's dw gains sin(2 pi x), so w, and with it sigma1 = f1/w,
+    # varies in space
+    true_rates = flow_engine._rates
+
+    def bumped(grid, fields, lam0, out):
+        true_rates(grid, fields, lam0, out)[0] += np.sin(2.0 * np.pi * grid.xx)
+        return out
+
+    monkeypatch.setattr(flow_engine, "_rates", bumped)
 
 
 def _unweighted_characteristic_numbers(monkeypatch):
@@ -997,16 +1004,15 @@ def test_positivity_error_names_plain_grid_point(tmp_path, monkeypatch):
     with pytest.raises(PositivityError, match=r"at grid point \(0, 0\)$"):
         MetricState.constant(BaseGrid(8), 1, 1, 2).require_positive()
 
-    # 3: a kick at (3, 5) takes u negative in the first stage state, and the
+    # 3: a kick at (3, 5) takes w negative in the first stage stack, and the
     # rejected step's verdict names the point
-    true_velocity = hermitian_geometry.flow_velocity
+    true_rates = flow_engine._rates
 
-    def kicked(m):
-        vel = np.array(true_velocity(m))
-        vel[0, 3, 5] -= 1e6
-        return vel
+    def kicked(grid, fields, lam0, out):
+        true_rates(grid, fields, lam0, out)[0, 3, 5] -= 1e6
+        return out
 
-    monkeypatch.setattr(hermitian_geometry, "flow_velocity", kicked)
+    monkeypatch.setattr(flow_engine, "_rates", kicked)
     cfgfile = tmp_path / "kicked.cfg"
     cfgfile.write_text("preset = custom\nn = 8\ndt = 1e-4\nt_end = 5e-4\n"
                        f"record_every = 1\nout_dir = {tmp_path}\n")
@@ -1014,7 +1020,8 @@ def test_positivity_error_names_plain_grid_point(tmp_path, monkeypatch):
     verdict = json.loads((tmp_path / "custom_verdict.json").read_text())
     assert verdict["aborted"] and verdict["t"] == 0.0
     assert verdict["reason"].startswith("step dt=1.000e-04 rejected, positivity lost")
-    assert verdict["reason"].endswith("positivity violated: u = -4.899995e+01 at grid point (3, 5)")
+    assert verdict["reason"].endswith("positivity lost in a stage: w = -4.899995e+01"
+                                      " at grid point (3, 5)")
 
 
 @pytest.mark.parametrize("mode", ("4,1", "5,1"))

@@ -1,9 +1,10 @@
+import re
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from ktflow.errors import (DegenerateTransverseError, NonFiniteFieldError,
+from ktflow.errors import (DegenerateTransverseError, GridError, NonFiniteFieldError,
                            PositivityError)
 from ktflow.hermitian_geometry import (MetricSplit, MetricState, bismut_ricci,
                                        bismut_torsion, characteristic_numbers,
@@ -278,6 +279,21 @@ def test_state_arrays_are_read_only(grid16, rng):
                 assert not values.flags.writeable, name
                 with pytest.raises(ValueError):
                     values[..., 0, 0] = 0.0
+
+
+def test_with_fields_checks_the_whole_shape(grid8):
+    # upq must be (3,) + lam's shape: a (2, n, n) array raised IndexError
+    # from the row unpacking, and a (3, 2, n, n) stack was kept on a single
+    # state's lam, so require_single(m.lam, ...) let the stack through
+    m = MetricState.constant(grid8, 1.0, 1.0)
+    for shape in ((2, 8, 8), (3, 2, 8, 8), (3, 8), (4, 8, 8)):
+        with pytest.raises(GridError, match=r"^metric coefficients \(u, p, q\) have shape"
+                                            rf" {re.escape(str(shape))}, expected \(3, 8, 8\)$"):
+            m.with_fields(np.ones(shape))
+    stack = MetricState(grid8, np.ones((2, 1, 1)), 1.0, 0.0, 0.0)
+    assert stack.with_fields(np.ones((3, 2, 8, 8))).u.shape == (2, 8, 8)
+    with pytest.raises(GridError, match=r"expected \(3, 2, 8, 8\)$"):
+        stack.with_fields(np.ones((3, 8, 8)))
 
 
 @pytest.mark.parametrize("n", (8, 16, 32, 64, 128))

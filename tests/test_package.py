@@ -73,11 +73,12 @@ TRANSFORM_CALLERS = {"_forward": {"BaseGrid.partial_sums"},
 
 
 # The only callers of the NaN/Inf scan: the places where data enters.  A
-# state's four input fields and each new stage state; the form constructor;
-# the grid's derivative and integral, and a form's scaling field.  Config
-# and snapshot loading reach it through MetricState.  Everything computed
-# from checked data is not scanned again.
-CHECK_SITES = {"MetricState.__post_init__", "MetricState.with_fields",
+# state's four input fields, each stage stack and new stack of the flow's
+# RK4 step, and a state built from a new stack; the form constructor; the
+# grid's derivative and integral, and a form's scaling field.  Config and
+# snapshot loading reach it through MetricState.  Everything computed from
+# checked data is not scanned again.
+CHECK_SITES = {"MetricState.__post_init__", "MetricState.with_fields", "step",
                "InvariantForm.__init__", "InvariantForm.__mul__",
                "BaseGrid.derivative", "BaseGrid.integral"}
 
