@@ -9,18 +9,21 @@ converts the seed once and steps the stacked (w, f1, f2) by classical RK4
 (step): a stage is one transform pair, 3/3 fields, in the grid's work
 arrays, and a step allocates only its new stack.  It rejects a step beyond
 the parabolic bound or the positive cone w > 0 and aborts on NaN/Inf.  A
-state goes back to (u, p, q) on m0's lam_data only where one is read, at a
-record, at the end and for a rejection's margin: one Helmholtz pair, 2/2
-fields (_state).  run records the states: the velocity (flow_velocity, 7/7
-fields), s = -d/dt log D, the split and d theta (6/7), and max |lap lam| =
-max |d H| once per run.  Each row carries the conservation diagnostics of
-the splitting calculus: the fiber part of the state velocity (zero where
-lam, sigma_1 and sigma_2 are constant), the drift of the connection forms
-and of the characteristic numbers, the mean-sigma_1 ODE residual |d/dt
-mean(sigma_1) - mean(sigma_1) mean(s)| and the pairing residual
-|g(d/dt mu_1, mu_1) + lam'/(2 lam^2)|, 0 by construction; no form is built
-for them, each is a closed form in mu_1's shift (a, b) = (q, p)/lam and its
-rate (q', p')/lam (see _record).
+state goes back to (u, p, q) on m0's lam_data only where one is read, for
+a rejection's margin or a caller's state(): one Helmholtz pair, 2/2 fields
+(_state).  run records from the stacked fields themselves, with lam0, the
+mean shift and lam's data: one transform pair of 5/7 fields a record
+(_record) gives mu1's shift (a, b), lap log w and the partials of sigma1
+and sigma2, and every column is pointwise from there, d theta and s
+included; no record builds a state, and the final state is built once,
+from the last record's shift.  max |lap lam| = max |d H| is taken once per
+run.  Each row carries the conservation diagnostics of the splitting
+calculus: the fiber part of the state velocity (zero where lam, sigma_1 and
+sigma_2 are constant), the drift of the connection forms and of the
+characteristic numbers, the mean-sigma_1 ODE residual |d/dt mean(sigma_1) -
+mean(sigma_1) mean(s)| and the pairing residual |g(d/dt mu_1, mu_1) +
+lam'/(2 lam^2)|, 0 by construction; no form is built for them, each is a
+closed form in mu_1's shift (a, b) and its rate (da, db).
 """
 
 from __future__ import annotations
@@ -41,9 +44,8 @@ from .errors import (
     PositivityError,
     StepRejected,
 )
-from .hermitian_geometry import MetricState, characteristic_numbers
-from .invariant_forms import DX, DY, largest, smallest
-from .vaisman_toolkit import assess
+from .hermitian_geometry import MetricState, require_transverse_area
+from .invariant_forms import DX, DY, largest, mean, mean_and_variance, smallest
 
 TRACE_COLUMNS = (
     "t",
@@ -61,11 +63,15 @@ TRACE_COLUMNS = (
 
 
 # (field, factor, symbol) terms of BaseGrid.partial_sums: lap of (log w,
-# sigma1, sigma2) on lam's Laplacian symbols; mu1's shift a = phi_x - psi_y,
-# b = phi_y + psi_x from its curl and divergence (f1 + 1, f2) = (lap psi, lap phi)
+# sigma1, sigma2) on lam's Laplacian symbols; mu1's shift less its mean, a =
+# phi_x - psi_y and b = phi_y + psi_x, from its curl and divergence (f1 + 1,
+# f2) = (lap psi, lap phi); a record's, from (f1 + 1, f2, log w, sigma1,
+# sigma2): that shift, lap log w and (sigma1_x, sigma1_y, sigma2_x, sigma2_y)
 _LAPLACIANS = tuple(((j, 1.0, DX + DX), (j, 1.0, DY + DY)) for j in range(3))
 _HELMHOLTZ_TERMS = (((1, 1.0, DX + ("inv_lap",)), (0, -1.0, DY + ("inv_lap",))),
                     ((1, 1.0, DY + ("inv_lap",)), (0, 1.0, DX + ("inv_lap",))))
+_RECORD_TERMS = _HELMHOLTZ_TERMS + (((2, 1.0, DX + DX), (2, 1.0, DY + DY)),) + tuple(
+    ((j, 1.0, d),) for j in (3, 4) for d in (DX, DY))
 
 
 # 500x the longest flow planned (a rigid run to t = 1 at n = 64, about 20,000
@@ -140,24 +146,61 @@ class FlowTrace:
         return self.columns[name]
 
 
+def _mean_shift(split):
+    """mu1's mean shift (a0, b0) of a split, shaped (2, 1, 1)."""
+    return np.add.reduce(split.mu1.coeffs[:2], axis=(1, 2), keepdims=True) / split.w_check.size
+
+
 def _fields(m, what):
-    """lam0, the stacked (w, f1, f2) = (w, sigma1 w, sigma2 w) and mu1's mean shift of m."""
+    """lam0, the stacked (w, f1, f2) = (w, sigma1 w, sigma2 w) and mu1's mean shift of m.
+
+    A transverse area below DEGENERACY_TOL raises DegenerateTransverseError (metric_split).
+    """
     lam0, high = m.lam_data.min, largest(m.lam)
     if high != lam0:
         raise ConfigError(f"{what} takes a seed of one lam value, a pluriclosed seed;"
                           f" lam spreads over [{lam0!r}, {high!r}], by {high - lam0:.3e}")
-    split = _split(m, 0.0)
+    split = m.split
     w = split.w_check
-    shift0 = np.add.reduce(split.mu1.coeffs[:2], axis=(1, 2), keepdims=True) / w.size
-    return lam0, np.stack((w, split.sigma1 * w, split.sigma2 * w)), shift0
+    return lam0, np.stack((w, split.sigma1 * w, split.sigma2 * w)), _mean_shift(split)
+
+
+def _fiber(shift, lam0):
+    """lam0 mu1^mu2 of mu1's shift (a, b): (lam0 (a^2 + b^2), lam0 b, lam0 a).
+
+    These are its coefficients on e12, e13 = e24 and e14 = -e23 (on e34 it
+    is lam0); on a state of the flow they are (u - w, p, q).
+    """
+    a, b = shift
+    fiber = np.empty((3,) + a.shape)
+    np.multiply(a, a, out=fiber[0])
+    fiber[0] += np.multiply(b, b, out=fiber[1])
+    fiber[0] *= lam0
+    np.multiply(b, lam0, out=fiber[1])
+    np.multiply(a, lam0, out=fiber[2])
+    return fiber
+
+
+def _fiber_state(seed, w, fiber):
+    """The state on the seed's lam of area w and fiber part fiber: u = w + fiber[0], p, q.
+
+    fiber, a fresh array from _fiber, becomes the state's (u, p, q) stack.
+    """
+    fiber[0] += w
+    return seed.with_fields(fiber)
 
 
 def _state(seed, fields, lam0, shift0):
     """The state of (w, f1, f2) on the seed's lam, by one Helmholtz pair (2/2 fields)."""
     curl_div = fields[1:].copy()
     curl_div[0] += 1.0
-    a, b = seed.grid.partial_sums(curl_div, _HELMHOLTZ_TERMS) + shift0
-    return seed.with_fields(np.stack((fields[0] + lam0 * (a * a + b * b), lam0 * b, lam0 * a)))
+    shift = seed.grid.partial_sums(curl_div, _HELMHOLTZ_TERMS) + shift0
+    return _fiber_state(seed, fields[0], _fiber(shift, lam0))
+
+
+def _degenerate_abort(exc, t):
+    """NumericalAbort at run time t for the DegenerateTransverseError exc."""
+    return NumericalAbort(f"degenerate transverse area at t = {t:.6f}: {exc}", t=t)
 
 
 def _rates(grid, fields, lam0, out):
@@ -203,28 +246,41 @@ def step(grid, fields, lam0, dt):
 
 
 def sigma1_ode_residual_instant(m):
-    """max |d sigma1/dt - sigma1 s| at a state of one lam value, by the exact rates."""
+    """max |d sigma1/dt - sigma1 s| at a state of one lam value, by the exact rates.
+
+    sigma1 = f1/w and s = -(dw/dt)/w come from the state's (w, f1, f2) and
+    their rates (3/3 fields).  A transverse area below DEGENERACY_TOL raises
+    DegenerateTransverseError.
+    """
     lam0, fields, _ = _fields(m, "sigma1_ode_residual_instant")
+    w, f1, _ = fields
     dw, df1, _ = _rates(m.grid, fields, lam0, np.empty_like(fields))
-    return largest(np.abs((df1 - m.split.sigma1 * dw) / fields[0] - m.split.sigma1 * m.s))
+    sigma1, s = f1 / w, -dw / w
+    return largest(np.abs((df1 - sigma1 * dw) / w - sigma1 * s))
 
 
 def states(m0, cfg):
-    """Yield (k, t, state), t = k dt, from k = 0 to cfg.steps(); state() builds state k.
+    """Yield (k, t, fields, state), t = k dt, from k = 0 to cfg.steps().
 
-    m0 is one positive state of one lam value.  State 0 is a shallow copy of m0, whose own
-    caches stay bare; state k > 0 is built from a stack of its own on first call.  Each step
-    must keep the parabolic bound; a rejection or abort carries its t.
+    fields is step k's stacked (w, f1, f2), and state() builds state k.  m0
+    is one positive state of one lam value.  State 0 is a shallow copy of
+    m0, whose own caches stay bare; state k > 0 is built from its stack on
+    first call.  Each step must keep the parabolic bound; a rejection or
+    abort carries its t, and a seed whose transverse area is below
+    DEGENERACY_TOL aborts at t = 0.
     """
     m0.grid.require_single(m0.lam, "states")
     state = functools.cache(functools.partial(copy.copy, m0))
     seed = state()
     seed.require_positive()
-    lam0, fields, shift0 = _fields(seed, "states")
+    try:
+        lam0, fields, shift0 = _fields(seed, "states")
+    except DegenerateTransverseError as exc:
+        raise _degenerate_abort(exc, 0.0) from exc
     grid, steps, w_min = seed.grid, cfg.steps(), smallest(fields[0])
     h_squared = grid.h * grid.h
     t = 0.0
-    yield 0, t, state
+    yield 0, t, fields, state
     for k in range(1, steps + 1):
         # u >= w, so a dt within the bound of w is within the bound of u
         if cfg.dt > cfg.cfl_safety * h_squared * min(w_min, lam0):
@@ -248,55 +304,97 @@ def states(m0, cfg):
             raise StepRejected(f"step dt={cfg.dt:.3e} rejected, positivity margin"
                                f" {margin:.3e}", margin=margin, t=t)
         t = k * cfg.dt
-        yield k, t, state
+        yield k, t, fields, state
 
 
-def _split(m, t):
-    """m.split; a transverse area w = D/lam below DEGENERACY_TOL aborts the run at t."""
-    try:
-        return m.split
-    except DegenerateTransverseError as exc:
-        raise NumericalAbort(f"degenerate transverse area at t = {t:.6f}: {exc}",
-                             t=t) from exc
+def _record(grid, lam0, shift0, lam_data, fields, t, prev):
+    """Trace row of the stacked (w, f1, f2) at time t after the previous row, None at t = 0.
 
-
-def _record(m, t, prev):
-    """Trace row of state m at time t after the previous row, None at t = 0.
-
-    Besides the columns, a row keeps lam mu1^mu2's fiber part and the first
-    row's mu1 shift, shift0, for the next.
+    One transform pair, 5/7 fields in rows of the grid's real work array,
+    takes (f1 + 1, f2, log w, sigma1, sigma2) to mu1's shift (a, b) less its
+    mean shift0, lap log w and the partials of sigma1 and sigma2; the shift
+    is bitwise _state's.  The rest is pointwise (the hermitian_geometry
+    docstring derives it): the shift's rate (da, db) = ((sigma2_x -
+    sigma1_y)/2, (sigma1_x + sigma2_y)/2), s = -(dw/dt)/w = -lam0 (sigma1^2
+    + sigma2^2) - (1/2) (lap log w)/w, d theta = lam0 (2 (a db - b da),
+    -sigma2_x, sigma1_x, -sigma2_y, sigma1_y, 0) on e12, e13, e14, e23, e24,
+    e34, char_i = mean(f_i), u = w + lam0 (a^2 + b^2) and D = lam0 w.
+    mu1 = a e1 + b e2 + e3 and mu2 = -b e1 + a e2 + e4 move with (da, db),
+    since lam' = 0, so lam0 mu1^mu2 (_fiber) moves with lam0 (2 (a da + b
+    db), db, da).  A transverse area below DEGENERACY_TOL aborts the run at
+    t.  Besides the columns, a row keeps that fiber part, the state's (u - w,
+    p, q), and the first row's shift, for the next.
     """
-    split = _split(m, t)
-    vel = m.velocity  # first: it leaves m.theta for assess
-    report = assess(m)
-    # mu1 = a e1 + b e2 + e3 and mu2 = -b e1 + a e2 + e4 move with (da, db)
-    # = (q', p')/lam, since lam' = 0; lam mu1^mu2 is (lam (a^2 + b^2), lam b,
-    # lam a, lam) on e12, e13 = e24, e14 = -e23, e34, moving with
-    # (2 (a da + b db) lam, db lam, da lam)
-    a, b = shift = split.mu1.coeffs[:2]
-    shift0 = shift.copy() if prev is None else prev["shift0"]
-    da, db = rate = vel[:0:-1] * m.lam_data.inv
-    fiber_vel, fiber = np.empty((3,) + a.shape), np.empty((3,) + a.shape)  # lam is frozen
-    np.multiply(2.0 * (da * a + db * b), m.lam, out=fiber_vel[0])
-    np.multiply(rate[::-1], m.lam, out=fiber_vel[1:])
-    np.multiply(a * a + b * b, m.lam, out=fiber[0])
-    np.multiply(shift[::-1], m.lam, out=fiber[1:])
-    char1, char2 = characteristic_numbers(split)
+    w = fields[0]
+    w_min = smallest(w)
+    try:
+        require_transverse_area(w_min)
+    except DegenerateTransverseError as exc:
+        raise _degenerate_abort(exc, t) from exc
+    rows = grid._work(2, (12,) + w.shape)
+    np.add(fields[1], 1.0, out=rows[0])
+    rows[1] = fields[2]
+    np.log(w, out=rows[2])
+    sigma1, sigma2 = np.divide(fields[1:], w, out=rows[3:5])
+    grid.partial_sums(rows[:5], _RECORD_TERMS, rows[5:])
+    shift, s, partials = rows[5:7], rows[7], rows[8:]
+    shift += shift0
+    a, b = shift
+    sigma1_x, sigma1_y, sigma2_x, sigma2_y = partials
+    da, db = rate = rows[:2]
+    np.subtract(sigma2_x, sigma1_y, out=da)
+    np.add(sigma1_x, sigma2_y, out=db)
+    rate *= 0.5
+    # max |d theta| / lam0: the partials on e13, e14, e23, e24, then e12
+    d_theta = largest(np.abs(partials, out=partials))
+    scratch, e12 = partials[:2]
+    np.multiply(a, db, out=e12)
+    e12 -= np.multiply(b, da, out=scratch)
+    e12 *= 2.0
+    d_theta = max(d_theta, largest(np.abs(e12, out=e12)))
+    fiber_rate = rows[:3]   # (da, db, 2 (a da + b db)): lam0 mu1^mu2's rate over lam0
+    np.multiply(da, a, out=fiber_rate[2])
+    fiber_rate[2] += np.multiply(db, b, out=scratch)
+    fiber_rate[2] *= 2.0
+    fiber_rhs = largest(np.abs(fiber_rate, out=fiber_rate))
+    np.multiply(sigma1, sigma1, out=scratch)
+    scratch += np.multiply(sigma2, sigma2, out=e12)
+    scratch *= lam0
+    s *= -0.5
+    s /= w
+    s -= scratch
+    fiber = _fiber(shift, lam0)
+    u_min = smallest(np.add(w, fiber[0], out=scratch))
+    start_shift = shift.copy() if prev is None else prev["start_shift"]
+    drift = np.subtract(shift, start_shift, out=partials[:2])
+    mu_drift = largest(np.abs(drift, out=drift))
+    if prev is None:
+        fiber_fd = 0.0
+    else:
+        change = np.subtract(fiber, prev["fiber"], out=rows[:3])
+        fiber_fd = largest(np.abs(change, out=change)) / (t - prev["t"])
+    lam_mean, lam_var = lam_data.moments
+    (s1_mean, s1_var), (s2_mean, s2_var), (s_mean, s_var) = map(mean_and_variance,
+                                                                (sigma1, sigma2, s))
     return {
         "t": t,
-        **vars(report),
-        "vaisman_defect": report.vaisman_defect,
-        "char_1": char1,
-        "char_2": char2,
-        "fiber_rhs_residual": largest(np.abs(fiber_vel)),
-        "fiber_fd_residual": (0.0 if prev is None else
-                              largest(np.abs(fiber - prev["fiber"])) / (t - prev["t"])),
-        "mu_drift": largest(np.abs(shift - shift0)),
+        "lambda_mean": lam_mean, "lambda_var": lam_var,
+        "sigma1_mean": s1_mean, "sigma1_var": s1_var,
+        "sigma2_mean": s2_mean, "sigma2_var": s2_var,
+        "s_mean": s_mean, "s_var": s_var,
+        "pluriclosed_defect": lam_data.laplacian_max,
+        "lck_defect": lam0 * d_theta,
+        "vaisman_defect": lam_var + s1_var + s2_var,
+        "char_1": mean(fields[1]),   # the integrals of d(mu_i) = f_i e1^e2
+        "char_2": mean(fields[2]),
+        "fiber_rhs_residual": lam0 * fiber_rhs,
+        "fiber_fd_residual": fiber_fd,
+        "mu_drift": mu_drift,
         "sigma1_ode_residual": 0.0,   # filled in by run's post-pass
         # mu1 is g-orthogonal to the horizontal mu1_dot, and lam' = 0
         "lambda_rel_residual": 0.0,
-        "positivity_margin": m.positivity_margin(),
-        "shift0": shift0,
+        "positivity_margin": float(min(u_min, lam_data.min, lam0 * w_min)),
+        "start_shift": start_shift,
         "fiber": fiber,
     }
 
@@ -304,20 +402,25 @@ def _record(m, t, prev):
 def run(m0, cfg):
     """Integrate to t_end by states(m0, cfg), recording every record_every steps.
 
-    The final partial block is always recorded; a run must produce at least
-    three records so that the centered time differences in the trace are
-    defined, which is checked after run and states have checked m0.
+    Each record is taken from the stacked (w, f1, f2) (_record); the final
+    state is built from the last record's fiber part.  The final partial
+    block is always recorded; a run must produce at least three records so
+    that the centered time differences in the trace are defined, which is
+    checked after run and states have checked m0.
     """
     m0.grid.require_single(m0.lam, "run")
     stream = states(m0, cfg)
-    _, t, state = next(stream)
+    _, t, fields, state = next(stream)
     cfg.records()
     steps = cfg.steps()
-    prev = _record(state(), t, None)
+    seed = state()
+    # lam0 and the mean shift as states converted the seed, its split cached
+    flow = seed.grid, seed.lam_data.min, _mean_shift(seed.split), seed.lam_data
+    prev = _record(*flow, fields, t, None)
     columns = {name: [prev[name]] for name in TRACE_COLUMNS}
-    for k, t, state in stream:
+    for k, t, fields, _ in stream:
         if k % cfg.record_every == 0 or k == steps:
-            prev = _record(state(), t, prev)
+            prev = _record(*flow, fields, t, prev)
             for name in TRACE_COLUMNS:
                 columns[name].append(prev[name])
 
@@ -327,7 +430,8 @@ def run(m0, cfg):
     arrays["sigma1_ode_residual"] = np.abs(
         sigma1_rate - arrays["sigma1_mean"] * arrays["s_mean"]
     )
-    return FlowTrace(config=cfg, columns=arrays, final_state=state(), initial_state=m0)
+    final_state = _fiber_state(seed, fields[0], prev["fiber"])
+    return FlowTrace(config=cfg, columns=arrays, final_state=final_state, initial_state=m0)
 
 
 def conservation_monitors(trace):

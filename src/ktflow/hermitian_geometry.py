@@ -27,11 +27,11 @@ shift (a, b) = (q/lam, p/lam) and the transverse area w = D/lam:
 A state's fields are (*stack, n, n): one state is (n, n), and a stack of
 states, say (2, n, n), goes through every function here as one, each slice
 of a result bitwise the result of its state alone (the shape rule of
-invariant_forms).  The flow, the defect report, the characteristic numbers
-and the snapshot take one state and raise GridError on a stack.  A state
-keeps (u, p, q) as the rows of one read-only (3, *stack, n, n) array,
-m.upq, and lam in m.lam_data, a LamData that owns a read-only lam and its
-minimum, 1/lam, partials, Laplacian, (mean, variance) and max |lap lam|.
+invariant_forms).  The flow, the defect report and the snapshot take one
+state and raise GridError on a stack.  A state keeps (u, p, q) as the rows
+of one read-only (3, *stack, n, n) array, m.upq, and lam in m.lam_data, a
+LamData that owns a read-only lam and its minimum, 1/lam, partials,
+Laplacian, (mean, variance) and max |lap lam|.
 These and the state's own data are computed once, on first access: the
 Pfaffian m.D = u lam - p^2 - q^2 and the minima of u and D, m.theta =
 lee_form(m), m.split = metric_split(m), m.curvature = bismut_ricci(m),
@@ -94,7 +94,21 @@ dp)/lam0 has mean 0, curl df1/dt = (1/2) lap sigma1 and divergence df2/dt =
 2D Ricci flow of w (dx^2 + dy^2) at half speed plus a forcing.  Back from
 (w, f1, f2): (a, b) = (a0 + phi_x - psi_y, b0 + phi_y + psi_x) for the mean
 shift (a0, b0), lap psi = f1 + 1 and lap phi = f2 (inv_lap), and u = w +
-lam0 (a^2 + b^2), p = lam0 b, q = lam0 a.  flow_engine steps these fields.
+lam0 (a^2 + b^2), p = lam0 b, q = lam0 a.  flow_engine steps these fields
+and reads its trace off them.  D = lam0 w, so the scalar is
+
+    s = -d/dt log D = -(dw/dt)/w = -lam0 (sigma1^2 + sigma2^2) - (1/2) (lap log w)/w ,
+
+and with d e3 = -e1^e2 and sigma1 f2 - sigma2 f1 = 0 the Lee form's
+derivative is
+
+    d theta = lam0 [2 (a db - b da) e1^e2 - sigma2_x e1^e3 + sigma1_x e1^e4
+                    - sigma2_y e2^e3 + sigma1_y e2^e4] ,
+
+where 2 db = sigma1_x + sigma2_y and -2 da = sigma1_y - sigma2_x: the LCK
+defect max |d theta| is lam0 times the gradient of the curvature
+multipliers (on e1^e2 combined with the shift), and it vanishes exactly
+when they are constant.
 """
 
 from __future__ import annotations
@@ -113,7 +127,6 @@ from .invariant_forms import (
     apply_J,
     exterior_d,
     largest,
-    mean,
     mean_and_variance,
     p11_projection,
     smallest,
@@ -316,6 +329,14 @@ _LEE_TERMS = (((0, -1.0, DY), (1, -1.0, DX)), ((0, 1.0, DX), (1, -1.0, DY)),
               ((2, 1.0, DX),), ((2, 1.0, DY),))
 
 
+def require_transverse_area(worst):
+    """DegenerateTransverseError if worst, the least area w = D/lam, is below DEGENERACY_TOL."""
+    if worst < DEGENERACY_TOL:
+        raise DegenerateTransverseError(
+            f"transverse area coefficient {worst:.3e} below {DEGENERACY_TOL:.0e}"
+        )
+
+
 def metric_split(m):
     """Vertical/transverse splitting of a positive metric state, in closed form.
 
@@ -325,11 +346,7 @@ def metric_split(m):
     """
     m.require_positive()
     shift, w = _shift_and_area(m)
-    worst = smallest(w)
-    if worst < DEGENERACY_TOL:
-        raise DegenerateTransverseError(
-            f"transverse area coefficient {worst:.3e} below {DEGENERACY_TOL:.0e}"
-        )
+    require_transverse_area(smallest(w))
     curl, div = m.grid.partial_sums(shift, _SPLIT_TERMS)
     mu1 = np.zeros((4,) + w.shape)   # a e1 + b e2 + e3
     mu1[:2], mu1[2] = shift, 1.0
@@ -476,17 +493,6 @@ def scalar_curvature(m):
     """
     du, dp, dq = m.velocity
     return -(m.lam * du - 2.0 * (m.p * dp + m.q * dq)) / m.D
-
-
-def characteristic_numbers(split):
-    """Base integrals of the curvature 2-forms d(mu1), d(mu2).
-
-    d(mu_i) = sigma_i w_check e1^e2, so each integral is the grid mean of
-    sigma_i w_check and needs no transform.  One state only: a stack raises
-    GridError.
-    """
-    split.mu1.grid.require_single(split.w_check, "characteristic_numbers")
-    return mean(split.sigma1 * split.w_check), mean(split.sigma2 * split.w_check)
 
 
 def inner_1forms(m, alpha, beta):

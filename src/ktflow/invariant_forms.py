@@ -143,16 +143,18 @@ class BaseGrid:
     Every transform pair runs in two complex work arrays that the grid
     owns: array 0 holds the spectrum of partial_sums' inputs, array 1 its
     sums plus one scratch row.  A third, real work array holds (*stack, n, n)
-    rows: 12 for the velocity (hermitian_geometry._flow_alpha) and 18 for
-    the flow's RK4 step (flow_engine.step).  Each grows to the largest call
-    the grid has served and never shrinks, so a grid retains 16 n (n/2 + 1)
-    bytes (8.5 KiB at n = 32, 33 KiB at n = 64) per field of its largest
-    forward transform and per row of its largest sums, and 8 n^2 bytes (8
-    and 32 KiB) per real row.  A flow keeps 4, 6 and 18 rows: 229 KiB at
-    n = 32 and 906 KiB at n = 64.  A suite run, whose stacks hold up to
-    four states, keeps 20, 24 and 24 rows: 566 KiB at n = 32 and 2220 KiB
-    at n = 64.  Each complex symbol takes 16 n (n/2 + 1) bytes as well: a
-    flow keeps 12, 102 KiB at n = 32 and 396 KiB at n = 64, and a suite 11.
+    rows: 12 for the velocity (hermitian_geometry._flow_alpha) and for a
+    trace record (flow_engine._record), and 18 for the flow's RK4 step
+    (flow_engine.step).  Each grows to the largest call the grid has served
+    and never shrinks, so a grid retains 16 n (n/2 + 1) bytes (8.5 KiB at
+    n = 32, 33 KiB at n = 64) per field of its largest forward transform
+    and per row of its largest sums, and 8 n^2 bytes (8 and 32 KiB) per
+    real row.  A flow keeps 5, 8 and 18 rows, its record's 5/7 fields and
+    its step's: 254.5 KiB at n = 32 and 1005 KiB at n = 64.  A suite run,
+    whose stacks hold up to four states, keeps 20, 24 and 24 rows: 566 KiB
+    at n = 32 and 2220 KiB at n = 64.  Each complex symbol takes 16 n (n/2 +
+    1) bytes as well: a flow keeps 6, 51 KiB at n = 32 and 198 KiB at n =
+    64, and a suite 11.
     Views are cached per shape, so a call whose shape has been seen
     allocates no work array.  The arrays make a grid unsafe to share
     between threads.

@@ -86,10 +86,20 @@ alpha = J (theta - (1/2) d log(u lam - p^2 - q^2)) in closed form from
 
 * form_algebra_record: the trace columns fiber_rhs_residual,
   fiber_fd_residual, mu_drift and lambda_rel_residual of a run from forms:
-  mu1_dot and mu2_dot from their coefficients, the fiber part lam mu1^mu2
-  and its velocity by wedge, the drift of mu1 and mu2 by form subtraction
-  and the pairing g(mu1_dot, mu1) by inner_1forms.  The package evaluates their
-  closed forms in the shift (a, b) = (q, p)/lam; the two agree bitwise.
+  mu1, mu2 = J mu1, mu1_dot and mu2_dot from the shift and its rate, which
+  broadcast_partial_sums takes from the stepped fields, the fiber part lam
+  mu1^mu2 and its velocity by wedge, the drift of mu1 and mu2 by form
+  subtraction and the pairing g(mu1_dot, mu1) by inner_1forms.  The package
+  evaluates their closed forms in the shift (a, b) and its rate (da, db)
+  in work rows; the two agree bitwise.
+
+* upq_record and characteristic_numbers: every trace column of a run by
+  the flow's record route before it read (w, f1, f2): each record's state
+  rebuilt as (u, p, q), its split, flow_velocity and assess, d theta by
+  exterior_d of the Lee form, and the characteristic numbers as the means
+  of sigma_i w_check of the split, 15/16 transform fields a record.  The
+  package takes every column from one transform pair of 5/7 fields in
+  closed form and agrees with it to rounding.
 
 * form_route_ricci: the Bismut curvature package by form algebra, rho =
   d J (theta - (1/2) d log D) from the 0-form log D, exterior_d, apply_J
@@ -136,16 +146,16 @@ import random
 
 import numpy as np
 
-from ktflow.flow_engine import _LAPLACIANS, states
+from ktflow.flow_engine import _LAPLACIANS, _RECORD_TERMS, TRACE_COLUMNS, _fields, states
 from ktflow.hermitian_geometry import (_LEE_TERMS, CurvaturePackage, MetricState,
                                        bismut_torsion, flow_velocity, inner_1forms)
 from ktflow.identities import IDENTITIES, BatteryItem, _calculus_contexts, _maxima
 from ktflow.invariant_forms import (INDEX_POS, MULTI_INDEX, NCOMP, STRUCTURE_INDEX,
                                     STRUCTURE_PAIR, STRUCTURE_SIGN, V1, V2, BaseGrid,
                                     InvariantForm, _merge, _wedge_table, apply_J,
-                                    base_integral, contract, coframe, exterior_d,
+                                    base_integral, contract, coframe, exterior_d, mean,
                                     p11_projection, random_band_limited, wedge)
-from ktflow.vaisman_toolkit import (make_noncsc_vaisman, make_standard_vaisman,
+from ktflow.vaisman_toolkit import (assess, make_noncsc_vaisman, make_standard_vaisman,
                                     potential_residual)
 
 # bracket [E_a, E_b] = C[a, b, c] E_c
@@ -513,37 +523,108 @@ def fresh_array_rk4_step(grid, fields, lam0, dt):
     return dt / 6.0 * (k1 + 2.0 * (k2 + k3) + k4) + fields
 
 
+def _record_states(m0, cfg):
+    """(t, fields, state) of flow_engine.states(m0, cfg) on run's record schedule.
+
+    Steps are deterministic, so these are the fields and states of run's records.
+    """
+    steps = cfg.steps()
+    return [(t, fields, state) for k, t, fields, state in states(m0, cfg)
+            if k % cfg.record_every == 0 or k == steps]
+
+
 def form_algebra_record(m0, cfg):
     """Record monitors of run(m0, cfg) from form algebra, as column arrays.
 
-    The states come from flow_engine.states on run's record schedule (steps
-    are deterministic, so they are run's states).  At each, mu1 = (q/lam) e1 +
-    (p/lam) e2 + e3 and mu2 = J mu1 move with (q', p')/lam, since lam' = 0.
+    At each record, mu1's shift (a, b) and its rate (da, db) = ((sigma2_x -
+    sigma1_y)/2, (sigma1_x + sigma2_y)/2) come from the stepped (w, f1, f2)
+    through broadcast_partial_sums of the record's terms, with the mean shift
+    of the seed; mu1 = a e1 + b e2 + e3 and mu2 = J mu1 move with mu1_dot =
+    da e1 + db e2 and mu2_dot = J mu1_dot, since lam' = 0.  The pairing is
+    that of the state rebuilt from the fields, with its own mu1.
     """
-    steps = cfg.steps()
-    records = [(t, state()) for k, t, state in states(m0, cfg)
-               if k % cfg.record_every == 0 or k in (0, steps)]
+    lam0, _, shift0 = _fields(m0, "states")
     columns = {name: [] for name in ("fiber_rhs_residual", "fiber_fd_residual",
                                      "mu_drift", "lambda_rel_residual")}
-    initial = m0.split
-    prev_fiber = prev_t = None
-    for t, m in records:
-        split = m.split
-        da, db = m.velocity[:0:-1] * m.lam_data.inv
-        zero = np.zeros_like(da)
-        mu1_dot = InvariantForm(m.grid, 1, np.stack((da, db, zero, zero)))
-        mu2_dot = InvariantForm(m.grid, 1, np.stack((-db, da, zero, zero)))
-        fiber_vel = (wedge(mu1_dot, split.mu2) + wedge(split.mu1, mu2_dot)) * m.lam
-        fiber = wedge(split.mu1, split.mu2) * m.lam
+    initial = prev_fiber = prev_t = None
+    for t, fields, state in _record_states(m0, cfg):
+        w, f1, f2 = fields
+        sums = broadcast_partial_sums(m0.grid, np.stack((f1 + 1.0, f2, np.log(w), f1 / w, f2 / w)),
+                                      _RECORD_TERMS)
+        a, b = sums[:2] + shift0
+        sigma1_x, sigma1_y, sigma2_x, sigma2_y = sums[3:]
+        da, db = (sigma2_x - sigma1_y) * 0.5, (sigma1_x + sigma2_y) * 0.5
+        zero, one = np.zeros_like(a), np.ones_like(a)
+        mu1 = InvariantForm(m0.grid, 1, np.stack((a, b, one, zero)))
+        mu2 = apply_J(mu1)
+        mu1_dot = InvariantForm(m0.grid, 1, np.stack((da, db, zero, zero)))
+        mu2_dot = apply_J(mu1_dot)
+        fiber_vel = (wedge(mu1_dot, mu2) + wedge(mu1, mu2_dot)) * m0.lam
+        fiber = wedge(mu1, mu2) * m0.lam
+        if initial is None:
+            initial = mu1, mu2
         fd = 0.0 if prev_fiber is None else (fiber - prev_fiber).max_abs() / (t - prev_t)
         prev_fiber, prev_t = fiber, t
         columns["fiber_rhs_residual"].append(fiber_vel.max_abs())
         columns["fiber_fd_residual"].append(fd)
-        columns["mu_drift"].append(max((split.mu1 - initial.mu1).max_abs(),
-                                       (split.mu2 - initial.mu2).max_abs()))
-        pairing = inner_1forms(m, mu1_dot, split.mu1)
+        columns["mu_drift"].append(max((mu1 - initial[0]).max_abs(),
+                                       (mu2 - initial[1]).max_abs()))
+        pairing = inner_1forms(state(), mu1_dot, state().split.mu1)
         columns["lambda_rel_residual"].append(float(np.max(np.abs(pairing))))
     return {name: np.asarray(values) for name, values in columns.items()}
+
+
+def characteristic_numbers(split):
+    """Base integrals of the curvature 2-forms d(mu1), d(mu2), from a split.
+
+    d(mu_i) = sigma_i w_check e1^e2, so each integral is the grid mean of
+    sigma_i w_check; the package takes mean(f_i) of the stepped f_i = sigma_i
+    w.  One state only: a stack raises GridError.
+    """
+    split.mu1.grid.require_single(split.w_check, "characteristic_numbers")
+    return mean(split.sigma1 * split.w_check), mean(split.sigma2 * split.w_check)
+
+
+def upq_record(m0, cfg):
+    """Trace columns of run(m0, cfg) by the (u, p, q) route, the flow's record before (w, f1, f2).
+
+    Each record's state is rebuilt from its fields (state()), and the columns
+    come from its split, its flow_velocity, assess (max |d theta| as
+    exterior_d of its Lee form, 4/5 fields) and characteristic_numbers.  The
+    fiber part lam mu1^mu2 and its rate are closed forms in the shift (a, b)
+    = (q, p)/lam and (da, db) = (dq, dp)/lam, the pairing g(mu1_dot, mu1) is
+    inner_1forms and sigma1_ode_residual the centred difference of run's
+    post-pass.  15/16 transform fields a record, against run's 5/7.
+    """
+    rows = []
+    for t, _, state in _record_states(m0, cfg):
+        m = state()
+        split, (dq, dp) = m.split, m.velocity[1:][::-1]
+        report = assess(m)
+        a, b = shift = split.mu1.coeffs[:2]
+        da, db = dq / m.lam, dp / m.lam
+        fiber = np.stack(((a * a + b * b) * m.lam, b * m.lam, a * m.lam))
+        fiber_vel = np.stack((2.0 * (a * da + b * db) * m.lam, db * m.lam, da * m.lam))
+        zero = np.zeros_like(da)
+        mu1_dot = InvariantForm(m.grid, 1, np.stack((da, db, zero, zero)))
+        prev = rows[-1] if rows else None
+        rows.append({
+            "t": t, **vars(report), "vaisman_defect": report.vaisman_defect,
+            **dict(zip(("char_1", "char_2"), characteristic_numbers(split))),
+            "fiber_rhs_residual": float(np.max(np.abs(fiber_vel))),
+            "fiber_fd_residual": (0.0 if prev is None else
+                                  float(np.max(np.abs(fiber - prev["fiber"]))) / (t - prev["t"])),
+            "mu_drift": float(np.max(np.abs(shift - (rows[0]["shift"] if rows else shift)))),
+            "lambda_rel_residual": float(np.max(np.abs(inner_1forms(m, mu1_dot, split.mu1)))),
+            "positivity_margin": m.positivity_margin(),
+            "shift": shift, "fiber": fiber,
+        })
+    columns = {name: np.array([row[name] for row in rows])
+               for name in TRACE_COLUMNS if name != "sigma1_ode_residual"}
+    sigma1_rate = np.gradient(columns["sigma1_mean"], columns["t"], edge_order=2)
+    columns["sigma1_ode_residual"] = np.abs(sigma1_rate
+                                            - columns["sigma1_mean"] * columns["s_mean"])
+    return columns
 
 
 def form_route_ricci(m):

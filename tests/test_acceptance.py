@@ -82,7 +82,7 @@ def order_errors(grid16):
     t_star = 0.008
     finals = {}
     for dt in LADDER_DT:   # cfl_safety 0.5: the parabolic bound reads 1.8e-3 here
-        *_, (_, _, state) = states(m0, FlowConfig(dt=dt, t_end=t_star, cfl_safety=0.5))
+        *_, (_, _, _, state) = states(m0, FlowConfig(dt=dt, t_end=t_star, cfl_safety=0.5))
         finals[dt] = state()
     ref = finals[LADDER_DT[-1]]
     return [finals[dt].max_difference(ref) for dt in LADDER_DT[:-1]]

@@ -649,10 +649,16 @@ def _bumped_flow(monkeypatch):
 
 
 def _unweighted_characteristic_numbers(monkeypatch):
-    # the trace's characteristic numbers drop the area w_check: mean(sigma_i)
-    # moves with u, where mean(sigma_i w_check) does not
-    monkeypatch.setattr(flow_engine, "characteristic_numbers", lambda split: (
-        float(np.mean(split.sigma1)), float(np.mean(split.sigma2))))
+    # the trace's characteristic numbers drop the area w: mean(sigma_i) =
+    # mean(f_i/w) moves with w, where mean(f_i) = mean(sigma_i w) does not
+    true_record = flow_engine._record
+
+    def unweighted(grid, lam0, shift0, lam_data, fields, t, prev):
+        row = true_record(grid, lam0, shift0, lam_data, fields, t, prev)
+        row["char_1"], row["char_2"] = (float(np.mean(f / fields[0])) for f in fields[1:])
+        return row
+
+    monkeypatch.setattr(flow_engine, "_record", unweighted)
 
 
 FLOW_RUNS = {

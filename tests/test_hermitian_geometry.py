@@ -7,16 +7,16 @@ import pytest
 from ktflow.errors import (DegenerateTransverseError, GridError, NonFiniteFieldError,
                            PositivityError)
 from ktflow.hermitian_geometry import (MetricSplit, MetricState, bismut_ricci,
-                                       bismut_torsion, characteristic_numbers,
-                                       flow_velocity, inner_1forms, lee_form,
-                                       metric_split)
+                                       bismut_torsion, flow_velocity, inner_1forms,
+                                       lee_form, metric_split)
 from ktflow.invariant_forms import (INDEX_POS, MULTI_INDEX, BaseGrid, InvariantForm,
                                     apply_J, base_integral, basis_form, coframe,
                                     exterior_d, random_band_limited, random_form, wedge)
 
-from oracles import (JMAT, contraction_split, expression_flow_velocity, homogeneous_scalar,
-                     koszul_fd_lowered, left_invariant_curvature,
-                     metric_matrix, metric_tensor, moving_frame_curvature,
+from oracles import (JMAT, characteristic_numbers, contraction_split,
+                     expression_flow_velocity, homogeneous_scalar, koszul_fd_lowered,
+                     left_invariant_curvature, metric_matrix, metric_tensor,
+                     moving_frame_curvature,
                      partials_flow_velocity, partials_lee_form,
                      partials_metric_split, two_pair_laplacian, wedge_lee_form)
 

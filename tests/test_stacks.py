@@ -9,8 +9,7 @@ from ktflow.cli_runner import emit_snapshot
 from ktflow.errors import GridError
 from ktflow.flow_engine import FlowConfig, run
 from ktflow.hermitian_geometry import (_LEE_TERMS, MetricState, bismut_ricci,
-                                       characteristic_numbers, flow_velocity,
-                                       inner_1forms, lee_form, metric_split)
+                                       flow_velocity, inner_1forms, lee_form, metric_split)
 from ktflow.invariant_forms import (V1, V2, BaseGrid, InvariantForm, apply_J,
                                     contract, exterior_d, p11_projection,
                                     random_band_limited, random_form, wedge)
@@ -93,7 +92,6 @@ def _stack_of_two():
 POOLING = {
     "run": lambda m, path: run(m, FlowConfig(dt=1e-5, t_end=3e-5, record_every=1)),
     "assess": lambda m, path: assess(m),
-    "characteristic_numbers": lambda m, path: characteristic_numbers(m.split),
     "emit_snapshot": lambda m, path: emit_snapshot(m, str(path)),
 }
 
